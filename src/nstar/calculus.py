@@ -188,13 +188,11 @@ def eval_from_density(density: DensityFunction, x, quad: QuadConfig = DEFAULT_QU
 
     Even in x. The mesh is graded geometrically toward the origin so the
     integrable singularity of the density is absorbed; a density whose
-    panel sums do not decay raises DivergedIntegralError.
+    panel sums do not decay raises DivergedIntegralError and a non-finite
+    x raises DomainError.
     """
-    x_arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x_arr)):
-        raise DomainError("argument must be finite")
     cum = CumulativeIntegral(density, quad)
-    return cum(np.abs(x_arr))
+    return cum(np.abs(np.asarray(x, dtype=float)))
 
 
 def invert(phi: NStarFunction, y, *, polish: bool = False):

@@ -59,7 +59,11 @@ def _default_tol() -> float:
         raise DocumentError(f"NSTAR_DEFAULT_TOL={raw!r} is not a number") from None
 
 
-def _grid(args) -> np.ndarray:
+def _grid(args, min_points: int = 1) -> np.ndarray:
+    if not (0 < args.grid_lo < np.inf and 0 < args.grid_hi < np.inf):
+        raise DocumentError("--grid-lo and --grid-hi must be finite and positive")
+    if args.grid_points < min_points:
+        raise DocumentError(f"--grid-points must be at least {min_points}")
     return np.geomspace(args.grid_lo, args.grid_hi, args.grid_points)
 
 
@@ -113,7 +117,7 @@ def _csv_cell(value) -> str:
 
 def _cmd_validate(args) -> int:
     phi = phi_from_text(args.phi)
-    report = validate_nstar(phi, _grid(args), seed=args.seed)
+    report = validate_nstar(phi, _grid(args, min_points=2), seed=args.seed)
     results = [
         {"name": c.name, "pass": c.passed, "residual": c.residual, "note": c.note}
         for c in report.checks

@@ -285,14 +285,22 @@ def fn_shorthand_to_doc(text: str) -> dict:
     if name == "identity":
         return {"generator": "identity"}
     if name == "constant":
-        return {"generator": "constant", "params": {"value": float(body or 1.0)}}
+        try:
+            value = float(body or 1.0)
+        except ValueError:
+            raise DocumentError(f"--fn {text!r}: constant:VALUE needs a number") from None
+        return {"generator": "constant", "params": {"value": value}}
     if name == "indicator":
         if not body:
             return {"generator": "indicator"}
         lo_text, sep, hi_text = body.partition("..")
         if not sep:
             raise DocumentError(f"--fn {text!r}: indicator needs lo..hi")
-        return {"generator": "indicator", "params": {"lo": int(lo_text), "hi": int(hi_text)}}
+        try:
+            bounds = {"lo": int(lo_text), "hi": int(hi_text)}
+        except ValueError:
+            raise DocumentError(f"--fn {text!r}: indicator lo..hi needs integers") from None
+        return {"generator": "indicator", "params": bounds}
     if name == "random":
         params = _split_kv(body, f"--fn {text!r}")
         return {"generator": "random", "params": params}

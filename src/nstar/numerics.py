@@ -5,6 +5,15 @@ integrator targets positive densities with an integrable singularity at the
 origin: panels are graded geometrically toward 0 and the mass below the
 smallest breakpoint is estimated from the decay ratio of the final panels.
 A density whose panel sums fail to decay is reported as divergent.
+
+The mesh is built one refinement level per density call: every panel still
+waiting for verification, across all segments being added, is evaluated in
+one batch (whole panel and both halves), so a build costs a few dozen calls
+instead of one call per panel. Grading toward 0 verifies segments in
+speculative chunks and replays the stopping rule segment by segment, which
+yields the same mesh a segment-at-a-time build would. A non-finite panel
+value raises DivergedIntegralError instead of being split (only once the
+replay reaches its segment), and a non-finite argument raises DomainError.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .errors import DivergedIntegralError, NonconvergenceError
+from .errors import DivergedIntegralError, DomainError, NonconvergenceError
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
 
@@ -58,10 +67,21 @@ def gauss_panel(g: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class CumulativeIntegral:
     """F(t) = integral of g over (0, t], cached across calls.
 
-    Each panel integral is validated by comparing one 15-point Gauss rule
-    against its two-half refinement, splitting on disagreement. The mesh
-    extends lazily in both directions as new arguments arrive; readers
-    always see a consistent snapshot because arrays are swapped wholesale.
+    The mesh is a sorted array of breakpoints, the verified integral of each
+    panel between them, their prefix sums and a stub estimate of the mass
+    below the lowest breakpoint. A panel is verified by comparing one
+    15-point Gauss rule with its two-half refinement and split until they
+    agree, at most 22 times. Verification is level-batched: the pending
+    panels of one refinement level, across every segment being added, go
+    to the density in a single call. Upward extension verifies all of its
+    geometric segments in one batch; downward grading verifies speculative
+    chunks of segments (4, doubling to 64), replays the stopping rule one
+    segment at a time and drops the segments past the stop, so the mesh is
+    the one a segment-at-a-time build produces. A non-finite panel value
+    raises DivergedIntegralError when the replay reaches its segment, and a
+    non-finite argument raises DomainError. The mesh extends lazily in both
+    directions as new arguments arrive; readers always see a consistent
+    snapshot because new arrays are built and swapped in wholesale.
     """
 
     def __init__(self, g: Callable, config: QuadConfig = DEFAULT_QUAD):
@@ -73,117 +93,166 @@ class CumulativeIntegral:
 
     # -- panel construction -------------------------------------------------
 
-    def _verified_panel(self, a: float, b: float, depth: int = 0):
-        """Integrate [a, b]; split while one Gauss rule disagrees with halves."""
-        whole = float(gauss_panel(self._g, a, b))
-        mid = 0.5 * (a + b)
-        left = float(gauss_panel(self._g, a, mid))
-        right = float(gauss_panel(self._g, mid, b))
-        refined = left + right
-        if depth >= 22 or abs(whole - refined) <= 0.1 * self._cfg.tol * (abs(refined) + 1e-300):
-            return [mid, b], [left, right]
-        eb, ev = self._verified_panel(a, mid, depth + 1)
-        eb2, ev2 = self._verified_panel(mid, b, depth + 1)
-        return eb + eb2, ev + ev2
+    def _verify(self, a: np.ndarray, b: np.ndarray):
+        """Integrate each segment [a_i, b_i], one refinement level per density call.
 
-    def _set_mesh(self, breaks: list[float], panels: list[float], stub: float) -> None:
-        br = np.asarray(breaks, dtype=float)
-        pa = np.asarray(panels, dtype=float)
-        prefix = np.empty(br.size)
+        A panel is accepted when its Gauss value agrees with the sum of its
+        halves, or at depth 22, and contributes both halves as leaves.
+        Returns the leaves sorted by left endpoint (right endpoints, values,
+        owning segment) and a per-segment flag for a non-finite panel value;
+        a flagged segment is not refined further. Floating-point warnings
+        are silenced here because a non-finite value is reported by the flag.
+        """
+        owner = np.arange(a.size)
+        bad = np.zeros(a.size, dtype=bool)
+        rtol = 0.1 * self._cfg.tol
+        lefts, rights, values, owners = [], [], [], []
+        with np.errstate(all="ignore"):
+            for depth in range(23):
+                if a.size == 0:
+                    break
+                n = a.size
+                mid = 0.5 * (a + b)
+                vals = gauss_panel(self._g, np.concatenate((a, a, mid)), np.concatenate((b, mid, b)))
+                whole, left, right = vals[:n], vals[n : 2 * n], vals[2 * n :]
+                refined = left + right
+                finite = np.isfinite(whole) & np.isfinite(refined)
+                bad[owner[~finite]] = True
+                agree = np.abs(whole - refined) <= rtol * (np.abs(refined) + 1e-300)
+                accept = finite & (agree | (depth >= 22))
+                lefts += [a[accept], mid[accept]]
+                rights += [mid[accept], b[accept]]
+                values += [left[accept], right[accept]]
+                owners += [owner[accept], owner[accept]]
+                split = ~accept & ~bad[owner]
+                a, b = np.concatenate((a[split], mid[split])), np.concatenate((mid[split], b[split]))
+                owner = np.concatenate((owner[split], owner[split]))
+        order = np.argsort(np.concatenate(lefts), kind="stable")
+        return (
+            np.concatenate(rights)[order],
+            np.concatenate(values)[order],
+            np.concatenate(owners)[order],
+            bad,
+        )
+
+    def _set_mesh(self, breaks: np.ndarray, panels: np.ndarray, stub: float) -> None:
+        prefix = np.empty(breaks.size)
         prefix[0] = stub
-        np.cumsum(pa, out=prefix[1:])
+        np.cumsum(panels, out=prefix[1:])
         prefix[1:] += stub
-        self._mesh = (br, pa, prefix, stub)
+        self._mesh = (breaks, panels, prefix, stub)
 
-    def _grade_down(self, breaks: list[float], panels: list[float], t_floor: float) -> float:
+    def _grade_down(self, breaks: np.ndarray, panels: np.ndarray, t_floor: float):
         """Prepend geometric panels toward 0 until the tail below is negligible.
 
-        Returns the stub estimate for the mass below the final smallest
-        breakpoint. Raises DivergedIntegralError when the panel sums do not
-        decay (the integral cannot be finite then).
+        Returns the extended (breaks, panels) and the stub estimate for the
+        mass below the new smallest breakpoint. Raises DivergedIntegralError
+        when the panel sums do not decay (the integral cannot be finite then).
         """
         r = self._cfg.mesh_ratio
         tol = self._cfg.tol
-        lo = breaks[0]
+        lo = float(breaks[0])
+        total = float(panels.sum())
+        # mass of the panels ending at or below t_floor; t_floor lies under
+        # the existing mesh, so only new panels count
+        below = 0.0
         prev = None
         stalled = 0
-        for k in range(self._cfg.max_panels):
-            nxt = lo * r
-            eb, ev = self._verified_panel(nxt, lo)
-            seg = float(sum(ev))
-            breaks[:0] = [nxt] + eb[:-1]
-            panels[:0] = ev
-            lo = nxt
-            if prev is not None and prev > 0:
-                q = seg / prev
-                if q >= 0.9995:
-                    stalled += 1
-                    if stalled >= 48:
+        new_breaks: list[np.ndarray] = []
+        new_panels: list[np.ndarray] = []
+        k = 0
+        chunk = 4
+        while k < self._cfg.max_panels:
+            # speculative chunk of segments, ending at the first one under _TINY
+            n = min(chunk, self._cfg.max_panels - k)
+            edges = [lo, lo * r]
+            while len(edges) <= n and edges[-1] >= _TINY:
+                edges.append(edges[-1] * r)
+            tops = np.array(edges[:-1])
+            bottoms = np.array(edges[1:])
+            leaf_breaks, leaf_vals, owner, bad = self._verify(bottoms, tops)
+            seg_sums = np.bincount(owner, weights=leaf_vals, minlength=tops.size)
+            seg_below = np.bincount(
+                owner, weights=np.where(leaf_breaks <= t_floor, leaf_vals, 0.0), minlength=tops.size
+            )
+            for j in range(tops.size):
+                if bad[j]:
+                    raise DivergedIntegralError("non-finite panel value near 0; integral diverges")
+                seg = float(seg_sums[j])
+                lo = float(bottoms[j])
+                total += seg
+                below += float(seg_below[j])
+                stub = None
+                if prev is not None and prev > 0:
+                    q = seg / prev
+                    if q >= 0.9995:
+                        stalled += 1
+                        if stalled >= 48:
+                            raise DivergedIntegralError(
+                                "panel sums near 0 are not decaying; integral diverges"
+                            )
+                    else:
+                        stalled = 0
+                    if q < 1.0:
+                        tail = seg * q / (1.0 - q)
+                        local = max(tail + below, tol * total)
+                        if k >= 3 and seg + tail <= tol * local and lo <= t_floor:
+                            stub = tail
+                if stub is None and lo < _TINY:
+                    if seg > tol * max(total, 1e-300):
                         raise DivergedIntegralError(
-                            "panel sums near 0 are not decaying; integral diverges"
+                            "mesh grading reached the underflow floor without converging"
                         )
-                else:
-                    stalled = 0
-                if q < 1.0:
-                    stub = seg * q / (1.0 - q)
-                    below = stub + sum(p for b, p in zip(breaks[1:], panels) if b <= t_floor)
-                    local = max(below, tol * sum(panels))
-                    if k >= 3 and seg + stub <= tol * local and lo <= t_floor:
-                        return stub
-            prev = seg
-            if lo < _TINY:
-                if prev is not None and seg <= tol * max(sum(panels), 1e-300):
-                    return seg
-                raise DivergedIntegralError(
-                    "mesh grading reached the underflow floor without converging"
-                )
+                    stub = seg
+                if stub is not None:
+                    keep = owner <= j
+                    new_breaks.append(leaf_breaks[keep])
+                    new_panels.append(leaf_vals[keep])
+                    return (
+                        np.concatenate([[lo], *new_breaks[::-1], breaks[1:]]),
+                        np.concatenate([*new_panels[::-1], panels]),
+                        stub,
+                    )
+                prev = seg
+                k += 1
+            new_breaks.append(leaf_breaks)
+            new_panels.append(leaf_vals)
+            chunk = min(2 * chunk, 64)
         raise DivergedIntegralError("panel budget exhausted while grading toward 0")
-
-    def _build(self, t_hi: float, t_lo: float) -> None:
-        top = max(t_hi, t_lo)
-        breaks = [top]
-        panels: list[float] = []
-        stub = self._grade_down(breaks, panels, min(t_lo, top))
-        self._set_mesh(breaks, panels, stub)
 
     def _extend_up(self, t_hi: float) -> None:
         br, pa, _, stub = self._mesh
-        breaks = list(br)
-        panels = list(pa)
         growth = 1.0 / self._cfg.mesh_ratio
-        top = breaks[-1]
+        edges = [float(br[-1])]
         for _ in range(self._cfg.max_panels):
-            if top >= t_hi:
+            if edges[-1] >= t_hi:
                 break
-            nxt = top * growth
-            eb, ev = self._verified_panel(top, nxt)
-            breaks.extend(eb)
-            panels.extend(ev)
-            top = nxt
+            edges.append(edges[-1] * growth)
         else:
             raise DivergedIntegralError("panel budget exhausted while extending upward")
-        self._set_mesh(breaks, panels, stub)
-
-    def _extend_down(self, t_lo: float) -> None:
-        br, pa, _, _ = self._mesh
-        breaks = list(br)
-        panels = list(pa)
-        stub = self._grade_down(breaks, panels, t_lo)
-        self._set_mesh(breaks, panels, stub)
+        edges = np.array(edges)
+        leaf_breaks, leaf_vals, _, bad = self._verify(edges[:-1], edges[1:])
+        if bad.any():
+            raise DivergedIntegralError("non-finite panel value; integral diverges")
+        self._set_mesh(np.concatenate((br, leaf_breaks)), np.concatenate((pa, leaf_vals)), stub)
 
     def _ensure(self, t_hi: float, t_lo: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         if self._mesh is None:
-            self._build(t_hi, t_lo)
+            top = max(t_hi, t_lo)
+            self._set_mesh(*self._grade_down(np.array([top]), np.empty(0), min(t_lo, top)))
         if t_hi > self._mesh[0][-1]:
             self._extend_up(t_hi)
         if 0.0 < t_lo < self._mesh[0][0]:
-            self._extend_down(t_lo)
+            br, pa, _, _ = self._mesh
+            self._set_mesh(*self._grade_down(br, pa, t_lo))
         return self._mesh
 
     # -- evaluation -----------------------------------------------------------
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
+        if not np.all(np.isfinite(t_arr)):
+            raise DomainError("argument must be finite")
         scalar = t_arr.ndim == 0
         t_arr = np.atleast_1d(t_arr).copy()
         out = np.zeros_like(t_arr)

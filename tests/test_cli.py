@@ -1,11 +1,14 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import nstar
 from nstar.cli import main
 from nstar.documents import parse_check_records
 
@@ -342,10 +345,32 @@ class TestExitCodes:
         assert main(["norm", "--space", "atoms:1", "--fn", "constant:1"]) == 2
 
     def test_entry_point_runs(self):
+        # the child imports the same package as this process, installed or not
+        src = str(Path(nstar.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "nstar.cli", "norm", "--phi", "power:p=0.5", "--space", "atoms:1", "--fn", "constant:2"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "norm = 2" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "norm --phi power:p=0.5 --space interval:L=1,N=1000 --fn constant:abc",
+            "norm --phi power:p=0.5 --space interval:L=1,N=1000 --fn indicator:a..b",
+            "validate --phi power:p=0.5 --grid-points 0",
+            "validate --phi power:p=0.5 --grid-points 1",
+            "conjugate --phi power:p=0.5 --grid-lo 0",
+            "delta2 --phi power:p=0.5 --grid-hi inf",
+        ],
+    )
+    def test_malformed_shorthand_and_grid_exit_two(self, capsys, argv):
+        code = main(argv.split())
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err

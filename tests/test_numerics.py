@@ -1,14 +1,146 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from nstar.errors import DivergedIntegralError, NonconvergenceError
+from nstar import calculus, numerics
+from nstar.calculus import DensityFunction, complementary
+from nstar.errors import DivergedIntegralError, DomainError, NonconvergenceError
+from nstar.families import from_density, log_sqrt_family, tabulated_density_family
 from nstar.numerics import (
     CumulativeIntegral,
     LogLogLinear,
     LogLogPchip,
+    QuadConfig,
     generalized_inverse,
     invert_increasing,
 )
+
+
+class PanelByPanelCumulativeIntegral(CumulativeIntegral):
+    """Reference mesh construction: one panel per density call, depth first.
+
+    The depth-first recursion and segment-at-a-time grading that level
+    batching replaced, kept as an oracle for the mesh it must reproduce.
+    """
+
+    def _verified_panel(self, a: float, b: float, depth: int = 0):
+        whole = float(numerics.gauss_panel(self._g, a, b))
+        mid = 0.5 * (a + b)
+        left = float(numerics.gauss_panel(self._g, a, mid))
+        right = float(numerics.gauss_panel(self._g, mid, b))
+        refined = left + right
+        if depth >= 22 or abs(whole - refined) <= 0.1 * self._cfg.tol * (abs(refined) + 1e-300):
+            return [mid, b], [left, right]
+        eb, ev = self._verified_panel(a, mid, depth + 1)
+        eb2, ev2 = self._verified_panel(mid, b, depth + 1)
+        return eb + eb2, ev + ev2
+
+    def _set_mesh(self, breaks, panels, stub):
+        super()._set_mesh(np.asarray(breaks, dtype=float), np.asarray(panels, dtype=float), stub)
+
+    def _grade_down(self, breaks: list, panels: list, t_floor: float) -> float:
+        r = self._cfg.mesh_ratio
+        tol = self._cfg.tol
+        lo = breaks[0]
+        prev = None
+        stalled = 0
+        for k in range(self._cfg.max_panels):
+            nxt = lo * r
+            eb, ev = self._verified_panel(nxt, lo)
+            seg = float(sum(ev))
+            breaks[:0] = [nxt] + eb[:-1]
+            panels[:0] = ev
+            lo = nxt
+            if prev is not None and prev > 0:
+                q = seg / prev
+                if q >= 0.9995:
+                    stalled += 1
+                    if stalled >= 48:
+                        raise DivergedIntegralError("not decaying")
+                else:
+                    stalled = 0
+                if q < 1.0:
+                    stub = seg * q / (1.0 - q)
+                    below = stub + sum(p for b, p in zip(breaks[1:], panels) if b <= t_floor)
+                    local = max(below, tol * sum(panels))
+                    if k >= 3 and seg + stub <= tol * local and lo <= t_floor:
+                        return stub
+            prev = seg
+            if lo < numerics._TINY:
+                if prev is not None and seg <= tol * max(sum(panels), 1e-300):
+                    return seg
+                raise DivergedIntegralError("underflow floor")
+        raise DivergedIntegralError("budget")
+
+    def _extend_up(self, t_hi: float) -> None:
+        br, pa, _, stub = self._mesh
+        breaks = list(br)
+        panels = list(pa)
+        growth = 1.0 / self._cfg.mesh_ratio
+        top = breaks[-1]
+        for _ in range(self._cfg.max_panels):
+            if top >= t_hi:
+                break
+            nxt = top * growth
+            eb, ev = self._verified_panel(top, nxt)
+            breaks.extend(eb)
+            panels.extend(ev)
+            top = nxt
+        else:
+            raise DivergedIntegralError("budget")
+        self._set_mesh(breaks, panels, stub)
+
+    def _ensure(self, t_hi: float, t_lo: float):
+        if self._mesh is None:
+            top = max(t_hi, t_lo)
+            breaks, panels = [top], []
+            stub = self._grade_down(breaks, panels, min(t_lo, top))
+            self._set_mesh(breaks, panels, stub)
+        if t_hi > self._mesh[0][-1]:
+            self._extend_up(t_hi)
+        if 0.0 < t_lo < self._mesh[0][0]:
+            br, pa, _, _ = self._mesh
+            breaks, panels = list(br), list(pa)
+            stub = self._grade_down(breaks, panels, t_lo)
+            self._set_mesh(breaks, panels, stub)
+        return self._mesh
+
+
+def log_sqrt_conjugate_density():
+    """The tabulated conjugate density the log_sqrt complement integrates."""
+    return complementary(log_sqrt_family()).source_nfunction.density
+
+
+def call_limited(g, limit=10_000):
+    """Wrap a density so that a runaway refinement fails instead of hanging."""
+    calls = 0
+
+    def limited(t):
+        nonlocal calls
+        calls += 1
+        if calls > limit:
+            raise RuntimeError(f"density called more than {limit} times")
+        return g(t)
+
+    return limited
+
+
+def quadrature_work(monkeypatch, integrator, run):
+    """run() with the given integrator class: (its value, gauss_panel calls, density nodes)."""
+    work = [0, 0]
+    plain = numerics.gauss_panel
+
+    def counting(g, a, b):
+        work[0] += 1
+        work[1] += numerics._GL_X.size * np.broadcast(a, b).size
+        return plain(g, a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(numerics, "gauss_panel", counting)
+        m.setattr(calculus, "CumulativeIntegral", integrator)
+        value = run()
+    return value, work[0], work[1]
 
 
 class TestCumulativeIntegral:
@@ -46,6 +178,87 @@ class TestCumulativeIntegral:
         cum = CumulativeIntegral(lambda t: 1.0 / t)
         with pytest.raises(DivergedIntegralError):
             cum(1.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_argument_is_domain_error(self, bad):
+        cum = CumulativeIntegral(call_limited(lambda t: t**-0.5))
+        with pytest.raises(DomainError):
+            cum(bad)
+        with pytest.raises(DomainError):
+            cum(np.array([1.0, bad]))
+
+    def test_integrated_generators_at_infinity_fail_fast(self):
+        ts = np.geomspace(1e-6, 1e6, 16)
+        tabulated = tabulated_density_family(ts, 0.5 * ts**-0.5)
+        tabulated = dataclasses.replace(
+            tabulated, density=DensityFunction(call_limited(tabulated.density))
+        )
+        integrated = from_density(DensityFunction(call_limited(lambda t: t**-0.5)))
+        for phi in (tabulated, integrated):
+            with pytest.raises(DomainError):
+                phi(np.inf)
+
+    def test_non_finite_panel_value_diverges(self):
+        # the density is NaN above 2: the first panel graded down from 10 holds NaN
+        cum = CumulativeIntegral(call_limited(lambda t: np.where(t > 2.0, np.nan, t**-0.5)))
+        with pytest.raises(DivergedIntegralError):
+            cum(10.0)
+        up = CumulativeIntegral(call_limited(lambda t: np.where(t > 2.0, np.inf, t**-0.5)))
+        assert up(1.0) == pytest.approx(2.0, rel=1e-10)
+        with pytest.raises(DivergedIntegralError):
+            up(10.0)
+
+    def test_speculative_segments_past_the_stop_change_nothing(self):
+        clean = CumulativeIntegral(lambda t: t**-0.5)
+        clean(1.0)
+        floor = clean._mesh[0][0]
+        hits = []
+
+        def holed(t):
+            # NaN far enough below the final mesh that only speculation reaches it
+            hole = t < floor / 16
+            hits.append(bool(hole.any()))
+            return np.where(hole, np.nan, t**-0.5)
+
+        cum = CumulativeIntegral(holed)
+        assert cum(1.0) == clean(1.0)
+        assert any(hits)
+        assert np.array_equal(cum._mesh[0], clean._mesh[0])
+
+
+class TestLevelBatchedMesh:
+    """Level batching reproduces the panel-by-panel mesh with far fewer calls."""
+
+    @pytest.mark.parametrize(
+        "density, quad",
+        [
+            (lambda t: t**-0.5, numerics.DEFAULT_QUAD),
+            (lambda t: np.exp(-t), numerics.DEFAULT_QUAD),
+            (log_sqrt_conjugate_density(), QuadConfig(tol=1e-11)),
+        ],
+        ids=["inv_sqrt", "exp", "log_sqrt_conjugate"],
+    )
+    def test_mesh_matches_panel_by_panel_reference(self, density, quad):
+        batched = CumulativeIntegral(density, quad)
+        reference = PanelByPanelCumulativeIntegral(density, quad)
+        # build, extend up and down, then extend down again
+        for xs in ([1.0], np.geomspace(1e-3, 1e6, 7), [1e-12, 3.0], [1e-14]):
+            np.testing.assert_allclose(batched(xs), reference(xs), rtol=1e-14, atol=0)
+            got, want = batched._mesh, reference._mesh
+            assert np.array_equal(got[0], want[0])
+            np.testing.assert_allclose(got[2], want[2], rtol=1e-14, atol=0)
+
+    def test_log_sqrt_complement_solver_work(self, monkeypatch):
+        xs = np.geomspace(1e-3, 1e3, 16)
+
+        def job():
+            return complementary(log_sqrt_family())(xs)
+
+        got, calls, nodes = quadrature_work(monkeypatch, CumulativeIntegral, job)
+        want, ref_calls, ref_nodes = quadrature_work(monkeypatch, PanelByPanelCumulativeIntegral, job)
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+        assert calls * 10 <= ref_calls
+        assert nodes <= 1.05 * ref_nodes
 
 
 class TestInvertIncreasing:
