@@ -24,6 +24,7 @@ from .numerics import (
     DEFAULT_QUAD,
     CumulativeIntegral,
     QuadConfig,
+    bisect_increasing,
     generalized_inverse,
     invert_increasing,
     tabulate_density,
@@ -40,7 +41,6 @@ __all__ = [
     "invert",
     "conjugate_nfunction",
     "complementary",
-    "resolve_complementary",
     "delta2_solve",
     "growth_factor",
     "validate_nstar",
@@ -250,12 +250,7 @@ def conjugate_nfunction(
     def mbar_exact(t):
         return generalized_inverse(inner, t)
 
-    if quad.tabulate:
-        mbar = tabulate_density(
-            mbar_exact, lo=quad.table_lo, hi=quad.table_hi, points=quad.table_points
-        )
-    else:
-        mbar = mbar_exact
+    mbar = tabulate_density(mbar_exact, lo=quad.table_lo, hi=quad.table_hi, points=quad.table_points)
     return NFunction(
         density=mbar,
         eval_fn=None,
@@ -335,13 +330,6 @@ def complementary(
     )
 
 
-def resolve_complementary(phi: NStarFunction, phi_hat: NStarFunction | None = None) -> NStarFunction:
-    """Use the supplied complementary, else registered, else compute numerically."""
-    if phi_hat is not None:
-        return phi_hat
-    return complementary(phi)
-
-
 def delta2_solve(
     phi: NStarFunction,
     k0: float,
@@ -349,7 +337,6 @@ def delta2_solve(
     *,
     spread_tol: float = 1e-8,
     residual_tol: float = 1e-10,
-    iterations: int = 80,
 ) -> Delta2Certificate:
     """Solve 2*phi(x) = phi(k x) for k in [2, k0] at every grid point.
 
@@ -377,13 +364,9 @@ def delta2_solve(
         raise NotDelta2Error(
             f"phi(2x) <= 2*phi(x) fails at x={worst:.6g}; not a concave generator"
         )
-    lo = np.full(xs.shape, 2.0)
-    hi = np.full(xs.shape, float(k0))
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        below = np.asarray(phi(mid * xs), dtype=float) <= twice
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+    lo, hi = bisect_increasing(
+        lambda k: phi(k * xs), twice, np.full(xs.shape, 2.0), np.full(xs.shape, float(k0))
+    )
     ks = 0.5 * (lo + hi)
     resid = np.abs(np.asarray(phi(ks * xs), dtype=float) - twice)
     residual_max = float(np.max(resid / np.maximum(twice, 1e-300)))

@@ -14,6 +14,11 @@ speculative chunks and replays the stopping rule segment by segment, which
 yields the same mesh a segment-at-a-time build would. A non-finite panel
 value raises DivergedIntegralError instead of being split (only once the
 replay reaches its segment), and a non-finite argument raises DomainError.
+
+Monotone root finding has one bisection rule, bisect_increasing: midpoints
+on the bit patterns of the floats (no overflow or underflow anywhere in the
+float range) and a fixed step count that closes every bracket to adjacent
+floats. invert_increasing brackets inside the normal float range.
 """
 
 from __future__ import annotations
@@ -30,21 +35,23 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
 
 _TINY = 1e-290
 
+_TINY_NORMAL = float(np.finfo(float).tiny)
+_MAX = float(np.finfo(float).max)
+
 
 @dataclass(frozen=True)
 class QuadConfig:
     """Quadrature settings.
 
     tol is a relative tolerance on cumulative integrals; mesh_ratio is the
-    geometric grading factor toward the origin (must lie in (0, 1)); the
-    tabulate flag lets derived densities (generalized inverses) be sampled
-    once onto a log-log interpolant instead of re-solved at every node.
+    geometric grading factor toward the origin (must lie in (0, 1)); derived
+    densities (generalized inverses) are sampled once onto a log-log
+    interpolant of table_points points spanning [table_lo, table_hi].
     """
 
     tol: float = 1e-8
     mesh_ratio: float = 0.5
     max_panels: int = 4000
-    tabulate: bool = True
     table_points: int = 4000
     table_lo: float = 1e-12
     table_hi: float = 1e12
@@ -275,19 +282,38 @@ class CumulativeIntegral:
         return float(out[0]) if scalar else out
 
 
-def invert_increasing(
-    f: Callable,
-    y,
-    *,
-    hint: float = 1.0,
-    iterations: int = 80,
-    max_expand: int = 1100,
-) -> np.ndarray | float:
-    """Solve f(x) = y for an increasing f on [0, inf) with f(0) = 0.
+def bisect_increasing(f: Callable, y, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Bisect brackets f(lo) <= y < f(hi) of a non-decreasing f, elementwise.
 
-    Bracket expansion by repeated doubling/halving from the hint, then
-    bisection on the geometric midpoint. y must be non-negative; y = 0
-    maps to 0 directly.
+    Brackets must be positive. The midpoint is taken on the integer views
+    of the floats, which are ordered like the floats: it cannot overflow,
+    lies near the geometric midpoint, and halves the count of floats in the
+    bracket. ceil(log2(n)) steps, fixed from the widest bracket of n floats,
+    close every bracket to adjacent floats. The invariant holds throughout,
+    so on a plateau of f the bracket closes on the right end of the level
+    set. Returns the final (lo, hi).
+    """
+    y = np.asarray(y, dtype=float)
+    # positive floats have the sign bit clear, so the sum of two views fits
+    ilo = np.array(lo, dtype=float).view(np.uint64)
+    ihi = np.array(hi, dtype=float).view(np.uint64)
+    steps = (int(np.max(ihi - ilo)) - 1).bit_length()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(steps):
+            imid = (ilo + ihi) >> 1
+            below = np.asarray(f(imid.view(np.float64))) <= y
+            ilo = np.where(below, imid, ilo)
+            ihi = np.where(below, ihi, imid)
+    return ilo.view(np.float64), ihi.view(np.float64)
+
+
+def invert_increasing(f: Callable, y) -> np.ndarray | float:
+    """Largest x with f(x) <= y, for an increasing f on [0, inf) with f(0) = 0.
+
+    The bracket grows by factors of 4 from 1, clipped to the normal float
+    range [tiny, max], and bisect_increasing closes it. y must be
+    non-negative; y = 0 maps to 0 directly. A level that f does not reach
+    inside the normal float range raises NonconvergenceError.
     """
     y_arr = np.asarray(y, dtype=float)
     scalar = y_arr.ndim == 0
@@ -296,47 +322,33 @@ def invert_increasing(
     pos = y_arr > 0.0
     if pos.any():
         target = y_arr[pos]
-        lo = np.full(target.shape, hint)
-        hi = np.full(target.shape, hint)
+        lo = np.ones_like(target)
+        hi = np.ones_like(target)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            need = np.asarray(f(hi)) < target
-            n = 0
+            need = np.asarray(f(hi)) <= target
             while need.any():
-                hi[need] *= 4.0
-                need &= np.asarray(f(hi)) < target
-                n += 1
-                if n > max_expand:
-                    raise NonconvergenceError("upper bracket expansion failed")
+                if np.any(hi[need] >= _MAX):
+                    raise NonconvergenceError("level lies above f(max float)")
+                lo[need] = hi[need]
+                hi[need] = np.minimum(hi[need] * 4.0, _MAX)
+                need &= np.asarray(f(hi)) <= target
             need = np.asarray(f(lo)) > target
-            n = 0
             while need.any():
-                lo[need] *= 0.25
+                if np.any(lo[need] <= _TINY_NORMAL):
+                    raise NonconvergenceError("level lies below f(smallest normal float)")
+                hi[need] = lo[need]
+                lo[need] = np.maximum(lo[need] * 0.25, _TINY_NORMAL)
                 need &= np.asarray(f(lo)) > target
-                n += 1
-                if n > max_expand:
-                    raise NonconvergenceError("lower bracket expansion failed")
-            for _ in range(iterations):
-                mid = np.sqrt(lo * hi)
-                below = np.asarray(f(mid)) <= target
-                lo = np.where(below, mid, lo)
-                hi = np.where(below, hi, mid)
-        out[pos] = np.sqrt(lo * hi)
+        out[pos], _ = bisect_increasing(f, target, lo, hi)
     return float(out[0]) if scalar else out
 
 
-def generalized_inverse(
-    m: Callable,
-    t,
-    *,
-    s_lo: float = 1e-240,
-    s_hi: float = 1e240,
-    iterations: int = 80,
-) -> np.ndarray | float:
+def generalized_inverse(m: Callable, t) -> np.ndarray | float:
     """sup{s : m(s) <= t} for a non-decreasing m, elementwise over t.
 
-    The predicate bisection keeps the invariant m(lo) <= t < m(hi), so at a
-    jump or plateau of m it converges to the right endpoint of the level
-    set, which is the supremum.
+    Bisects from the bracket [1e-240, 1e240]; bisect_increasing keeps the
+    invariant m(lo) <= t < m(hi), so at a jump or plateau of m the result
+    is the right endpoint of the level set, which is the supremum.
     """
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
@@ -345,8 +357,8 @@ def generalized_inverse(
     pos = t_arr > 0.0
     if pos.any():
         target = t_arr[pos]
-        lo = np.full(target.shape, s_lo)
-        hi = np.full(target.shape, s_hi)
+        lo = np.full(target.shape, 1e-240)
+        hi = np.full(target.shape, 1e240)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             top = np.asarray(m(hi), dtype=float)
             top = np.where(np.isnan(top), np.inf, top)  # overflow chains read as +inf
@@ -354,12 +366,7 @@ def generalized_inverse(
                 raise NonconvergenceError(
                     "density stays below the level; no finite generalized inverse"
                 )
-            for _ in range(iterations):
-                mid = np.sqrt(lo * hi)
-                below = np.asarray(m(mid)) <= target
-                lo = np.where(below, mid, lo)
-                hi = np.where(below, hi, mid)
-        out[pos] = np.sqrt(lo * hi)
+        out[pos], _ = bisect_increasing(m, target, lo, hi)
     return float(out[0]) if scalar else out
 
 
@@ -381,6 +388,8 @@ class LogLogLinear:
             raise ValueError("sample abscissae must be strictly increasing")
         self._lx = np.log(x)
         self._ly = np.log(y)
+        self._lo_slope = (self._ly[1] - self._ly[0]) / (self._lx[1] - self._lx[0])
+        self._hi_slope = (self._ly[-1] - self._ly[-2]) / (self._lx[-1] - self._lx[-2])
 
     def __call__(self, x):
         x_arr = np.asarray(x, dtype=float)
@@ -390,21 +399,16 @@ class LogLogLinear:
         pos = x_arr > 0.0
         if pos.any():
             lx = np.log(x_arr[pos])
-            out[pos] = np.exp(np.interp(lx, self._lx, self._ly))
-            lo_slope = (self._ly[1] - self._ly[0]) / (self._lx[1] - self._lx[0])
-            hi_slope = (self._ly[-1] - self._ly[-2]) / (self._lx[-1] - self._lx[-2])
+            vals = np.interp(lx, self._lx, self._ly)
+            # masked updates, not np.where: most calls have no point outside
+            # the table, and np.where would evaluate both edge lines everywhere
             low = lx < self._lx[0]
-            high = lx > self._lx[-1]
             if low.any():
-                vals = self._ly[0] + lo_slope * (lx[low] - self._lx[0])
-                out_pos = out[pos]
-                out_pos[low] = np.exp(vals)
-                out[pos] = out_pos
+                vals[low] = self._ly[0] + self._lo_slope * (lx[low] - self._lx[0])
+            high = lx > self._lx[-1]
             if high.any():
-                vals = self._ly[-1] + hi_slope * (lx[high] - self._lx[-1])
-                out_pos = out[pos]
-                out_pos[high] = np.exp(vals)
-                out[pos] = out_pos
+                vals[high] = self._ly[-1] + self._hi_slope * (lx[high] - self._lx[-1])
+            out[pos] = np.exp(vals, out=vals)
         return float(out[0]) if scalar else out
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import NStarFunction, resolve_complementary
+from .calculus import NStarFunction, complementary
 from .errors import DomainError, NonconvergenceError, SpaceMismatchError
 from .measure import MeasurableFn, MeasureSpace, integrate
 
@@ -40,6 +40,8 @@ __all__ = [
 
 LUX_RESIDUAL_TOL = 1e-10
 LUX_MAX_ITER = 200
+_TINY = float(np.finfo(float).tiny)
+_MAX = float(np.finfo(float).max)
 SLACK_TOL = 1e-9
 
 
@@ -113,9 +115,10 @@ def luxemburg_norm(
     """Smallest lambda with modular(f / lambda) <= 1.
 
     lambda -> rho(f/lambda) is continuous and strictly decreasing through 1
-    on finite spaces, so a doubling/halving bracket always exists; bisection
-    on the geometric midpoint stops when the modular residual is inside
-    residual_tol (or the bracket collapses to rounding width).
+    on finite spaces, so a bracket grown from max|f| inside the normal float
+    range exists; bisection on a geometric midpoint that cannot overflow or
+    underflow stops when the modular residual is inside residual_tol (or the
+    bracket collapses to rounding width).
     """
     if not f.space.same_as(space):
         raise SpaceMismatchError("function does not live on the given space")
@@ -131,26 +134,25 @@ def luxemburg_norm(
         return out if np.isfinite(out) else math.inf
 
     iterations = 0
-    lo = hi = max(float(absv.max()), 1e-300)
+    lo = hi = max(float(absv.max()), _TINY)
     step = 2.0
     while rho(hi) > 1.0:
-        if hi >= 1e300 or iterations > max_iter:
+        if hi >= _MAX or iterations > max_iter:
             raise NonconvergenceError("no upper bracket for the quasi-norm within budget")
-        hi = min(hi * step, 1e300)
+        hi = min(hi * step, _MAX)
         step = min(step * step, 1e12)
         iterations += 1
     step = 2.0
     while rho(lo) < 1.0:
-        if lo <= 1e-300 or iterations > max_iter:
+        if lo <= _TINY or iterations > max_iter:
             # the modular never reaches 1 from above: f is a modular null
             raise NonconvergenceError("no lower bracket for the quasi-norm within budget")
-        lo = max(lo / step, 1e-300)
+        lo = max(lo / step, _TINY)
         step = min(step * step, 1e12)
         iterations += 1
-    lam = hi
-    resid = abs(rho(lam) - 1.0)
     while iterations < max_iter:
-        mid = math.sqrt(lo * hi)
+        prod = lo * hi
+        mid = math.sqrt(prod) if _TINY <= prod <= _MAX else math.sqrt(lo) * math.sqrt(hi)
         value = rho(mid)
         iterations += 1
         lam = mid
@@ -222,7 +224,7 @@ def young_type_check(
     tol: float = SLACK_TOL,
 ) -> CheckReport:
     """integral of phi(|f|) * phi_hat(|g|) against integral |f| + integral |g|."""
-    phi_hat = resolve_complementary(phi, phi_hat)
+    phi_hat = phi_hat if phi_hat is not None else complementary(phi)
     if not f.space.same_as(space) or not g.space.same_as(space):
         raise SpaceMismatchError("functions must live on the given space")
     left_vals = np.asarray(phi(np.abs(f.values)), dtype=float) * np.asarray(
@@ -341,7 +343,7 @@ def product_identity_check(
     fails are listed in the notes and never fail the check, because the
     product form is the inequality the closed families actually satisfy.
     """
-    phi_hat = resolve_complementary(phi, phi_hat)
+    phi_hat = phi_hat if phi_hat is not None else complementary(phi)
     alphas = np.asarray(alpha_grid, dtype=float)
     if np.any(alphas <= 0):
         raise DomainError("the sandwich is stated for strictly positive arguments")
@@ -388,7 +390,7 @@ def intersection_check(
     Integrates the pointwise product sandwich; reports the three membership
     integrals alongside.
     """
-    phi_hat = resolve_complementary(phi, phi_hat)
+    phi_hat = phi_hat if phi_hat is not None else complementary(phi)
     absv = np.abs(f.values)
     l1 = float(np.dot(absv, space.masses))
     mod_phi = modular(phi, space, f).value

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import NStarFunction, delta2_solve, resolve_complementary
+from .calculus import NStarFunction, complementary, delta2_solve
 from .errors import DocumentError
 from .measure import MeasurableFn, MeasureSpace, simple_approximation
 from .space import (
@@ -85,13 +85,16 @@ def run_check_suite(
     tol: float = 1e-9,
 ) -> list[CheckReport]:
     """Run the named checks with seeded random instances; one record per check."""
+    if samples < 1:
+        # with no instance every sampled check would pass vacuously
+        raise DocumentError(f"samples must be at least 1, got {samples}")
     unknown = [c for c in checks if c not in CHECK_NAMES]
     if unknown:
         raise DocumentError(f"unknown checks {unknown}; known: {', '.join(CHECK_NAMES)}")
     rng = np.random.default_rng(seed)
     phi_hat = None
     if any(c in checks for c in ("young_type", "product_identity", "intersection")):
-        phi_hat = resolve_complementary(phi)
+        phi_hat = complementary(phi)
     k = None
     k_note = None
     if any(c in checks for c in ("quasi_triangle", "modular_to_norm")):

@@ -204,7 +204,28 @@ class TestComplementary:
         assert report.passed, report.summary()
 
 
+def arithmetic_bisection_ks(phi, k0, xs, steps=80):
+    """Reference: the fixed 80-step arithmetic bisection of 2 phi(x) = phi(k x)."""
+    twice = 2.0 * np.asarray(phi(xs), dtype=float)
+    lo, hi = np.full(xs.shape, 2.0), np.full(xs.shape, k0)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        below = np.asarray(phi(mid * xs), dtype=float) <= twice
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 class TestDelta2:
+    @pytest.mark.parametrize(
+        "phi",
+        [power_family(0.25), power_family(0.5), scaled_power_family(0.3), alpha_exp_family(2.0)],
+        ids=lambda phi: phi.description,
+    )
+    def test_matches_arithmetic_bisection_bit_for_bit(self, phi):
+        xs = np.geomspace(1e-3, 1e3, 25)
+        cert = delta2_solve(phi, 20.0, xs)
+        np.testing.assert_array_equal(cert.ks, arithmetic_bisection_ks(phi, 20.0, xs))
+
     @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
     def test_power_global_constant(self, p):
         cert = delta2_solve(power_family(p), 20.0, np.geomspace(1e-3, 1e3, 50))

@@ -53,6 +53,14 @@ class TestNorm:
         assert doc["command"] == "norm"
         assert doc["value"] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("c", [1e155, 1e-160])
+    def test_constant_past_the_product_range(self, capsys, c):
+        code, out = run_cli(
+            capsys, "norm", "--phi", "power:p=0.5", "--space", "interval:L=1,N=10", "--fn", f"constant:{c:g}"
+        )
+        assert code == 0
+        assert float(out.split("=")[1]) == pytest.approx(c, rel=1e-9, abs=0.0)
+
 
 class TestMetric:
     def test_indicator_distance(self, capsys):
@@ -188,6 +196,27 @@ class TestCheck:
         path.write_text(json.dumps(cfg))
         code, out = run_cli(capsys, "check", "--config", str(path))
         assert code == 0
+
+    def test_zero_samples_exit_two(self, capsys):
+        code = main(["check", "--phi", "power:p=0.5", "--space", "atoms:1,2", "--samples", "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "samples" in err
+        assert "Traceback" not in err
+
+    def test_zero_samples_in_config_exit_two(self, capsys, tmp_path):
+        cfg = {
+            "phi": {"family": "power", "params": {"p": 0.5}},
+            "space": {"kind": "atomic", "masses": [1.0, 0.5]},
+            "samples": 0,
+        }
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["check", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "samples" in err
+        assert "Traceback" not in err
 
     def test_malformed_config_exit_two(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

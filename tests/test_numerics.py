@@ -2,16 +2,24 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nstar import calculus, numerics
 from nstar.calculus import DensityFunction, complementary
 from nstar.errors import DivergedIntegralError, DomainError, NonconvergenceError
-from nstar.families import from_density, log_sqrt_family, tabulated_density_family
+from nstar.families import (
+    from_density,
+    log_sqrt_family,
+    power_family,
+    tabulated_density_family,
+)
 from nstar.numerics import (
     CumulativeIntegral,
     LogLogLinear,
     LogLogPchip,
     QuadConfig,
+    bisect_increasing,
     generalized_inverse,
     invert_increasing,
 )
@@ -275,6 +283,46 @@ class TestInvertIncreasing:
         out = invert_increasing(lambda x: 2.0 * x, 4.0)
         assert isinstance(out, float)
         assert out == pytest.approx(2.0, rel=1e-13)
+
+    @pytest.mark.parametrize("y, want", [(1e100, 1e200), (1e-100, 1e-200)])
+    def test_root_past_the_product_range(self, y, want):
+        # sqrt(lo * hi) overflowed to inf and underflowed to 0 here
+        assert invert_increasing(power_family(0.5), y) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("y", [1e200, 1e-200])
+    def test_root_past_the_float_range_raises(self, y):
+        with pytest.raises(NonconvergenceError):
+            invert_increasing(power_family(0.5), y)
+
+    @pytest.mark.parametrize("y", [1e80, 1e-80])
+    def test_tabulated_density_inverse_at_extreme_levels(self, y):
+        # y = 1e-80: lo * hi fell into the subnormal range; y = 1e80: it overflowed
+        ts = np.geomspace(1e-6, 1e6, 50)
+        phi = tabulated_density_family(ts, 0.5 * ts**-0.5)  # phi(x) = sqrt(x)
+        assert phi.inverse(y) == pytest.approx(y**2, rel=1e-9, abs=0.0)
+
+    @given(
+        q=st.floats(0.1, 10.0),
+        log_c=st.floats(-3.0, 3.0),
+        u=st.floats(0.0, 1.0),
+    )
+    def test_power_roots_across_the_float_range(self, q, log_c, u):
+        # the root's exponent is drawn where c * x^q stays inside [1e-300, 1e300]
+        lo = max(-300.0, (-300.0 - log_c) / q)
+        hi = min(300.0, (300.0 - log_c) / q)
+        root = 10.0 ** (lo + u * (hi - lo))
+        c = 10.0**log_c
+        got = invert_increasing(lambda x: c * x**q, c * root**q)
+        assert abs(got / root - 1.0) <= 1e-12
+
+
+class TestBisectIncreasing:
+    def test_closes_every_bracket_to_adjacent_floats(self):
+        tiny, top = np.finfo(float).tiny, np.finfo(float).max
+        ys = np.array([tiny, 3e-200, 0.7, 1.0, 2.5e150, top / 2])
+        lo, hi = bisect_increasing(lambda x: x, ys, np.full(6, tiny), np.full(6, top))
+        np.testing.assert_array_equal(lo, ys)  # the largest x with x <= y
+        np.testing.assert_array_equal(hi, np.nextafter(ys, np.inf))
 
 
 class TestGeneralizedInverse:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nstar import (
     MeasurableFn,
@@ -154,6 +156,27 @@ class TestLuxemburgNorm:
                 assert rho <= 1.0 + 1e-8
             if rho <= 1.0 - 1e-9:
                 assert norm <= 1.0 + 1e-8
+
+    @pytest.mark.parametrize("c", [1e155, 1e-160])
+    def test_constant_past_the_product_range(self, c):
+        # sqrt(lo * hi) overflowed to inf at 1e155 and underflowed to 0 at 1e-160
+        X = MeasureSpace.interval(1.0, 10)
+        res = luxemburg_norm(HALF, X, MeasurableFn.constant(X, c))
+        assert res.value == pytest.approx(c, rel=1e-9, abs=0.0)
+
+    @given(
+        p=st.floats(0.01, 1.0, exclude_max=True),
+        log_c=st.floats(-300.0, 300.0),
+        n=st.integers(1, 64),
+    )
+    def test_constant_norm_across_the_float_range(self, p, log_c, n):
+        c = 10.0**log_c
+        X = MeasureSpace.interval(1.0, n)
+        res = luxemburg_norm(power_family(p), X, MeasurableFn.constant(X, c))
+        assert res.lambda_residual <= 1e-10
+        # the stopping rule puts the modular (c/lambda)^p within 1e-10 of 1,
+        # so lambda is within 1e-10/p of c: 1e-9 for p >= 0.11, looser below
+        assert abs(math.log(res.value / c)) <= max(1e-9, 1.1e-10 / p)
 
     @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
     def test_matches_p_norm_on_random_functions(self, p):
