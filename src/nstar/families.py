@@ -146,10 +146,12 @@ def tabulated_density_family(
     ps = np.asarray(ps, dtype=float)
     if ts.size != ps.size or ts.size < 2:
         raise DomainError("need matching (t, p) samples, at least two")
-    if np.any(np.diff(ts) <= 0):
+    # written so that NaN fails too
+    if not (np.all((ts > 0) & (ts < np.inf)) and np.all((ps > 0) & (ps < np.inf))):
+        raise DomainError("density samples (t and p) must be positive and finite")
+    # on the logs, which the interpolant works in
+    if np.any(np.diff(np.log(ts)) <= 0):
         raise DomainError("density samples must have strictly increasing t")
-    if np.any(ps <= 0):
-        raise DomainError("density samples must be strictly positive")
     if np.any(np.diff(ps) > 0):
         raise DomainError("density samples must be non-increasing")
     interp = LogLogLinear(ts, ps)

@@ -1,4 +1,4 @@
-"""Monotone root finding and cumulative quadrature on (0, inf).
+"""Monotone root finding, cumulative quadrature and log-log interpolants on (0, inf).
 
 Everything here is deterministic and vectorized over numpy arrays. The
 integrator targets positive densities with an integrable singularity at the
@@ -19,6 +19,12 @@ Monotone root finding has one bisection rule, bisect_increasing: midpoints
 on the bit patterns of the floats (no overflow or underflow anywhere in the
 float range) and a fixed step count that closes every bracket to adjacent
 floats. invert_increasing brackets inside the normal float range.
+
+Tabulated densities are interpolated in log-log coordinates, linearly
+(LogLogLinear) or by a monotone PCHIP cubic (LogLogPchip). The cubic is
+written here in numpy and repeats scipy's PchipInterpolator operation for
+operation, slopes, piece lookup and evaluation order alike, so its values
+are the same bits while the package needs numpy alone.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DivergedIntegralError, DomainError, NonconvergenceError
 
@@ -370,6 +375,44 @@ def generalized_inverse(m: Callable, t) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
+def _log_table(x, y, min_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Logs of a sample table, after checking it can be interpolated in log-log."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape or x.size < min_size:
+        raise ValueError(f"need two matching 1-d sample arrays of at least {min_size} samples")
+    # written so that NaN fails too
+    if not (np.all((x > 0) & (x < np.inf)) and np.all((y > 0) & (y < np.inf))):
+        raise ValueError("log-log interpolation needs positive finite samples")
+    lx = np.log(x)
+    # on the logs: abscissae a few ulps apart near the float limits share a log
+    if np.any(np.diff(lx) <= 0):
+        raise ValueError("sample abscissae must have strictly increasing logs")
+    return lx, np.log(y)
+
+
+def _eval_log_log(table, x):
+    """A log-log table at x: table._inside(log x) within it, its edge lines beyond, 0 at x <= 0."""
+    x_arr = np.asarray(x, dtype=float)
+    scalar = x_arr.ndim == 0
+    x_arr = np.atleast_1d(x_arr)
+    out = np.zeros_like(x_arr)
+    pos = x_arr > 0.0
+    if pos.any():
+        lx = np.log(x_arr[pos])
+        vals = table._inside(lx)
+        # masked updates, not np.where: most calls have no point outside
+        # the table, and np.where would evaluate both edge lines everywhere
+        low = lx < table._lx[0]
+        if low.any():
+            vals[low] = table._ly[0] + table._lo_slope * (lx[low] - table._lx[0])
+        high = lx > table._lx[-1]
+        if high.any():
+            vals[high] = table._ly[-1] + table._hi_slope * (lx[high] - table._lx[-1])
+        out[pos] = np.exp(vals, out=vals)
+    return float(out[0]) if scalar else out
+
+
 class LogLogLinear:
     """Piecewise-linear interpolant of log y against log x.
 
@@ -378,75 +421,76 @@ class LogLogLinear:
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.size < 2:
-            raise ValueError("need at least two samples")
-        if np.any(x <= 0) or np.any(y <= 0):
-            raise ValueError("log-log interpolation needs positive samples")
-        if np.any(np.diff(x) <= 0):
-            raise ValueError("sample abscissae must be strictly increasing")
-        self._lx = np.log(x)
-        self._ly = np.log(y)
+        self._lx, self._ly = _log_table(x, y, 2)
         self._lo_slope = (self._ly[1] - self._ly[0]) / (self._lx[1] - self._lx[0])
         self._hi_slope = (self._ly[-1] - self._ly[-2]) / (self._lx[-1] - self._lx[-2])
 
+    def _inside(self, lx: np.ndarray) -> np.ndarray:
+        return np.interp(lx, self._lx, self._ly)
+
     def __call__(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        scalar = x_arr.ndim == 0
-        x_arr = np.atleast_1d(x_arr)
-        out = np.zeros_like(x_arr)
-        pos = x_arr > 0.0
-        if pos.any():
-            lx = np.log(x_arr[pos])
-            vals = np.interp(lx, self._lx, self._ly)
-            # masked updates, not np.where: most calls have no point outside
-            # the table, and np.where would evaluate both edge lines everywhere
-            low = lx < self._lx[0]
-            if low.any():
-                vals[low] = self._ly[0] + self._lo_slope * (lx[low] - self._lx[0])
-            high = lx > self._lx[-1]
-            if high.any():
-                vals[high] = self._ly[-1] + self._hi_slope * (lx[high] - self._lx[-1])
-            out[pos] = np.exp(vals, out=vals)
-        return float(out[0]) if scalar else out
+        return _eval_log_log(self, x)
+
+
+def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """Three-point end slope, held to the shape of the first two pieces."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
 
 class LogLogPchip:
-    """Monotone cubic interpolant of log y against log x.
+    """Monotone cubic (PCHIP) interpolant of log y against log x.
 
     Reproduces power laws exactly (they are linear in this chart) and
     preserves monotonicity elsewhere. Linear continuation beyond the table.
+
+    The cubic is scipy's PchipInterpolator, operation for operation, so
+    values agree with it bit for bit. Node slopes are the Fritsch-Butland
+    weighted harmonic means of the neighbouring secants, 0 where the secants
+    change sign or either is 0; the end slopes are the one-sided three-point
+    estimate, 0 where its sign differs from the first secant's, and clamped
+    to 3 times that secant where the first two secants differ in sign. Each
+    piece is a power-basis cubic in s = log x - (its left knot), summed as
+    c0 + c1*s + c2*s^2 + c3*s^3 in that order, with coefficients gathered
+    from 1-d arrays. Pieces are found by binary search on the log knots, the
+    last piece closed at the top knot, as scipy finds them.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        keep = (x > 0) & (y > 0)
-        x, y = x[keep], y[keep]
-        if x.size < 4:
-            raise ValueError("need at least four positive samples")
-        self._lx = np.log(x)
-        self._ly = np.log(y)
-        self._pchip = PchipInterpolator(self._lx, self._ly, extrapolate=False)
-        self._lo_slope = (self._ly[1] - self._ly[0]) / (self._lx[1] - self._lx[0])
-        self._hi_slope = (self._ly[-1] - self._ly[-2]) / (self._lx[-1] - self._lx[-2])
+        lx, ly = _log_table(x, y, 4)
+        h = np.diff(lx)
+        m = np.diff(ly) / h
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        zero = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+        d = np.concatenate((
+            [_pchip_end_slope(h[0], h[1], m[0], m[1])],
+            np.where(zero, 0.0, inner),
+            [_pchip_end_slope(h[-1], h[-2], m[-1], m[-2])],
+        ))
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        self._c0, self._c1, self._c2, self._c3 = ly[:-1], d[:-1], (m - d[:-1]) / h - t, t / h
+        self._lx, self._ly = lx, ly
+        self._lo_slope = m[0]
+        self._hi_slope = m[-1]
+
+    def _inside(self, lx: np.ndarray) -> np.ndarray:
+        # piece i covers [lx[i], lx[i+1]); the end pieces reach past the table
+        i = np.searchsorted(self._lx[1:-1], lx, side="right")
+        s = lx - self._lx.take(i)
+        s2 = s * s
+        # x = inf gives inf - inf on its end piece; the edge line replaces it
+        with np.errstate(invalid="ignore"):
+            return self._c0.take(i) + self._c1.take(i) * s + self._c2.take(i) * s2 + self._c3.take(i) * (s2 * s)
 
     def __call__(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        scalar = x_arr.ndim == 0
-        x_arr = np.atleast_1d(x_arr)
-        out = np.zeros_like(x_arr, dtype=float)
-        pos = x_arr > 0.0
-        if pos.any():
-            lx = np.log(x_arr[pos])
-            vals = self._pchip(lx)
-            low = lx < self._lx[0]
-            high = lx > self._lx[-1]
-            vals = np.where(low, self._ly[0] + self._lo_slope * (lx - self._lx[0]), vals)
-            vals = np.where(high, self._ly[-1] + self._hi_slope * (lx - self._lx[-1]), vals)
-            out[pos] = np.exp(vals)
-        return float(out[0]) if scalar else out
+        return _eval_log_log(self, x)
 
 
 def tabulate_density(

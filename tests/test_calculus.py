@@ -325,6 +325,21 @@ class TestTabulatedFamily:
         with pytest.raises(DomainError):
             tabulated_density_family([1.0, 2.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "ts, ps",
+        [
+            ([0.0, 1.0], [2.0, 1.0]),
+            ([1.0, 2.0], [1.0, 0.0]),
+            ([1.0, np.nan], [2.0, 1.0]),
+            ([1.0, 2.0], [np.inf, 1.0]),
+            # distinct floats whose logs round to the same value
+            ([1.0, 1e300, np.nextafter(1e300, np.inf)], [3.0, 2.0, 1.0]),
+        ],
+    )
+    def test_rejects_bad_samples(self, ts, ps):
+        with pytest.raises(DomainError):
+            tabulated_density_family(ts, ps)
+
 
 class TestPointwiseYoung:
     @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])

@@ -386,6 +386,20 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert "norm = 2" in proc.stdout
 
+    def test_import_does_not_load_scipy(self):
+        # numpy is the only runtime dependency; importing scipy.interpolate
+        # alone would cost every process about 0.7 s
+        src = str(Path(nstar.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import nstar, nstar.cli, sys; print('scipy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -403,3 +417,16 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "t, p",
+        [("[0, 1, 2]", "[3, 2, 1]"), ("[1, NaN, 3]", "[3, 2, 1]"), ("[1, 2, 3]", "[3, NaN, 1]"), ("[1, 2, Infinity]", "[3, 2, 1]")],
+        ids=["zero_t", "nan_t", "nan_p", "inf_t"],
+    )
+    def test_bad_tabulated_density_samples_exit_two(self, capsys, tmp_path, t, p):
+        doc = tmp_path / "phi.json"
+        doc.write_text(f'{{"family": "tabulated_density", "params": {{"t": {t}, "p": {p}}}}}')
+        code = main(["validate", "--phi", str(doc)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")

@@ -377,3 +377,108 @@ class TestInterpolants:
         xs = np.geomspace(1e-3, 1e3, 10)
         interp = LogLogLinear(xs, xs)
         assert interp(0.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),
+            ([1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 0.0, 3.0, 4.0, 5.0]),
+            ([1.0, 2.0, 3.0, 4.0, 5.0], [1.0, -2.0, 3.0, 4.0, 5.0]),
+            ([1.0, 2.0, 3.0, 4.0, 5.0], [1.0, np.nan, 3.0, 4.0, 5.0]),
+            ([1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 2.0, np.inf, 4.0, 5.0]),
+            ([0.0, 2.0, 3.0, 4.0, 5.0], [1.0, 2.0, 3.0, 4.0, 5.0]),
+            ([1.0, np.nan, 3.0, 4.0, 5.0], [1.0, 2.0, 3.0, 4.0, 5.0]),
+            ([1.0, 3.0, 2.0, 4.0, 5.0], [1.0, 2.0, 3.0, 4.0, 5.0]),
+            ([1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 2.0, 3.0, 4.0]),
+            ([1.0, 2.0, 3.0, 1e300, np.nextafter(1e300, np.inf)], [1.0, 2.0, 3.0, 4.0, 5.0]),
+        ],
+        ids=["three", "zero", "negative", "nan", "inf", "zero_x", "nan_x", "unsorted_x", "mismatched", "same_log_x"],
+    )
+    def test_loglog_pchip_rejects_bad_samples(self, x, y):
+        # five samples, so dropping the bad one would still leave a valid table
+        with pytest.raises(ValueError):
+            LogLogPchip(np.array(x), np.array(y))
+
+
+def _power_table():
+    grid = np.geomspace(1e-9, 1e9, 300)
+    interp = numerics.tabulate_density(lambda t: 2.0 * t**0.6, lo=1e-9, hi=1e9, points=300)
+    return grid, 2.0 * grid**0.6, interp
+
+
+def _log_sqrt_conjugate_table():
+    quad = numerics.DEFAULT_QUAD
+    m = calculus.inverse_as_nfunction(log_sqrt_family())
+    grid = np.geomspace(quad.table_lo, quad.table_hi, quad.table_points)
+    conj = calculus.conjugate_nfunction(m, use_registered=False)
+    return grid, generalized_inverse(m.density, grid), conj.density
+
+
+def _uneven_table():
+    # uneven log knots
+    rng = np.random.default_rng(5)
+    x = np.sort(np.exp(rng.uniform(-30.0, 30.0, 60)))
+    y = np.exp(-np.cumsum(rng.exponential(1.0, 60)))
+    return x, y, LogLogPchip(x, y)
+
+
+def _flat_and_turning_table(reverse=False):
+    # log y has flat pieces and sign changes: zero node slopes inside, and the
+    # end slopes take the 3*m0 clamp at one end and 0 at the other
+    ly = np.array([0.0, 1.0, -9.0, -9.0, -8.0, -6.0, -6.0, -7.0, -2.0, -1.0, 4.0, 5.0])
+    x = np.exp(np.arange(ly.size, dtype=float))
+    y = np.exp(ly[::-1] if reverse else ly)
+    return x, y, LogLogPchip(x, y)
+
+
+_REFERENCE_TABLES = {
+    "power": _power_table,
+    "log_sqrt_conjugate": _log_sqrt_conjugate_table,
+    "uneven": _uneven_table,
+    "flat_and_turning": _flat_and_turning_table,
+    "flat_and_turning_reversed": lambda: _flat_and_turning_table(reverse=True),
+}
+
+
+class TestPchipMatchesScipy:
+    """LogLogPchip against scipy's PchipInterpolator in log-log, bit for bit."""
+
+    @staticmethod
+    def scipy_loglog(x, y):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        lx, ly = np.log(x), np.log(y)
+        pchip = interpolate.PchipInterpolator(lx, ly, extrapolate=False)
+        lo_slope = (ly[1] - ly[0]) / (lx[1] - lx[0])
+        hi_slope = (ly[-1] - ly[-2]) / (lx[-1] - lx[-2])
+
+        def f(pts):
+            out = np.zeros_like(pts)
+            pos = pts > 0
+            lp = np.log(pts[pos])
+            vals = pchip(lp)
+            vals = np.where(lp < lx[0], ly[0] + lo_slope * (lp - lx[0]), vals)
+            vals = np.where(lp > lx[-1], ly[-1] + hi_slope * (lp - lx[-1]), vals)
+            out[pos] = np.exp(vals)
+            return out
+
+        return f
+
+    @pytest.mark.parametrize("table", sorted(_REFERENCE_TABLES))
+    def test_array_equal(self, table):
+        x, y, interp = _REFERENCE_TABLES[table]()
+        want = self.scipy_loglog(x, y)
+        rng = np.random.default_rng(7)
+        lx0, lx1 = np.log(x[0]), np.log(x[-1])
+        pts = np.concatenate([
+            x,
+            [x[0], x[-1], 0.0],
+            x[0] * np.array([1e-3, 0.5]),
+            x[-1] * np.array([2.0, 1e3]),
+            np.exp(rng.uniform(lx0 - 2.0, lx1 + 2.0, 20_000)),
+        ])
+        assert np.array_equal(interp(pts), want(pts))
+        for p in (x[0], x[-1], x[x.size // 2], 0.5 * (x[1] + x[2])):
+            got = interp(float(p))
+            assert isinstance(got, float)
+            assert got == want(np.array([p]))[0]
+        assert interp(0.0) == 0.0
