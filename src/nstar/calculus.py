@@ -5,10 +5,13 @@ Phi(0) = 0 whose slope density p is positive, decreasing, unbounded at 0
 and vanishing at infinity; equivalently Phi(x) is the integral of p over
 (0, |x|]. Its inverse on the non-negative axis is a convex Young-type
 function, and conjugating that inverse and inverting back produces the
-complementary generator. This module implements construction, evaluation,
-inversion, conjugation, doubling certificates and validation for these
-objects. All values are immutable after construction and every operation
-is deterministic, so concurrent use needs no synchronization.
+complementary generator. One type, NStarFunction, models the functions
+on both sides: an increasing function on [0, inf) given by its slope
+density, with optional closed forms for its value and inverse. This
+module implements construction, evaluation, inversion, conjugation,
+doubling certificates and validation for these objects. All values are
+immutable after construction and every operation is deterministic, so
+concurrent use needs no synchronization.
 """
 
 from __future__ import annotations
@@ -31,13 +34,10 @@ from .numerics import (
 )
 
 __all__ = [
-    "DensityFunction",
-    "NFunction",
     "NStarFunction",
     "Delta2Certificate",
     "ValidationCheck",
     "ValidationReport",
-    "eval_from_density",
     "invert",
     "conjugate_nfunction",
     "complementary",
@@ -48,94 +48,40 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class DensityFunction:
-    """Slope density p of a concave generator.
+class NStarFunction:
+    """An increasing function on [0, inf), given by its slope density.
 
-    Expected to be positive and non-increasing on (0, inf), unbounded at 0
-    (singular_at_zero) and vanishing at infinity. These are contracts, not
+    Both sides of the calculus are this type: a concave generator, whose
+    density is positive, decreasing, unbounded at 0 and vanishing at
+    infinity, and the convex Young function of its inverse, whose density
+    is non-decreasing. Evaluation is even in the argument. eval_fn and
+    inverse_fn, when given, are closed forms on the non-negative axis.
+    Without eval_fn the value integrates the density through a cumulative
+    quadrature, built once at construction (so a replaced density or quad
+    needs eval_fn=None again); without inverse_fn inversion runs a
+    bracketed bisection. registered_complementary returns the closed
+    complement of a generator or the Young conjugate of a convex function,
+    which Orlicz theory calls its complementary function. source_nfunction
+    records the convex conjugate a numeric complement was inverted from,
+    which keeps chained conjugations exact. The density contracts are not
     constructor checks; validate_nstar probes them on sample grids.
     """
 
-    eval_fn: Callable
-    singular_at_zero: bool = True
-    description: str = ""
-
-    def __call__(self, t):
-        return self.eval_fn(np.asarray(t, dtype=float))
-
-
-@dataclass(frozen=True)
-class NFunction:
-    """Convex Young-type function M with non-decreasing density m.
-
-    M(t) = integral of m over (0, |t|]; M(t)/t vanishes at 0 and is
-    unbounded at infinity. When eval_fn is omitted, evaluation integrates
-    the density through a cached cumulative quadrature.
-    """
-
     density: Callable
-    eval_fn: Callable | None = None
-    description: str = ""
-    registered_conjugate: Callable[[], "NFunction"] | None = None
-    quad: QuadConfig = DEFAULT_QUAD
-
-    def __post_init__(self):
-        object.__setattr__(self, "_cum", None)
-
-    def _cumulative(self) -> CumulativeIntegral:
-        cum = getattr(self, "_cum")
-        if cum is None:
-            cum = CumulativeIntegral(self.density, self.quad)
-            object.__setattr__(self, "_cum", cum)
-        return cum
-
-    def __call__(self, t):
-        a = np.abs(np.asarray(t, dtype=float))
-        if self.eval_fn is not None:
-            return self.eval_fn(a)
-        return self._cumulative()(a)
-
-    def inverse(self, y):
-        y_arr = np.asarray(y, dtype=float)
-        if np.any(y_arr < 0):
-            raise DomainError("inverse is defined for non-negative arguments only")
-        return invert_increasing(self.__call__, y_arr)
-
-
-@dataclass(frozen=True)
-class NStarFunction:
-    """A concave generator, in closed form or integrated from its density.
-
-    eval_fn/inverse_fn, when present, are closed forms on the non-negative
-    axis; otherwise evaluation integrates the density and inversion runs a
-    bracketed bisection. source_nfunction records the convex function this
-    generator was inverted from, which keeps chained conjugations exact.
-    """
-
-    density: DensityFunction
     eval_fn: Callable | None = None
     inverse_fn: Callable | None = None
     description: str = ""
     quad: QuadConfig = DEFAULT_QUAD
     registered_complementary: Callable[[], "NStarFunction"] | None = None
     delta2: "Delta2Certificate | None" = None
-    source_nfunction: NFunction | None = None
+    source_nfunction: "NStarFunction | None" = None
 
     def __post_init__(self):
-        object.__setattr__(self, "_cum", None)
-
-    def _cumulative(self) -> CumulativeIntegral:
-        cum = getattr(self, "_cum")
-        if cum is None:
-            cum = CumulativeIntegral(self.density, self.quad)
-            object.__setattr__(self, "_cum", cum)
-        return cum
+        if self.eval_fn is None:
+            object.__setattr__(self, "eval_fn", CumulativeIntegral(self.density, self.quad))
 
     def __call__(self, x):
-        a = np.abs(np.asarray(x, dtype=float))
-        if self.eval_fn is not None:
-            return self.eval_fn(a)
-        return self._cumulative()(a)
+        return self.eval_fn(np.abs(np.asarray(x, dtype=float)))
 
     def inverse(self, y):
         y_arr = np.asarray(y, dtype=float)
@@ -147,9 +93,6 @@ class NStarFunction:
 
     def with_delta2(self, certificate: "Delta2Certificate") -> "NStarFunction":
         return dataclasses.replace(self, delta2=certificate)
-
-    def complementary(self, use_registered: bool = True) -> "NStarFunction":
-        return complementary(self, use_registered=use_registered)
 
 
 @dataclass(frozen=True)
@@ -183,18 +126,6 @@ class Delta2Certificate:
 # ---------------------------------------------------------------------------
 
 
-def eval_from_density(density: DensityFunction, x, quad: QuadConfig = DEFAULT_QUAD):
-    """Evaluate the generator at x by integrating its density over (0, |x|].
-
-    Even in x. The mesh is graded geometrically toward the origin so the
-    integrable singularity of the density is absorbed; a density whose
-    panel sums do not decay raises DivergedIntegralError and a non-finite
-    x raises DomainError.
-    """
-    cum = CumulativeIntegral(density, quad)
-    return cum(np.abs(np.asarray(x, dtype=float)))
-
-
 def invert(phi: NStarFunction, y, *, polish: bool = False):
     """Solve phi(x) = y for x >= 0.
 
@@ -224,11 +155,11 @@ _PROBE_GRID = np.geomspace(1e-8, 1e8, 33)
 
 
 def conjugate_nfunction(
-    m: NFunction,
+    m: NStarFunction,
     quad: QuadConfig | None = None,
     *,
     use_registered: bool = True,
-) -> NFunction:
+) -> NStarFunction:
     """Conjugate convex function: integral of the generalized inverse density.
 
     The conjugate density at level t is sup{s : m'(s) <= t}, computed by a
@@ -236,8 +167,8 @@ def conjugate_nfunction(
     (jump discontinuities resolve to the supremum). Registered closed-form
     conjugates short-circuit the numeric pipeline unless disabled.
     """
-    if use_registered and m.registered_conjugate is not None:
-        return m.registered_conjugate()
+    if use_registered and m.registered_complementary is not None:
+        return m.registered_complementary()
     quad = quad or m.quad
     with np.errstate(all="ignore"):
         probe = np.asarray(m.density(_PROBE_GRID), dtype=float)
@@ -245,21 +176,20 @@ def conjugate_nfunction(
     if np.any(probe[finite] < 0) or np.any(np.diff(probe[finite]) < -1e-9 * np.abs(probe[finite][:-1]) - 1e-300):
         raise InvalidDensityError("conjugation requires a non-negative, non-decreasing density")
 
-    inner = m.density
-
-    def mbar_exact(t):
-        return generalized_inverse(inner, t)
-
-    mbar = tabulate_density(mbar_exact, lo=quad.table_lo, hi=quad.table_hi, points=quad.table_points)
-    return NFunction(
+    mbar = tabulate_density(
+        lambda t: generalized_inverse(m.density, t),
+        lo=quad.table_lo,
+        hi=quad.table_hi,
+        points=quad.table_points,
+    )
+    return NStarFunction(
         density=mbar,
-        eval_fn=None,
         description=f"conjugate({m.description})" if m.description else "conjugate",
         quad=quad,
     )
 
 
-def inverse_as_nfunction(phi: NStarFunction) -> NFunction:
+def inverse_as_nfunction(phi: NStarFunction) -> NStarFunction:
     """The inverse of a concave generator, packaged as a convex function.
 
     Its density is 1/p(phi^{-1}(s)) wherever the generator density p is
@@ -278,7 +208,7 @@ def inverse_as_nfunction(phi: NStarFunction) -> NFunction:
             out = 1.0 / slope
         return out
 
-    return NFunction(
+    return NStarFunction(
         density=density,
         eval_fn=phi.inverse,
         description=f"inverse({phi.description})" if phi.description else "inverse",
@@ -295,8 +225,9 @@ def complementary(
     """Complementary generator: invert the conjugate of the generator inverse.
 
     The returned generator evaluates by monotone root finding over the
-    conjugate and exposes the conjugate itself as its exact inverse, so a
-    second complementation never stacks a root-find on a root-find.
+    conjugate's eval_fn and exposes that eval_fn as its exact inverse, so a
+    second complementation never stacks a root-find on a root-find. The
+    conjugate is kept as source_nfunction.
     """
     if use_registered and phi.registered_complementary is not None:
         return phi.registered_complementary()
@@ -306,7 +237,7 @@ def complementary(
     mbar = conjugate_nfunction(m, quad, use_registered=use_registered)
 
     def hat_eval(a):
-        return invert_increasing(mbar.__call__, a)
+        return invert_increasing(mbar.eval_fn, a)
 
     def hat_density(t):
         t_arr = np.asarray(t, dtype=float)
@@ -317,13 +248,9 @@ def complementary(
         return out
 
     return NStarFunction(
-        density=DensityFunction(
-            hat_density,
-            singular_at_zero=True,
-            description=f"slope of complementary({phi.description})",
-        ),
+        density=hat_density,
         eval_fn=hat_eval,
-        inverse_fn=mbar.__call__,
+        inverse_fn=mbar.eval_fn,
         description=f"complementary({phi.description})" if phi.description else "complementary",
         quad=quad,
         source_nfunction=mbar,
@@ -534,70 +461,67 @@ def validate_nstar(
             )
         )
 
-        if phi.density is not None:
-            dens = np.asarray(phi.density(xs), dtype=float)
-            finite = np.isfinite(dens)
-            dpos = float(np.min(dens[finite])) if finite.any() else float("nan")
-            checks.append(
-                ValidationCheck("density_positive", bool(finite.any() and dpos > 0), dpos)
+        dens = np.asarray(phi.density(xs), dtype=float)
+        finite = np.isfinite(dens)
+        dpos = float(np.min(dens[finite])) if finite.any() else float("nan")
+        checks.append(ValidationCheck("density_positive", bool(finite.any() and dpos > 0), dpos))
+        dv = dens[finite]
+        dmono = float(np.max(np.diff(dv) / np.maximum(dv[:-1], 1e-300))) if dv.size > 1 else 0.0
+        checks.append(ValidationCheck("density_nonincreasing", dmono <= tol, dmono))
+        checks.append(
+            _trend_check(
+                "density_unbounded_at_zero",
+                float(dens[0]) if np.isfinite(dens[0]) else float(np.max(dv)) * trend_factor * 2,
+                float(dv[dv.size // 2]),
+                trend_factor,
+                "up",
             )
-            dv = dens[finite]
-            dmono = float(np.max(np.diff(dv) / np.maximum(dv[:-1], 1e-300))) if dv.size > 1 else 0.0
-            checks.append(ValidationCheck("density_nonincreasing", dmono <= tol, dmono))
-            checks.append(
-                _trend_check(
-                    "density_unbounded_at_zero",
-                    float(dens[0]) if np.isfinite(dens[0]) else float(np.max(dv)) * trend_factor * 2,
-                    float(dv[dv.size // 2]),
-                    trend_factor,
-                    "up",
-                )
+        )
+        checks.append(
+            _trend_check(
+                "density_vanishes_at_infinity",
+                float(dv[-1]),
+                float(dv[dv.size // 2]),
+                trend_factor,
+                "down",
             )
-            checks.append(
-                _trend_check(
-                    "density_vanishes_at_infinity",
-                    float(dv[-1]),
-                    float(dv[dv.size // 2]),
-                    trend_factor,
-                    "down",
-                )
-            )
+        )
 
         # cross-characterization: the numeric inverse must be a convex Young function
         ys = np.sort(vals[vals > 0])
-        if ys.size >= 8:
+        try:
+            if ys.size < 8:
+                raise NonconvergenceError("generator not invertible on grid")
             inv = np.asarray(invert_increasing(phi.__call__, ys), dtype=float)
             y1 = np.exp(rng.uniform(np.log(ys[0]), np.log(ys[-1]), samples))
             y2 = np.exp(rng.uniform(np.log(ys[0]), np.log(ys[-1]), samples))
             m1 = np.asarray(invert_increasing(phi.__call__, y1), dtype=float)
             m2 = np.asarray(invert_increasing(phi.__call__, y2), dtype=float)
             mmid = np.asarray(invert_increasing(phi.__call__, 0.5 * (y1 + y2)), dtype=float)
-            conv = (0.5 * (m1 + m2) - mmid) / np.maximum(m1 + m2, 1e-300)
-            worst = float(np.min(conv))
-            # numeric inversion carries bisection noise; allow a wider band
-            inv_tol = max(tol, 1e-9)
-            checks.append(ValidationCheck("inverse_midpoint_convex", worst >= -inv_tol, worst))
-            iratios = inv / ys
-            ir_ref = float(iratios[iratios.size // 2])
-            checks.append(
-                _trend_check(
-                    "inverse_ratio_vanishes_at_zero", float(iratios[0]), ir_ref, trend_factor, "down"
-                )
+        except NonconvergenceError as exc:
+            # also a level the generator never reaches, as for power p=1e-300
+            checks.append(ValidationCheck("inverse_midpoint_convex", False, float("nan"), str(exc)))
+            return ValidationReport(tuple(checks))
+        conv = (0.5 * (m1 + m2) - mmid) / np.maximum(m1 + m2, 1e-300)
+        worst = float(np.min(conv))
+        # numeric inversion carries bisection noise; allow a wider band
+        inv_tol = max(tol, 1e-9)
+        checks.append(ValidationCheck("inverse_midpoint_convex", worst >= -inv_tol, worst))
+        iratios = inv / ys
+        ir_ref = float(iratios[iratios.size // 2])
+        checks.append(
+            _trend_check(
+                "inverse_ratio_vanishes_at_zero", float(iratios[0]), ir_ref, trend_factor, "down"
             )
-            checks.append(
-                _trend_check(
-                    "inverse_ratio_unbounded_at_infinity",
-                    float(iratios[-1]),
-                    ir_ref,
-                    trend_factor,
-                    "up",
-                )
+        )
+        checks.append(
+            _trend_check(
+                "inverse_ratio_unbounded_at_infinity",
+                float(iratios[-1]),
+                ir_ref,
+                trend_factor,
+                "up",
             )
-        else:
-            checks.append(
-                ValidationCheck(
-                    "inverse_midpoint_convex", False, float("nan"), "generator not invertible on grid"
-                )
-            )
+        )
 
     return ValidationReport(tuple(checks))

@@ -59,6 +59,12 @@ def _default_tol() -> float:
         raise DocumentError(f"NSTAR_DEFAULT_TOL={raw!r} is not a number") from None
 
 
+def _usage_check(ok: bool, message: str) -> None:
+    """Usage check on a flag or document value: exit 2 before the library runs."""
+    if not ok:
+        raise DocumentError(message)
+
+
 def _grid(args, min_points: int = 1) -> np.ndarray:
     if not (0 < args.grid_lo < np.inf and 0 < args.grid_hi < np.inf):
         raise DocumentError("--grid-lo and --grid-hi must be finite and positive")
@@ -184,6 +190,7 @@ def _cmd_conjugate(args) -> int:
 
 def _cmd_delta2(args) -> int:
     phi = phi_from_text(args.phi)
+    _usage_check(2 < args.k0 < np.inf, "--k0 must be a finite number above 2")
     cert = delta2_solve(phi, args.k0, _grid(args))
     payload = {
         "command": "delta2",
@@ -286,6 +293,8 @@ def _cmd_demo(args) -> int:
         if not space_text:
             raise DocumentError("demo nonconvex needs --atoms or --space")
         space = space_from_text(space_text)
+        _usage_check(0 < epsilon < np.inf, "demo epsilon must be positive and finite")
+        _usage_check(args.n >= 1, "--n must be at least 1")
         trace = nonconvexity_demo(phi, space, epsilon, args.n)
         results = [
             {"n": int(c), "modular": float(m)} for c, m in zip(trace.counts, trace.modulars)
@@ -307,6 +316,8 @@ def _cmd_demo(args) -> int:
         _emit(payload, lines, args)
         return EXIT_OK if ok else EXIT_ASSERTION
     if args.demo == "dualzero":
+        _usage_check(0 < theta < 1, "demo theta must lie strictly between 0 and 1")
+        _usage_check(iterations >= 1, "demo iterations must be at least 1")
         space = space_from_text(args.space)
         if kernel_doc is not None:
             kernel = parse_fn_doc(kernel_doc, space, "--config kernel")

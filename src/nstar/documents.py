@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,9 @@ def _require(doc: dict, key: str, context: str):
 def _number(value, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DocumentError(f"{context}: expected a number, got {value!r}")
+    # written so that NaN fails too; an integer past the float range fails here, not in float()
+    if not abs(value) <= sys.float_info.max:
+        raise DocumentError(f"{context}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -168,6 +172,9 @@ def parse_fn_doc(doc: dict, space: MeasureSpace, context: str = "fn") -> Measura
         seed = _integer(params["seed"], f"{context}.params.seed")
         low = _number(params.get("low", 0.0), f"{context}.params.low")
         high = _number(params.get("high", 1.0), f"{context}.params.high")
+        # numpy's uniform also needs the width high - low to be a finite float
+        if not 0 <= high - low < np.inf:
+            raise DocumentError(f"{context}.params: random needs low <= high and a finite high - low")
         return MeasurableFn.random(space, seed, low, high)
     raise DocumentError(
         f"{context}.generator: expected constant/identity/indicator/random, got {generator!r}"

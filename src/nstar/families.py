@@ -15,9 +15,11 @@ densities fall back to the numeric conjugation pipeline.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-from .calculus import DensityFunction, NFunction, NStarFunction
+from .calculus import NStarFunction
 from .errors import DocumentError, DomainError
 from .numerics import DEFAULT_QUAD, LogLogLinear, QuadConfig
 
@@ -34,7 +36,7 @@ __all__ = [
 ]
 
 
-def power_nfunction(coeff: float, exponent: float, quad: QuadConfig = DEFAULT_QUAD) -> NFunction:
+def power_nfunction(coeff: float, exponent: float, quad: QuadConfig = DEFAULT_QUAD) -> NStarFunction:
     """Convex power M(t) = coeff * t^exponent with exponent > 1.
 
     Registered conjugate: the dual power with exponent r/(r-1) and the
@@ -44,16 +46,16 @@ def power_nfunction(coeff: float, exponent: float, quad: QuadConfig = DEFAULT_QU
         raise DomainError("a convex Young power needs exponent > 1")
     a, r = float(coeff), float(exponent)
 
-    def conj() -> NFunction:
+    def conj() -> NStarFunction:
         r_bar = r / (r - 1.0)
         a_bar = (a * r) ** (-1.0 / (r - 1.0)) * (r - 1.0) / r
         return power_nfunction(a_bar, r_bar, quad)
 
-    return NFunction(
+    return NStarFunction(
         density=lambda s: a * r * np.asarray(s, dtype=float) ** (r - 1.0),
         eval_fn=lambda t: a * np.asarray(t, dtype=float) ** r,
         description=f"{a:g}*t^{r:g}",
-        registered_conjugate=conj,
+        registered_complementary=conj,
         quad=quad,
     )
 
@@ -78,7 +80,7 @@ def _scaled_power(coeff: float, p: float, label: str, quad: QuadConfig) -> NStar
         return _scaled_power(c_hat, 1.0 - q, f"complementary({label})", quad)
 
     return NStarFunction(
-        density=DensityFunction(density_fn, singular_at_zero=True, description=f"slope of {label}"),
+        density=density_fn,
         eval_fn=eval_fn,
         inverse_fn=inverse_fn,
         description=label,
@@ -125,7 +127,7 @@ def log_sqrt_family(quad: QuadConfig = DEFAULT_QUAD) -> NStarFunction:
         return np.where(t_arr > 0, out, np.inf)
 
     return NStarFunction(
-        density=DensityFunction(density_fn, singular_at_zero=True, description="slope of log_sqrt"),
+        density=density_fn,
         eval_fn=eval_fn,
         inverse_fn=inverse_fn,
         description="log_sqrt",
@@ -154,27 +156,14 @@ def tabulated_density_family(
         raise DomainError("density samples must have strictly increasing t")
     if np.any(np.diff(ps) > 0):
         raise DomainError("density samples must be non-increasing")
-    interp = LogLogLinear(ts, ps)
-    return NStarFunction(
-        density=DensityFunction(interp, singular_at_zero=True, description=f"{description} samples"),
-        eval_fn=None,
-        inverse_fn=None,
-        description=description,
-        quad=quad,
-    )
+    return NStarFunction(density=LogLogLinear(ts, ps), description=description, quad=quad)
 
 
 def from_density(
-    density: DensityFunction, quad: QuadConfig = DEFAULT_QUAD, description: str = ""
+    density: Callable, quad: QuadConfig = DEFAULT_QUAD, description: str = ""
 ) -> NStarFunction:
     """Generator defined only through its slope density."""
-    return NStarFunction(
-        density=density,
-        eval_fn=None,
-        inverse_fn=None,
-        description=description or (density.description or "from_density"),
-        quad=quad,
-    )
+    return NStarFunction(density=density, description=description or "from_density", quad=quad)
 
 
 FAMILY_NAMES = ("power", "power_scaled", "alpha_exp", "log_sqrt", "tabulated_density")

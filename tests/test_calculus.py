@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nstar import (
-    DensityFunction,
     DomainError,
     NStarFunction,
     NotDelta2Error,
@@ -12,7 +11,7 @@ from nstar import (
     complementary,
     conjugate_nfunction,
     delta2_solve,
-    eval_from_density,
+    from_density,
     growth_factor,
     invert,
     log_sqrt_family,
@@ -22,7 +21,7 @@ from nstar import (
     tabulated_density_family,
     validate_nstar,
 )
-from nstar.calculus import NFunction
+from nstar.calculus import inverse_as_nfunction
 from nstar.errors import InvalidDensityError
 
 SQRT2 = math.sqrt(2.0)
@@ -50,37 +49,37 @@ def legendre_sup_bruteforce(M, t: float, s_hi: float, n: int = 400001) -> float:
 class TestEvalFromDensity:
     def test_inverse_sqrt_density(self):
         # p(t) = 1/sqrt(2 t) integrates to sqrt(2 x); at x=4 that is 2 sqrt(2)
-        dens = DensityFunction(lambda t: 1.0 / np.sqrt(2.0 * t))
-        assert eval_from_density(dens, 4.0) == pytest.approx(2.0 * SQRT2, rel=1e-10)
+        dens = lambda t: 1.0 / np.sqrt(2.0 * t)
+        assert from_density(dens)(4.0) == pytest.approx(2.0 * SQRT2, rel=1e-10)
         # evenness
-        assert eval_from_density(dens, -4.0) == pytest.approx(2.0 * SQRT2, rel=1e-10)
+        assert from_density(dens)(-4.0) == pytest.approx(2.0 * SQRT2, rel=1e-10)
 
     def test_zero_argument(self):
-        dens = DensityFunction(lambda t: t**-0.9)
-        assert eval_from_density(dens, 0.0) == 0.0
+        dens = lambda t: t**-0.9
+        assert from_density(dens)(0.0) == 0.0
 
     def test_log_sqrt_density_at_e_minus_1(self):
-        dens = DensityFunction(lambda t: 1.0 / (2.0 * (t + 1.0) * np.sqrt(np.log1p(t))))
-        assert eval_from_density(dens, E_MINUS_1) == pytest.approx(1.0, rel=1e-10)
+        dens = lambda t: 1.0 / (2.0 * (t + 1.0) * np.sqrt(np.log1p(t)))
+        assert from_density(dens)(E_MINUS_1) == pytest.approx(1.0, rel=1e-10)
 
     @pytest.mark.parametrize("phi", ALL_FAMILIES, ids=lambda f: f.description)
     def test_density_route_agrees_with_closed_form(self, phi):
         xs = np.geomspace(1e-6, 1e6, 25)
-        got = np.asarray(eval_from_density(phi.density, xs))
+        got = np.asarray(from_density(phi.density)(xs))
         want = np.asarray(phi(xs))
         assert np.max(np.abs(got - want) / want) < 1e-8
 
     def test_nonintegrable_density_raises(self):
         from nstar import DivergedIntegralError
 
-        dens = DensityFunction(lambda t: 1.0 / np.asarray(t, float))
+        dens = lambda t: 1.0 / np.asarray(t, float)
         with pytest.raises(DivergedIntegralError):
-            eval_from_density(dens, 1.0)
+            from_density(dens)(1.0)
 
     def test_infinite_argument_rejected(self):
-        dens = DensityFunction(lambda t: np.asarray(t, float) ** -0.5)
+        dens = lambda t: np.asarray(t, float) ** -0.5
         with pytest.raises(DomainError):
-            eval_from_density(dens, np.inf)
+            from_density(dens)(np.inf)
 
 
 class TestInvert:
@@ -161,7 +160,7 @@ class TestConjugateNFunction:
         assert np.max(np.abs(np.asarray(Mbb(ts)) - want) / want) < 1e-7
 
     def test_decreasing_density_rejected(self):
-        M = NFunction(density=lambda s: 1.0 / (1.0 + np.asarray(s, float)), description="bad")
+        M = NStarFunction(density=lambda s: 1.0 / (1.0 + np.asarray(s, float)), description="bad")
         with pytest.raises(InvalidDensityError):
             conjugate_nfunction(M)
 
@@ -202,6 +201,41 @@ class TestComplementary:
         hat = complementary(scaled_power_family(0.5), use_registered=False)
         report = validate_nstar(hat, np.geomspace(1e-6, 1e6, 17), tol=1e-6)
         assert report.passed, report.summary()
+
+    def test_log_sqrt_complement_against_lambert_w_oracle(self):
+        # M(s) = expm1(s^2) inverts phi; its conjugate M*(t) = t s - M(s) at
+        # M'(s) = 2 s exp(s^2) = t has 2 s^2 = W(t^2 / 2), and the complement
+        # inverts M*. No quadrature, table or nstar code on this route.
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 30
+
+        def conjugate(t):
+            s = mp.sqrt(mp.lambertw(t * t / 2).real / 2)
+            return t * s - mp.expm1(s * s)
+
+        def complement(y):
+            lo, hi = mp.mpf("1e-10"), mp.mpf("1e10")
+            for _ in range(120):
+                mid = mp.sqrt(lo * hi)
+                lo, hi = (mid, hi) if conjugate(mid) < y else (lo, mid)
+            return float(mp.sqrt(lo * hi))
+
+        ys = np.geomspace(1e-4, 1e4, 9)
+        want = np.array([complement(mp.mpf(y)) for y in ys])
+        got = np.asarray(complementary(log_sqrt_family())(ys))
+        assert np.max(np.abs(got - want) / want) <= 1e-9
+
+    def test_numeric_complement_keeps_its_conjugate(self):
+        hat = complementary(log_sqrt_family(), use_registered=False)
+        assert hat.source_nfunction is not None
+        # a second complement conjugates the same table instead of rebuilding it
+        assert inverse_as_nfunction(hat) is hat.source_nfunction
+        # the conjugate is evaluated through its integral, not through its own __call__
+        assert hat.inverse_fn is hat.source_nfunction.eval_fn
+
+    def test_registered_complement_has_no_source(self):
+        assert complementary(scaled_power_family(0.25)).source_nfunction is None
 
 
 def arithmetic_bisection_ks(phi, k0, xs, steps=80):
@@ -284,7 +318,7 @@ class TestValidate:
 
     def test_convex_square_fails_concavity_and_zero_limit(self):
         bad = NStarFunction(
-            density=DensityFunction(lambda t: 2.0 * np.asarray(t, float), singular_at_zero=False),
+            density=lambda t: 2.0 * np.asarray(t, float),
             eval_fn=lambda a: np.asarray(a, float) ** 2,
             inverse_fn=lambda y: np.sqrt(np.asarray(y, float)),
             description="square",
@@ -294,11 +328,17 @@ class TestValidate:
         assert not report["phi_midpoint_concave"].passed
         assert not report["phi_ratio_unbounded_at_zero"].passed
 
+    def test_unreachable_level_is_a_failed_check(self):
+        # x^1e-300 is 1 on every positive float, so no level above 1 is reached
+        report = validate_nstar(power_family(1e-300))
+        check = report["inverse_midpoint_convex"]
+        assert not report.passed
+        assert not check.passed
+        assert "max float" in check.note
+
     def test_linear_fails_both_ratio_limits(self):
         linear = NStarFunction(
-            density=DensityFunction(
-                lambda t: np.ones_like(np.asarray(t, float)), singular_at_zero=False
-            ),
+            density=lambda t: np.ones_like(np.asarray(t, float)),
             eval_fn=lambda a: np.asarray(a, float),
             inverse_fn=lambda y: np.asarray(y, float),
             description="linear",

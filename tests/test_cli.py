@@ -90,6 +90,12 @@ class TestValidate:
         code, _ = run_cli(capsys, "validate", "--phi", "power:p=5")
         assert code == 2
 
+    def test_unreachable_level_reports_failure(self, capsys):
+        code, out = run_cli(capsys, "validate", "--phi", "power:p=1e-300")
+        assert code == 1
+        assert "FAIL  inverse_midpoint_convex" in out
+        assert "overall: FAIL" in out
+
 
 class TestDelta2:
     def test_power_quarter(self, capsys):
@@ -314,6 +320,15 @@ class TestDemos:
         assert doc["iterations"] == 6
         assert len(doc["results"]) == 7
 
+    def test_dualzero_zero_iterations_in_config_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "demo.json"
+        path.write_text(json.dumps({"iterations": 0}))
+        argv = ["demo", "dualzero", "--phi", "power:p=0.5", "--space", "interval:L=1,N=64"]
+        code = main([*argv, "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "iterations" in err
+
     def test_dualzero_deterministic_bytes(self, capsys):
         args = (
             "demo",
@@ -409,6 +424,28 @@ class TestExitCodes:
             "validate --phi power:p=0.5 --grid-points 1",
             "conjugate --phi power:p=0.5 --grid-lo 0",
             "delta2 --phi power:p=0.5 --grid-hi inf",
+            # document numbers must be finite
+            "norm --phi power:p=0.5 --space interval:L=inf --fn identity",
+            "norm --phi power:p=0.5 --space atoms:nan --fn constant:1",
+            "norm --phi power:p=0.5 --space interval:L=1,N=10 --fn constant:nan",
+            "norm --phi power:p=0.5 --space interval:L=1,N=10 --fn constant:inf",
+            "norm --phi power:p=0.5 --space interval:L=1,N=2 --fn values:1,nan",
+            "norm --phi power:p=0.5 --space interval:L=1,N=10 --fn random:low=0,high=inf,seed=1",
+            "norm --phi power:p=0.5 --space interval:L=1,N=10 --fn random:low=5,high=1,seed=1",
+            "norm --phi power:p=0.5 --space interval:L=1,N=10 --fn random:low=-1e308,high=1e308,seed=1",
+            # numeric flags are checked before the library runs
+            "delta2 --phi power:p=0.5 --k0 1",
+            "delta2 --phi power:p=0.5 --k0 2",
+            "delta2 --phi power:p=0.5 --k0 nan",
+            "delta2 --phi power:p=0.5 --k0 inf",
+            "demo dualzero --phi power:p=0.5 --space interval:L=1,N=64 --theta 1.5",
+            "demo dualzero --phi power:p=0.5 --space interval:L=1,N=64 --theta 0",
+            "demo dualzero --phi power:p=0.5 --space interval:L=1,N=64 --iterations 0",
+            "demo dualzero --phi power:p=0.5 --space interval:L=1,N=64 --iterations -1",
+            "demo nonconvex --phi power:p=0.5 --atoms equal:10 --epsilon 0",
+            "demo nonconvex --phi power:p=0.5 --atoms equal:10 --epsilon nan",
+            "demo nonconvex --phi power:p=0.5 --atoms equal:10 --epsilon inf",
+            "demo nonconvex --phi power:p=0.5 --atoms equal:10 --n 0",
         ],
     )
     def test_malformed_shorthand_and_grid_exit_two(self, capsys, argv):

@@ -71,6 +71,12 @@ class TestSpaceDoc:
         with pytest.raises(DocumentError, match="masses"):
             parse_space_doc({"kind": "atomic", "masses": [1.0, -2.0]})
 
+    # an integer past the float range would overflow in float()
+    @pytest.mark.parametrize("length", [float("inf"), float("nan"), 10**400], ids=["inf", "nan", "huge_int"])
+    def test_non_finite_length(self, length):
+        with pytest.raises(DocumentError, match="finite"):
+            parse_space_doc({"kind": "interval", "L": length, "N": 10})
+
 
 class TestFnDoc:
     def setup_method(self):
@@ -96,6 +102,11 @@ class TestFnDoc:
     def test_random_needs_seed(self):
         with pytest.raises(DocumentError, match="seed"):
             parse_fn_doc({"generator": "random"}, self.X)
+
+    @pytest.mark.parametrize("low, high", [(5.0, 1.0), (-1e308, 1e308)])
+    def test_random_needs_a_finite_ordered_range(self, low, high):
+        with pytest.raises(DocumentError, match="low <= high"):
+            parse_fn_doc({"generator": "random", "params": {"seed": 1, "low": low, "high": high}}, self.X)
 
     def test_identity_needs_interval(self):
         with pytest.raises(DocumentError, match="identity"):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nstar import calculus, numerics
-from nstar.calculus import DensityFunction, complementary
+from nstar.calculus import complementary
 from nstar.errors import DivergedIntegralError, DomainError, NonconvergenceError
 from nstar.families import (
     from_density,
@@ -199,9 +199,9 @@ class TestCumulativeIntegral:
         ts = np.geomspace(1e-6, 1e6, 16)
         tabulated = tabulated_density_family(ts, 0.5 * ts**-0.5)
         tabulated = dataclasses.replace(
-            tabulated, density=DensityFunction(call_limited(tabulated.density))
+            tabulated, density=call_limited(tabulated.density)
         )
-        integrated = from_density(DensityFunction(call_limited(lambda t: t**-0.5)))
+        integrated = from_density(call_limited(lambda t: t**-0.5))
         for phi in (tabulated, integrated):
             with pytest.raises(DomainError):
                 phi(np.inf)

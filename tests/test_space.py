@@ -61,12 +61,12 @@ class TestModular:
         assert res.finite
 
     def test_overflow_is_flag_not_fault(self):
-        from nstar import DensityFunction, NStarFunction
+        from nstar import NStarFunction
 
         # a synthetic evaluator that overflows (not a valid generator, but the
         # modular must report the overflow rather than raise)
         blowup = NStarFunction(
-            density=DensityFunction(lambda t: np.asarray(t, float) * 0 + 1.0),
+            density=lambda t: np.asarray(t, float) * 0 + 1.0,
             eval_fn=lambda a: np.exp(np.asarray(a, float)) * 1e300,
             description="overflowing",
         )
