@@ -126,29 +126,16 @@ class Delta2Certificate:
 # ---------------------------------------------------------------------------
 
 
-def invert(phi: NStarFunction, y, *, polish: bool = False):
+def invert(phi: NStarFunction, y):
     """Solve phi(x) = y for x >= 0.
 
     Uses the registered closed-form inverse when available, otherwise
     bracket expansion plus bisection on the increasing restriction of phi.
-    With polish=True a single Newton correction through the density is
-    applied to the bisection result.
     """
     y_arr = np.asarray(y, dtype=float)
     if np.any(y_arr < 0):
         raise DomainError("generator inverse is defined for y >= 0 only")
-    x = phi.inverse(y_arr)
-    if polish and phi.inverse_fn is None:
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        good = x_arr > 0
-        if good.any():
-            with np.errstate(all="ignore"):
-                slope = np.asarray(phi.density(x_arr[good]), dtype=float)
-                resid = np.asarray(phi(x_arr[good]), dtype=float) - np.atleast_1d(y_arr)[good]
-                step = np.where(np.isfinite(slope) & (slope > 0), resid / slope, 0.0)
-                x_arr[good] = np.maximum(x_arr[good] - step, 0.0)
-        x = float(x_arr[0]) if np.asarray(x).ndim == 0 else x_arr
-    return x
+    return phi.inverse(y_arr)
 
 
 _PROBE_GRID = np.geomspace(1e-8, 1e8, 33)

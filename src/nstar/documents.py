@@ -50,7 +50,6 @@ __all__ = [
     "load_json",
     "format_float",
     "json_ready",
-    "parse_check_records",
 ]
 
 
@@ -357,7 +356,7 @@ def fn_from_text(text: str, space: MeasureSpace) -> MeasurableFn:
 
 
 # ---------------------------------------------------------------------------
-# report emission and re-parsing
+# report emission
 # ---------------------------------------------------------------------------
 
 
@@ -367,36 +366,18 @@ def format_float(x: float) -> str:
 
 
 def json_ready(obj):
-    """Round floats to 12 significant digits recursively for stable output."""
+    """Round floats to 12 significant digits recursively for stable output.
+
+    NaN and +-inf become None (JSON null), so the output is strict JSON.
+    """
     if isinstance(obj, bool) or obj is None:
         return obj
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return float(format_float(float(obj)))
+        return float(format_float(float(obj))) if np.isfinite(obj) else None
     if isinstance(obj, (list, tuple, np.ndarray)):
         return [json_ready(v) for v in obj]
     if isinstance(obj, dict):
         return {str(k): json_ready(v) for k, v in obj.items()}
     return obj
-
-
-def parse_check_records(doc, context: str = "report") -> list[dict]:
-    """Validate an emitted check report against its own schema."""
-    if isinstance(doc, dict):
-        doc = doc.get("results")
-    if not isinstance(doc, list):
-        raise DocumentError(f"{context}: expected a list of records")
-    out = []
-    for i, rec in enumerate(doc):
-        if not isinstance(rec, dict):
-            raise DocumentError(f"{context}[{i}]: expected an object")
-        for key in ("name", "slack_min", "slack_max", "pass"):
-            if key not in rec:
-                raise DocumentError(f"{context}[{i}]: missing field {key!r}")
-        if not isinstance(rec["name"], str):
-            raise DocumentError(f"{context}[{i}].name: expected a string")
-        if rec["pass"] is not None and not isinstance(rec["pass"], bool):
-            raise DocumentError(f"{context}[{i}].pass: expected a boolean or null")
-        out.append(rec)
-    return out

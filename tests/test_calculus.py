@@ -113,14 +113,6 @@ class TestInvert:
         want = np.asarray(phi.inverse(ys))
         assert np.max(np.abs(got - want) / want) < 1e-11
 
-    def test_density_polish_step(self):
-        phi = scaled_power_family(0.5)
-        numeric = NStarFunction(
-            density=phi.density, eval_fn=phi.eval_fn, inverse_fn=None, description="no inverse"
-        )
-        polished = invert(numeric, 2.0 * SQRT2, polish=True)
-        assert polished == pytest.approx(4.0, rel=1e-13)
-
 
 class TestConjugateNFunction:
     def test_half_square_is_self_conjugate(self):

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -7,16 +8,26 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nstar
 from nstar.cli import main
-from nstar.documents import parse_check_records
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def strict_json(text: str):
+    """json.loads that rejects NaN and +-Infinity, which are not JSON."""
+
+    def reject(name):
+        raise ValueError(f"{name} is not valid JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 class TestNorm:
@@ -96,6 +107,12 @@ class TestValidate:
         assert "FAIL  inverse_midpoint_convex" in out
         assert "overall: FAIL" in out
 
+    def test_nan_residual_is_strict_json(self, capsys):
+        code, out = run_cli(capsys, "validate", "--phi", "power:p=1e-300", "--format", "json")
+        assert code == 1
+        checks = {c["name"]: c for c in strict_json(out)["results"]}
+        assert checks["inverse_midpoint_convex"]["residual"] is None
+
 
 class TestDelta2:
     def test_power_quarter(self, capsys):
@@ -166,8 +183,28 @@ class TestCheck:
         code2, out2 = run_cli(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
-        records = parse_check_records(json.loads(out1))
+        records = json.loads(out1)["results"]
         assert {r["name"] for r in records} == {"young_type", "reversed_jensen", "intersection"}
+
+    def test_skipped_records_are_strict_json(self, capsys):
+        code, out = run_cli(
+            capsys,
+            "check",
+            "--phi",
+            "log_sqrt",
+            "--space",
+            "interval:L=1,N=100",
+            "--samples",
+            "2",
+            "--suite",
+            "quasi_triangle,reversed_jensen",
+            "--format",
+            "json",
+        )
+        assert code == 0
+        skipped = strict_json(out)["results"][0]
+        assert skipped["name"] == "quasi_triangle"
+        assert skipped["pass"] is skipped["slack_min"] is skipped["slack_max"] is None
 
     def test_csv_round_trip(self, capsys):
         code, out = run_cli(
@@ -250,6 +287,64 @@ class TestDualNorm:
         assert doc["formula"] == pytest.approx(16.0)
         assert doc["bruteforce"] == pytest.approx(16.0, rel=1e-9)
         assert doc["bracket_pass"] is True
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_coefficient_on_a_tiny_atom(self, capsys):
+        # phi^{-1}(1 / 1e-200) overflows; the zero coefficient must add 0, not 0 * inf = NaN
+        code = main(
+            ["dual-norm", "--phi", "power:p=0.5", "--space", "atoms:1e-200,0.5", "--functional", "0,1", "--format", "json"]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        doc = strict_json(captured.out)
+        assert doc["formula"] == 4.0
+        # the unit-ball pass can add the quasi-norm's residual error above S
+        assert doc["bruteforce"] == pytest.approx(4.0, rel=1e-9)
+        assert doc["bracket_pass"] is True
+
+    def test_overflowing_norm_exits_one(self, capsys):
+        code = main(["dual-norm", "--phi", "power:p=0.5", "--space", "atoms:1e-200,0.5", "--functional", "1,1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "overflows" in captured.err
+
+    def test_budget_flag_is_gone(self, capsys):
+        code = main(["dual-norm", "--phi", "power:p=0.5", "--space", "atoms:1", "--functional", "1", "--budget", "10"])
+        assert code == 2
+        assert "--budget" in capsys.readouterr().err
+
+
+_EXTREMES = ["1e308", "-1e308", "1e-308", "1e-320", "0", "-0", "nan", "inf", "-inf", "", "abc"]
+_MASS = st.one_of(st.floats(0.0, exclude_min=True, allow_infinity=False).map(repr), st.sampled_from(_EXTREMES))
+_COEFF = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr), st.sampled_from(_EXTREMES))
+
+
+@st.composite
+def _dual_norm_argv(draw):
+    m = draw(st.integers(1, 4))
+    masses = draw(st.lists(_MASS, min_size=m, max_size=m))
+    # mostly one coefficient per atom, so most draws get past the parser
+    count = draw(st.sampled_from([m, m, m, m - 1, m + 1]))
+    coeffs = draw(st.lists(_COEFF, min_size=count, max_size=count))
+    phi = draw(st.sampled_from(["power:p=0.5", "power_scaled:p=0.25", "alpha_exp:alpha=3", "log_sqrt"]))
+    space, functional = ",".join(masses), ",".join(coeffs)
+    return ["dual-norm", "--phi", phi, f"--space=atoms:{space}", f"--functional={functional}", "--format", "json"]
+
+
+class TestDualNormFuzz:
+    @settings(max_examples=300)
+    @given(_dual_norm_argv())
+    def test_exit_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if out.getvalue():
+            strict_json(out.getvalue())
 
 
 class TestDemos:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nstar import (
     AtomicFunctional,
@@ -9,6 +11,7 @@ from nstar import (
     MeasurableFn,
     MeasureSpace,
     NotApplicableError,
+    alpha_exp_family,
     atom_dual_witness,
     delta2_solve,
     dual_zero_halving,
@@ -20,10 +23,12 @@ from nstar import (
     nonconvexity_demo,
     operator_norm_bruteforce,
     power_family,
+    scaled_power_family,
     single_atom_witness,
 )
 
 HALF = power_family(0.5)
+CLOSED_FAMILIES = [power_family, scaled_power_family, alpha_exp_family, lambda _: log_sqrt_family()]
 
 
 class TestEvaluateFunctional:
@@ -101,11 +106,77 @@ class TestBruteforce:
         U = AtomicFunctional(rng.uniform(-2, 2, 4), X, HALF)
         assert operator_norm_bruteforce(U, seed=42) == operator_norm_bruteforce(U, seed=42)
 
-    def test_atom_cap(self):
-        X = MeasureSpace.atomic(np.full(9, 1.0))
-        U = AtomicFunctional(np.ones(9), X, HALF)
-        with pytest.raises(CapacityError):
+    @pytest.mark.parametrize("m", [9, 64])
+    def test_many_atoms_return_s(self, m):
+        # the cost is linear in the atom count, so there is no atom cap
+        rng = np.random.default_rng(m)
+        X = MeasureSpace.atomic(rng.uniform(0.2, 2.0, m))
+        U = AtomicFunctional(rng.uniform(-2, 2, m), X, HALF)
+        assert operator_norm_bruteforce(U) == functional_norm_formula(U)
+
+    @pytest.mark.parametrize("family", range(4), ids=["power", "power_scaled", "alpha_exp", "log_sqrt"])
+    def test_equals_formula_bit_for_bit(self, family):
+        # several effective atoms: the unit-ball pass stays below S, so S
+        # itself comes back
+        rng = np.random.default_rng(2024 + family)
+        for m in range(2, 9):
+            shape = float(rng.uniform(0.2, 0.8)) if family < 2 else float(rng.uniform(1.5, 4.0))
+            phi = CLOSED_FAMILIES[family](shape)
+            X = MeasureSpace.atomic(rng.uniform(0.2, 3.0, m))
+            U = AtomicFunctional(rng.uniform(-2, 2, m), X, phi)
+            assert operator_norm_bruteforce(U, seed=m) == functional_norm_formula(U)
+
+    def test_zero_coefficient_on_a_tiny_atom(self):
+        # phi^{-1}(1 / 1e-200) overflows; the zero coefficient must add 0, not 0 * inf = NaN
+        X = MeasureSpace.atomic([1e-200, 0.5])
+        U = AtomicFunctional(np.array([0.0, 1.0]), X, HALF)
+        assert functional_norm_formula(U) == 4.0
+        assert operator_norm_bruteforce(U) == pytest.approx(4.0, rel=1e-9)
+
+    def test_overflowing_norm_raises(self):
+        X = MeasureSpace.atomic([1e-200, 0.5])
+        U = AtomicFunctional(np.array([1.0, 1.0]), X, HALF)
+        assert functional_norm_formula(U) == np.inf
+        with pytest.raises(DomainError, match="overflows"):
             operator_norm_bruteforce(U)
+
+
+# the quasi-norm stops on |rho - 1| <= 1e-10, which bounds lambda only to
+# about 1e-10 / q, q = d log phi / d log x the local exponent of phi. The
+# draws keep q >= 0.2, so ||f|| is within 5e-10 of exact: power exponents
+# in [0.2, 0.9], alpha in [1.1, 5], and atom masses of at least 1 for
+# log_sqrt, whose q = x / (2 (1 + x) log(1 + x)) falls towards 0 as x
+# grows; those masses keep |f_i| / ||f|| <= phi^{-1}(1) = e - 1, where
+# q > 0.29. Each family comes with the lowest log10 mass it is drawn with.
+_FAMILY = st.one_of(
+    st.floats(0.2, 0.9).map(lambda p: (power_family(p), -3.0)),
+    st.floats(0.2, 0.9).map(lambda p: (scaled_power_family(p), -3.0)),
+    st.floats(1.1, 5.0).map(lambda alpha: (alpha_exp_family(alpha), -3.0)),
+    st.just((log_sqrt_family(), 0.0)),
+)
+
+
+@st.composite
+def _functional_and_point(draw):
+    phi, low_log_mass = draw(_FAMILY)
+    m = draw(st.integers(1, 8))
+    masses = draw(st.lists(st.floats(low_log_mass, 3.0), min_size=m, max_size=m))
+    coeffs = draw(st.lists(st.floats(-1e3, 1e3), min_size=m, max_size=m))
+    values = draw(st.lists(st.floats(-1e3, 1e3), min_size=m, max_size=m))
+    X = MeasureSpace.atomic(10.0 ** np.asarray(masses))
+    return AtomicFunctional(np.asarray(coeffs), X, phi), MeasurableFn(np.asarray(values), X)
+
+
+class TestNormIsS:
+    @given(_functional_and_point())
+    def test_s_bounds_every_point_and_witnesses_attain_it(self, case):
+        U, f = case
+        S = functional_norm_formula(U)
+        norm = luxemburg_norm(U.phi, U.space, f).value
+        assert abs(evaluate_functional(U, f)) <= S * norm * (1 + 1e-9)
+        witnessed = max(abs(evaluate_functional(U, single_atom_witness(U, i))) for i in range(U.space.size))
+        assert witnessed == S
+        assert operator_norm_bruteforce(U) >= S
 
 
 class TestWitnesses:
