@@ -455,24 +455,28 @@ def validate_nstar(
         dv = dens[finite]
         dmono = float(np.max(np.diff(dv) / np.maximum(dv[:-1], 1e-300))) if dv.size > 1 else 0.0
         checks.append(ValidationCheck("density_nonincreasing", dmono <= tol, dmono))
-        checks.append(
-            _trend_check(
-                "density_unbounded_at_zero",
-                float(dens[0]) if np.isfinite(dens[0]) else float(np.max(dv)) * trend_factor * 2,
-                float(dv[dv.size // 2]),
-                trend_factor,
-                "up",
+        if dv.size == 0:
+            for name in ("density_unbounded_at_zero", "density_vanishes_at_infinity"):
+                checks.append(ValidationCheck(name, False, float("nan"), "no finite density sample"))
+        else:
+            checks.append(
+                _trend_check(
+                    "density_unbounded_at_zero",
+                    float(dens[0]) if np.isfinite(dens[0]) else float(np.max(dv)) * trend_factor * 2,
+                    float(dv[dv.size // 2]),
+                    trend_factor,
+                    "up",
+                )
             )
-        )
-        checks.append(
-            _trend_check(
-                "density_vanishes_at_infinity",
-                float(dv[-1]),
-                float(dv[dv.size // 2]),
-                trend_factor,
-                "down",
+            checks.append(
+                _trend_check(
+                    "density_vanishes_at_infinity",
+                    float(dv[-1]),
+                    float(dv[dv.size // 2]),
+                    trend_factor,
+                    "down",
+                )
             )
-        )
 
         # cross-characterization: the numeric inverse must be a convex Young function
         ys = np.sort(vals[vals > 0])

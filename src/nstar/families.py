@@ -8,9 +8,10 @@ Four families ship with closed evaluation, inversion and slope density:
 * log_sqrt        phi(x) = sqrt(log(1 + |x|))
 
 plus "tabulated_density" which interpolates user-supplied (t, p(t)) samples
-log-log linearly and integrates them numerically. The three power-shaped
-families carry closed complementary generators; log_sqrt and tabulated
-densities fall back to the numeric conjugation pipeline.
+log-log linearly; the interpolant is a power law on each piece, so it is
+integrated and inverted in closed form, without quadrature. The three
+power-shaped families carry closed complementary generators; log_sqrt and
+tabulated densities fall back to the numeric conjugation pipeline.
 """
 
 from __future__ import annotations
@@ -142,7 +143,12 @@ def tabulated_density_family(
 
     Samples are interpolated linearly in log-log coordinates and continued
     beyond the table with the edge slopes, which preserves power-law decay
-    and the singularity at the origin.
+    and the singularity at the origin. Each piece is a power law, so the
+    generator and its inverse are the interpolant's closed-form integral
+    and integral inverse (LogLogLinear.integral, integral_inverse). The
+    low-edge slope must exceed -1, or the integral diverges at 0
+    (DomainError). A top-edge slope below -1 gives a bounded generator,
+    whose inverse raises NonconvergenceError above the bound.
     """
     ts = np.asarray(ts, dtype=float)
     ps = np.asarray(ps, dtype=float)
@@ -156,7 +162,19 @@ def tabulated_density_family(
         raise DomainError("density samples must have strictly increasing t")
     if np.any(np.diff(ps) > 0):
         raise DomainError("density samples must be non-increasing")
-    return NStarFunction(density=LogLogLinear(ts, ps), description=description, quad=quad)
+    density = LogLogLinear(ts, ps)
+    if not density.lo_slope > -1:
+        raise DomainError(
+            f"the density's low-edge slope {density.lo_slope:.6g} in log-log is not above -1,"
+            " so its integral diverges at 0"
+        )
+    return NStarFunction(
+        density=density,
+        eval_fn=density.integral,
+        inverse_fn=density.integral_inverse,
+        description=description,
+        quad=quad,
+    )
 
 
 def from_density(

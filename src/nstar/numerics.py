@@ -24,7 +24,12 @@ Tabulated densities are interpolated in log-log coordinates, linearly
 (LogLogLinear) or by a monotone PCHIP cubic (LogLogPchip). The cubic is
 written here in numpy and repeats scipy's PchipInterpolator operation for
 operation, slopes, piece lookup and evaluation order alike, so its values
-are the same bits while the package needs numpy alone.
+are the same bits while the package needs numpy alone. The linear
+interpolant is a power law on each piece, so its integral from 0 and the
+inverse of that integral are closed forms (LogLogLinear.integral and
+integral_inverse): a binary search over prefix sums at the knots, then one
+expm1 or log1p per point, with no quadrature mesh and no bisection.
+CumulativeIntegral remains for densities without such a form.
 """
 
 from __future__ import annotations
@@ -392,11 +397,16 @@ def _log_table(x, y, min_size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eval_log_log(table, x):
-    """A log-log table at x: table._inside(log x) within it, its edge lines beyond, 0 at x <= 0."""
+    """A log-log table at x: table._inside(log x) within it, its edge lines beyond.
+
+    The value is table._at_zero at x = 0 and 0 at x < 0.
+    """
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
     x_arr = np.atleast_1d(x_arr)
     out = np.zeros_like(x_arr)
+    if table._at_zero:
+        out[x_arr == 0.0] = table._at_zero
     pos = x_arr > 0.0
     if pos.any():
         lx = np.log(x_arr[pos])
@@ -405,31 +415,115 @@ def _eval_log_log(table, x):
         # the table, and np.where would evaluate both edge lines everywhere
         low = lx < table._lx[0]
         if low.any():
-            vals[low] = table._ly[0] + table._lo_slope * (lx[low] - table._lx[0])
+            vals[low] = table._ly[0] + table.lo_slope * (lx[low] - table._lx[0])
         high = lx > table._lx[-1]
         if high.any():
-            vals[high] = table._ly[-1] + table._hi_slope * (lx[high] - table._lx[-1])
+            vals[high] = table._ly[-1] + table.hi_slope * (lx[high] - table._lx[-1])
         out[pos] = np.exp(vals, out=vals)
     return float(out[0]) if scalar else out
+
+
+def _expm1_over(b: np.ndarray, ell: np.ndarray) -> np.ndarray:
+    """expm1(b ell) / b elementwise, and its limit ell where b = 0."""
+    with np.errstate(over="ignore"):
+        return np.divide(np.expm1(b * ell), b, out=np.array(ell, dtype=float), where=b != 0)
+
+
+def _log1p_over(b: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """log1p(b r) / b elementwise, and its limit r where b = 0; b r is held at -1 or above."""
+    with np.errstate(divide="ignore"):
+        return np.divide(np.log1p(np.maximum(b * r, -1.0)), b, out=np.array(r, dtype=float), where=b != 0)
 
 
 class LogLogLinear:
     """Piecewise-linear interpolant of log y against log x.
 
     Exact on pure power laws. Outside the table the edge segments are
-    continued with their own slopes.
+    continued with their own slopes, so piece k, from knot x_k (the first
+    piece reaching down to 0 and the last up to inf), is the power law
+    y_k (x/x_k)^a_k. Its integral has a closed form: with b = a_k + 1 and
+    L = log(x/x_k), F(x) = F_k + x_k y_k expm1(b L)/b, which is
+    x_k y_k L when b = 0, and below the first knot F(x) = F_0 (x/x_0)^b
+    with F_0 = x_0 y_0 / b. integral evaluates it from prefix sums F_k
+    over the knots, found by binary search, and integral_inverse solves
+    it with L = log1p(b r)/b, r = (y - F_k)/(x_k y_k). No quadrature runs.
+    The integral from 0 is finite only when lo_slope > -1, and it is
+    bounded when hi_slope < -1.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         self._lx, self._ly = _log_table(x, y, 2)
-        self._lo_slope = (self._ly[1] - self._ly[0]) / (self._lx[1] - self._lx[0])
-        self._hi_slope = (self._ly[-1] - self._ly[-2]) / (self._lx[-1] - self._lx[-2])
+        slopes = np.diff(self._ly) / np.diff(self._lx)
+        self.lo_slope, self.hi_slope = slopes[0], slopes[-1]
+        # the low edge line's limit at 0: +inf when it falls, its level when flat
+        self._at_zero = np.inf if self.lo_slope < 0 else np.exp(self._ly[0]) if self.lo_slope == 0 else 0.0
+        # per piece: exponent b, scale x_k y_k; per knot: the integral F_k from 0
+        self._x = np.asarray(x, dtype=float)
+        self._b = slopes + 1.0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            self._scale = self._x[:-1] * np.asarray(y, dtype=float)[:-1]
+            self._cum = np.cumsum(
+                np.concatenate(([self._scale[0] / self._b[0]], self._scale * _expm1_over(self._b, np.diff(self._lx))))
+            )
+            # the top piece, continued to inf, adds x_k y_k / -b when b < 0
+            self._sup = self._cum[-2] - self._scale[-1] / self._b[-1] if self._b[-1] < 0 else np.inf
 
     def _inside(self, lx: np.ndarray) -> np.ndarray:
         return np.interp(lx, self._lx, self._ly)
 
     def __call__(self, x):
         return _eval_log_log(self, x)
+
+    def integral(self, x):
+        """Integral of the interpolant over (0, x], 0 at x <= 0; needs lo_slope > -1.
+
+        A non-finite argument raises DomainError.
+        """
+        x_arr = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(x_arr)):
+            raise DomainError("argument must be finite")
+        scalar = x_arr.ndim == 0
+        x_arr = np.atleast_1d(x_arr)
+        out = np.zeros_like(x_arr)
+        pos = x_arr > 0.0
+        if pos.any():
+            lx = np.log(x_arr[pos])
+            k = np.clip(np.searchsorted(self._lx, lx, side="right") - 1, 0, self._b.size - 1)
+            ell = lx - self._lx[k]
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = self._cum[k] + self._scale[k] * _expm1_over(self._b[k], ell)
+                low = ell < 0.0
+                if low.any():
+                    vals[low] = self._cum[0] * np.exp(self._b[0] * ell[low])
+            out[pos] = vals
+        return float(out[0]) if scalar else out
+
+    def integral_inverse(self, y):
+        """The x >= 0 with integral(x) = y, for y >= 0.
+
+        The integral is bounded when hi_slope < -1: a level above its
+        supremum raises NonconvergenceError, and the supremum itself maps
+        to inf, as does a root past the float range. NaN raises DomainError.
+        """
+        y_arr = np.asarray(y, dtype=float)
+        if np.any(np.isnan(y_arr)):
+            raise DomainError("level must not be NaN")
+        if np.any(y_arr > self._sup):
+            raise NonconvergenceError("level lies above the supremum of the integral")
+        scalar = y_arr.ndim == 0
+        y_arr = np.atleast_1d(y_arr)
+        out = np.zeros_like(y_arr)
+        pos = y_arr > 0.0
+        if pos.any():
+            yp = y_arr[pos]
+            k = np.clip(np.searchsorted(self._cum, yp, side="right") - 1, 0, self._b.size - 1)
+            with np.errstate(over="ignore"):
+                ell = _log1p_over(self._b[k], (yp - self._cum[k]) / self._scale[k])
+                low = yp < self._cum[0]
+                if low.any():
+                    ell[low] = (np.log(yp[low]) - np.log(self._cum[0])) / self._b[0]
+                out[pos] = self._x[k] * np.exp(ell)
+        return float(out[0]) if scalar else out
 
 
 def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
@@ -477,8 +571,9 @@ class LogLogPchip:
         t = (d[:-1] + d[1:] - 2 * m) / h
         self._c0, self._c1, self._c2, self._c3 = ly[:-1], d[:-1], (m - d[:-1]) / h - t, t / h
         self._lx, self._ly = lx, ly
-        self._lo_slope = m[0]
-        self._hi_slope = m[-1]
+        self.lo_slope = m[0]
+        self.hi_slope = m[-1]
+        self._at_zero = 0.0
 
     def _inside(self, lx: np.ndarray) -> np.ndarray:
         # piece i covers [lx[i], lx[i+1]); the end pieces reach past the table

@@ -5,6 +5,8 @@ import pytest
 
 from nstar import (
     DomainError,
+    MeasurableFn,
+    MeasureSpace,
     NStarFunction,
     NotDelta2Error,
     alpha_exp_family,
@@ -15,6 +17,8 @@ from nstar import (
     growth_factor,
     invert,
     log_sqrt_family,
+    luxemburg_norm,
+    modular,
     power_family,
     power_nfunction,
     scaled_power_family,
@@ -23,6 +27,7 @@ from nstar import (
 )
 from nstar.calculus import inverse_as_nfunction
 from nstar.errors import InvalidDensityError
+from nstar.numerics import LogLogLinear
 
 SQRT2 = math.sqrt(2.0)
 E_MINUS_1 = math.e - 1.0
@@ -226,6 +231,24 @@ class TestComplementary:
         # the conjugate is evaluated through its integral, not through its own __call__
         assert hat.inverse_fn is hat.source_nfunction.eval_fn
 
+    @pytest.mark.parametrize("q", [0.25, 0.5, 0.75])
+    def test_tabulated_power_complement_closed_form(self, q):
+        # the 1e240 probe of the conjugate's generalized inverse overran the
+        # quadrature mesh, and phi^-1(s) underflowing to 0 read the density
+        # there as 0, so m'(s) = 1/0 broke the bisection bracket
+        ts = np.geomspace(1e-6, 1e6, 33)
+        hat = complementary(tabulated_density_family(ts, q * ts ** (q - 1.0)))
+        xs = np.geomspace(1e-3, 1e3, 13)
+        want = xs ** (1.0 - q) / ((1.0 - q) ** (1.0 - q) * q**q)
+        assert np.max(np.abs(np.asarray(hat(xs)) / want - 1.0)) <= 1e-12
+
+    def test_tabulated_inverse_density_where_the_root_underflows(self):
+        ts = np.geomspace(1e-6, 1e6, 33)
+        tab = inverse_as_nfunction(tabulated_density_family(ts, 0.25 * ts**-0.75))
+        closed = inverse_as_nfunction(power_family(0.25))
+        s = np.array([1e-100, 1e-80, 1e-3])
+        np.testing.assert_allclose(tab.density(s), closed.density(s), rtol=1e-12, atol=0.0)
+
     def test_registered_complement_has_no_source(self):
         assert complementary(scaled_power_family(0.25)).source_nfunction is None
 
@@ -342,6 +365,14 @@ class TestValidate:
         # linearity itself is concave-compatible, so concavity must still pass
         assert report["phi_midpoint_concave"].passed
 
+    def test_no_finite_density_sample_is_a_failed_check(self):
+        # a table reaching 1e155 near 1e162 overflows its density on the whole grid
+        phi = tabulated_density_family([4.2169650342858226e161, 4.216965034285822e162], [1e155, 1e154])
+        report = validate_nstar(phi)
+        for name in ("density_positive", "density_unbounded_at_zero", "density_vanishes_at_infinity"):
+            assert not report[name].passed
+        assert report["density_vanishes_at_infinity"].note == "no finite density sample"
+
 
 class TestTabulatedFamily:
     def test_matches_sampled_power(self):
@@ -352,6 +383,41 @@ class TestTabulatedFamily:
         got = np.asarray(tab(xs))
         want = np.asarray(phi_ref(xs))
         assert np.max(np.abs(got - want) / want) < 1e-8
+
+    # the numeric_cold benchmark shapes: (cells, exponent q) of a tabulated q t^(q-1)
+    NUMERIC_COLD_SHAPES = [(1000, 0.25), (3000, 0.25), (3000, 1 / 3), (3000, 0.5), (3000, 0.75), (10000, 0.75)]
+
+    @pytest.mark.parametrize("q", sorted({q for _, q in NUMERIC_COLD_SHAPES}))
+    def test_agrees_with_quadrature_of_the_same_table(self, q):
+        ts = np.geomspace(1e-6, 1e6, 33)
+        xs = np.geomspace(1e-8, 1e8, 97)
+        exact = tabulated_density_family(ts, q * ts ** (q - 1.0))
+        quadrature = from_density(LogLogLinear(ts, q * ts ** (q - 1.0)))
+        assert np.max(np.abs(np.asarray(exact(xs)) / np.asarray(quadrature(xs)) - 1.0)) <= 1e-8
+
+    @pytest.mark.parametrize("n, q", NUMERIC_COLD_SHAPES)
+    def test_norm_equals_the_quadrature_path(self, n, q):
+        ts = np.geomspace(1e-6, 1e6, 33)
+        X = MeasureSpace.interval(1.0, n)
+        f = MeasurableFn(np.random.default_rng(n).uniform(0.0, 2.0, n), X)
+        exact = tabulated_density_family(ts, q * ts ** (q - 1.0))
+        quadrature = from_density(LogLogLinear(ts, q * ts ** (q - 1.0)))
+        got, want = luxemburg_norm(exact, X, f), luxemburg_norm(quadrature, X, f)
+        assert (got.value, got.iterations) == (want.value, want.iterations)
+        assert modular(exact, X, f).value == pytest.approx(modular(quadrature, X, f).value, rel=1e-12)
+
+    @pytest.mark.parametrize("ps", [[4.0, 1.0], [2.0, 1.0]], ids=["slope_-2", "slope_-1"])
+    def test_rejects_a_low_edge_that_is_not_integrable(self, ps):
+        with pytest.raises(DomainError, match="diverges at 0"):
+            tabulated_density_family([1.0, 2.0], ps)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_argument_is_domain_error(self, bad):
+        phi = tabulated_density_family(np.geomspace(1e-6, 1e6, 16), 0.5 * np.geomspace(1e-6, 1e6, 16) ** -0.5)
+        with pytest.raises(DomainError):
+            phi(bad)
+        with pytest.raises(DomainError):
+            phi(np.array([1.0, bad]))
 
     def test_rejects_increasing_samples(self):
         with pytest.raises(DomainError):

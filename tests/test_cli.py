@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -347,6 +348,42 @@ class TestDualNormFuzz:
             strict_json(out.getvalue())
 
 
+@st.composite
+def _tabulated_density_doc(draw):
+    """Two to six knots anywhere in the float range, each piece flat, gentle or steep in log-log."""
+    n = draw(st.integers(2, 6))
+    log_t = np.cumsum([draw(st.floats(-300.0, 300.0))] + draw(st.lists(st.floats(1e-3, 200.0), min_size=n - 1, max_size=n - 1)))
+    # keep at least two knots inside the float range
+    log_t = log_t[log_t <= 307.0] if log_t[1] <= 307.0 else log_t[:2] - (log_t[1] - 307.0)
+    drops = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 3.0), st.floats(3.0, 300.0)), min_size=log_t.size - 1, max_size=log_t.size - 1))
+    log_p = np.maximum(draw(st.floats(-300.0, 300.0)) - np.concatenate(([0.0], np.cumsum(drops))), -307.0)
+    return {"family": "tabulated_density", "params": {"t": list(10.0**log_t), "p": list(10.0**log_p)}}
+
+
+_TABULATED_ARGS = st.one_of(
+    st.just(["validate"]),
+    st.tuples(
+        st.sampled_from(["interval:L=1,N=50", "interval:L=1e-300,N=3", "interval:L=1e300,N=7"]),
+        st.sampled_from(["identity", "constant:1", "constant:1e-300", "constant:1e300", "constant:0"]),
+    ).map(lambda sf: ["norm", "--space", sf[0], "--fn", sf[1]]),
+)
+
+
+class TestTabulatedDensityFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(_tabulated_density_doc(), _TABULATED_ARGS)
+    def test_exit_contract(self, tmp_path_factory, doc, args):
+        path = tmp_path_factory.getbasetemp() / "tabulated_fuzz.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([args[0], "--phi", str(path), *args[1:], "--format", "json"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if out.getvalue():
+            strict_json(out.getvalue())
+
+
 class TestDemos:
     def test_nonconvex_final_modular(self, capsys):
         code, out = run_cli(
@@ -552,8 +589,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "t, p",
-        [("[0, 1, 2]", "[3, 2, 1]"), ("[1, NaN, 3]", "[3, 2, 1]"), ("[1, 2, 3]", "[3, NaN, 1]"), ("[1, 2, Infinity]", "[3, 2, 1]")],
-        ids=["zero_t", "nan_t", "nan_p", "inf_t"],
+        [
+            ("[0, 1, 2]", "[3, 2, 1]"),
+            ("[1, NaN, 3]", "[3, 2, 1]"),
+            ("[1, 2, 3]", "[3, NaN, 1]"),
+            ("[1, 2, Infinity]", "[3, 2, 1]"),
+            ("[1, 2]", "[4, 1]"),
+        ],
+        ids=["zero_t", "nan_t", "nan_p", "inf_t", "not_integrable"],
     )
     def test_bad_tabulated_density_samples_exit_two(self, capsys, tmp_path, t, p):
         doc = tmp_path / "phi.json"
@@ -562,3 +605,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ")
+
+    def test_non_integrable_table_exits_two_for_norm(self, capsys, tmp_path):
+        # the low-edge slope -2 makes the integral diverge at 0
+        doc = tmp_path / "phi.json"
+        doc.write_text('{"family": "tabulated_density", "params": {"t": [1, 2], "p": [4, 1]}}')
+        code = main(["norm", "--phi", str(doc), "--space", "interval:L=1,N=10", "--fn", "identity"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "diverges at 0" in err

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nstar import calculus, numerics
@@ -398,6 +398,110 @@ class TestInterpolants:
         # five samples, so dropping the bad one would still leave a valid table
         with pytest.raises(ValueError):
             LogLogPchip(np.array(x), np.array(y))
+
+
+@st.composite
+def decreasing_tables(draw):
+    """Knots 0.25-3 decades apart; log-log slopes in [-0.95, 0] on the low piece, [-4, 0] elsewhere."""
+    n = draw(st.integers(2, 8))
+    gaps = np.array(draw(st.lists(st.floats(0.25, 3.0), min_size=n - 1, max_size=n - 1)))
+    log_t = draw(st.floats(-6.0, -3.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
+    slopes = [draw(st.floats(-0.95, 0.0))] + draw(st.lists(st.floats(-4.0, 0.0), min_size=n - 2, max_size=n - 2))
+    log_p = draw(st.floats(-3.0, 3.0)) + np.concatenate(([0.0], np.cumsum(np.array(slopes) * gaps)))
+    return 10.0**log_t, 10.0**log_p
+
+
+def mp_table_integral(ts, ps, x):
+    """Integral over (0, x] of the piecewise power law through (ts, ps), in 30-digit mpmath.
+
+    The exponents come from the samples in mpmath precision. The low piece
+    integrates in closed form (its t^a singularity at 0 defeats quad for a
+    near -1); mpmath.quad integrates the rest piece by piece.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    ts = [mp.mpf(float(t)) for t in ts]
+    ps = [mp.mpf(float(p)) for p in ps]
+    a = [mp.log(ps[k + 1] / ps[k]) / mp.log(ts[k + 1] / ts[k]) for k in range(len(ts) - 1)]
+
+    def density(t):
+        k = min(max(sum(1 for tk in ts if tk <= t) - 1, 0), len(a) - 1)
+        return ps[k] * (t / ts[k]) ** a[k]
+
+    x = mp.mpf(float(x))
+    b = a[0] + 1
+    if x <= ts[0]:
+        return float(ps[0] * ts[0] / b * (x / ts[0]) ** b)
+    return float(ps[0] * ts[0] / b + mp.quad(density, [t for t in ts if t < x] + [x]))
+
+
+class TestLogLogCalculus:
+    """LogLogLinear.integral and integral_inverse, the closed forms of a piecewise power law."""
+
+    @pytest.mark.parametrize("q", [0.5, 0.75])
+    def test_closed_form_on_power_tables(self, q):
+        ts = np.geomspace(1e-6, 1e6, 50)
+        interp = LogLogLinear(ts, q * ts ** (q - 1.0))  # integral x^q
+        ys = np.geomspace(1e-80, 1e80, 321)
+        xs = ys ** (1.0 / q)
+        assert np.max(np.abs(interp.integral(xs) / ys - 1.0)) <= 1e-13
+        assert np.max(np.abs(interp.integral_inverse(ys) / xs - 1.0)) <= 1e-13
+
+    @settings(max_examples=60, deadline=None)
+    @given(decreasing_tables(), st.lists(st.floats(-8.0, 8.0), min_size=3, max_size=3))
+    def test_matches_mpmath_quadrature(self, table, log_x):
+        ts, ps = table
+        interp = LogLogLinear(ts, ps)
+        xs = 10.0 ** np.array(log_x)
+        got = interp.integral(xs)
+        want = np.array([mp_table_integral(ts, ps, x) for x in xs])
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+        # the inverse solves the level; on a bounded integral a level that
+        # rounds to the supremum has its root at inf
+        back = interp.integral_inverse(got)
+        finite = np.isfinite(back)
+        assert finite.all() or interp.hi_slope < -1
+        assert np.all(np.abs(interp.integral(back[finite]) / got[finite] - 1.0) <= 1e-13)
+
+    def test_bounded_integral(self):
+        # flat to 2, then t^-2: the integral is 4 - 4/t above 2 and tends to 4
+        interp = LogLogLinear(np.array([1.0, 2.0, 4.0]), np.array([1.0, 1.0, 0.25]))
+        assert interp.integral(1e300) == pytest.approx(4.0, rel=1e-15)
+        assert interp.integral_inverse(3.0) == pytest.approx(4.0, rel=1e-15)
+        assert interp.integral_inverse(4.0) == np.inf
+        with pytest.raises(NonconvergenceError):
+            interp.integral_inverse(np.array([1.0, np.nextafter(4.0, np.inf)]))
+
+    def test_nan_level_is_domain_error(self):
+        interp = LogLogLinear(np.array([1.0, 2.0]), np.array([1.0, 0.5]))
+        with pytest.raises(DomainError):
+            interp.integral_inverse(np.nan)
+
+    @pytest.mark.parametrize("ps, want", [([3.0, 3.0], 3.0), ([3.0, 1.0], np.inf)], ids=["flat", "falling"])
+    def test_value_at_zero_is_the_low_edge_limit(self, ps, want):
+        # a rising edge gives 0 (test_zero_maps_to_zero); below 0 the value stays 0
+        interp = LogLogLinear(np.array([1.0, 2.0]), np.array(ps))
+        assert interp(0.0) == pytest.approx(want, rel=1e-15)
+        assert interp(-1.0) == 0.0
+        np.testing.assert_array_equal(interp(np.array([-1.0, 0.0])), [0.0, interp(0.0)])
+
+    def test_tabulated_generator_runs_no_quadrature_or_bisection(self, monkeypatch):
+        def no_bisection(*args):
+            raise AssertionError("bisection ran")
+
+        monkeypatch.setattr(numerics, "bisect_increasing", no_bisection)
+        monkeypatch.setattr(calculus, "invert_increasing", no_bisection)
+        ts = np.geomspace(1e-6, 1e6, 33)
+
+        def job():
+            phi = tabulated_density_family(ts, 0.25 * ts**-0.75)
+            assert not isinstance(phi.eval_fn, CumulativeIntegral)
+            return phi(np.geomspace(1e-9, 1e9, 50)), phi.inverse(np.geomspace(1e-9, 1e9, 50))
+
+        (values, roots), calls, nodes = quadrature_work(monkeypatch, CumulativeIntegral, job)
+        assert calls == nodes == 0
+        assert np.all(values > 0) and np.all(roots > 0)
 
 
 def _power_table():
