@@ -5,13 +5,16 @@ Phi(0) = 0 whose slope density p is positive, decreasing, unbounded at 0
 and vanishing at infinity; equivalently Phi(x) is the integral of p over
 (0, |x|]. Its inverse on the non-negative axis is a convex Young-type
 function, and conjugating that inverse and inverting back produces the
-complementary generator. One type, NStarFunction, models the functions
-on both sides: an increasing function on [0, inf) given by its slope
-density, with optional closed forms for its value and inverse. This
-module implements construction, evaluation, inversion, conjugation,
-doubling certificates and validation for these objects. All values are
-immutable after construction and every operation is deterministic, so
-concurrent use needs no synchronization.
+complementary generator. Young's equality puts that composite in closed
+parametric form, hat(phi(x)/p(x) - x) = 1/p(x), so complementary
+evaluates it with one monotone inversion and builds no table of the
+conjugate. One type, NStarFunction, models every generator: an
+increasing function on [0, inf) given by its slope density, with
+optional closed forms for its value and inverse. This module implements
+construction, evaluation, inversion, complementation, doubling
+certificates and validation for these objects. All values are immutable
+after construction and every operation is deterministic, so concurrent
+use needs no synchronization.
 """
 
 from __future__ import annotations
@@ -23,15 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InvalidDensityError, NonconvergenceError, NotDelta2Error
-from .numerics import (
-    DEFAULT_QUAD,
-    CumulativeIntegral,
-    QuadConfig,
-    bisect_increasing,
-    generalized_inverse,
-    invert_increasing,
-    tabulate_density,
-)
+from .numerics import DEFAULT_QUAD, CumulativeIntegral, QuadConfig, bisect_increasing, invert_increasing
 
 __all__ = [
     "NStarFunction",
@@ -39,7 +34,6 @@ __all__ = [
     "ValidationCheck",
     "ValidationReport",
     "invert",
-    "conjugate_nfunction",
     "complementary",
     "delta2_solve",
     "growth_factor",
@@ -51,20 +45,18 @@ __all__ = [
 class NStarFunction:
     """An increasing function on [0, inf), given by its slope density.
 
-    Both sides of the calculus are this type: a concave generator, whose
-    density is positive, decreasing, unbounded at 0 and vanishing at
-    infinity, and the convex Young function of its inverse, whose density
-    is non-decreasing. Evaluation is even in the argument. eval_fn and
-    inverse_fn, when given, are closed forms on the non-negative axis.
+    A concave generator has a positive, decreasing density, unbounded at 0
+    and vanishing at infinity. Evaluation is even in the argument. eval_fn
+    and inverse_fn, when given, are closed forms on the non-negative axis.
     Without eval_fn the value integrates the density through a cumulative
     quadrature, built once at construction (so a replaced density or quad
     needs eval_fn=None again); without inverse_fn inversion runs a
-    bracketed bisection. registered_complementary returns the closed
-    complement of a generator or the Young conjugate of a convex function,
-    which Orlicz theory calls its complementary function. source_nfunction
-    records the convex conjugate a numeric complement was inverted from,
-    which keeps chained conjugations exact. The density contracts are not
-    constructor checks; validate_nstar probes them on sample grids.
+    bracketed bisection. registered_complementary returns the complement
+    without numeric work: the closed complement of a family, or, on a
+    numeric complement, the generator it was computed from.
+    source_nfunction records that generator on a numeric complement and
+    is None everywhere else. The density contracts are not constructor
+    checks; validate_nstar probes them on sample grids.
     """
 
     density: Callable
@@ -141,106 +133,67 @@ def invert(phi: NStarFunction, y):
 _PROBE_GRID = np.geomspace(1e-8, 1e8, 33)
 
 
-def conjugate_nfunction(
-    m: NStarFunction,
-    quad: QuadConfig | None = None,
-    *,
-    use_registered: bool = True,
-) -> NStarFunction:
-    """Conjugate convex function: integral of the generalized inverse density.
+def complementary(phi: NStarFunction, *, use_registered: bool = True) -> NStarFunction:
+    """Complementary generator ((phi^-1)*)^-1, from Young's equality in closed parametric form.
 
-    The conjugate density at level t is sup{s : m'(s) <= t}, computed by a
-    predicate bisection that lands on the right endpoint of level sets
-    (jump discontinuities resolve to the supremum). Registered closed-form
-    conjugates short-circuit the numeric pipeline unless disabled.
-    """
-    if use_registered and m.registered_complementary is not None:
-        return m.registered_complementary()
-    quad = quad or m.quad
-    with np.errstate(all="ignore"):
-        probe = np.asarray(m.density(_PROBE_GRID), dtype=float)
-    finite = np.isfinite(probe)
-    if np.any(probe[finite] < 0) or np.any(np.diff(probe[finite]) < -1e-9 * np.abs(probe[finite][:-1]) - 1e-300):
-        raise InvalidDensityError("conjugation requires a non-negative, non-decreasing density")
+    Let p be the density of phi and M = phi^-1 its convex inverse, whose
+    slope at s = phi(x) is M'(s) = 1/p(x). Young's equality at that slope
+    gives the conjugate M*(1/p(x)) = s/p(x) - M(s) = phi(x)/p(x) - x =: G(x),
+    and (M*)' inverts M', so (M*)'(1/p(x)) = phi(x). The complement is the
+    inverse of M*, so with x as parameter
 
-    mbar = tabulate_density(
-        lambda t: generalized_inverse(m.density, t),
-        lo=quad.table_lo,
-        hi=quad.table_hi,
-        points=quad.table_points,
-    )
-    return NStarFunction(
-        density=mbar,
-        description=f"conjugate({m.description})" if m.description else "conjugate",
-        quad=quad,
-    )
+        hat(G(x)) = 1/p(x),   hat^-1(1/p(x)) = G(x),   hat'(G(x)) = 1/phi(x).
 
-
-def inverse_as_nfunction(phi: NStarFunction) -> NStarFunction:
-    """The inverse of a concave generator, packaged as a convex function.
-
-    Its density is 1/p(phi^{-1}(s)) wherever the generator density p is
-    finite and positive.
-    """
-    if phi.source_nfunction is not None:
-        return phi.source_nfunction
-
-    def density(s):
-        s_arr = np.asarray(s, dtype=float)
-        x = np.asarray(phi.inverse(s_arr), dtype=float)
-        with np.errstate(all="ignore"):
-            slope = np.asarray(phi.density(x), dtype=float)
-            # the generator slope vanishes at infinity and blows up at 0,
-            # so its reciprocal is the convex density with the limits swapped
-            out = 1.0 / slope
-        return out
-
-    return NStarFunction(
-        density=density,
-        eval_fn=phi.inverse,
-        description=f"inverse({phi.description})" if phi.description else "inverse",
-        quad=phi.quad,
-    )
-
-
-def complementary(
-    phi: NStarFunction,
-    quad: QuadConfig | None = None,
-    *,
-    use_registered: bool = True,
-) -> NStarFunction:
-    """Complementary generator: invert the conjugate of the generator inverse.
-
-    The returned generator evaluates by monotone root finding over the
-    conjugate's eval_fn and exposes that eval_fn as its exact inverse, so a
-    second complementation never stacks a root-find on a root-find. The
-    conjugate is kept as source_nfunction.
+    G increases from G(0) = 0 (G' = -phi p'/p^2 >= 0), so hat(a) and
+    hat'(a) invert G at a, and hat^-1(y) inverts 1/p at y, each by one
+    invert_increasing; G evaluates phi through its __call__. hat(0) is
+    pinned to 0: a density with a finite limit p(0) would give 1/p(0).
+    Such a hat jumps from 0 to 1/p(0) at 0, and hat^-1 raises
+    NonconvergenceError for the levels in between, which hat never takes.
+    The same algebra applied to hat returns x = G_hat(G(x)) and
+    hat_hat(x) = phi(x), so the complement of hat is phi itself, recorded
+    as registered_complementary; source_nfunction records phi as well.
+    A density that is negative or increasing on _PROBE_GRID raises
+    InvalidDensityError. Registered closed complements are returned
+    unless use_registered is False.
     """
     if use_registered and phi.registered_complementary is not None:
         return phi.registered_complementary()
-    if quad is None:
-        quad = dataclasses.replace(phi.quad, tol=min(phi.quad.tol, 1e-11))
-    m = inverse_as_nfunction(phi)
-    mbar = conjugate_nfunction(m, quad, use_registered=use_registered)
+    with np.errstate(all="ignore"):
+        probe = np.asarray(phi.density(_PROBE_GRID), dtype=float)
+    probe = probe[np.isfinite(probe)]
+    if np.any(probe < 0) or np.any(np.diff(probe) > 1e-9 * probe[:-1] + 1e-300):
+        raise InvalidDensityError("complementation requires a non-negative, non-increasing density")
+
+    def reciprocal_density(x):
+        with np.errstate(divide="ignore"):
+            return 1.0 / np.asarray(phi.density(x), dtype=float)
+
+    def young_gap(x):
+        # G(x) = phi(x)/p(x) - x, the conjugate of phi^-1 at slope 1/p(x)
+        with np.errstate(invalid="ignore", over="ignore"):
+            return np.asarray(phi(x), dtype=float) * reciprocal_density(x) - x
 
     def hat_eval(a):
-        return invert_increasing(mbar.eval_fn, a)
+        a = np.asarray(a, dtype=float)
+        out = np.where(a > 0, reciprocal_density(invert_increasing(young_gap, a)), 0.0)
+        return out if out.ndim else float(out)
 
-    def hat_density(t):
-        t_arr = np.asarray(t, dtype=float)
-        val = np.asarray(hat_eval(np.abs(t_arr)), dtype=float)
-        with np.errstate(all="ignore"):
-            slope = np.asarray(mbar.density(val), dtype=float)
-            out = np.where(slope > 0, 1.0 / slope, np.inf)
-        return out
+    def hat_density(a):
+        with np.errstate(divide="ignore"):
+            return 1.0 / np.asarray(phi(invert_increasing(young_gap, np.abs(a))), dtype=float)
+
+    def hat_inverse(y):
+        return young_gap(invert_increasing(reciprocal_density, y))
 
     return NStarFunction(
         density=hat_density,
         eval_fn=hat_eval,
-        inverse_fn=mbar.eval_fn,
+        inverse_fn=hat_inverse,
         description=f"complementary({phi.description})" if phi.description else "complementary",
-        quad=quad,
-        source_nfunction=mbar,
+        quad=phi.quad,
+        registered_complementary=lambda: phi,
+        source_nfunction=phi,
     )
 
 

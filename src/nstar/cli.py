@@ -417,7 +417,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conjugate", help="evaluate the complementary generator on a grid")
     _add_common(p)
     _add_grid(p, lo=1e-3, hi=1e3, points=13)
-    p.add_argument("--numeric", action="store_true", help="force the numeric conjugation pipeline")
+    p.add_argument(
+        "--numeric",
+        action="store_true",
+        help="skip the closed complement; compute it from the density by Young's equality",
+    )
     p.set_defaults(handler=_cmd_conjugate)
 
     p = sub.add_parser("delta2", help="solve the doubling relation on a grid")

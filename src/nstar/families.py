@@ -10,8 +10,10 @@ Four families ship with closed evaluation, inversion and slope density:
 plus "tabulated_density" which interpolates user-supplied (t, p(t)) samples
 log-log linearly; the interpolant is a power law on each piece, so it is
 integrated and inverted in closed form, without quadrature. The three
-power-shaped families carry closed complementary generators; log_sqrt and
-tabulated densities fall back to the numeric conjugation pipeline.
+power-shaped families carry closed complementary generators; the
+complement of log_sqrt, of a tabulated density or of a generator from
+from_density is computed by calculus.complementary, which inverts Young's
+equality hat(phi(x)/p(x) - x) = 1/p(x) point by point.
 """
 
 from __future__ import annotations
@@ -31,34 +33,9 @@ __all__ = [
     "log_sqrt_family",
     "tabulated_density_family",
     "from_density",
-    "power_nfunction",
     "build_family",
     "FAMILY_NAMES",
 ]
-
-
-def power_nfunction(coeff: float, exponent: float, quad: QuadConfig = DEFAULT_QUAD) -> NStarFunction:
-    """Convex power M(t) = coeff * t^exponent with exponent > 1.
-
-    Registered conjugate: the dual power with exponent r/(r-1) and the
-    matching coefficient, so conjugation of these closes in the family.
-    """
-    if exponent <= 1:
-        raise DomainError("a convex Young power needs exponent > 1")
-    a, r = float(coeff), float(exponent)
-
-    def conj() -> NStarFunction:
-        r_bar = r / (r - 1.0)
-        a_bar = (a * r) ** (-1.0 / (r - 1.0)) * (r - 1.0) / r
-        return power_nfunction(a_bar, r_bar, quad)
-
-    return NStarFunction(
-        density=lambda s: a * r * np.asarray(s, dtype=float) ** (r - 1.0),
-        eval_fn=lambda t: a * np.asarray(t, dtype=float) ** r,
-        description=f"{a:g}*t^{r:g}",
-        registered_complementary=conj,
-        quad=quad,
-    )
 
 
 def _scaled_power(coeff: float, p: float, label: str, quad: QuadConfig) -> NStarFunction:

@@ -18,18 +18,17 @@ replay reaches its segment), and a non-finite argument raises DomainError.
 Monotone root finding has one bisection rule, bisect_increasing: midpoints
 on the bit patterns of the floats (no overflow or underflow anywhere in the
 float range) and a fixed step count that closes every bracket to adjacent
-floats. invert_increasing brackets inside the normal float range.
+floats. invert_increasing brackets inside the normal float range, with a
+growth step that squares after every use, so any float is reached in about
+ten evaluations.
 
-Tabulated densities are interpolated in log-log coordinates, linearly
-(LogLogLinear) or by a monotone PCHIP cubic (LogLogPchip). The cubic is
-written here in numpy and repeats scipy's PchipInterpolator operation for
-operation, slopes, piece lookup and evaluation order alike, so its values
-are the same bits while the package needs numpy alone. The linear
-interpolant is a power law on each piece, so its integral from 0 and the
-inverse of that integral are closed forms (LogLogLinear.integral and
-integral_inverse): a binary search over prefix sums at the knots, then one
-expm1 or log1p per point, with no quadrature mesh and no bisection.
-CumulativeIntegral remains for densities without such a form.
+Tabulated densities are interpolated linearly in log-log coordinates
+(LogLogLinear). The interpolant is a power law on each piece, so its
+integral from 0 and the inverse of that integral are closed forms
+(LogLogLinear.integral and integral_inverse): a binary search over prefix
+sums at the knots, then one expm1 or log1p per point, with no quadrature
+mesh and no bisection. CumulativeIntegral remains for densities without
+such a form.
 """
 
 from __future__ import annotations
@@ -54,17 +53,13 @@ class QuadConfig:
     """Quadrature settings.
 
     tol is a relative tolerance on cumulative integrals; mesh_ratio is the
-    geometric grading factor toward the origin (must lie in (0, 1)); derived
-    densities (generalized inverses) are sampled once onto a log-log
-    interpolant of table_points points spanning [table_lo, table_hi].
+    geometric grading factor toward the origin (must lie in (0, 1));
+    max_panels caps the geometric segments added in one direction.
     """
 
     tol: float = 1e-8
     mesh_ratio: float = 0.5
     max_panels: int = 4000
-    table_points: int = 4000
-    table_lo: float = 1e-12
-    table_hi: float = 1e12
 
 
 DEFAULT_QUAD = QuadConfig()
@@ -320,10 +315,11 @@ def bisect_increasing(f: Callable, y, lo, hi) -> tuple[np.ndarray, np.ndarray]:
 def invert_increasing(f: Callable, y) -> np.ndarray | float:
     """Largest x with f(x) <= y, for an increasing f on [0, inf) with f(0) = 0.
 
-    The bracket grows by factors of 4 from 1, clipped to the normal float
-    range [tiny, max], and bisect_increasing closes it. y must be
-    non-negative; y = 0 maps to 0 directly. A level that f does not reach
-    inside the normal float range raises NonconvergenceError.
+    The bracket grows from 1 by a step that starts at 4 and is squared
+    after every use (4, 16, 256, ...), clipped to the normal float range
+    [tiny, max], and bisect_increasing closes it. y must be non-negative;
+    y = 0 maps to 0 directly. A level that f does not reach inside the
+    normal float range raises NonconvergenceError.
     """
     y_arr = np.asarray(y, dtype=float)
     scalar = y_arr.ndim == 0
@@ -335,91 +331,25 @@ def invert_increasing(f: Callable, y) -> np.ndarray | float:
         lo = np.ones_like(target)
         hi = np.ones_like(target)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            step = 4.0
             need = np.asarray(f(hi)) <= target
             while need.any():
                 if np.any(hi[need] >= _MAX):
                     raise NonconvergenceError("level lies above f(max float)")
                 lo[need] = hi[need]
-                hi[need] = np.minimum(hi[need] * 4.0, _MAX)
+                hi[need] = np.minimum(hi[need] * step, _MAX)
+                step *= step
                 need &= np.asarray(f(hi)) <= target
+            step = 4.0
             need = np.asarray(f(lo)) > target
             while need.any():
                 if np.any(lo[need] <= _TINY_NORMAL):
                     raise NonconvergenceError("level lies below f(smallest normal float)")
                 hi[need] = lo[need]
-                lo[need] = np.maximum(lo[need] * 0.25, _TINY_NORMAL)
+                lo[need] = np.maximum(lo[need] / step, _TINY_NORMAL)
+                step *= step
                 need &= np.asarray(f(lo)) > target
         out[pos], _ = bisect_increasing(f, target, lo, hi)
-    return float(out[0]) if scalar else out
-
-
-def generalized_inverse(m: Callable, t) -> np.ndarray | float:
-    """sup{s : m(s) <= t} for a non-decreasing m, elementwise over t.
-
-    Bisects from the bracket [1e-240, 1e240]; bisect_increasing keeps the
-    invariant m(lo) <= t < m(hi), so at a jump or plateau of m the result
-    is the right endpoint of the level set, which is the supremum.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-    out = np.zeros_like(t_arr)
-    pos = t_arr > 0.0
-    if pos.any():
-        target = t_arr[pos]
-        lo = np.full(target.shape, 1e-240)
-        hi = np.full(target.shape, 1e240)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            top = np.asarray(m(hi), dtype=float)
-            top = np.where(np.isnan(top), np.inf, top)  # overflow chains read as +inf
-            if np.any(top <= target):
-                raise NonconvergenceError(
-                    "density stays below the level; no finite generalized inverse"
-                )
-        out[pos], _ = bisect_increasing(m, target, lo, hi)
-    return float(out[0]) if scalar else out
-
-
-def _log_table(x, y, min_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Logs of a sample table, after checking it can be interpolated in log-log."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape or x.size < min_size:
-        raise ValueError(f"need two matching 1-d sample arrays of at least {min_size} samples")
-    # written so that NaN fails too
-    if not (np.all((x > 0) & (x < np.inf)) and np.all((y > 0) & (y < np.inf))):
-        raise ValueError("log-log interpolation needs positive finite samples")
-    lx = np.log(x)
-    # on the logs: abscissae a few ulps apart near the float limits share a log
-    if np.any(np.diff(lx) <= 0):
-        raise ValueError("sample abscissae must have strictly increasing logs")
-    return lx, np.log(y)
-
-
-def _eval_log_log(table, x):
-    """A log-log table at x: table._inside(log x) within it, its edge lines beyond.
-
-    The value is table._at_zero at x = 0 and 0 at x < 0.
-    """
-    x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-    out = np.zeros_like(x_arr)
-    if table._at_zero:
-        out[x_arr == 0.0] = table._at_zero
-    pos = x_arr > 0.0
-    if pos.any():
-        lx = np.log(x_arr[pos])
-        vals = table._inside(lx)
-        # masked updates, not np.where: most calls have no point outside
-        # the table, and np.where would evaluate both edge lines everywhere
-        low = lx < table._lx[0]
-        if low.any():
-            vals[low] = table._ly[0] + table.lo_slope * (lx[low] - table._lx[0])
-        high = lx > table._lx[-1]
-        if high.any():
-            vals[high] = table._ly[-1] + table.hi_slope * (lx[high] - table._lx[-1])
-        out[pos] = np.exp(vals, out=vals)
     return float(out[0]) if scalar else out
 
 
@@ -452,27 +382,54 @@ class LogLogLinear:
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
-        self._lx, self._ly = _log_table(x, y, 2)
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.ndim != 1 or x.shape != y.shape or x.size < 2:
+            raise ValueError("need two matching 1-d sample arrays of at least 2 samples")
+        # written so that NaN fails too
+        if not (np.all((x > 0) & (x < np.inf)) and np.all((y > 0) & (y < np.inf))):
+            raise ValueError("log-log interpolation needs positive finite samples")
+        self._lx, self._ly = np.log(x), np.log(y)
+        # on the logs: abscissae a few ulps apart near the float limits share a log
+        if np.any(np.diff(self._lx) <= 0):
+            raise ValueError("sample abscissae must have strictly increasing logs")
         slopes = np.diff(self._ly) / np.diff(self._lx)
         self.lo_slope, self.hi_slope = slopes[0], slopes[-1]
         # the low edge line's limit at 0: +inf when it falls, its level when flat
         self._at_zero = np.inf if self.lo_slope < 0 else np.exp(self._ly[0]) if self.lo_slope == 0 else 0.0
         # per piece: exponent b, scale x_k y_k; per knot: the integral F_k from 0
-        self._x = np.asarray(x, dtype=float)
+        self._x = x
         self._b = slopes + 1.0
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            self._scale = self._x[:-1] * np.asarray(y, dtype=float)[:-1]
+            self._scale = x[:-1] * y[:-1]
             self._cum = np.cumsum(
                 np.concatenate(([self._scale[0] / self._b[0]], self._scale * _expm1_over(self._b, np.diff(self._lx))))
             )
             # the top piece, continued to inf, adds x_k y_k / -b when b < 0
             self._sup = self._cum[-2] - self._scale[-1] / self._b[-1] if self._b[-1] < 0 else np.inf
 
-    def _inside(self, lx: np.ndarray) -> np.ndarray:
-        return np.interp(lx, self._lx, self._ly)
-
     def __call__(self, x):
-        return _eval_log_log(self, x)
+        """The interpolant at x: its edge lines beyond the table, the low edge's limit at 0, 0 below."""
+        x_arr = np.asarray(x, dtype=float)
+        scalar = x_arr.ndim == 0
+        x_arr = np.atleast_1d(x_arr)
+        out = np.zeros_like(x_arr)
+        if self._at_zero:
+            out[x_arr == 0.0] = self._at_zero
+        pos = x_arr > 0.0
+        if pos.any():
+            lx = np.log(x_arr[pos])
+            vals = np.interp(lx, self._lx, self._ly)
+            # masked updates, not np.where: most calls have no point outside
+            # the table, and np.where would evaluate both edge lines everywhere
+            low = lx < self._lx[0]
+            if low.any():
+                vals[low] = self._ly[0] + self.lo_slope * (lx[low] - self._lx[0])
+            high = lx > self._lx[-1]
+            if high.any():
+                vals[high] = self._ly[-1] + self.hi_slope * (lx[high] - self._lx[-1])
+            out[pos] = np.exp(vals, out=vals)
+        return float(out[0]) if scalar else out
 
     def integral(self, x):
         """Integral of the interpolant over (0, x], 0 at x <= 0; needs lo_slope > -1.
@@ -524,78 +481,3 @@ class LogLogLinear:
                     ell[low] = (np.log(yp[low]) - np.log(self._cum[0])) / self._b[0]
                 out[pos] = self._x[k] * np.exp(ell)
         return float(out[0]) if scalar else out
-
-
-def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
-    """Three-point end slope, held to the shape of the first two pieces."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-class LogLogPchip:
-    """Monotone cubic (PCHIP) interpolant of log y against log x.
-
-    Reproduces power laws exactly (they are linear in this chart) and
-    preserves monotonicity elsewhere. Linear continuation beyond the table.
-
-    The cubic is scipy's PchipInterpolator, operation for operation, so
-    values agree with it bit for bit. Node slopes are the Fritsch-Butland
-    weighted harmonic means of the neighbouring secants, 0 where the secants
-    change sign or either is 0; the end slopes are the one-sided three-point
-    estimate, 0 where its sign differs from the first secant's, and clamped
-    to 3 times that secant where the first two secants differ in sign. Each
-    piece is a power-basis cubic in s = log x - (its left knot), summed as
-    c0 + c1*s + c2*s^2 + c3*s^3 in that order, with coefficients gathered
-    from 1-d arrays. Pieces are found by binary search on the log knots, the
-    last piece closed at the top knot, as scipy finds them.
-    """
-
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        lx, ly = _log_table(x, y, 4)
-        h = np.diff(lx)
-        m = np.diff(ly) / h
-        w1 = 2 * h[1:] + h[:-1]
-        w2 = h[1:] + 2 * h[:-1]
-        zero = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
-        d = np.concatenate((
-            [_pchip_end_slope(h[0], h[1], m[0], m[1])],
-            np.where(zero, 0.0, inner),
-            [_pchip_end_slope(h[-1], h[-2], m[-1], m[-2])],
-        ))
-        t = (d[:-1] + d[1:] - 2 * m) / h
-        self._c0, self._c1, self._c2, self._c3 = ly[:-1], d[:-1], (m - d[:-1]) / h - t, t / h
-        self._lx, self._ly = lx, ly
-        self.lo_slope = m[0]
-        self.hi_slope = m[-1]
-        self._at_zero = 0.0
-
-    def _inside(self, lx: np.ndarray) -> np.ndarray:
-        # piece i covers [lx[i], lx[i+1]); the end pieces reach past the table
-        i = np.searchsorted(self._lx[1:-1], lx, side="right")
-        s = lx - self._lx.take(i)
-        s2 = s * s
-        # x = inf gives inf - inf on its end piece; the edge line replaces it
-        with np.errstate(invalid="ignore"):
-            return self._c0.take(i) + self._c1.take(i) * s + self._c2.take(i) * s2 + self._c3.take(i) * (s2 * s)
-
-    def __call__(self, x):
-        return _eval_log_log(self, x)
-
-
-def tabulate_density(
-    g: Callable,
-    *,
-    lo: float,
-    hi: float,
-    points: int,
-) -> LogLogPchip:
-    """Sample a positive function on a log grid and wrap it in a fast interpolant."""
-    grid = np.geomspace(lo, hi, points)
-    vals = np.asarray(g(grid), dtype=float)
-    return LogLogPchip(grid, vals)

@@ -118,7 +118,9 @@ def luxemburg_norm(
     on finite spaces, so a bracket grown from max|f| inside the normal float
     range exists; bisection on a geometric midpoint that cannot overflow or
     underflow stops when the modular residual is inside residual_tol (or the
-    bracket collapses to rounding width).
+    bracket collapses to rounding width). A bracket that collapses where
+    the modular is not finite (f/lambda overflows before the modular comes
+    down to 1) raises NonconvergenceError.
     """
     if not f.space.same_as(space):
         raise SpaceMismatchError("function does not live on the given space")
@@ -166,6 +168,10 @@ def luxemburg_norm(
     else:
         raise NonconvergenceError(
             f"quasi-norm bisection did not meet residual {residual_tol:g} in {max_iter} steps"
+        )
+    if not math.isfinite(value):
+        raise NonconvergenceError(
+            f"f/lambda overflows before the modular comes down to 1 (near lambda = {lam:.6g})"
         )
     return QuasiNormResult(value=float(lam), lambda_residual=float(resid), iterations=iterations)
 

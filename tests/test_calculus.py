@@ -11,7 +11,6 @@ from nstar import (
     NotDelta2Error,
     alpha_exp_family,
     complementary,
-    conjugate_nfunction,
     delta2_solve,
     from_density,
     growth_factor,
@@ -20,12 +19,10 @@ from nstar import (
     luxemburg_norm,
     modular,
     power_family,
-    power_nfunction,
     scaled_power_family,
     tabulated_density_family,
     validate_nstar,
 )
-from nstar.calculus import inverse_as_nfunction
 from nstar.errors import InvalidDensityError
 from nstar.numerics import LogLogLinear
 
@@ -120,46 +117,70 @@ class TestInvert:
 
 
 class TestConjugateNFunction:
+    """The Young conjugate of the convex function phi^-1 is the inverse of the complement."""
+
     def test_half_square_is_self_conjugate(self):
-        M = power_nfunction(0.5, 2.0)
-        Mbar = conjugate_nfunction(M, use_registered=False)
+        phi = scaled_power_family(0.5)  # phi^-1(s) = s^2 / 2
+        conj = complementary(phi, use_registered=False).inverse
         ts = np.geomspace(0.01, 100.0, 9)
         want = 0.5 * ts**2
-        got = np.asarray(Mbar(ts))
-        assert np.max(np.abs(got - want) / want) < 1e-9
+        got = np.asarray(conj(ts))
+        assert np.max(np.abs(got - want) / want) < 1e-13
         # independent brute-force oracle at a few points
         for t in (0.5, 1.0, 3.0):
-            oracle = legendre_sup_bruteforce(M, t, s_hi=5.0 * t)
-            assert float(Mbar(t)) == pytest.approx(oracle, rel=1e-7, abs=1e-9)
+            oracle = legendre_sup_bruteforce(phi.inverse, t, s_hi=5.0 * t)
+            assert float(conj(t)) == pytest.approx(oracle, rel=1e-7, abs=1e-9)
 
     @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
     def test_power_conjugate_closed_form(self, p):
-        # M(t) = p t^(1/p) has conjugate (1-p) t^(1/(1-p))
-        M = power_nfunction(p, 1.0 / p)
+        # phi^-1(s) = p s^(1/p) has conjugate (1-p) t^(1/(1-p))
+        phi = scaled_power_family(p)
         ts = np.geomspace(1e-2, 1e2, 11)
         want = (1.0 - p) * ts ** (1.0 / (1.0 - p))
-        registered = np.asarray(conjugate_nfunction(M)(ts))
-        numeric = np.asarray(conjugate_nfunction(M, use_registered=False)(ts))
+        registered = np.asarray(complementary(phi).inverse(ts))
+        numeric = np.asarray(complementary(phi, use_registered=False).inverse(ts))
         assert np.max(np.abs(registered - want) / want) < 1e-12
-        assert np.max(np.abs(numeric - want) / want) < 1e-9
-        oracle = legendre_sup_bruteforce(M, 2.0, s_hi=50.0)
-        assert float(conjugate_nfunction(M, use_registered=False)(2.0)) == pytest.approx(
+        assert np.max(np.abs(numeric - want) / want) < 1e-12
+        oracle = legendre_sup_bruteforce(phi.inverse, 2.0, s_hi=50.0)
+        assert float(complementary(phi, use_registered=False).inverse(2.0)) == pytest.approx(
             oracle, rel=1e-6
         )
 
     def test_biconjugation_identity(self):
-        M = power_nfunction(0.4, 2.5)
-        Mbb = conjugate_nfunction(
-            conjugate_nfunction(M, use_registered=False), use_registered=False
-        )
+        phi = scaled_power_family(0.4)  # phi^-1(s) = 0.4 s^2.5
+        twice = complementary(complementary(phi, use_registered=False), use_registered=False)
         ts = np.geomspace(0.1, 10.0, 7)
         want = 0.4 * ts**2.5
-        assert np.max(np.abs(np.asarray(Mbb(ts)) - want) / want) < 1e-7
+        assert np.max(np.abs(np.asarray(twice.inverse(ts)) - want) / want) < 1e-13
 
-    def test_decreasing_density_rejected(self):
-        M = NStarFunction(density=lambda s: 1.0 / (1.0 + np.asarray(s, float)), description="bad")
+    def test_increasing_density_rejected(self):
+        phi = from_density(lambda t: np.asarray(t, float) ** 0.5, description="bad")
         with pytest.raises(InvalidDensityError):
-            conjugate_nfunction(M)
+            complementary(phi)
+
+
+def log_sqrt_complement_mp(y, dps=40):
+    """The log_sqrt complement at y, in mpmath, by the Lambert W function.
+
+    M(s) = expm1(s^2) inverts phi; its conjugate M*(t) = t s - M(s) at
+    M'(s) = 2 s exp(s^2) = t has 2 s^2 = W(t^2 / 2), and the complement
+    inverts M* by geometric bisection over [1e-400, 1e400]. No quadrature,
+    table or nstar code on this route.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = dps
+
+    def conjugate(t):
+        s = mp.sqrt(mp.lambertw(t * t / 2).real / 2)
+        return t * s - mp.expm1(s * s)
+
+    y = mp.mpf(float(y))
+    lo, hi = mp.mpf("1e-400"), mp.mpf("1e400")
+    for _ in range(160):
+        mid = mp.sqrt(lo * hi)
+        lo, hi = (mid, hi) if conjugate(mid) < y else (lo, mid)
+    return float(mp.sqrt(lo * hi))
 
 
 class TestComplementary:
@@ -200,36 +221,56 @@ class TestComplementary:
         assert report.passed, report.summary()
 
     def test_log_sqrt_complement_against_lambert_w_oracle(self):
-        # M(s) = expm1(s^2) inverts phi; its conjugate M*(t) = t s - M(s) at
-        # M'(s) = 2 s exp(s^2) = t has 2 s^2 = W(t^2 / 2), and the complement
-        # inverts M*. No quadrature, table or nstar code on this route.
-        mpmath = pytest.importorskip("mpmath")
-        mp = mpmath.mp.clone()
-        mp.dps = 30
-
-        def conjugate(t):
-            s = mp.sqrt(mp.lambertw(t * t / 2).real / 2)
-            return t * s - mp.expm1(s * s)
-
-        def complement(y):
-            lo, hi = mp.mpf("1e-10"), mp.mpf("1e10")
-            for _ in range(120):
-                mid = mp.sqrt(lo * hi)
-                lo, hi = (mid, hi) if conjugate(mid) < y else (lo, mid)
-            return float(mp.sqrt(lo * hi))
-
         ys = np.geomspace(1e-4, 1e4, 9)
-        want = np.array([complement(mp.mpf(y)) for y in ys])
+        want = np.array([log_sqrt_complement_mp(y, dps=30) for y in ys])
         got = np.asarray(complementary(log_sqrt_family())(ys))
-        assert np.max(np.abs(got - want) / want) <= 1e-9
+        assert np.max(np.abs(got - want) / want) <= 1e-13
 
-    def test_numeric_complement_keeps_its_conjugate(self):
-        hat = complementary(log_sqrt_family(), use_registered=False)
-        assert hat.source_nfunction is not None
-        # a second complement conjugates the same table instead of rebuilding it
-        assert inverse_as_nfunction(hat) is hat.source_nfunction
-        # the conjugate is evaluated through its integral, not through its own __call__
-        assert hat.inverse_fn is hat.source_nfunction.eval_fn
+    def test_log_sqrt_complement_across_the_float_range(self):
+        # the conjugate table ended at 1e+-12: 4.3e-109 at 1e-300 against 2e-150
+        ys = np.array([1e-300, 1e-100, 1e20, 1e100, 1e300])
+        want = np.array([log_sqrt_complement_mp(y) for y in ys])
+        got = np.asarray(complementary(log_sqrt_family())(ys))
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            power_family(0.25),
+            power_family(0.5),
+            scaled_power_family(0.75),
+            alpha_exp_family(4.0 / 3.0),
+            alpha_exp_family(4.0),
+        ],
+        ids=lambda f: f.description,
+    )
+    def test_closed_families_across_the_float_range(self, phi):
+        # exponents that are binary fractions: with any other p the closed
+        # complement's own x^(1-p) carries the rounding of 1-p, ~4e-14 at 1e300
+        xs = np.geomspace(1e-300, 1e300, 61)
+        want = phi.registered_complementary()
+        hat = complementary(phi, use_registered=False)
+        assert np.max(np.abs(np.asarray(hat(xs)) / want(xs) - 1.0)) <= 1e-14
+        assert np.max(np.abs(np.asarray(hat.density(xs)) / want.density(xs) - 1.0)) <= 1e-14
+
+    def test_complement_of_the_complement_is_phi(self):
+        phi = log_sqrt_family()
+        hat = complementary(phi, use_registered=False)
+        assert hat.source_nfunction is phi
+        assert complementary(hat) is phi
+
+    def test_double_complement_without_the_shortcut(self):
+        phi = log_sqrt_family()
+        twice = complementary(complementary(phi, use_registered=False), use_registered=False)
+        xs = np.geomspace(1e-6, 1e6, 13)
+        assert np.max(np.abs(np.asarray(twice(xs)) / phi(xs) - 1.0)) <= 1e-13
+
+    def test_flat_low_edge_keeps_zero_at_zero(self):
+        # p(0) = 1 is finite, so 1/p at the root of G(x) = 0 would give 1
+        hat = complementary(tabulated_density_family([1.0, 2.0, 3.0], [1.0, 1.0, 0.5]))
+        assert hat(0.0) == 0.0
+        np.testing.assert_array_equal(hat(np.array([0.0, -0.0])), [0.0, 0.0])
+        assert hat(1e-3) > 0.0
 
     @pytest.mark.parametrize("q", [0.25, 0.5, 0.75])
     def test_tabulated_power_complement_closed_form(self, q):
@@ -242,12 +283,13 @@ class TestComplementary:
         want = xs ** (1.0 - q) / ((1.0 - q) ** (1.0 - q) * q**q)
         assert np.max(np.abs(np.asarray(hat(xs)) / want - 1.0)) <= 1e-12
 
-    def test_tabulated_inverse_density_where_the_root_underflows(self):
+    def test_tabulated_complement_inverse_at_extreme_levels(self):
         ts = np.geomspace(1e-6, 1e6, 33)
-        tab = inverse_as_nfunction(tabulated_density_family(ts, 0.25 * ts**-0.75))
-        closed = inverse_as_nfunction(power_family(0.25))
-        s = np.array([1e-100, 1e-80, 1e-3])
-        np.testing.assert_allclose(tab.density(s), closed.density(s), rtol=1e-12, atol=0.0)
+        tab = complementary(tabulated_density_family(ts, 0.25 * ts**-0.75))
+        closed = complementary(power_family(0.25))
+        ys = np.array([1e-100, 1e-80, 1e-3, 1e3, 1e40])
+        np.testing.assert_allclose(tab.inverse(ys), closed.inverse(ys), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(tab.density(ys), closed.density(ys), rtol=1e-12, atol=0.0)
 
     def test_registered_complement_has_no_source(self):
         assert complementary(scaled_power_family(0.25)).source_nfunction is None

@@ -74,6 +74,15 @@ class TestNorm:
         assert float(out.split("=")[1]) == pytest.approx(c, rel=1e-9, abs=0.0)
 
 
+    def test_overflowing_quotient_exits_one(self, capsys):
+        argv = ["norm", "--phi", "power:p=0.5", "--space", "interval:L=1e-300,N=3", "--fn", "constant:1e300"]
+        code = main([*argv, "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "overflows" in captured.err
+
+
 class TestMetric:
     def test_indicator_distance(self, capsys):
         code, out = run_cli(
@@ -382,6 +391,42 @@ class TestTabulatedDensityFuzz:
         assert "Traceback" not in err.getvalue()
         if out.getvalue():
             strict_json(out.getvalue())
+
+
+_OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_SHORTHAND_PHI = st.one_of(
+    _OPEN_UNIT.map(lambda p: f"power:p={p!r}"),
+    _OPEN_UNIT.map(lambda p: f"power_scaled:p={p!r}"),
+    st.floats(1.0, 1e300, exclude_min=True).map(lambda a: f"alpha_exp:alpha={a!r}"),
+    st.just("log_sqrt"),
+)
+
+
+class TestConjugateFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(_SHORTHAND_PHI, _tabulated_density_doc()),
+        st.floats(-300.0, 300.0),
+        st.floats(-300.0, 300.0),
+        st.integers(1, 7),
+        st.booleans(),
+    )
+    def test_exit_contract(self, tmp_path_factory, phi, log_lo, log_hi, points, numeric):
+        if isinstance(phi, dict):
+            path = tmp_path_factory.getbasetemp() / "conjugate_fuzz.json"
+            path.write_text(json.dumps(phi))
+            phi = str(path)
+        argv = ["conjugate", "--phi", phi, "--grid-lo", repr(10.0**log_lo), "--grid-hi", repr(10.0**log_hi)]
+        argv += ["--grid-points", str(points), *(["--numeric"] if numeric else []), "--format", "json"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if out.getvalue():
+            for rec in strict_json(out.getvalue())["results"]:
+                if "reference" in rec:
+                    assert rec["rel_gap"] <= 1e-12, rec
 
 
 class TestDemos:

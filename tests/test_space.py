@@ -164,6 +164,15 @@ class TestLuxemburgNorm:
         res = luxemburg_norm(HALF, X, MeasurableFn.constant(X, c))
         assert res.value == pytest.approx(c, rel=1e-9, abs=0.0)
 
+    def test_overflowing_quotient_raises(self):
+        # the norm is 1e-300, where f/lambda = 1e600 overflows: the bracket
+        # closed on the overflow edge 5.6e-9 and returned it with exit 0
+        from nstar import NonconvergenceError
+
+        X = MeasureSpace.interval(1e-300, 3)
+        with pytest.raises(NonconvergenceError, match="overflows"):
+            luxemburg_norm(HALF, X, MeasurableFn.constant(X, 1e300))
+
     @given(
         p=st.floats(0.01, 1.0, exclude_max=True),
         log_c=st.floats(-300.0, 300.0),
