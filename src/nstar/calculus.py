@@ -26,14 +26,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InvalidDensityError, NonconvergenceError, NotDelta2Error
-from .numerics import DEFAULT_QUAD, CumulativeIntegral, QuadConfig, bisect_increasing, invert_increasing
+from .numerics import CumulativeIntegral, bisect_increasing, invert_increasing
 
 __all__ = [
     "NStarFunction",
     "Delta2Certificate",
     "ValidationCheck",
     "ValidationReport",
-    "invert",
     "complementary",
     "delta2_solve",
     "growth_factor",
@@ -47,13 +46,15 @@ class NStarFunction:
 
     A concave generator has a positive, decreasing density, unbounded at 0
     and vanishing at infinity. Evaluation is even in the argument. eval_fn
-    and inverse_fn, when given, are closed forms on the non-negative axis.
-    Without eval_fn the value integrates the density through a cumulative
-    quadrature, built once at construction (so a replaced density or quad
-    needs eval_fn=None again); without inverse_fn inversion runs a
-    bracketed bisection. registered_complementary returns the complement
-    without numeric work: the closed complement of a family, or, on a
-    numeric complement, the generator it was computed from.
+    and inverse_fn, when given, evaluate and invert on the non-negative
+    axis: closed forms for every registered family, one monotone inversion
+    each on a numeric complement. Without eval_fn (only from_density) the value integrates the density
+    through a cumulative quadrature with fixed settings, built once at
+    construction (so a replaced density needs eval_fn=None again); without
+    inverse_fn inversion runs a bracketed bisection.
+    registered_complementary returns the complement without numeric work:
+    the closed complement of a family, or, on a numeric complement, the
+    generator it was computed from.
     source_nfunction records that generator on a numeric complement and
     is None everywhere else. The density contracts are not constructor
     checks; validate_nstar probes them on sample grids.
@@ -63,14 +64,13 @@ class NStarFunction:
     eval_fn: Callable | None = None
     inverse_fn: Callable | None = None
     description: str = ""
-    quad: QuadConfig = DEFAULT_QUAD
     registered_complementary: Callable[[], "NStarFunction"] | None = None
     delta2: "Delta2Certificate | None" = None
     source_nfunction: "NStarFunction | None" = None
 
     def __post_init__(self):
         if self.eval_fn is None:
-            object.__setattr__(self, "eval_fn", CumulativeIntegral(self.density, self.quad))
+            object.__setattr__(self, "eval_fn", CumulativeIntegral(self.density))
 
     def __call__(self, x):
         return self.eval_fn(np.abs(np.asarray(x, dtype=float)))
@@ -116,18 +116,6 @@ class Delta2Certificate:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-
-def invert(phi: NStarFunction, y):
-    """Solve phi(x) = y for x >= 0.
-
-    Uses the registered closed-form inverse when available, otherwise
-    bracket expansion plus bisection on the increasing restriction of phi.
-    """
-    y_arr = np.asarray(y, dtype=float)
-    if np.any(y_arr < 0):
-        raise DomainError("generator inverse is defined for y >= 0 only")
-    return phi.inverse(y_arr)
 
 
 _PROBE_GRID = np.geomspace(1e-8, 1e8, 33)
@@ -191,27 +179,24 @@ def complementary(phi: NStarFunction, *, use_registered: bool = True) -> NStarFu
         eval_fn=hat_eval,
         inverse_fn=hat_inverse,
         description=f"complementary({phi.description})" if phi.description else "complementary",
-        quad=phi.quad,
         registered_complementary=lambda: phi,
         source_nfunction=phi,
     )
 
 
-def delta2_solve(
-    phi: NStarFunction,
-    k0: float,
-    grid,
-    *,
-    spread_tol: float = 1e-8,
-    residual_tol: float = 1e-10,
-) -> Delta2Certificate:
+_K_SPREAD_TOL = 1e-8
+_K_RESIDUAL_TOL = 1e-10
+
+
+def delta2_solve(phi: NStarFunction, k0: float, grid) -> Delta2Certificate:
     """Solve 2*phi(x) = phi(k x) for k in [2, k0] at every grid point.
 
     Preconditions checked on the grid: k0 > 2 and 2*phi(x) <= phi(k0 x)
     (the doubling hypothesis), plus phi(2x) <= 2*phi(x) which any concave
     generator satisfies. Both sign conditions bracket a root, so bisection
-    cannot fail. A global constant is reported only when the per-point
-    solutions agree to spread_tol in relative terms.
+    cannot fail; a relative residual above 1e-10 raises
+    NonconvergenceError. A global constant is reported only when the
+    per-point solutions agree to 1e-8 in relative terms.
     """
     if not k0 > 2:
         raise DomainError("doubling constant k0 must exceed 2")
@@ -237,14 +222,14 @@ def delta2_solve(
     ks = 0.5 * (lo + hi)
     resid = np.abs(np.asarray(phi(ks * xs), dtype=float) - twice)
     residual_max = float(np.max(resid / np.maximum(twice, 1e-300)))
-    if residual_max > residual_tol:
+    if residual_max > _K_RESIDUAL_TOL:
         raise NonconvergenceError(
-            f"doubling bisection residual {residual_max:.3e} exceeds tolerance {residual_tol:.3e}"
+            f"doubling bisection residual {residual_max:.3e} exceeds tolerance {_K_RESIDUAL_TOL:.3e}"
         )
     k_min = float(ks.min())
     k_max = float(ks.max())
     spread = (k_max - k_min) / max(abs(k_max), 1e-300)
-    if spread < spread_tol:
+    if spread < _K_SPREAD_TOL:
         status = "exact_global"
         k_global = float(np.median(ks))
     else:
@@ -262,13 +247,12 @@ def delta2_solve(
     )
 
 
-def growth_factor(phi: NStarFunction, grid=None) -> float:
-    """Largest sampled ratio phi(2x)/phi(x); at most 2 for a valid generator."""
-    if grid is None:
-        grid = np.geomspace(1e-6, 1e6, 241)
-    xs = np.asarray(grid, dtype=float)
-    if np.any(xs <= 0):
-        raise DomainError("growth grid must be strictly positive")
+_GROWTH_GRID = np.geomspace(1e-6, 1e6, 241)
+
+
+def growth_factor(phi: NStarFunction) -> float:
+    """Largest ratio phi(2x)/phi(x) over 1e-6..1e6; at most 2 for a valid generator."""
+    xs = _GROWTH_GRID
     vals = np.asarray(phi(xs), dtype=float)
     doubled = np.asarray(phi(2.0 * xs), dtype=float)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -328,22 +312,20 @@ def _trend_check(name: str, ratio_edge: float, ratio_ref: float, factor: float, 
     )
 
 
-def validate_nstar(
-    phi: NStarFunction,
-    grid=None,
-    *,
-    samples: int = 200,
-    seed: int = 0,
-    tol: float = 1e-7,
-    trend_factor: float = 10.0,
-) -> ValidationReport:
+_VALIDATE_SAMPLES = 200
+_VALIDATE_TOL = 1e-7
+_TREND_FACTOR = 10.0
+
+
+def validate_nstar(phi: NStarFunction, grid=None, *, seed: int = 0) -> ValidationReport:
     """Probe every structural property of a candidate generator.
 
     Failures are report entries, never exceptions. Beyond the direct
     properties (evenness, monotonicity, concavity, subadditivity,
     superhomogeneity, ratio limits, density shape), the numerically
     inverted generator is checked to behave like a convex Young function,
-    which is the cross-characterization of validity.
+    which is the cross-characterization of validity. 200 seeded random
+    pairs, residuals to 1e-7, and tenfold trends toward the grid's edges.
     """
     if grid is None:
         grid = np.geomspace(1e-8, 1e8, 33)
@@ -356,39 +338,39 @@ def validate_nstar(
         scale = float(np.max(np.abs(vals))) + 1.0
 
         v0 = float(phi(0.0))
-        checks.append(ValidationCheck("phi_zero_at_zero", abs(v0) <= tol, abs(v0)))
+        checks.append(ValidationCheck("phi_zero_at_zero", abs(v0) <= _VALIDATE_TOL, abs(v0)))
 
         even_res = float(np.max(np.abs(np.asarray(phi(-xs), dtype=float) - vals)))
-        checks.append(ValidationCheck("phi_even", even_res <= tol * scale, even_res))
+        checks.append(ValidationCheck("phi_even", even_res <= _VALIDATE_TOL * scale, even_res))
 
         mono = float(np.min(np.diff(vals)))
-        checks.append(ValidationCheck("phi_nondecreasing", mono >= -tol * scale, mono))
+        checks.append(ValidationCheck("phi_nondecreasing", mono >= -_VALIDATE_TOL * scale, mono))
 
         lo, hi = float(xs.min()), float(xs.max())
-        x1 = np.exp(rng.uniform(np.log(lo), np.log(hi), samples))
-        x2 = np.exp(rng.uniform(np.log(lo), np.log(hi), samples))
+        x1 = np.exp(rng.uniform(np.log(lo), np.log(hi), _VALIDATE_SAMPLES))
+        x2 = np.exp(rng.uniform(np.log(lo), np.log(hi), _VALIDATE_SAMPLES))
         p1 = np.asarray(phi(x1), dtype=float)
         p2 = np.asarray(phi(x2), dtype=float)
         pair_scale = np.maximum(p1 + p2, 1e-300)
 
         conc = (np.asarray(phi(0.5 * (x1 + x2)), dtype=float) - 0.5 * (p1 + p2)) / pair_scale
         worst = float(np.min(conc))
-        checks.append(ValidationCheck("phi_midpoint_concave", worst >= -tol, worst))
+        checks.append(ValidationCheck("phi_midpoint_concave", worst >= -_VALIDATE_TOL, worst))
 
         sub = (p1 + p2 - np.asarray(phi(x1 + x2), dtype=float)) / pair_scale
         worst = float(np.min(sub))
-        checks.append(ValidationCheck("phi_subadditive", worst >= -tol, worst))
+        checks.append(ValidationCheck("phi_subadditive", worst >= -_VALIDATE_TOL, worst))
 
-        alphas = rng.uniform(0.0, 1.0, samples)
+        alphas = rng.uniform(0.0, 1.0, _VALIDATE_SAMPLES)
         sup = (np.asarray(phi(alphas * x1), dtype=float) - alphas * p1) / np.maximum(p1, 1e-300)
         worst = float(np.min(sup))
-        checks.append(ValidationCheck("phi_superhomogeneous", worst >= -tol, worst))
+        checks.append(ValidationCheck("phi_superhomogeneous", worst >= -_VALIDATE_TOL, worst))
 
         ratios = vals / xs
         ref_idx = xs.size // 2
         checks.append(
             _trend_check(
-                "phi_ratio_unbounded_at_zero", float(ratios[0]), float(ratios[ref_idx]), trend_factor, "up"
+                "phi_ratio_unbounded_at_zero", float(ratios[0]), float(ratios[ref_idx]), _TREND_FACTOR, "up"
             )
         )
         checks.append(
@@ -396,7 +378,7 @@ def validate_nstar(
                 "phi_ratio_vanishes_at_infinity",
                 float(ratios[-1]),
                 float(ratios[ref_idx]),
-                trend_factor,
+                _TREND_FACTOR,
                 "down",
             )
         )
@@ -407,7 +389,7 @@ def validate_nstar(
         checks.append(ValidationCheck("density_positive", bool(finite.any() and dpos > 0), dpos))
         dv = dens[finite]
         dmono = float(np.max(np.diff(dv) / np.maximum(dv[:-1], 1e-300))) if dv.size > 1 else 0.0
-        checks.append(ValidationCheck("density_nonincreasing", dmono <= tol, dmono))
+        checks.append(ValidationCheck("density_nonincreasing", dmono <= _VALIDATE_TOL, dmono))
         if dv.size == 0:
             for name in ("density_unbounded_at_zero", "density_vanishes_at_infinity"):
                 checks.append(ValidationCheck(name, False, float("nan"), "no finite density sample"))
@@ -415,9 +397,9 @@ def validate_nstar(
             checks.append(
                 _trend_check(
                     "density_unbounded_at_zero",
-                    float(dens[0]) if np.isfinite(dens[0]) else float(np.max(dv)) * trend_factor * 2,
+                    float(dens[0]) if np.isfinite(dens[0]) else float(np.max(dv)) * _TREND_FACTOR * 2,
                     float(dv[dv.size // 2]),
-                    trend_factor,
+                    _TREND_FACTOR,
                     "up",
                 )
             )
@@ -426,7 +408,7 @@ def validate_nstar(
                     "density_vanishes_at_infinity",
                     float(dv[-1]),
                     float(dv[dv.size // 2]),
-                    trend_factor,
+                    _TREND_FACTOR,
                     "down",
                 )
             )
@@ -437,8 +419,8 @@ def validate_nstar(
             if ys.size < 8:
                 raise NonconvergenceError("generator not invertible on grid")
             inv = np.asarray(invert_increasing(phi.__call__, ys), dtype=float)
-            y1 = np.exp(rng.uniform(np.log(ys[0]), np.log(ys[-1]), samples))
-            y2 = np.exp(rng.uniform(np.log(ys[0]), np.log(ys[-1]), samples))
+            y1 = np.exp(rng.uniform(np.log(ys[0]), np.log(ys[-1]), _VALIDATE_SAMPLES))
+            y2 = np.exp(rng.uniform(np.log(ys[0]), np.log(ys[-1]), _VALIDATE_SAMPLES))
             m1 = np.asarray(invert_increasing(phi.__call__, y1), dtype=float)
             m2 = np.asarray(invert_increasing(phi.__call__, y2), dtype=float)
             mmid = np.asarray(invert_increasing(phi.__call__, 0.5 * (y1 + y2)), dtype=float)
@@ -448,14 +430,12 @@ def validate_nstar(
             return ValidationReport(tuple(checks))
         conv = (0.5 * (m1 + m2) - mmid) / np.maximum(m1 + m2, 1e-300)
         worst = float(np.min(conv))
-        # numeric inversion carries bisection noise; allow a wider band
-        inv_tol = max(tol, 1e-9)
-        checks.append(ValidationCheck("inverse_midpoint_convex", worst >= -inv_tol, worst))
+        checks.append(ValidationCheck("inverse_midpoint_convex", worst >= -_VALIDATE_TOL, worst))
         iratios = inv / ys
         ir_ref = float(iratios[iratios.size // 2])
         checks.append(
             _trend_check(
-                "inverse_ratio_vanishes_at_zero", float(iratios[0]), ir_ref, trend_factor, "down"
+                "inverse_ratio_vanishes_at_zero", float(iratios[0]), ir_ref, _TREND_FACTOR, "down"
             )
         )
         checks.append(
@@ -463,7 +443,7 @@ def validate_nstar(
                 "inverse_ratio_unbounded_at_infinity",
                 float(iratios[-1]),
                 ir_ref,
-                trend_factor,
+                _TREND_FACTOR,
                 "up",
             )
         )

@@ -49,20 +49,27 @@ EXIT_ASSERTION = 1
 EXIT_USAGE = 2
 
 
+def _usage_check(ok: bool, message: str) -> None:
+    """Usage check on a flag or document value: exit 2 before the library runs."""
+    if not ok:
+        raise DocumentError(message)
+
+
+def _tolerance(value: float, name: str) -> float:
+    """A slack tolerance: finite and non-negative, else exit 2."""
+    _usage_check(0 <= value < np.inf, f"{name} must be finite and non-negative, got {value!r}")
+    return value
+
+
 def _default_tol() -> float:
     raw = os.environ.get("NSTAR_DEFAULT_TOL")
     if raw is None:
         return 1e-9
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError:
         raise DocumentError(f"NSTAR_DEFAULT_TOL={raw!r} is not a number") from None
-
-
-def _usage_check(ok: bool, message: str) -> None:
-    """Usage check on a flag or document value: exit 2 before the library runs."""
-    if not ok:
-        raise DocumentError(message)
+    return _tolerance(tol, "NSTAR_DEFAULT_TOL")
 
 
 def _grid(args, min_points: int = 1) -> np.ndarray:
@@ -224,7 +231,7 @@ def _cmd_check(args) -> int:
         checks = list(CHECK_NAMES) if args.suite == "all" else args.suite.split(",")
         samples = args.samples
         seed = args.seed
-        tol = args.tol if args.tol is not None else _default_tol()
+        tol = _default_tol() if args.tol is None else _tolerance(args.tol, "--tol")
     records = run_check_suite(phi, space, checks, samples=samples, seed=seed, tol=tol)
     results = [r.to_record() for r in records]
     ok = all(r.passed is not False for r in records)
@@ -249,6 +256,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_dual_norm(args) -> int:
+    tol = _tolerance(args.tol, "--tol")
     phi = phi_from_text(args.phi)
     space = space_from_text(args.space)
     doc = load_json(args.functional, "--functional") if args.functional.endswith(".json") else None
@@ -262,7 +270,6 @@ def _cmd_dual_norm(args) -> int:
     formula = functional_norm_formula(U)
     brute = operator_norm_bruteforce(U, seed=args.seed)
     k = default_doubling_constant(phi)
-    tol = args.tol if args.tol is not None else 1e-6
     ok = formula * (1 - tol) <= brute <= k * formula * (1 + tol) or formula == brute == 0.0
     payload = {
         "command": "dual-norm",
@@ -285,9 +292,7 @@ def _cmd_demo(args) -> int:
     theta, iterations, epsilon = args.theta, args.iterations, args.epsilon
     kernel_doc = None
     if args.config:
-        theta, iterations, epsilon, kernel_doc, _seed = parse_demo_doc(
-            load_json(args.config, "--config")
-        )
+        theta, iterations, epsilon, kernel_doc = parse_demo_doc(load_json(args.config, "--config"))
     if args.demo == "nonconvex":
         space_text = args.atoms or args.space
         if not space_text:
@@ -374,17 +379,21 @@ def _cmd_demo(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser, *, phi=True, space=False, fn=False) -> None:
-    if phi:
-        parser.add_argument("--phi", required=True, help="generator shorthand or JSON path")
+def _add_common(parser: argparse.ArgumentParser, *, space=False, fn=False) -> None:
+    parser.add_argument("--phi", required=True, help="generator shorthand or JSON path")
     if space:
         parser.add_argument("--space", help="space shorthand or JSON path")
     if fn:
         parser.add_argument("--fn", help="function shorthand or JSON path")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tol", type=float, default=None, help="override slack tolerance")
     parser.add_argument("--format", choices=("table", "json", "csv"), default="table")
     parser.add_argument("--out", help="also write the emitted report to this file")
+
+
+def _seed(text: str) -> int:
+    """A --seed value: numpy seeds are non-negative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _add_grid(parser: argparse.ArgumentParser, lo=1e-3, hi=1e3, points=50) -> None:
@@ -403,6 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="run structural checks on a generator")
     _add_common(p)
     _add_grid(p, lo=1e-8, hi=1e8, points=33)
+    p.add_argument("--seed", type=_seed, default=0, help="seed of the random sample pairs")
     p.set_defaults(handler=_cmd_validate)
 
     p = sub.add_parser("norm", help="Luxemburg quasi-norm of a function")
@@ -436,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all", help="'all' or comma-separated check names")
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--config", help="check-suite JSON document (overrides other flags)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--tol", type=float, default=None, help="slack tolerance (default 1e-9)")
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_check)
@@ -451,6 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p, space=True)
     p.add_argument("--functional", required=True, help="coefficients c1,c2,... or JSON path")
+    p.add_argument("--seed", type=_seed, default=0, help="seed of the unit-ball points")
+    p.add_argument("--tol", type=float, default=1e-6, help="relative tolerance of the bracket")
     p.set_defaults(handler=_cmd_dual_norm)
 
     p = sub.add_parser("demo", help="constructive demonstrations")

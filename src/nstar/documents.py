@@ -2,28 +2,30 @@
 
 Every object the command line consumes has a JSON document form:
 
-* generator: {"family": "power"|"power_scaled"|"alpha_exp"|"log_sqrt"|
-              "tabulated_density", "params": {...},
-              "quad": {"tol": float, "mesh_ratio": float}}
+* generator: {"family": name, "params": {...}}, params per family as in
+              families.FAMILY_PARAMS (power {"p"}, tabulated_density
+              {"t": [...], "p": [...]}, ...)
 * space:     {"kind": "atomic", "masses": [...]} or
              {"kind": "interval", "L": float, "N": int}
 * function:  {"values": [...]} or
              {"generator": "constant"|"identity"|"indicator"|"random",
-              "params": {...}}
+              "params": {...}}, params per generator as in _FN_PARAMS
 * functional: {"coefficients": [...]}
 * check suite: {"phi": <generator doc>, "space": <space doc>,
-                "checks": [names], "samples": int, "seed": int,
-                "tolerances": {"slack": float}}
+                "checks": [names], "samples": int, "seed": int >= 0,
+                "tolerances": {"slack": float >= 0}}
+* demo:      {"theta": float, "iterations": int, "epsilon": float,
+              "kernel": <function doc>}
 
 Inline shorthand maps one-to-one onto the documents, e.g.
-power:p=0.5 / interval:L=1,N=1000 / atoms:0.5,0.25 / equal:100 /
+power:p=0.5 / interval:L=1,N=1000 / atoms:0.5,0.25 / equal:100,mass=2 /
 identity / constant:3 / indicator:0..50 / random:low=0,high=1,seed=7 /
-values:1,2,3. Parse failures raise DocumentError with the offending field.
+values:1,2,3. A field or shorthand key outside the known set, or a
+malformed value, raises DocumentError naming the field.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -32,13 +34,11 @@ import numpy as np
 
 from .calculus import NStarFunction
 from .errors import DocumentError
-from .families import FAMILY_NAMES, build_family
+from .families import FAMILY_NAMES, FAMILY_PARAMS, build_family
 from .measure import MeasurableFn, MeasureSpace
-from .numerics import DEFAULT_QUAD, QuadConfig
 from .suite import CHECK_NAMES
 
 __all__ = [
-    "parse_quad_doc",
     "parse_phi_doc",
     "parse_space_doc",
     "parse_fn_doc",
@@ -51,6 +51,13 @@ __all__ = [
     "format_float",
     "json_ready",
 ]
+
+
+def _known_fields(doc: dict, known, context: str) -> None:
+    """Reject any field of doc outside known, naming it."""
+    extra = set(doc) - set(known)
+    if extra:
+        raise DocumentError(f"{context}: unknown fields {sorted(extra)}; expected only {sorted(known)}")
 
 
 def _require(doc: dict, key: str, context: str):
@@ -74,33 +81,17 @@ def _integer(value, context: str) -> int:
     return value
 
 
+def _seed(value, context: str) -> int:
+    seed = _integer(value, context)
+    if seed < 0:
+        raise DocumentError(f"{context}: a seed must not be negative")
+    return seed
+
+
 def _number_list(value, context: str) -> list[float]:
     if not isinstance(value, (list, tuple)) or not value:
         raise DocumentError(f"{context}: expected a non-empty list of numbers")
     return [_number(v, f"{context}[{i}]") for i, v in enumerate(value)]
-
-
-def parse_quad_doc(doc: dict | None, context: str = "quad") -> QuadConfig:
-    if doc is None:
-        return DEFAULT_QUAD
-    if not isinstance(doc, dict):
-        raise DocumentError(f"{context}: expected an object")
-    known = {"tol", "mesh_ratio"}
-    extra = set(doc) - known
-    if extra:
-        raise DocumentError(f"{context}: unknown fields {sorted(extra)}")
-    kwargs = {}
-    if "tol" in doc:
-        tol = _number(doc["tol"], f"{context}.tol")
-        if not 0 < tol < 1:
-            raise DocumentError(f"{context}.tol: must lie in (0, 1)")
-        kwargs["tol"] = tol
-    if "mesh_ratio" in doc:
-        ratio = _number(doc["mesh_ratio"], f"{context}.mesh_ratio")
-        if not 0 < ratio < 1:
-            raise DocumentError(f"{context}.mesh_ratio: must lie in (0, 1)")
-        kwargs["mesh_ratio"] = ratio
-    return dataclasses.replace(DEFAULT_QUAD, **kwargs)
 
 
 def parse_phi_doc(doc: dict, context: str = "phi") -> NStarFunction:
@@ -111,11 +102,13 @@ def parse_phi_doc(doc: dict, context: str = "phi") -> NStarFunction:
         raise DocumentError(
             f"{context}.family: unknown family {family!r}; expected one of {', '.join(FAMILY_NAMES)}"
         )
+    _known_fields(doc, ("family", "params"), context)
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise DocumentError(f"{context}.params: expected an object")
-    quad = parse_quad_doc(doc.get("quad"), f"{context}.quad")
-    return build_family(family, params, quad)
+    _known_fields(params, FAMILY_PARAMS[family], f"{context}.params")
+    number = _number_list if family == "tabulated_density" else _number
+    return build_family(family, {k: number(v, f"{context}.params.{k}") for k, v in params.items()})
 
 
 def parse_space_doc(doc: dict, context: str = "space") -> MeasureSpace:
@@ -123,11 +116,13 @@ def parse_space_doc(doc: dict, context: str = "space") -> MeasureSpace:
         raise DocumentError(f"{context}: expected an object")
     kind = _require(doc, "kind", context)
     if kind == "atomic":
+        _known_fields(doc, ("kind", "masses"), context)
         masses = _number_list(_require(doc, "masses", context), f"{context}.masses")
         if any(m <= 0 for m in masses):
             raise DocumentError(f"{context}.masses: all masses must be positive")
         return MeasureSpace.atomic(masses)
     if kind == "interval":
+        _known_fields(doc, ("kind", "L", "N"), context)
         length = _number(_require(doc, "L", context), f"{context}.L")
         cells = _integer(_require(doc, "N", context), f"{context}.N")
         if length <= 0:
@@ -138,10 +133,20 @@ def parse_space_doc(doc: dict, context: str = "space") -> MeasureSpace:
     raise DocumentError(f"{context}.kind: expected 'atomic' or 'interval', got {kind!r}")
 
 
+# the parameters each function generator takes
+_FN_PARAMS = {
+    "constant": ("value",),
+    "identity": (),
+    "indicator": ("lo", "hi"),
+    "random": ("seed", "low", "high"),
+}
+
+
 def parse_fn_doc(doc: dict, space: MeasureSpace, context: str = "fn") -> MeasurableFn:
     if not isinstance(doc, dict):
         raise DocumentError(f"{context}: expected an object")
     if "values" in doc:
+        _known_fields(doc, ("values",), context)
         values = _number_list(doc["values"], f"{context}.values")
         if len(values) != space.size:
             raise DocumentError(
@@ -149,9 +154,15 @@ def parse_fn_doc(doc: dict, space: MeasureSpace, context: str = "fn") -> Measura
             )
         return MeasurableFn(np.asarray(values), space)
     generator = _require(doc, "generator", context)
+    if not isinstance(generator, str) or generator not in _FN_PARAMS:
+        raise DocumentError(
+            f"{context}.generator: expected constant/identity/indicator/random, got {generator!r}"
+        )
+    _known_fields(doc, ("generator", "params"), context)
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise DocumentError(f"{context}.params: expected an object")
+    _known_fields(params, _FN_PARAMS[generator], f"{context}.params")
     if generator == "constant":
         return MeasurableFn.constant(space, _number(params.get("value", 1.0), f"{context}.params.value"))
     if generator == "identity":
@@ -165,19 +176,16 @@ def parse_fn_doc(doc: dict, space: MeasureSpace, context: str = "fn") -> Measura
         if not 0 <= lo <= hi <= space.size:
             raise DocumentError(f"{context}.params: indicator range out of bounds")
         return MeasurableFn.indicator(space, lo, hi)
-    if generator == "random":
-        if "seed" not in params:
-            raise DocumentError(f"{context}.params.seed: required for the random generator")
-        seed = _integer(params["seed"], f"{context}.params.seed")
-        low = _number(params.get("low", 0.0), f"{context}.params.low")
-        high = _number(params.get("high", 1.0), f"{context}.params.high")
-        # numpy's uniform also needs the width high - low to be a finite float
-        if not 0 <= high - low < np.inf:
-            raise DocumentError(f"{context}.params: random needs low <= high and a finite high - low")
-        return MeasurableFn.random(space, seed, low, high)
-    raise DocumentError(
-        f"{context}.generator: expected constant/identity/indicator/random, got {generator!r}"
-    )
+    # random
+    if "seed" not in params:
+        raise DocumentError(f"{context}.params.seed: required for the random generator")
+    seed = _seed(params["seed"], f"{context}.params.seed")
+    low = _number(params.get("low", 0.0), f"{context}.params.low")
+    high = _number(params.get("high", 1.0), f"{context}.params.high")
+    # numpy's uniform also needs the width high - low to be a finite float
+    if not 0 <= high - low < np.inf:
+        raise DocumentError(f"{context}.params: random needs low <= high and a finite high - low")
+    return MeasurableFn.random(space, seed, low, high)
 
 
 def parse_functional_doc(doc: dict, space: MeasureSpace, phi: NStarFunction, context: str = "functional"):
@@ -185,6 +193,7 @@ def parse_functional_doc(doc: dict, space: MeasureSpace, phi: NStarFunction, con
 
     if not isinstance(doc, dict):
         raise DocumentError(f"{context}: expected an object")
+    _known_fields(doc, ("coefficients",), context)
     coeff = _number_list(_require(doc, "coefficients", context), f"{context}.coefficients")
     if len(coeff) != space.size:
         raise DocumentError(
@@ -194,26 +203,23 @@ def parse_functional_doc(doc: dict, space: MeasureSpace, phi: NStarFunction, con
 
 
 def parse_demo_doc(doc: dict, context: str = "demo"):
-    """Demo configuration: theta, iterations, epsilon, kernel (function doc), seed."""
+    """Demo configuration: theta, iterations, epsilon, kernel (function doc)."""
     if not isinstance(doc, dict):
         raise DocumentError(f"{context}: expected an object")
-    known = {"theta", "iterations", "epsilon", "kernel", "seed"}
-    extra = set(doc) - known
-    if extra:
-        raise DocumentError(f"{context}: unknown fields {sorted(extra)}")
+    _known_fields(doc, ("theta", "iterations", "epsilon", "kernel"), context)
     theta = _number(doc.get("theta", 0.5), f"{context}.theta")
     iterations = _integer(doc.get("iterations", 20), f"{context}.iterations")
     epsilon = _number(doc.get("epsilon", 1.0), f"{context}.epsilon")
-    seed = _integer(doc.get("seed", 0), f"{context}.seed")
     kernel_doc = doc.get("kernel")
     if kernel_doc is not None and not isinstance(kernel_doc, dict):
         raise DocumentError(f"{context}.kernel: expected a function document")
-    return theta, iterations, epsilon, kernel_doc, seed
+    return theta, iterations, epsilon, kernel_doc
 
 
 def parse_suite_doc(doc: dict, context: str = "suite"):
     if not isinstance(doc, dict):
         raise DocumentError(f"{context}: expected an object")
+    _known_fields(doc, ("phi", "space", "checks", "samples", "seed", "tolerances"), context)
     phi = parse_phi_doc(_require(doc, "phi", context), f"{context}.phi")
     space = parse_space_doc(_require(doc, "space", context), f"{context}.space")
     checks = doc.get("checks", list(CHECK_NAMES))
@@ -223,11 +229,14 @@ def parse_suite_doc(doc: dict, context: str = "suite"):
     if bad:
         raise DocumentError(f"{context}.checks: unknown names {bad}")
     samples = _integer(doc.get("samples", 50), f"{context}.samples")
-    seed = _integer(doc.get("seed", 0), f"{context}.seed")
+    seed = _seed(doc.get("seed", 0), f"{context}.seed")
     tolerances = doc.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise DocumentError(f"{context}.tolerances: expected an object")
+    _known_fields(tolerances, ("slack",), f"{context}.tolerances")
     tol = _number(tolerances.get("slack", 1e-9), f"{context}.tolerances.slack")
+    if tol < 0:
+        raise DocumentError(f"{context}.tolerances.slack: must not be negative")
     return phi, space, checks, samples, seed, tol
 
 
@@ -267,6 +276,7 @@ def space_shorthand_to_doc(text: str) -> dict:
     name, _, body = text.partition(":")
     if name == "interval":
         params = _split_kv(body, f"--space {text!r}")
+        _known_fields(params, ("L", "N"), f"--space {text!r}")
         return {"kind": "interval", "L": params.get("L", 1.0), "N": params.get("N", 1000)}
     if name == "atoms":
         try:
@@ -280,7 +290,8 @@ def space_shorthand_to_doc(text: str) -> dict:
             count = int(count_text)
         except ValueError:
             raise DocumentError(f"--space {text!r}: equal:COUNT needs an integer") from None
-        params = _split_kv(rest, f"--space {text!r}") if rest else {}
+        params = _split_kv(rest, f"--space {text!r}")
+        _known_fields(params, ("mass",), f"--space {text!r}")
         mass = float(params.get("mass", 1.0))
         return {"kind": "atomic", "masses": [mass] * count}
     raise DocumentError(f"--space {text!r}: expected interval:/atoms:/equal: shorthand")
@@ -340,11 +351,8 @@ def _doc_or_shorthand(text: str, to_doc, context: str) -> dict:
     return to_doc(text)
 
 
-def phi_from_text(text: str, quad: QuadConfig | None = None) -> NStarFunction:
-    doc = _doc_or_shorthand(text, phi_shorthand_to_doc, "--phi")
-    if quad is not None and "quad" not in doc:
-        doc = {**doc, "quad": {"tol": quad.tol, "mesh_ratio": quad.mesh_ratio}}
-    return parse_phi_doc(doc, "--phi")
+def phi_from_text(text: str) -> NStarFunction:
+    return parse_phi_doc(_doc_or_shorthand(text, phi_shorthand_to_doc, "--phi"), "--phi")
 
 
 def space_from_text(text: str) -> MeasureSpace:

@@ -13,7 +13,8 @@ integrated and inverted in closed form, without quadrature. The three
 power-shaped families carry closed complementary generators; the
 complement of log_sqrt, of a tabulated density or of a generator from
 from_density is computed by calculus.complementary, which inverts Young's
-equality hat(phi(x)/p(x) - x) = 1/p(x) point by point.
+equality hat(phi(x)/p(x) - x) = 1/p(x) point by point. No family runs a
+quadrature; only from_density, outside every document, integrates one.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .calculus import NStarFunction
 from .errors import DocumentError, DomainError
-from .numerics import DEFAULT_QUAD, LogLogLinear, QuadConfig
+from .numerics import LogLogLinear
 
 __all__ = [
     "power_family",
@@ -38,7 +39,7 @@ __all__ = [
 ]
 
 
-def _scaled_power(coeff: float, p: float, label: str, quad: QuadConfig) -> NStarFunction:
+def _scaled_power(coeff: float, p: float, label: str) -> NStarFunction:
     """Concave power phi(x) = coeff * |x|^p for 0 < p < 1, with closed complement."""
     c, q = float(coeff), float(p)
 
@@ -55,41 +56,40 @@ def _scaled_power(coeff: float, p: float, label: str, quad: QuadConfig) -> NStar
 
     def complement() -> NStarFunction:
         c_hat = 1.0 / ((1.0 - q) ** (1.0 - q) * q**q * c)
-        return _scaled_power(c_hat, 1.0 - q, f"complementary({label})", quad)
+        return _scaled_power(c_hat, 1.0 - q, f"complementary({label})")
 
     return NStarFunction(
         density=density_fn,
         eval_fn=eval_fn,
         inverse_fn=inverse_fn,
         description=label,
-        quad=quad,
         registered_complementary=complement,
     )
 
 
-def power_family(p: float, quad: QuadConfig = DEFAULT_QUAD) -> NStarFunction:
+def power_family(p: float) -> NStarFunction:
     """phi(x) = |x|^p for 0 < p < 1."""
     if not 0 < p < 1:
         raise DomainError("power exponent must lie in (0, 1)")
-    return _scaled_power(1.0, p, f"power(p={p:g})", quad)
+    return _scaled_power(1.0, p, f"power(p={p:g})")
 
 
-def scaled_power_family(p: float, quad: QuadConfig = DEFAULT_QUAD) -> NStarFunction:
+def scaled_power_family(p: float) -> NStarFunction:
     """phi(x) = |x|^p / p^p for 0 < p < 1; the complement is the same shape in 1-p."""
     if not 0 < p < 1:
         raise DomainError("power exponent must lie in (0, 1)")
-    return _scaled_power(p ** (-p), p, f"power_scaled(p={p:g})", quad)
+    return _scaled_power(p ** (-p), p, f"power_scaled(p={p:g})")
 
 
-def alpha_exp_family(alpha: float, quad: QuadConfig = DEFAULT_QUAD) -> NStarFunction:
+def alpha_exp_family(alpha: float) -> NStarFunction:
     """phi(x) = (alpha |x|)^(1/alpha) = exp(log(alpha |x|) / alpha) for alpha > 1."""
     if not alpha > 1:
         raise DomainError("alpha must exceed 1")
     a = float(alpha)
-    return _scaled_power(a ** (1.0 / a), 1.0 / a, f"alpha_exp(alpha={a:g})", quad)
+    return _scaled_power(a ** (1.0 / a), 1.0 / a, f"alpha_exp(alpha={a:g})")
 
 
-def log_sqrt_family(quad: QuadConfig = DEFAULT_QUAD) -> NStarFunction:
+def log_sqrt_family() -> NStarFunction:
     """phi(x) = sqrt(log(1 + |x|)); inverse expm1(y^2); no closed complement."""
 
     def eval_fn(a):
@@ -109,13 +109,10 @@ def log_sqrt_family(quad: QuadConfig = DEFAULT_QUAD) -> NStarFunction:
         eval_fn=eval_fn,
         inverse_fn=inverse_fn,
         description="log_sqrt",
-        quad=quad,
     )
 
 
-def tabulated_density_family(
-    ts, ps, quad: QuadConfig = DEFAULT_QUAD, description: str = "tabulated_density"
-) -> NStarFunction:
+def tabulated_density_family(ts, ps, description: str = "tabulated_density") -> NStarFunction:
     """Generator integrated from sampled (t, p(t)) pairs.
 
     Samples are interpolated linearly in log-log coordinates and continued
@@ -150,33 +147,38 @@ def tabulated_density_family(
         eval_fn=density.integral,
         inverse_fn=density.integral_inverse,
         description=description,
-        quad=quad,
     )
 
 
-def from_density(
-    density: Callable, quad: QuadConfig = DEFAULT_QUAD, description: str = ""
-) -> NStarFunction:
-    """Generator defined only through its slope density."""
-    return NStarFunction(density=density, description=description or "from_density", quad=quad)
+def from_density(density: Callable, description: str = "") -> NStarFunction:
+    """Generator defined only through its slope density, integrated to 1e-8 by CumulativeIntegral."""
+    return NStarFunction(density=density, description=description or "from_density")
 
 
-FAMILY_NAMES = ("power", "power_scaled", "alpha_exp", "log_sqrt", "tabulated_density")
+# the parameters each family's document takes
+FAMILY_PARAMS = {
+    "power": ("p",),
+    "power_scaled": ("p",),
+    "alpha_exp": ("alpha",),
+    "log_sqrt": (),
+    "tabulated_density": ("t", "p"),
+}
+FAMILY_NAMES = tuple(FAMILY_PARAMS)
 
 
-def build_family(name: str, params: dict, quad: QuadConfig = DEFAULT_QUAD) -> NStarFunction:
+def build_family(name: str, params: dict) -> NStarFunction:
     """Construct a registered family from document fields."""
     try:
         if name == "power":
-            return power_family(float(params["p"]), quad)
+            return power_family(float(params["p"]))
         if name == "power_scaled":
-            return scaled_power_family(float(params["p"]), quad)
+            return scaled_power_family(float(params["p"]))
         if name == "alpha_exp":
-            return alpha_exp_family(float(params["alpha"]), quad)
+            return alpha_exp_family(float(params["alpha"]))
         if name == "log_sqrt":
-            return log_sqrt_family(quad)
+            return log_sqrt_family()
         if name == "tabulated_density":
-            return tabulated_density_family(params["t"], params["p"], quad)
+            return tabulated_density_family(params["t"], params["p"])
     except KeyError as exc:
         raise DocumentError(f"family {name!r} is missing parameter {exc.args[0]!r}") from exc
     except DomainError as exc:

@@ -28,12 +28,13 @@ integral from 0 and the inverse of that integral are closed forms
 (LogLogLinear.integral and integral_inverse): a binary search over prefix
 sums at the knots, then one expm1 or log1p per point, with no quadrature
 mesh and no bisection. CumulativeIntegral remains for densities without
-such a form.
+such a form (generators from families.from_density). Its settings are
+fixed: relative tolerance 1e-8, grading ratio 0.5 and at most 4000
+geometric segments in each direction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -47,22 +48,12 @@ _TINY = 1e-290
 _TINY_NORMAL = float(np.finfo(float).tiny)
 _MAX = float(np.finfo(float).max)
 
-
-@dataclass(frozen=True)
-class QuadConfig:
-    """Quadrature settings.
-
-    tol is a relative tolerance on cumulative integrals; mesh_ratio is the
-    geometric grading factor toward the origin (must lie in (0, 1));
-    max_panels caps the geometric segments added in one direction.
-    """
-
-    tol: float = 1e-8
-    mesh_ratio: float = 0.5
-    max_panels: int = 4000
-
-
-DEFAULT_QUAD = QuadConfig()
+# CumulativeIntegral: relative tolerance on cumulative integrals, geometric
+# grading factor toward the origin (in (0, 1)), and the cap on geometric
+# segments added in one direction
+_QUAD_TOL = 1e-8
+_MESH_RATIO = 0.5
+_MAX_PANELS = 4000
 
 
 def gauss_panel(g: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -96,9 +87,8 @@ class CumulativeIntegral:
     snapshot because new arrays are built and swapped in wholesale.
     """
 
-    def __init__(self, g: Callable, config: QuadConfig = DEFAULT_QUAD):
+    def __init__(self, g: Callable):
         self._g = g
-        self._cfg = config
         # (breaks, panels, prefix, stub); swapped as one reference so
         # concurrent readers never see a half-updated mesh
         self._mesh: tuple[np.ndarray, np.ndarray, np.ndarray, float] | None = None
@@ -117,7 +107,7 @@ class CumulativeIntegral:
         """
         owner = np.arange(a.size)
         bad = np.zeros(a.size, dtype=bool)
-        rtol = 0.1 * self._cfg.tol
+        rtol = 0.1 * _QUAD_TOL
         lefts, rights, values, owners = [], [], [], []
         with np.errstate(all="ignore"):
             for depth in range(23):
@@ -161,8 +151,8 @@ class CumulativeIntegral:
         mass below the new smallest breakpoint. Raises DivergedIntegralError
         when the panel sums do not decay (the integral cannot be finite then).
         """
-        r = self._cfg.mesh_ratio
-        tol = self._cfg.tol
+        r = _MESH_RATIO
+        tol = _QUAD_TOL
         lo = float(breaks[0])
         total = float(panels.sum())
         # mass of the panels ending at or below t_floor; t_floor lies under
@@ -174,9 +164,9 @@ class CumulativeIntegral:
         new_panels: list[np.ndarray] = []
         k = 0
         chunk = 4
-        while k < self._cfg.max_panels:
+        while k < _MAX_PANELS:
             # speculative chunk of segments, ending at the first one under _TINY
-            n = min(chunk, self._cfg.max_panels - k)
+            n = min(chunk, _MAX_PANELS - k)
             edges = [lo, lo * r]
             while len(edges) <= n and edges[-1] >= _TINY:
                 edges.append(edges[-1] * r)
@@ -234,9 +224,9 @@ class CumulativeIntegral:
 
     def _extend_up(self, t_hi: float) -> None:
         br, pa, _, stub = self._mesh
-        growth = 1.0 / self._cfg.mesh_ratio
+        growth = 1.0 / _MESH_RATIO
         edges = [float(br[-1])]
-        for _ in range(self._cfg.max_panels):
+        for _ in range(_MAX_PANELS):
             if edges[-1] >= t_hi:
                 break
             edges.append(edges[-1] * growth)

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import csv
 import io
 import json
@@ -475,7 +476,7 @@ class TestDemos:
         assert modulars[-1] < modulars[0]
 
     def test_dualzero_demo_config_document(self, capsys, tmp_path):
-        cfg = {"theta": 1.0 / 3.0, "iterations": 6, "epsilon": 1.0, "seed": 0}
+        cfg = {"theta": 1.0 / 3.0, "iterations": 6, "epsilon": 1.0}
         path = tmp_path / "demo.json"
         path.write_text(json.dumps(cfg))
         code, out = run_cli(
@@ -496,6 +497,16 @@ class TestDemos:
         assert doc["theta"] == pytest.approx(1.0 / 3.0)
         assert doc["iterations"] == 6
         assert len(doc["results"]) == 7
+
+    def test_dualzero_config_seed_exits_two(self, capsys, tmp_path):
+        # the demos draw nothing at random, so their document takes no seed
+        path = tmp_path / "demo.json"
+        path.write_text(json.dumps({"theta": 0.5, "seed": 0}))
+        argv = ["demo", "dualzero", "--phi", "power:p=0.5", "--space", "interval:L=1,N=64"]
+        code = main([*argv, "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "unknown fields ['seed']" in err
 
     def test_dualzero_zero_iterations_in_config_exit_two(self, capsys, tmp_path):
         path = tmp_path / "demo.json"
@@ -610,6 +621,8 @@ class TestExitCodes:
             "norm --phi power:p=0.5 --space interval:L=1,N=10 --fn random:low=0,high=inf,seed=1",
             "norm --phi power:p=0.5 --space interval:L=1,N=10 --fn random:low=5,high=1,seed=1",
             "norm --phi power:p=0.5 --space interval:L=1,N=10 --fn random:low=-1e308,high=1e308,seed=1",
+            # numpy seeds take no sign
+            "norm --phi power:p=0.5 --space interval:L=1,N=10 --fn random:seed=-1",
             # numeric flags are checked before the library runs
             "delta2 --phi power:p=0.5 --k0 1",
             "delta2 --phi power:p=0.5 --k0 2",
@@ -659,3 +672,298 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert "diverges at 0" in err
+
+
+class TestSettingsNothingReads:
+    """Flags and fields that no command reads are rejected, not ignored."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "norm --phi power:p=0.5 --space atoms:1 --fn constant:1 --seed 1",
+            "norm --phi power:p=0.5 --space atoms:1 --fn constant:1 --tol 1e-3",
+            "metric --phi power:p=0.5 --space atoms:1 --fn constant:1 --fn2 constant:0 --seed 1",
+            "conjugate --phi power:p=0.5 --tol 1e-3",
+            "delta2 --phi power:p=0.25 --tol 1e-3",
+            "delta2 --phi power:p=0.25 --seed 1",
+            "validate --phi power:p=0.5 --tol 1e-3",
+            "demo nonconvex --phi power:p=0.5 --atoms equal:10 --seed 1",
+            "demo nonconvex --phi power:p=0.5 --atoms equal:10 --tol 1e-3",
+        ],
+    )
+    def test_unread_flag_exits_two(self, capsys, argv):
+        code = main(argv.split())
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "validate --phi power:p=0.5 --seed 3",
+            "check --phi power:p=0.5 --space atoms:1,1 --suite reversed_jensen --samples 3 --seed 3 --tol 1e-6",
+            "dual-norm --phi power:p=0.5 --space atoms:1,2 --functional 1,1 --seed 3 --tol 1e-6",
+        ],
+    )
+    def test_read_flags_stay(self, capsys, argv):
+        assert main(argv.split()) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "validate --phi power:p=0.5 --seed -1",
+            "check --phi power:p=0.5 --space atoms:1,1 --suite young_type --seed -1",
+            "dual-norm --phi power:p=0.5 --space atoms:1,2 --functional 1,1 --seed -1",
+            "dual-norm --phi power:p=0.5 --space atoms:1,2 --functional 1,1 --seed x",
+        ],
+    )
+    def test_bad_seed_exits_two(self, capsys, argv):
+        code = main(argv.split())
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--seed: expected a non-negative integer" in err
+
+    def test_generator_quad_field_exits_two(self, capsys, tmp_path):
+        doc = tmp_path / "phi.json"
+        doc.write_text(json.dumps({"family": "log_sqrt", "params": {}, "quad": {"tol": 0.5, "mesh_ratio": 0.9}}))
+        code = main(["validate", "--phi", str(doc)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "unknown fields ['quad']" in err
+
+
+class TestSlackTolerance:
+    """A slack tolerance must be finite and non-negative, or the run is a usage error."""
+
+    CHECK = ["check", "--phi", "power:p=0.5", "--space", "interval:L=1,N=100", "--suite", "young_type"]
+    DUAL = ["dual-norm", "--phi", "power:p=0.5", "--space", "atoms:1,2", "--functional", "1,1"]
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_check_flag(self, capsys, tol):
+        code = main([*self.CHECK, "--tol", tol])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--tol must be finite and non-negative" in err
+
+    def test_check_flag_zero_is_accepted(self, capsys):
+        # every young_type slack here lies in 0.65..1.12
+        assert main([*self.CHECK, "--tol", "0"]) == 0
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1e-9"])
+    def test_environment(self, capsys, monkeypatch, tol):
+        monkeypatch.setenv("NSTAR_DEFAULT_TOL", tol)
+        code = main(self.CHECK)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "NSTAR_DEFAULT_TOL must be finite and non-negative" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_dual_norm_flag(self, capsys, tol):
+        code = main([*self.DUAL, "--tol", tol])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--tol must be finite and non-negative" in err
+
+    def test_dual_norm_default_passes(self, capsys):
+        assert main(self.DUAL) == 0
+
+    @pytest.mark.parametrize("slack, message", [(-5, "must not be negative"), (1e400, "finite")])
+    def test_suite_document(self, capsys, tmp_path, slack, message):
+        path = tmp_path / "suite.json"
+        doc = {
+            "phi": {"family": "power", "params": {"p": 0.5}},
+            "space": {"kind": "interval", "L": 1, "N": 100},
+            "checks": ["young_type"],
+            "tolerances": {"slack": slack},
+        }
+        path.write_text(json.dumps(doc))
+        code = main(["check", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "tolerances.slack" in err and message in err
+
+
+class TestMisspeltParameters:
+    """Every shorthand key and document field outside the known set exits 2 and is named."""
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            ("norm --phi power:p=0.5 --space interval:L=1,N=10 --fn random:seed=1,hi=100", "hi"),
+            ("norm --phi power:p=0.5,alpha=3 --space interval:L=1,N=10 --fn identity", "alpha"),
+            ("norm --phi power:p=0.5 --space interval:L=1,N=10,M=3 --fn identity", "M"),
+            ("norm --phi power:p=0.5 --space equal:3,mas=2 --fn constant:1", "mas"),
+            ("norm --phi log_sqrt:p=0.5 --space atoms:1 --fn constant:1", "p"),
+            ("validate --phi alpha_exp:alpha=3,p=0.5", "p"),
+        ],
+    )
+    def test_shorthand(self, capsys, argv, field):
+        code = main(argv.split())
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"unknown fields ['{field}']" in err
+
+    @pytest.mark.parametrize(
+        "flag, doc",
+        [
+            ("--phi", {"family": "power", "params": {"p": 0.5, "q": 1}}),
+            ("--phi", {"family": "power", "params": {"p": 0.5}, "name": "x"}),
+            ("--space", {"kind": "interval", "L": 1, "N": 10, "M": 3}),
+            ("--space", {"kind": "atomic", "masses": [1], "L": 1}),
+            ("--fn", {"values": [1.0] * 10, "generator": "identity"}),
+            ("--fn", {"generator": "constant", "params": {"valeu": 2}}),
+            ("--fn", {"generator": "identity", "params": {"lo": 0}}),
+            ("--fn", {"generator": "indicator", "params": {"lo": 0, "high": 5}}),
+        ],
+    )
+    def test_document(self, capsys, tmp_path, flag, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        args = {"--phi": "power:p=0.5", "--space": "interval:L=1,N=10", "--fn": "identity", flag: str(path)}
+        code = main(["norm", *[x for kv in args.items() for x in kv]])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "unknown fields" in err
+
+    def test_functional_document(self, capsys, tmp_path):
+        path = tmp_path / "functional.json"
+        path.write_text(json.dumps({"coefficients": [1, 1], "scale": 2}))
+        code = main(["dual-norm", "--phi", "power:p=0.5", "--space", "atoms:1,2", "--functional", str(path)])
+        assert code == 2
+        assert "unknown fields ['scale']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [{"sample": 5}, {"tolerances": {"slak": 1e-6}}])
+    def test_suite_document(self, capsys, tmp_path, extra):
+        path = tmp_path / "suite.json"
+        doc = {"phi": {"family": "power", "params": {"p": 0.5}}, "space": {"kind": "atomic", "masses": [1, 1]}}
+        path.write_text(json.dumps({**doc, **extra}))
+        code = main(["check", "--config", str(path)])
+        assert code == 2
+        assert "unknown fields" in capsys.readouterr().err
+
+    def test_function_generator_of_wrong_type_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "fn.json"
+        path.write_text(json.dumps({"generator": []}))
+        assert main(["norm", "--phi", "power:p=0.5", "--space", "atoms:1", "--fn", str(path)]) == 2
+        assert "--fn.generator: expected" in capsys.readouterr().err
+
+    def test_negative_suite_seed_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "suite.json"
+        doc = {"phi": {"family": "power", "params": {"p": 0.5}}, "space": {"kind": "atomic", "masses": [1]}}
+        path.write_text(json.dumps({**doc, "seed": -1}))
+        assert main(["check", "--config", str(path)]) == 2
+        assert "seed must not be negative" in capsys.readouterr().err
+
+    def test_wrong_parameter_type_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps({"family": "power", "params": {"p": "0.5"}}))
+        code = main(["validate", "--phi", str(path)])
+        assert code == 2
+        assert "params.p: expected a number" in capsys.readouterr().err
+
+
+# -- document fuzz ------------------------------------------------------------
+
+_VALID_DOCS = {
+    "phi": [
+        {"family": "power", "params": {"p": 0.5}},
+        {"family": "alpha_exp", "params": {"alpha": 3}},
+        {"family": "log_sqrt", "params": {}},
+        {"family": "tabulated_density", "params": {"t": [0.01, 1.0, 100.0], "p": [5.0, 0.5, 0.05]}},
+    ],
+    "space": [
+        {"kind": "interval", "L": 1, "N": 16},
+        {"kind": "atomic", "masses": [0.5, 1.0, 2.0]},
+    ],
+    "fn": [
+        {"generator": "identity"},
+        {"generator": "constant", "params": {"value": 2.0}},
+        {"generator": "indicator", "params": {"lo": 0, "hi": 2}},
+        {"generator": "random", "params": {"seed": 1, "low": 0, "high": 5}},
+        {"values": [1.0, 2.0, 3.0]},
+    ],
+    "suite": [
+        {
+            "phi": {"family": "power", "params": {"p": 0.5}},
+            "space": {"kind": "interval", "L": 1, "N": 16},
+            "checks": ["young_type", "quasi_triangle"],
+            "samples": 2,
+            "seed": 3,
+            "tolerances": {"slack": 1e-9},
+        },
+    ],
+    "demo": [
+        {"theta": 0.5, "iterations": 3, "epsilon": 1.0},
+        {"theta": 0.25, "iterations": 2, "kernel": {"generator": "constant", "params": {"value": 100.0}}},
+    ],
+}
+# wrong types, non-finite and boundary numbers; none can make a large space
+_ODD_VALUES = [None, True, "abc", "0.5", [], [1.0], {}, {"a": 1}, -1, 0, 2, 0.5, -0.5, 1e308, 1e-320]
+_ODD_VALUES += [float("nan"), float("inf"), float("-inf")]
+
+
+def _paths(doc, prefix=()):
+    """Every (path, value) of a JSON document, objects and lists descended."""
+    yield prefix, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, (*prefix, key))
+
+
+def _parent(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def _mutated_doc(draw):
+    kind = draw(st.sampled_from(sorted(_VALID_DOCS)))
+    doc = json.loads(json.dumps(draw(st.sampled_from(_VALID_DOCS[kind]))))
+    for _ in range(draw(st.integers(0, 3))):
+        paths = [p for p, _ in _paths(doc)]
+        path = draw(st.sampled_from(paths))
+        target = _parent(doc, path) if path else None
+        action = draw(st.sampled_from(["replace", "extra", "misspell", "delete"] if path else ["extra"]))
+        # a fresh copy each time: a shared list or object would alias parts of the document
+        odd = copy.deepcopy(draw(st.sampled_from(_ODD_VALUES)))
+        if action == "replace":
+            target[path[-1]] = odd
+        elif action == "extra":
+            holder = _parent(doc, (*path, None))
+            holder = holder if isinstance(holder, dict) else doc if isinstance(doc, dict) else None
+            if holder is not None:
+                holder[draw(st.sampled_from(["quad", "seed", "mass", "hi", "tol", "x"]))] = odd
+        elif isinstance(target, dict):
+            value = target.pop(path[-1])
+            if action == "misspell":
+                target[str(path[-1]) + draw(st.sampled_from(["s", "_", "X"]))] = value
+    return kind, doc
+
+
+_FUZZ_ARGV = {
+    "phi": [["validate", "--grid-points", "9"], ["norm", "--space", "atoms:1,2", "--fn", "constant:1"]],
+    "space": [["norm", "--phi", "power:p=0.5", "--fn", "constant:1"]],
+    "fn": [["norm", "--phi", "power:p=0.5", "--space", "interval:L=1,N=3"]],
+    "suite": [["check"]],
+    "demo": [["demo", "dualzero", "--phi", "power:p=0.5", "--space", "interval:L=1,N=64"]],
+}
+_FUZZ_FLAG = {"phi": "--phi", "space": "--space", "fn": "--fn", "suite": "--config", "demo": "--config"}
+
+
+class TestDocumentFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(_mutated_doc(), st.integers(0, 1))
+    def test_exit_contract(self, tmp_path_factory, kind_doc, which):
+        kind, doc = kind_doc
+        path = tmp_path_factory.getbasetemp() / "document_fuzz.json"
+        # json.dumps writes NaN and Infinity, which load_json reads back
+        path.write_text(json.dumps(doc))
+        argv = _FUZZ_ARGV[kind][which % len(_FUZZ_ARGV[kind])]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, _FUZZ_FLAG[kind], str(path), "--format", "json"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if out.getvalue():
+            strict_json(out.getvalue())

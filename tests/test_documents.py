@@ -24,12 +24,10 @@ class TestPhiDoc:
         phi = parse_phi_doc({"family": "power", "params": {"p": 0.5}})
         assert float(phi(4.0)) == pytest.approx(2.0)
 
-    def test_quad_override(self):
-        phi = parse_phi_doc(
-            {"family": "log_sqrt", "params": {}, "quad": {"tol": 1e-10, "mesh_ratio": 0.25}}
-        )
-        assert phi.quad.tol == 1e-10
-        assert phi.quad.mesh_ratio == 0.25
+    def test_quad_field_is_unknown(self):
+        # every family evaluates in closed form, so there are no quadrature settings to take
+        with pytest.raises(DocumentError, match=r"unknown fields \['quad'\]"):
+            parse_phi_doc({"family": "log_sqrt", "params": {}, "quad": {"tol": 0.5, "mesh_ratio": 0.9}})
 
     def test_tabulated_density_doc(self):
         ts = np.geomspace(1e-6, 1e6, 30)

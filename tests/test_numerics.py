@@ -18,7 +18,6 @@ from nstar.families import (
 from nstar.numerics import (
     CumulativeIntegral,
     LogLogLinear,
-    QuadConfig,
     bisect_increasing,
     invert_increasing,
 )
@@ -37,7 +36,7 @@ class PanelByPanelCumulativeIntegral(CumulativeIntegral):
         left = float(numerics.gauss_panel(self._g, a, mid))
         right = float(numerics.gauss_panel(self._g, mid, b))
         refined = left + right
-        if depth >= 22 or abs(whole - refined) <= 0.1 * self._cfg.tol * (abs(refined) + 1e-300):
+        if depth >= 22 or abs(whole - refined) <= 0.1 * numerics._QUAD_TOL * (abs(refined) + 1e-300):
             return [mid, b], [left, right]
         eb, ev = self._verified_panel(a, mid, depth + 1)
         eb2, ev2 = self._verified_panel(mid, b, depth + 1)
@@ -47,12 +46,12 @@ class PanelByPanelCumulativeIntegral(CumulativeIntegral):
         super()._set_mesh(np.asarray(breaks, dtype=float), np.asarray(panels, dtype=float), stub)
 
     def _grade_down(self, breaks: list, panels: list, t_floor: float) -> float:
-        r = self._cfg.mesh_ratio
-        tol = self._cfg.tol
+        r = numerics._MESH_RATIO
+        tol = numerics._QUAD_TOL
         lo = breaks[0]
         prev = None
         stalled = 0
-        for k in range(self._cfg.max_panels):
+        for k in range(numerics._MAX_PANELS):
             nxt = lo * r
             eb, ev = self._verified_panel(nxt, lo)
             seg = float(sum(ev))
@@ -84,9 +83,9 @@ class PanelByPanelCumulativeIntegral(CumulativeIntegral):
         br, pa, _, stub = self._mesh
         breaks = list(br)
         panels = list(pa)
-        growth = 1.0 / self._cfg.mesh_ratio
+        growth = 1.0 / numerics._MESH_RATIO
         top = breaks[-1]
-        for _ in range(self._cfg.max_panels):
+        for _ in range(numerics._MAX_PANELS):
             if top >= t_hi:
                 break
             nxt = top * growth
@@ -247,17 +246,18 @@ class TestLevelBatchedMesh:
     """Level batching reproduces the panel-by-panel mesh with far fewer calls."""
 
     @pytest.mark.parametrize(
-        "density, quad",
+        "density, tol",
         [
-            (lambda t: t**-0.5, numerics.DEFAULT_QUAD),
-            (lambda t: np.exp(-t), numerics.DEFAULT_QUAD),
-            (log_sqrt_conjugate_density, QuadConfig(tol=1e-11)),
+            (lambda t: t**-0.5, 1e-8),
+            (lambda t: np.exp(-t), 1e-8),
+            (log_sqrt_conjugate_density, 1e-11),
         ],
         ids=["inv_sqrt", "exp", "log_sqrt_conjugate"],
     )
-    def test_mesh_matches_panel_by_panel_reference(self, density, quad):
-        batched = CumulativeIntegral(density, quad)
-        reference = PanelByPanelCumulativeIntegral(density, quad)
+    def test_mesh_matches_panel_by_panel_reference(self, monkeypatch, density, tol):
+        monkeypatch.setattr(numerics, "_QUAD_TOL", tol)
+        batched = CumulativeIntegral(density)
+        reference = PanelByPanelCumulativeIntegral(density)
         # build, extend up and down, then extend down again
         for xs in ([1.0], np.geomspace(1e-3, 1e6, 7), [1e-12, 3.0], [1e-14]):
             np.testing.assert_allclose(batched(xs), reference(xs), rtol=1e-14, atol=0)
