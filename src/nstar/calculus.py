@@ -48,10 +48,11 @@ class NStarFunction:
     and vanishing at infinity. Evaluation is even in the argument. eval_fn
     and inverse_fn, when given, evaluate and invert on the non-negative
     axis: closed forms for every registered family, one monotone inversion
-    each on a numeric complement. Without eval_fn (only from_density) the value integrates the density
-    through a cumulative quadrature with fixed settings, built once at
-    construction (so a replaced density needs eval_fn=None again); without
-    inverse_fn inversion runs a bracketed bisection.
+    each on a numeric complement. Without eval_fn (only from_density) the
+    value integrates the density through a CumulativeIntegral, created at
+    construction and meshed over the whole float range on its first call
+    (so a replaced density needs eval_fn=None again); without inverse_fn
+    inversion runs a bracketed bisection.
     registered_complementary returns the complement without numeric work:
     the closed complement of a family, or, on a numeric complement, the
     generator it was computed from.
@@ -203,14 +204,16 @@ def delta2_solve(phi: NStarFunction, k0: float, grid) -> Delta2Certificate:
     xs = np.asarray(grid, dtype=float)
     if xs.ndim != 1 or xs.size == 0 or np.any(xs <= 0) or not np.all(np.isfinite(xs)):
         raise DomainError("sample grid must be finite and strictly positive")
-    twice = 2.0 * np.asarray(phi(xs), dtype=float)
-    top = np.asarray(phi(k0 * xs), dtype=float)
+    # 2 phi(x), k0 x and 2 x overflow to inf near the top of the float range
+    with np.errstate(over="ignore"):
+        twice = 2.0 * np.asarray(phi(xs), dtype=float)
+        top = np.asarray(phi(k0 * xs), dtype=float)
+        bottom = np.asarray(phi(2.0 * xs), dtype=float)
     if np.any(top < twice * (1 - 1e-12)):
         worst = xs[np.argmin(top - twice)]
         raise NotDelta2Error(
             f"doubling hypothesis 2*phi(x) <= phi(k0*x) fails at x={worst:.6g} for k0={k0:g}"
         )
-    bottom = np.asarray(phi(2.0 * xs), dtype=float)
     if np.any(bottom > twice * (1 + 1e-12)):
         worst = xs[np.argmax(bottom - twice)]
         raise NotDelta2Error(
@@ -219,8 +222,9 @@ def delta2_solve(phi: NStarFunction, k0: float, grid) -> Delta2Certificate:
     lo, hi = bisect_increasing(
         lambda k: phi(k * xs), twice, np.full(xs.shape, 2.0), np.full(xs.shape, float(k0))
     )
-    ks = 0.5 * (lo + hi)
-    resid = np.abs(np.asarray(phi(ks * xs), dtype=float) - twice)
+    ks = 0.5 * lo + 0.5 * hi
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = np.abs(np.asarray(phi(ks * xs), dtype=float) - twice)
     residual_max = float(np.max(resid / np.maximum(twice, 1e-300)))
     if residual_max > _K_RESIDUAL_TOL:
         raise NonconvergenceError(

@@ -77,7 +77,10 @@ def _grid(args, min_points: int = 1) -> np.ndarray:
         raise DocumentError("--grid-lo and --grid-hi must be finite and positive")
     if args.grid_points < min_points:
         raise DocumentError(f"--grid-points must be at least {min_points}")
-    return np.geomspace(args.grid_lo, args.grid_hi, args.grid_points)
+    # the rounded power at an end next to the largest float can overflow;
+    # geomspace then sets both ends to the given values exactly
+    with np.errstate(over="ignore"):
+        return np.geomspace(args.grid_lo, args.grid_hi, args.grid_points)
 
 
 def _emit(payload: dict, table_lines: list[str], args) -> None:
@@ -222,15 +225,19 @@ def _cmd_delta2(args) -> int:
 
 def _cmd_check(args) -> int:
     if args.config:
+        # the document holds every suite setting; a flag beside it would be ignored
+        flags = ("phi", "space", "suite", "samples", "seed", "tol")
+        given = [f"--{name}" for name in flags if getattr(args, name) is not None]
+        _usage_check(not given, f"--config cannot be combined with {', '.join(given)}")
         phi, space, checks, samples, seed, tol = parse_suite_doc(load_json(args.config, "--config"))
     else:
         if not args.phi or not args.space:
             raise DocumentError("check needs --phi and --space (or --config)")
         phi = phi_from_text(args.phi)
         space = space_from_text(args.space)
-        checks = list(CHECK_NAMES) if args.suite == "all" else args.suite.split(",")
-        samples = args.samples
-        seed = args.seed
+        checks = list(CHECK_NAMES) if args.suite in (None, "all") else args.suite.split(",")
+        samples = 50 if args.samples is None else args.samples
+        seed = 0 if args.seed is None else args.seed
         tol = _default_tol() if args.tol is None else _tolerance(args.tol, "--tol")
     records = run_check_suite(phi, space, checks, samples=samples, seed=seed, tol=tol)
     results = [r.to_record() for r in records]
@@ -334,6 +341,12 @@ def _cmd_demo(args) -> int:
             raise DocumentError("demo dualzero needs both --fn and --kernel, or neither")
         else:
             f0, kernel = halving_instance(phi, space)
+        # dual_zero_halving rejects this too, but a given f0 or kernel is input
+        value = abs(float(np.dot(f0.values * kernel.values, space.masses)))
+        _usage_check(
+            not 0.0 < value < 1.0 - 1e-12,
+            "demo dualzero: scale f0 or the kernel so the functional value is 0 or at least 1",
+        )
         trace = dual_zero_halving(phi, space, f0, kernel, iterations, theta)
         bounds = trace.decay_bound()
         results = [
@@ -443,11 +456,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run the inequality check suite")
     p.add_argument("--phi")
     p.add_argument("--space")
-    p.add_argument("--suite", default="all", help="'all' or comma-separated check names")
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--config", help="check-suite JSON document (overrides other flags)")
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--tol", type=float, default=None, help="slack tolerance (default 1e-9)")
+    p.add_argument("--suite", help="'all' (default) or comma-separated check names")
+    p.add_argument("--samples", type=int, help="random instances per check (default 50)")
+    p.add_argument("--config", help="check-suite JSON document, in place of the flags above and below")
+    p.add_argument("--seed", type=_seed, help="seed of the random instances (default 0)")
+    p.add_argument("--tol", type=float, help="slack tolerance (default 1e-9)")
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_check)

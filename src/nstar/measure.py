@@ -75,7 +75,9 @@ class MeasureSpace:
 
     @property
     def total_mass(self) -> float:
-        return float(self.masses.sum())
+        """Sum of the masses; inf when it passes the float range."""
+        with np.errstate(over="ignore"):
+            return float(self.masses.sum())
 
     @property
     def is_atomic(self) -> bool:
@@ -149,6 +151,8 @@ class MeasurableFn:
         return cls(rng.uniform(low, high, space.size), space)
 
     # -- arithmetic ----------------------------------------------------------
+    # a value past the float range overflows to inf, which the constructor
+    # rejects with DomainError
 
     def _check(self, other: "MeasurableFn") -> None:
         if not self.space.same_as(other.space):
@@ -156,14 +160,17 @@ class MeasurableFn:
 
     def __add__(self, other: "MeasurableFn") -> "MeasurableFn":
         self._check(other)
-        return MeasurableFn(self.values + other.values, self.space)
+        with np.errstate(over="ignore"):
+            return MeasurableFn(self.values + other.values, self.space)
 
     def __sub__(self, other: "MeasurableFn") -> "MeasurableFn":
         self._check(other)
-        return MeasurableFn(self.values - other.values, self.space)
+        with np.errstate(over="ignore"):
+            return MeasurableFn(self.values - other.values, self.space)
 
     def __mul__(self, scalar) -> "MeasurableFn":
-        return MeasurableFn(self.values * float(scalar), self.space)
+        with np.errstate(over="ignore"):
+            return MeasurableFn(self.values * float(scalar), self.space)
 
     __rmul__ = __mul__
 
@@ -186,7 +193,7 @@ def integrate(space: MeasureSpace, g, f: MeasurableFn) -> float:
         raise SpaceMismatchError("function does not live on the given space")
     with np.errstate(over="ignore", invalid="ignore"):
         vals = np.asarray(g(f.values), dtype=float)
-    return float(np.dot(vals, space.masses))
+        return float(np.dot(vals, space.masses))
 
 
 def find_subset_with_mass(space: MeasureSpace, nu_weights, t: float) -> np.ndarray:

@@ -1,19 +1,15 @@
 """Monotone root finding, cumulative quadrature and log-log interpolants on (0, inf).
 
 Everything here is deterministic and vectorized over numpy arrays. The
-integrator targets positive densities with an integrable singularity at the
-origin: panels are graded geometrically toward 0 and the mass below the
-smallest breakpoint is estimated from the decay ratio of the final panels.
-A density whose panel sums fail to decay is reported as divergent.
-
-The mesh is built one refinement level per density call: every panel still
-waiting for verification, across all segments being added, is evaluated in
-one batch (whole panel and both halves), so a build costs a few dozen calls
-instead of one call per panel. Grading toward 0 verifies segments in
-speculative chunks and replays the stopping rule segment by segment, which
-yields the same mesh a segment-at-a-time build would. A non-finite panel
-value raises DivergedIntegralError instead of being split (only once the
-replay reaches its segment), and a non-finite argument raises DomainError.
+integrator, CumulativeIntegral, targets positive densities with an
+integrable singularity at the origin. Its mesh covers the whole normal
+float range, one segment per binade [2^k, 2^(k+1)], and is built once, on
+the first call: the 2046 segments are verified together, one refinement
+level per density call (every pending panel and both its halves in one
+batch), so a build costs at most 23 calls. The mass below 2^-1022 is left
+out; a density whose bottom binades show that mass is not negligible is
+reported as divergent, as is one with a non-finite panel value below the
+argument. A non-finite argument raises DomainError.
 
 Monotone root finding has one bisection rule, bisect_increasing: midpoints
 on the bit patterns of the floats (no overflow or underflow anywhere in the
@@ -28,9 +24,8 @@ integral from 0 and the inverse of that integral are closed forms
 (LogLogLinear.integral and integral_inverse): a binary search over prefix
 sums at the knots, then one expm1 or log1p per point, with no quadrature
 mesh and no bisection. CumulativeIntegral remains for densities without
-such a form (generators from families.from_density). Its settings are
-fixed: relative tolerance 1e-8, grading ratio 0.5 and at most 4000
-geometric segments in each direction.
+such a form (generators from families.from_density). Its one setting is
+fixed: relative tolerance 1e-8.
 """
 
 from __future__ import annotations
@@ -43,24 +38,19 @@ from .errors import DivergedIntegralError, DomainError, NonconvergenceError
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
 
-_TINY = 1e-290
-
 _TINY_NORMAL = float(np.finfo(float).tiny)
 _MAX = float(np.finfo(float).max)
 
-# CumulativeIntegral: relative tolerance on cumulative integrals, geometric
-# grading factor toward the origin (in (0, 1)), and the cap on geometric
-# segments added in one direction
+# CumulativeIntegral: relative tolerance on cumulative integrals
 _QUAD_TOL = 1e-8
-_MESH_RATIO = 0.5
-_MAX_PANELS = 4000
 
 
 def gauss_panel(g: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """15-point Gauss-Legendre integral of g over each interval [a_i, b_i]."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    mid = 0.5 * (a + b)
+    # halves first: a + b overflows on the top binade
+    mid = 0.5 * a + 0.5 * b
     half = 0.5 * (b - a)
     nodes = mid[..., None] + half[..., None] * _GL_X
     vals = g(nodes)
@@ -68,59 +58,55 @@ def gauss_panel(g: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class CumulativeIntegral:
-    """F(t) = integral of g over (0, t], cached across calls.
+    """F(t) = integral of g over (0, t], on one mesh over the normal float range.
 
-    The mesh is a sorted array of breakpoints, the verified integral of each
-    panel between them, their prefix sums and a stub estimate of the mass
-    below the lowest breakpoint. A panel is verified by comparing one
-    15-point Gauss rule with its two-half refinement and split until they
-    agree, at most 22 times. Verification is level-batched: the pending
-    panels of one refinement level, across every segment being added, go
-    to the density in a single call. Upward extension verifies all of its
-    geometric segments in one batch; downward grading verifies speculative
-    chunks of segments (4, doubling to 64), replays the stopping rule one
-    segment at a time and drops the segments past the stop, so the mesh is
-    the one a segment-at-a-time build produces. A non-finite panel value
-    raises DivergedIntegralError when the replay reaches its segment, and a
-    non-finite argument raises DomainError. The mesh extends lazily in both
-    directions as new arguments arrive; readers always see a consistent
-    snapshot because new arrays are built and swapped in wholesale.
+    The first call with a positive argument builds the mesh. Each binade
+    [2^k, 2^(k+1)] of the normal floats, k = -1022..1023 (the top one ends
+    at the largest float), is a segment, and all 2046 of them are verified
+    together, one refinement level per density call: a panel is accepted
+    when its 15-point Gauss value agrees with the sum of its halves to
+    0.1 * 1e-8, or after 22 splits, and contributes both halves as leaves.
+    The leaves' right ends are the breakpoints, with prefix sums of their
+    integrals. F(t) is the prefix sum at the breakpoint below t plus one
+    Gauss panel from there to t, so every later call costs 15 density
+    nodes per argument.
+
+    The mass below 2^-1022 is left out: arguments below it give 0, and a
+    density whose bottom two binades, continued geometrically, put more
+    than 1e-8 of the mass below 1 under 2^-1022 raises
+    DivergedIntegralError for every argument above 2^-1022. A binade
+    holding a non-finite panel value raises it for every argument above
+    the binade's lower end, and a non-finite argument raises DomainError.
     """
 
     def __init__(self, g: Callable):
         self._g = g
-        # (breaks, panels, prefix, stub); swapped as one reference so
-        # concurrent readers never see a half-updated mesh
-        self._mesh: tuple[np.ndarray, np.ndarray, np.ndarray, float] | None = None
+        # (breaks, prefix, limit): F's breakpoints from 2^-1022 up, the
+        # integral from 2^-1022 to each, and the argument above which F
+        # raises; swapped in as one reference, so a concurrent reader sees
+        # either no mesh or the whole one
+        self._mesh: tuple[np.ndarray, np.ndarray, float] | None = None
 
-    # -- panel construction -------------------------------------------------
-
-    def _verify(self, a: np.ndarray, b: np.ndarray):
-        """Integrate each segment [a_i, b_i], one refinement level per density call.
-
-        A panel is accepted when its Gauss value agrees with the sum of its
-        halves, or at depth 22, and contributes both halves as leaves.
-        Returns the leaves sorted by left endpoint (right endpoints, values,
-        owning segment) and a per-segment flag for a non-finite panel value;
-        a flagged segment is not refined further. Floating-point warnings
-        are silenced here because a non-finite value is reported by the flag.
-        """
+    def _build(self) -> tuple[np.ndarray, np.ndarray, float]:
+        edges = np.append(np.ldexp(1.0, np.arange(-1022, 1024)), _MAX)
+        a, b = edges[:-1], edges[1:]
         owner = np.arange(a.size)
         bad = np.zeros(a.size, dtype=bool)
-        rtol = 0.1 * _QUAD_TOL
         lefts, rights, values, owners = [], [], [], []
+        # the density is probed from 2^-1022 to the largest float, where
+        # overflow and underflow are expected; a non-finite value is flagged
         with np.errstate(all="ignore"):
             for depth in range(23):
                 if a.size == 0:
                     break
                 n = a.size
-                mid = 0.5 * (a + b)
+                mid = 0.5 * a + 0.5 * b
                 vals = gauss_panel(self._g, np.concatenate((a, a, mid)), np.concatenate((b, mid, b)))
                 whole, left, right = vals[:n], vals[n : 2 * n], vals[2 * n :]
                 refined = left + right
                 finite = np.isfinite(whole) & np.isfinite(refined)
                 bad[owner[~finite]] = True
-                agree = np.abs(whole - refined) <= rtol * (np.abs(refined) + 1e-300)
+                agree = np.abs(whole - refined) <= 0.1 * _QUAD_TOL * (np.abs(refined) + 1e-300)
                 accept = finite & (agree | (depth >= 22))
                 lefts += [a[accept], mid[accept]]
                 rights += [mid[accept], b[accept]]
@@ -129,151 +115,37 @@ class CumulativeIntegral:
                 split = ~accept & ~bad[owner]
                 a, b = np.concatenate((a[split], mid[split])), np.concatenate((mid[split], b[split]))
                 owner = np.concatenate((owner[split], owner[split]))
-        order = np.argsort(np.concatenate(lefts), kind="stable")
-        return (
-            np.concatenate(rights)[order],
-            np.concatenate(values)[order],
-            np.concatenate(owners)[order],
-            bad,
-        )
-
-    def _set_mesh(self, breaks: np.ndarray, panels: np.ndarray, stub: float) -> None:
-        prefix = np.empty(breaks.size)
-        prefix[0] = stub
-        np.cumsum(panels, out=prefix[1:])
-        prefix[1:] += stub
-        self._mesh = (breaks, panels, prefix, stub)
-
-    def _grade_down(self, breaks: np.ndarray, panels: np.ndarray, t_floor: float):
-        """Prepend geometric panels toward 0 until the tail below is negligible.
-
-        Returns the extended (breaks, panels) and the stub estimate for the
-        mass below the new smallest breakpoint. Raises DivergedIntegralError
-        when the panel sums do not decay (the integral cannot be finite then).
-        """
-        r = _MESH_RATIO
-        tol = _QUAD_TOL
-        lo = float(breaks[0])
-        total = float(panels.sum())
-        # mass of the panels ending at or below t_floor; t_floor lies under
-        # the existing mesh, so only new panels count
-        below = 0.0
-        prev = None
-        stalled = 0
-        new_breaks: list[np.ndarray] = []
-        new_panels: list[np.ndarray] = []
-        k = 0
-        chunk = 4
-        while k < _MAX_PANELS:
-            # speculative chunk of segments, ending at the first one under _TINY
-            n = min(chunk, _MAX_PANELS - k)
-            edges = [lo, lo * r]
-            while len(edges) <= n and edges[-1] >= _TINY:
-                edges.append(edges[-1] * r)
-            tops = np.array(edges[:-1])
-            bottoms = np.array(edges[1:])
-            leaf_breaks, leaf_vals, owner, bad = self._verify(bottoms, tops)
-            seg_sums = np.bincount(owner, weights=leaf_vals, minlength=tops.size)
-            seg_below = np.bincount(
-                owner, weights=np.where(leaf_breaks <= t_floor, leaf_vals, 0.0), minlength=tops.size
-            )
-            for j in range(tops.size):
-                if bad[j]:
-                    raise DivergedIntegralError("non-finite panel value near 0; integral diverges")
-                seg = float(seg_sums[j])
-                lo = float(bottoms[j])
-                total += seg
-                below += float(seg_below[j])
-                stub = None
-                if prev is not None and prev > 0:
-                    q = seg / prev
-                    if q >= 0.9995:
-                        stalled += 1
-                        if stalled >= 48:
-                            raise DivergedIntegralError(
-                                "panel sums near 0 are not decaying; integral diverges"
-                            )
-                    else:
-                        stalled = 0
-                    if q < 1.0:
-                        tail = seg * q / (1.0 - q)
-                        local = max(tail + below, tol * total)
-                        if k >= 3 and seg + tail <= tol * local and lo <= t_floor:
-                            stub = tail
-                if stub is None and lo < _TINY:
-                    if seg > tol * max(total, 1e-300):
-                        raise DivergedIntegralError(
-                            "mesh grading reached the underflow floor without converging"
-                        )
-                    stub = seg
-                if stub is not None:
-                    keep = owner <= j
-                    new_breaks.append(leaf_breaks[keep])
-                    new_panels.append(leaf_vals[keep])
-                    return (
-                        np.concatenate([[lo], *new_breaks[::-1], breaks[1:]]),
-                        np.concatenate([*new_panels[::-1], panels]),
-                        stub,
-                    )
-                prev = seg
-                k += 1
-            new_breaks.append(leaf_breaks)
-            new_panels.append(leaf_vals)
-            chunk = min(2 * chunk, 64)
-        raise DivergedIntegralError("panel budget exhausted while grading toward 0")
-
-    def _extend_up(self, t_hi: float) -> None:
-        br, pa, _, stub = self._mesh
-        growth = 1.0 / _MESH_RATIO
-        edges = [float(br[-1])]
-        for _ in range(_MAX_PANELS):
-            if edges[-1] >= t_hi:
-                break
-            edges.append(edges[-1] * growth)
-        else:
-            raise DivergedIntegralError("panel budget exhausted while extending upward")
-        edges = np.array(edges)
-        leaf_breaks, leaf_vals, _, bad = self._verify(edges[:-1], edges[1:])
-        if bad.any():
-            raise DivergedIntegralError("non-finite panel value; integral diverges")
-        self._set_mesh(np.concatenate((br, leaf_breaks)), np.concatenate((pa, leaf_vals)), stub)
-
-    def _ensure(self, t_hi: float, t_lo: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        if self._mesh is None:
-            top = max(t_hi, t_lo)
-            self._set_mesh(*self._grade_down(np.array([top]), np.empty(0), min(t_lo, top)))
-        if t_hi > self._mesh[0][-1]:
-            self._extend_up(t_hi)
-        if 0.0 < t_lo < self._mesh[0][0]:
-            br, pa, _, _ = self._mesh
-            self._set_mesh(*self._grade_down(br, pa, t_lo))
-        return self._mesh
-
-    # -- evaluation -----------------------------------------------------------
+            order = np.argsort(np.concatenate(lefts), kind="stable")
+            rights, values, owners = (np.concatenate(x)[order] for x in (rights, values, owners))
+            mass = np.bincount(owners, weights=values, minlength=bad.size)
+            first_bad = int(np.argmax(bad)) if bad.any() else bad.size
+            keep = owners < first_bad
+            breaks = np.concatenate((edges[:1], rights[keep]))
+            prefix = np.concatenate(([0.0], np.cumsum(values[keep])))
+            # the bottom two binades continued geometrically leave
+            # m0^2 / (m1 - m0) below 2^-1022, without bound when m1 <= m0
+            m0, m1 = mass[0], mass[1]
+            if m0 * m0 > _QUAD_TOL * mass[:1022].sum() * (m1 - m0):
+                raise DivergedIntegralError("mass below the smallest normal float is not negligible; diverges")
+        return breaks, prefix, float(edges[first_bad])
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
         if not np.all(np.isfinite(t_arr)):
             raise DomainError("argument must be finite")
         scalar = t_arr.ndim == 0
-        t_arr = np.atleast_1d(t_arr).copy()
+        t_arr = np.atleast_1d(t_arr)
         out = np.zeros_like(t_arr)
-        pos = t_arr > 0.0
+        pos = t_arr > _TINY_NORMAL
         if pos.any():
+            if self._mesh is None:
+                self._mesh = self._build()
+            breaks, prefix, limit = self._mesh
             tp = t_arr[pos]
-            breaks, _, prefix, stub = self._ensure(float(tp.max()), float(max(tp.min(), _TINY)))
-            idx = np.searchsorted(breaks, tp, side="left")
-            vals = np.empty_like(tp)
-            below = idx == 0
-            if below.any():
-                # under the mesh floor: scale the stub linearly (sub-tolerance mass)
-                vals[below] = stub * tp[below] / breaks[0]
-            inside = ~below
-            if inside.any():
-                i = idx[inside]
-                a = breaks[i - 1]
-                vals[inside] = prefix[i - 1] + gauss_panel(self._g, a, tp[inside])
-            out[pos] = vals
+            if tp.max() > limit:
+                raise DivergedIntegralError("non-finite density value below the argument; integral diverges")
+            i = np.searchsorted(breaks, tp, side="left")
+            out[pos] = prefix[i - 1] + gauss_panel(self._g, breaks[i - 1], tp)
         return float(out[0]) if scalar else out
 
 

@@ -108,17 +108,15 @@ def luxemburg_norm(
     phi: NStarFunction,
     space: MeasureSpace,
     f: MeasurableFn,
-    *,
-    residual_tol: float = LUX_RESIDUAL_TOL,
-    max_iter: int = LUX_MAX_ITER,
 ) -> QuasiNormResult:
     """Smallest lambda with modular(f / lambda) <= 1.
 
     lambda -> rho(f/lambda) is continuous and strictly decreasing through 1
     on finite spaces, so a bracket grown from max|f| inside the normal float
     range exists; bisection on a geometric midpoint that cannot overflow or
-    underflow stops when the modular residual is inside residual_tol (or the
-    bracket collapses to rounding width). A bracket that collapses where
+    underflow stops when the modular residual is inside LUX_RESIDUAL_TOL (or
+    the bracket collapses to rounding width); LUX_MAX_ITER modular
+    evaluations bound the whole search. A bracket that collapses where
     the modular is not finite (f/lambda overflows before the modular comes
     down to 1) raises NonconvergenceError.
     """
@@ -139,27 +137,27 @@ def luxemburg_norm(
     lo = hi = max(float(absv.max()), _TINY)
     step = 2.0
     while rho(hi) > 1.0:
-        if hi >= _MAX or iterations > max_iter:
+        if hi >= _MAX or iterations > LUX_MAX_ITER:
             raise NonconvergenceError("no upper bracket for the quasi-norm within budget")
         hi = min(hi * step, _MAX)
         step = min(step * step, 1e12)
         iterations += 1
     step = 2.0
     while rho(lo) < 1.0:
-        if lo <= _TINY or iterations > max_iter:
+        if lo <= _TINY or iterations > LUX_MAX_ITER:
             # the modular never reaches 1 from above: f is a modular null
             raise NonconvergenceError("no lower bracket for the quasi-norm within budget")
         lo = max(lo / step, _TINY)
         step = min(step * step, 1e12)
         iterations += 1
-    while iterations < max_iter:
+    while iterations < LUX_MAX_ITER:
         prod = lo * hi
         mid = math.sqrt(prod) if _TINY <= prod <= _MAX else math.sqrt(lo) * math.sqrt(hi)
         value = rho(mid)
         iterations += 1
         lam = mid
         resid = abs(value - 1.0)
-        if resid <= residual_tol or (hi - lo) <= 1e-15 * hi:
+        if resid <= LUX_RESIDUAL_TOL or (hi - lo) <= 1e-15 * hi:
             break
         if value > 1.0:
             lo = mid
@@ -167,7 +165,7 @@ def luxemburg_norm(
             hi = mid
     else:
         raise NonconvergenceError(
-            f"quasi-norm bisection did not meet residual {residual_tol:g} in {max_iter} steps"
+            f"quasi-norm bisection did not meet residual {LUX_RESIDUAL_TOL:g} in {LUX_MAX_ITER} steps"
         )
     if not math.isfinite(value):
         raise NonconvergenceError(
@@ -233,10 +231,11 @@ def young_type_check(
     phi_hat = phi_hat if phi_hat is not None else complementary(phi)
     if not f.space.same_as(space) or not g.space.same_as(space):
         raise SpaceMismatchError("functions must live on the given space")
-    left_vals = np.asarray(phi(np.abs(f.values)), dtype=float) * np.asarray(
-        phi_hat(np.abs(g.values)), dtype=float
-    )
-    left = float(np.dot(left_vals, space.masses))
+    with np.errstate(over="ignore", invalid="ignore"):
+        left_vals = np.asarray(phi(np.abs(f.values)), dtype=float) * np.asarray(
+            phi_hat(np.abs(g.values)), dtype=float
+        )
+        left = float(np.dot(left_vals, space.masses))
     right = integrate(space, np.abs, f) + integrate(space, np.abs, g)
     slack = right - left
     scale = max(abs(left), abs(right), 1.0)
@@ -283,8 +282,13 @@ def l1_embedding_bound_check(
 ) -> CheckReport:
     """Quasi-norm against ||f||_1 / (mu(X) * phi^{-1}(1/mu(X))) on finite measure."""
     mu = space.total_mass
+    if not (np.isfinite(mu) and mu > 0):
+        raise DomainError("the L1 embedding needs finite positive total mass")
     l1 = integrate(space, np.abs, f)
-    bound = l1 / (mu * float(phi.inverse(1.0 / mu)))
+    # mu * phi^-1(1/mu) leaves the float range when mu is near either end of
+    # it; underflow to 0 gives the bound inf, which holds trivially
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        bound = float(np.divide(l1, mu * np.asarray(phi.inverse(1.0 / mu), dtype=float)))
     norm = luxemburg_norm(phi, space, f).value
     slack = bound - norm
     scale = max(abs(bound), abs(norm), 1.0)
@@ -321,8 +325,12 @@ def modular_to_norm_bound_check(
             passed=None,
             notes=(f"precondition modular < c failed: modular={rho.value:.6g}, c={c:.6g}",),
         )
-    n0 = math.floor(math.log(c) / math.log(2.0)) + 1
-    bound = kval**n0
+    # with c or k^n0 past the float range the bound is inf, which holds trivially
+    n0 = math.floor(math.log(c) / math.log(2.0)) + 1 if c < math.inf else math.inf
+    try:
+        bound = kval**n0
+    except OverflowError:
+        bound = math.inf
     norm = luxemburg_norm(phi, space, f).value
     slack = bound - norm
     scale = max(abs(bound), 1.0)
@@ -398,15 +406,16 @@ def intersection_check(
     """
     phi_hat = phi_hat if phi_hat is not None else complementary(phi)
     absv = np.abs(f.values)
-    l1 = float(np.dot(absv, space.masses))
     mod_phi = modular(phi, space, f).value
-    mod_hat = float(np.dot(np.asarray(phi_hat(absv), dtype=float), space.masses))
-    prod = float(
-        np.dot(
-            np.asarray(phi(absv), dtype=float) * np.asarray(phi_hat(absv), dtype=float),
-            space.masses,
+    with np.errstate(over="ignore", invalid="ignore"):
+        l1 = float(np.dot(absv, space.masses))
+        mod_hat = float(np.dot(np.asarray(phi_hat(absv), dtype=float), space.masses))
+        prod = float(
+            np.dot(
+                np.asarray(phi(absv), dtype=float) * np.asarray(phi_hat(absv), dtype=float),
+                space.masses,
+            )
         )
-    )
     scale = max(l1, 1.0)
     lower = (prod - l1) / scale
     upper = (2.0 * l1 - prod) / scale

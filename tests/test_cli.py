@@ -272,6 +272,29 @@ class TestCheck:
         assert "samples" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--tol", "nan", "--seed", "5", "--samples", "0", "--suite", "bogus"],
+            ["--phi", "log_sqrt"],
+            ["--space", "atoms:1"],
+            ["--seed", "0"],
+            ["--samples", "50"],
+            ["--suite", "all"],
+            ["--tol", "1e-9"],
+        ],
+    )
+    def test_config_with_suite_flags_exits_two(self, capsys, tmp_path, flags):
+        # the document holds every suite setting; each of these flags was ignored beside it
+        cfg = {"phi": {"family": "power", "params": {"p": 0.5}}, "space": {"kind": "atomic", "masses": [1.0]}}
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["check", "--config", str(path), *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: --config cannot be combined with")
+        assert all(flag in err for flag in flags[::2])
+
     def test_malformed_config_exit_two(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -430,6 +453,65 @@ class TestConjugateFuzz:
                     assert rec["rel_gap"] <= 1e-12, rec
 
 
+def _mostly(valid, junk):
+    """Seven draws in eight from valid, so that most drawn commands reach the library.
+
+    The junk branch sits at 5, not 0: hypothesis draws the ends of a range often.
+    """
+    return st.integers(0, 7).flatmap(lambda i: junk if i == 5 else valid)
+
+
+_FLOAT_TEXT = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr), st.sampled_from(_EXTREMES))
+_POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False).map(repr)
+_FUZZ_MASS = _mostly(_POSITIVE, st.sampled_from(_EXTREMES))
+# at most 64 cells: interval:L=...,N=... or one to four atoms
+_FUZZ_SPACE = st.one_of(
+    st.tuples(_FUZZ_MASS, _mostly(st.integers(1, 64), st.integers(-1, 0))).map(lambda ln: f"interval:L={ln[0]},N={ln[1]}"),
+    st.lists(_FUZZ_MASS, min_size=1, max_size=4).map(lambda ms: "atoms:" + ",".join(ms)),
+)
+_FUZZ_FN = st.one_of(
+    st.just("identity"),
+    _FLOAT_TEXT.map(lambda v: f"constant:{v}"),
+    st.tuples(st.integers(-1, 4), st.integers(-1, 65)).map(lambda ab: f"indicator:{ab[0]}..{ab[1]}"),
+)
+_FUZZ_SUITE = _mostly(
+    st.one_of(st.just("all"), st.lists(st.sampled_from(nstar.CHECK_NAMES), min_size=1, max_size=3, unique=True).map(",".join)),
+    st.sampled_from(["bogus", "", "all,bogus"]),
+)
+
+
+@st.composite
+def _flag_argv(draw):
+    """metric, delta2 or check with drawn flag values; at most 64 cells, 2 samples and 50 grid points."""
+    command = draw(st.sampled_from(["metric", "delta2", "check"]))
+    argv = [command, "--phi", draw(_SHORTHAND_PHI)]
+    if command == "metric":
+        argv += [f"--space={draw(_FUZZ_SPACE)}", f"--fn={draw(_FUZZ_FN)}", f"--fn2={draw(_FUZZ_FN)}"]
+    elif command == "delta2":
+        argv += [f"--grid-lo={draw(_mostly(_POSITIVE, _FLOAT_TEXT))}", f"--grid-hi={draw(_mostly(_POSITIVE, _FLOAT_TEXT))}"]
+        argv += [f"--grid-points={draw(_mostly(st.integers(1, 50), st.integers(-1, 0)))}"]
+        argv += [f"--k0={draw(_mostly(st.floats(2.0, exclude_min=True, allow_infinity=False).map(repr), _FLOAT_TEXT))}"]
+    else:
+        argv += [f"--space={draw(_FUZZ_SPACE)}", f"--suite={draw(_FUZZ_SUITE)}"]
+        argv += [f"--samples={draw(_mostly(st.integers(1, 2), st.integers(-1, 0)))}"]
+        argv += [f"--seed={draw(_mostly(st.integers(0, 2**32 - 1).map(str), st.sampled_from(['-1', 'x', ''])))}"]
+        argv += [f"--tol={draw(_mostly(st.floats(0.0, allow_infinity=False).map(repr), _FLOAT_TEXT))}"]
+    return [*argv, "--format", "json"]
+
+
+class TestFlagFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_flag_argv())
+    def test_exit_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if out.getvalue():
+            strict_json(out.getvalue())
+
+
 class TestDemos:
     def test_nonconvex_final_modular(self, capsys):
         code, out = run_cli(
@@ -507,6 +589,21 @@ class TestDemos:
         err = capsys.readouterr().err
         assert code == 2
         assert "unknown fields ['seed']" in err
+
+    @pytest.mark.parametrize("how", ["config", "flags"])
+    def test_dualzero_functional_below_one_exits_two(self, capsys, tmp_path, how):
+        # f0 * kernel integrates to 0.5 (flags) or the halving f0's mean (config): input, not a failed check
+        argv = ["demo", "dualzero", "--phi", "power:p=0.5", "--space", "interval:L=1,N=64"]
+        if how == "config":
+            path = tmp_path / "demo.json"
+            path.write_text(json.dumps({"kernel": {"generator": "constant", "params": {"value": 1.0}}}))
+            argv += ["--config", str(path)]
+        else:
+            argv += ["--fn", "constant:1", "--kernel", "constant:0.5"]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "functional value" in err
 
     def test_dualzero_zero_iterations_in_config_exit_two(self, capsys, tmp_path):
         path = tmp_path / "demo.json"

@@ -23,96 +23,6 @@ from nstar.numerics import (
 )
 
 
-class PanelByPanelCumulativeIntegral(CumulativeIntegral):
-    """Reference mesh construction: one panel per density call, depth first.
-
-    The depth-first recursion and segment-at-a-time grading that level
-    batching replaced, kept as an oracle for the mesh it must reproduce.
-    """
-
-    def _verified_panel(self, a: float, b: float, depth: int = 0):
-        whole = float(numerics.gauss_panel(self._g, a, b))
-        mid = 0.5 * (a + b)
-        left = float(numerics.gauss_panel(self._g, a, mid))
-        right = float(numerics.gauss_panel(self._g, mid, b))
-        refined = left + right
-        if depth >= 22 or abs(whole - refined) <= 0.1 * numerics._QUAD_TOL * (abs(refined) + 1e-300):
-            return [mid, b], [left, right]
-        eb, ev = self._verified_panel(a, mid, depth + 1)
-        eb2, ev2 = self._verified_panel(mid, b, depth + 1)
-        return eb + eb2, ev + ev2
-
-    def _set_mesh(self, breaks, panels, stub):
-        super()._set_mesh(np.asarray(breaks, dtype=float), np.asarray(panels, dtype=float), stub)
-
-    def _grade_down(self, breaks: list, panels: list, t_floor: float) -> float:
-        r = numerics._MESH_RATIO
-        tol = numerics._QUAD_TOL
-        lo = breaks[0]
-        prev = None
-        stalled = 0
-        for k in range(numerics._MAX_PANELS):
-            nxt = lo * r
-            eb, ev = self._verified_panel(nxt, lo)
-            seg = float(sum(ev))
-            breaks[:0] = [nxt] + eb[:-1]
-            panels[:0] = ev
-            lo = nxt
-            if prev is not None and prev > 0:
-                q = seg / prev
-                if q >= 0.9995:
-                    stalled += 1
-                    if stalled >= 48:
-                        raise DivergedIntegralError("not decaying")
-                else:
-                    stalled = 0
-                if q < 1.0:
-                    stub = seg * q / (1.0 - q)
-                    below = stub + sum(p for b, p in zip(breaks[1:], panels) if b <= t_floor)
-                    local = max(below, tol * sum(panels))
-                    if k >= 3 and seg + stub <= tol * local and lo <= t_floor:
-                        return stub
-            prev = seg
-            if lo < numerics._TINY:
-                if prev is not None and seg <= tol * max(sum(panels), 1e-300):
-                    return seg
-                raise DivergedIntegralError("underflow floor")
-        raise DivergedIntegralError("budget")
-
-    def _extend_up(self, t_hi: float) -> None:
-        br, pa, _, stub = self._mesh
-        breaks = list(br)
-        panels = list(pa)
-        growth = 1.0 / numerics._MESH_RATIO
-        top = breaks[-1]
-        for _ in range(numerics._MAX_PANELS):
-            if top >= t_hi:
-                break
-            nxt = top * growth
-            eb, ev = self._verified_panel(top, nxt)
-            breaks.extend(eb)
-            panels.extend(ev)
-            top = nxt
-        else:
-            raise DivergedIntegralError("budget")
-        self._set_mesh(breaks, panels, stub)
-
-    def _ensure(self, t_hi: float, t_lo: float):
-        if self._mesh is None:
-            top = max(t_hi, t_lo)
-            breaks, panels = [top], []
-            stub = self._grade_down(breaks, panels, min(t_lo, top))
-            self._set_mesh(breaks, panels, stub)
-        if t_hi > self._mesh[0][-1]:
-            self._extend_up(t_hi)
-        if 0.0 < t_lo < self._mesh[0][0]:
-            br, pa, _, _ = self._mesh
-            breaks, panels = list(br), list(pa)
-            stub = self._grade_down(breaks, panels, t_lo)
-            self._set_mesh(breaks, panels, stub)
-        return self._mesh
-
-
 def log_sqrt_conjugate_density(t):
     """Density of the Young conjugate of expm1(s^2), the inverse of log_sqrt.
 
@@ -224,46 +134,51 @@ class TestCumulativeIntegral:
         with pytest.raises(DivergedIntegralError):
             up(10.0)
 
-    def test_speculative_segments_past_the_stop_change_nothing(self):
-        clean = CumulativeIntegral(lambda t: t**-0.5)
-        clean(1.0)
-        floor = clean._mesh[0][0]
-        hits = []
+    def test_matches_a_closed_integral_across_the_float_range(self):
+        # with s the density at t, the integral is t s - expm1(s^2); below
+        # ~1e-154 the oracle's t^2/4 leaves the normal floats
+        cum = CumulativeIntegral(log_sqrt_conjugate_density)
+        xs = np.geomspace(1e-150, 1e300, 91)
+        s = log_sqrt_conjugate_density(xs)
+        assert np.max(np.abs(cum(xs) / (xs * s - np.expm1(s * s)) - 1.0)) < 1e-10
 
-        def holed(t):
-            # NaN far enough below the final mesh that only speculation reaches it
-            hole = t < floor / 16
-            hits.append(bool(hole.any()))
-            return np.where(hole, np.nan, t**-0.5)
+    def test_arguments_below_the_normal_floats_give_zero(self, monkeypatch):
+        cum = CumulativeIntegral(lambda t: t**-0.5)
+        xs = np.array([5e-324, 1e-310, np.finfo(float).tiny])
+        values, calls, _ = quadrature_work(monkeypatch, CumulativeIntegral, lambda: cum(xs))
+        np.testing.assert_array_equal(values, 0.0)
+        assert calls == 0
 
-        cum = CumulativeIntegral(holed)
-        assert cum(1.0) == clean(1.0)
-        assert any(hits)
-        assert np.array_equal(cum._mesh[0], clean._mesh[0])
+    def test_non_finite_density_below_the_argument_diverges(self):
+        # NaN on [1e-200, 2e-200] only: the mesh holds it for every argument above 1e-200
+        cum = CumulativeIntegral(lambda t: np.where((t > 1e-200) & (t < 2e-200), np.nan, t**-0.5))
+        assert cum(1e-201) == pytest.approx(2e-201**0.5 * 2**0.5, rel=1e-10)
+        with pytest.raises(DivergedIntegralError):
+            cum(1.0)
 
-
-class TestLevelBatchedMesh:
-    """Level batching reproduces the panel-by-panel mesh with far fewer calls."""
+    @pytest.mark.parametrize("a, integrable", [(0.01, False), (0.025, False), (0.03, True)])
+    def test_mass_below_the_normal_floats_must_be_negligible(self, a, integrable):
+        # t^(a-1) leaves 2^(-1022 a) / a below 2^-1022: 2.1e-8 of F(1) at a = 0.025, 5.8e-10 at 0.03
+        cum = CumulativeIntegral(lambda t: t ** (a - 1.0))
+        if integrable:
+            assert cum(1.0) == pytest.approx(1.0 / a, rel=1e-9)
+        else:
+            with pytest.raises(DivergedIntegralError):
+                cum(1.0)
 
     @pytest.mark.parametrize(
-        "density, tol",
-        [
-            (lambda t: t**-0.5, 1e-8),
-            (lambda t: np.exp(-t), 1e-8),
-            (log_sqrt_conjugate_density, 1e-11),
-        ],
-        ids=["inv_sqrt", "exp", "log_sqrt_conjugate"],
+        "density",
+        [lambda t: t**-0.5, lambda t: np.exp(-t), log_sqrt_family().density, log_sqrt_conjugate_density],
+        ids=["inv_sqrt", "exp", "log_sqrt", "log_sqrt_conjugate"],
     )
-    def test_mesh_matches_panel_by_panel_reference(self, monkeypatch, density, tol):
-        monkeypatch.setattr(numerics, "_QUAD_TOL", tol)
-        batched = CumulativeIntegral(density)
-        reference = PanelByPanelCumulativeIntegral(density)
-        # build, extend up and down, then extend down again
-        for xs in ([1.0], np.geomspace(1e-3, 1e6, 7), [1e-12, 3.0], [1e-14]):
-            np.testing.assert_allclose(batched(xs), reference(xs), rtol=1e-14, atol=0)
-            got, want = batched._mesh, reference._mesh
-            assert np.array_equal(got[0], want[0])
-            np.testing.assert_allclose(got[2], want[2], rtol=1e-14, atol=0)
+    def test_one_build_then_one_panel_per_argument(self, monkeypatch, density):
+        cum = CumulativeIntegral(density)
+        _, calls, _ = quadrature_work(monkeypatch, CumulativeIntegral, lambda: cum(1.0))
+        # at most 23 refinement levels, then the argument's panel
+        assert calls <= 24
+        xs = np.geomspace(1e-300, 1e300, 61)
+        _, calls, nodes = quadrature_work(monkeypatch, CumulativeIntegral, lambda: cum(xs))
+        assert (calls, nodes) == (1, 15 * xs.size)
 
 
 def _quarter_power_table():

@@ -25,6 +25,8 @@ from nstar import (
     simple_approximation,
     young_type_check,
 )
+from nstar import space as space_module
+from nstar.errors import DomainError
 
 HALF = power_family(0.5)
 HALF_SCALED = scaled_power_family(0.5)
@@ -125,13 +127,14 @@ class TestLuxemburgNorm:
         res = luxemburg_norm(HALF, X, f)
         assert res.lambda_residual <= 1e-10
 
-    def test_iteration_budget_exhaustion(self):
+    def test_iteration_budget_exhaustion(self, monkeypatch):
         from nstar import NonconvergenceError
 
+        monkeypatch.setattr(space_module, "LUX_MAX_ITER", 3)
         X = MeasureSpace.atomic([1e-12])
         f = MeasurableFn(np.array([1.0]), X)  # norm 1e-24: far from the start point
         with pytest.raises(NonconvergenceError):
-            luxemburg_norm(HALF, X, f, max_iter=3)
+            luxemburg_norm(HALF, X, f)
 
     def test_homogeneity(self):
         rng = np.random.default_rng(21)
@@ -293,6 +296,22 @@ class TestL1Embedding:
         rep = l1_embedding_bound_check(HALF, X, f)
         assert rep.slack_min == pytest.approx(0.0, abs=1e-9)
 
+    def test_bound_past_the_float_range_holds(self):
+        # mu * phi^-1(1/mu) = 1e300 * 1e-600 underflows to 0: the bound is
+        # inf, not a ZeroDivisionError, while the norm of f on the unit atom is 3
+        X = MeasureSpace.atomic([1.0, 1e300])
+        f = MeasurableFn(np.array([3.0, 0.0]), X)
+        rep = l1_embedding_bound_check(HALF, X, f)
+        assert rep.data["bound"] == rep.slack_min == np.inf
+        assert rep.data["norm"] == pytest.approx(3.0, rel=1e-9)
+        assert rep.passed
+
+    def test_infinite_total_mass_is_a_domain_error(self):
+        # the masses sum past the float range: mu * phi^-1(1/mu) was inf * 0 = NaN, a FAIL
+        X = MeasureSpace.atomic([1e308, 1e308])
+        with pytest.raises(DomainError):
+            l1_embedding_bound_check(HALF, X, MeasurableFn.constant(X, 1.0))
+
     def test_random_functions(self):
         rng = np.random.default_rng(23)
         for _ in range(150):
@@ -319,6 +338,14 @@ class TestModularToNorm:
         rep = modular_to_norm_bound_check(phi, UNIT, f, 1.0)
         assert rep.data["n0"] == 1
         assert rep.data["bound"] == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("c", [1e300, np.inf])
+    def test_bound_past_the_float_range_holds(self, c):
+        # 4^997 overflowed (OverflowError), and floor(log2 inf) raised OverflowError
+        f = MeasurableFn.constant(UNIT, 9.0)
+        rep = modular_to_norm_bound_check(HALF, UNIT, f, c, k=4.0)
+        assert rep.data["bound"] == np.inf
+        assert rep.passed
 
     def test_precondition_failure_skips(self):
         phi = certified(HALF)
