@@ -81,7 +81,9 @@ class NStarFunction:
         if np.any(y_arr < 0):
             raise DomainError("generator inverse is defined for y >= 0 only")
         if self.inverse_fn is not None:
-            return self.inverse_fn(y_arr)
+            # a level past the range of the float inverse gives inf
+            with np.errstate(over="ignore"):
+                return self.inverse_fn(y_arr)
         return invert_increasing(self.__call__, y_arr)
 
     def with_delta2(self, certificate: "Delta2Certificate") -> "NStarFunction":
@@ -192,9 +194,10 @@ _K_RESIDUAL_TOL = 1e-10
 def delta2_solve(phi: NStarFunction, k0: float, grid) -> Delta2Certificate:
     """Solve 2*phi(x) = phi(k x) for k in [2, k0] at every grid point.
 
-    Preconditions checked on the grid: k0 > 2 and 2*phi(x) <= phi(k0 x)
-    (the doubling hypothesis), plus phi(2x) <= 2*phi(x) which any concave
-    generator satisfies. Both sign conditions bracket a root, so bisection
+    Preconditions checked on the grid: k0 > 2 and k0 x inside the float
+    range (DomainError otherwise), 2*phi(x) <= phi(k0 x) (the doubling
+    hypothesis), plus phi(2x) <= 2*phi(x) which any concave generator
+    satisfies. Both sign conditions bracket a root, so bisection
     cannot fail; a relative residual above 1e-10 raises
     NonconvergenceError. A global constant is reported only when the
     per-point solutions agree to 1e-8 in relative terms.
@@ -204,10 +207,16 @@ def delta2_solve(phi: NStarFunction, k0: float, grid) -> Delta2Certificate:
     xs = np.asarray(grid, dtype=float)
     if xs.ndim != 1 or xs.size == 0 or np.any(xs <= 0) or not np.all(np.isfinite(xs)):
         raise DomainError("sample grid must be finite and strictly positive")
-    # 2 phi(x), k0 x and 2 x overflow to inf near the top of the float range
+    # k0 x > 2 x, so this also catches 2 x past the float range
+    with np.errstate(over="ignore"):
+        scaled = k0 * xs
+    if not np.all(np.isfinite(scaled)):
+        worst = xs[np.argmin(np.isfinite(scaled))]
+        raise DomainError(f"k0*x overflows the float range at x={worst:.6g} for k0={k0:g}")
+    # 2 phi(x) can still overflow near the top of the float range
     with np.errstate(over="ignore"):
         twice = 2.0 * np.asarray(phi(xs), dtype=float)
-        top = np.asarray(phi(k0 * xs), dtype=float)
+        top = np.asarray(phi(scaled), dtype=float)
         bottom = np.asarray(phi(2.0 * xs), dtype=float)
     if np.any(top < twice * (1 - 1e-12)):
         worst = xs[np.argmin(top - twice)]

@@ -40,7 +40,7 @@ from .dual import (
     nonconvexity_demo,
     operator_norm_bruteforce,
 )
-from .errors import DocumentError, NStarError
+from .errors import CapacityError, DocumentError, DomainError, NStarError
 from .space import luxemburg_norm, metric
 from .suite import CHECK_NAMES, default_doubling_constant, run_check_suite
 
@@ -201,7 +201,11 @@ def _cmd_conjugate(args) -> int:
 def _cmd_delta2(args) -> int:
     phi = phi_from_text(args.phi)
     _usage_check(2 < args.k0 < np.inf, "--k0 must be a finite number above 2")
-    cert = delta2_solve(phi, args.k0, _grid(args))
+    try:
+        cert = delta2_solve(phi, args.k0, _grid(args))
+    except DomainError as exc:
+        # delta2_solve raises it only on k0 and the grid: k0 * x past the float range
+        raise DocumentError(str(exc)) from exc
     payload = {
         "command": "delta2",
         "k0": cert.k0,
@@ -307,7 +311,11 @@ def _cmd_demo(args) -> int:
         space = space_from_text(space_text)
         _usage_check(0 < epsilon < np.inf, "demo epsilon must be positive and finite")
         _usage_check(args.n >= 1, "--n must be at least 1")
-        trace = nonconvexity_demo(phi, space, epsilon, args.n)
+        try:
+            trace = nonconvexity_demo(phi, space, epsilon, args.n)
+        except CapacityError as exc:
+            # epsilon, --n and the space ask for bumps the space cannot carry
+            raise DocumentError(f"demo nonconvex: {exc}") from exc
         results = [
             {"n": int(c), "modular": float(m)} for c, m in zip(trace.counts, trace.modulars)
         ]

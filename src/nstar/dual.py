@@ -26,18 +26,14 @@ import numpy as np
 
 from .calculus import NStarFunction
 from .errors import (
+    CapacityError,
     DomainError,
     IndivisibleAtomsError,
     NotApplicableError,
     SpaceMismatchError,
 )
-from .measure import (
-    MeasurableFn,
-    MeasureSpace,
-    disjoint_positive_family,
-    find_subset_with_mass,
-)
-from .space import luxemburg_norm, modular
+from .measure import MeasurableFn, MeasureSpace, disjoint_positive_family, prefix_within
+from .space import luxemburg_norm
 
 __all__ = [
     "AtomicFunctional",
@@ -199,6 +195,14 @@ def dual_zero_halving(
     contracts by about c_phi * max(theta, 1 - theta) per round. Atomic
     spaces are rejected: an atom cannot be split, which is exactly why
     atoms carry nonzero functionals.
+
+    Every split is a prefix, so the support stays one contiguous range
+    [lo, hi) of cells, and phi(0) = 0 gives the cells off it no modular.
+    A round makes one generator pass, phi(2|g|) over the kept piece: it
+    gives the next modular weights, and divided by phi(|g|), carried from
+    the round before, the round's doubling ratio. Sums and integrals still
+    run over the whole space, so every recorded number is the one a plain
+    loop over full arrays gives, bit for bit.
     """
     if space.is_atomic:
         raise IndivisibleAtomsError("the halving construction needs the non-atomic model")
@@ -207,62 +211,80 @@ def dual_zero_halving(
     if not f0.space.same_as(space) or not kernel.space.same_as(space):
         raise SpaceMismatchError("f0 and kernel must live on the given space")
 
-    def phi_value(fn: MeasurableFn) -> float:
-        return float(np.dot(fn.values * kernel.values, space.masses))
-
-    def modular_weights(fn: MeasurableFn) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return np.asarray(phi(np.abs(fn.values)), dtype=float) * space.masses
-
-    phi0 = phi_value(f0)
+    masses = space.masses
+    u = kernel.values
+    # fu = f * u and nu = phi(|f|) * mass over the whole space, zero off the support
+    fu = f0.values * u
+    phi0 = float(np.dot(fu, masses))
     # a vanishing functional is a degenerate but valid input (the trace then
     # only exhibits modular decay); a nonzero unscaled one is a caller error
     if 0.0 < abs(phi0) < 1.0 - 1e-12:
         raise DomainError("scale f0 so the functional value is at least 1")
 
-    f = f0
-    nu = modular_weights(f)
+    lo, hi = 0, space.size
+    # f and phi(|f|) on the support only; f is doubled in place
+    f = f0.values.copy()
+    with np.errstate(over="ignore"):
+        phi_f = np.asarray(phi(f), dtype=float)
+        nu = phi_f * masses
+    part = np.zeros(space.size)
     rho = float(nu.sum())
     val = phi0
-    steps: list[HalvingStep] = [
-        HalvingStep(0, rho, val, 0, int(np.count_nonzero(f.values)))
-    ]
+    steps: list[HalvingStep] = [HalvingStep(0, rho, val, 0, int(np.count_nonzero(f)))]
     c_phi = 1.0
     keep_fraction = max(theta, 1.0 - theta)
     for n in range(1, iterations + 1):
-        prefix = find_subset_with_mass(space, nu, theta * rho)
-        mask = np.zeros(space.size, dtype=bool)
-        mask[prefix] = True
-        g1 = MeasurableFn(np.where(mask, f.values, 0.0), space)
-        g2 = MeasurableFn(np.where(mask, 0.0, f.values), space)
-        v1, v2 = phi_value(g1), phi_value(g2)
-        g = g1 if abs(v1) >= abs(v2) else g2
-        pos = np.abs(g.values[g.values != 0.0])
-        if pos.size:
-            with np.errstate(over="ignore", invalid="ignore"):
-                ratio = np.asarray(phi(2.0 * pos), dtype=float) / np.asarray(phi(pos), dtype=float)
-            c_step = float(np.max(ratio))
+        support = nu[lo:hi]
+        if not (np.isfinite(rho) and support.min(initial=0.0) >= 0.0):
+            raise DomainError(f"halving step {n}: modular weights must be non-negative and finite")
+        # the longest prefix of cells whose modular mass stays <= theta * rho;
+        # cells before lo add nothing, and if the whole support fits, so does every cell after it
+        cut = prefix_within(support, theta * rho)
+        split = lo + cut
+        prefix_cells = split if cut < hi - lo else space.size
+        # part holds the prefix side of fu, fu keeps the rest
+        part[lo:split] = fu[lo:split]
+        fu[lo:split] = 0.0
+        v1, v2 = float(np.dot(part, masses)), float(np.dot(fu, masses))
+        part[lo:split] = 0.0
+        if abs(v1) >= abs(v2):
+            new_lo, new_hi, dropped = lo, split, slice(split, hi)
+        else:
+            new_lo, new_hi, dropped = split, hi, slice(lo, split)
+        g = f[new_lo - lo : new_hi - lo]
+        phi_g = phi_f[new_lo - lo : new_hi - lo]
+        support_cells = int(np.count_nonzero(g))
+        with np.errstate(over="ignore"):
+            g *= 2.0
+        if not np.all(np.isfinite(g)):
+            raise DomainError(f"halving step {n}: doubling the kept piece overflows the float range")
+        with np.errstate(over="ignore"):
+            phi_next = np.asarray(phi(g), dtype=float)
+        if support_cells:
+            nonzero = g != 0.0
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                c_step = float(np.max(phi_next[nonzero] / phi_g[nonzero]))
         else:
             c_step = 1.0
         c_phi = max(c_phi, c_step)
-        f_next = 2.0 * g
-        nu_next = modular_weights(f_next)
-        rho_next = float(nu_next.sum())
-        val_next = phi_value(f_next)
         # the kept piece carries at most keep_fraction of the modular plus one cell
-        allowance = c_step * float(nu.max()) if nu.size else 0.0
+        allowance = c_step * float(support.max(initial=0.0))
         step_cap = c_step * keep_fraction * rho + allowance + tol * rho
+        nu[dropped] = 0.0
+        fu[dropped] = 0.0
+        kept = slice(new_lo, new_hi)
+        with np.errstate(over="ignore"):
+            np.multiply(phi_next, masses[kept], out=nu[kept])
+            np.multiply(g, u[kept], out=fu[kept])
+        rho_next = float(nu.sum())
+        val_next = float(np.dot(fu, masses))
         if rho_next > step_cap:
             raise DomainError(f"halving step {n} violated its modular contraction bound")
         if abs(val_next) < abs(val) - tol * max(abs(val), 1.0):
             raise DomainError(f"halving step {n} lost functional mass")
         step_bound = step_cap / rho if rho > 0 else 1.0
-        f, nu, rho, val = f_next, nu_next, rho_next, val_next
-        steps.append(
-            HalvingStep(
-                n, rho, val, int(prefix.size), int(np.count_nonzero(f.values)), step_bound
-            )
-        )
+        lo, hi, f, phi_f, rho, val = new_lo, new_hi, g, phi_next, rho_next, val_next
+        steps.append(HalvingStep(n, rho, val, prefix_cells, support_cells, step_bound))
     return HalvingTrace(steps=tuple(steps), theta=theta, c_phi=c_phi)
 
 
@@ -312,27 +334,36 @@ def nonconvexity_demo(
 ) -> GrowthTrace:
     """Average n disjoint bumps of modular epsilon and record the growth.
 
-    Each bump f_k = phi^{-1}(epsilon / mu(A_k)) on its own piece has
-    modular exactly epsilon; the running averages h_m keep modular at least
+    Each bump f_k, of height beta_k = phi^{-1}(epsilon / mu(A_k)) on its own
+    piece A_k, has modular exactly epsilon; the running averages h_m keep modular at least
     epsilon because phi(x/m) >= phi(x)/m, and on power families the growth
     is exactly epsilon * m^(1-p). Unbounded growth of these averages is
     what rules out convex neighborhoods of zero.
+
+    Each bump is constant on its piece and phi(0) = 0, so
+    rho(h_m) = sum_{k<=m} phi(beta_k / m) mu(A_k): O(n^2) generator work
+    on the n piece masses and heights, with no generator pass over the
+    cells. Summing the piece masses still reads each cell's mass once.
+    CapacityError when the space cannot carry n such bumps: it has fewer
+    than n atoms or cells, or a height beta_k overflows or underflows to 0.
     """
     if not epsilon > 0:
         raise DomainError("epsilon must be positive")
     pieces = disjoint_positive_family(space, n)
-    bump_vals = np.zeros(space.size)
-    for piece in pieces:
-        mass = float(space.masses[piece].sum())
-        bump_vals[piece] = float(phi.inverse(epsilon / mass))
+    masses = np.array([space.masses[piece].sum() for piece in pieces])
+    with np.errstate(over="ignore"):
+        levels = epsilon / masses
+    heights = np.asarray(phi.inverse(levels), dtype=float)
+    in_range = (heights > 0) & (heights < np.inf)
+    if not np.all(in_range):
+        k = int(np.argmin(in_range))
+        what = "underflows to 0" if heights[k] == 0 else "overflows the float range"
+        raise CapacityError(f"bump height phi^-1({levels[k]:.6g}) on piece {k + 1} {what}")
     counts = np.arange(1, n + 1)
     modulars = np.empty(n, dtype=float)
-    accum = np.zeros(space.size)
     for m in counts:
-        piece = pieces[m - 1]
-        accum[piece] = bump_vals[piece]
-        h_m = MeasurableFn(accum / m, space)
-        modulars[m - 1] = modular(phi, space, h_m).value
+        values = np.asarray(phi(heights[:m] / m), dtype=float)
+        modulars[m - 1] = float(np.dot(values, masses[:m]))
         if modulars[m - 1] < epsilon * (1.0 - tol):
             raise DomainError(f"averaged modular dropped below epsilon at m={m}")
     return GrowthTrace(counts=counts, modulars=modulars, epsilon=float(epsilon))

@@ -25,6 +25,7 @@ __all__ = [
     "MeasurableFn",
     "integrate",
     "find_subset_with_mass",
+    "prefix_within",
     "simple_approximation",
     "disjoint_positive_family",
 ]
@@ -214,9 +215,15 @@ def find_subset_with_mass(space: MeasureSpace, nu_weights, t: float) -> np.ndarr
     total = float(nu.sum())
     if not 0.0 <= t <= total * (1 + 1e-12) + 1e-300:
         raise DomainError(f"target mass {t:g} outside [0, {total:g}]")
-    cum = np.cumsum(nu)
-    k = int(np.searchsorted(cum, t, side="right"))
-    return np.arange(k)
+    return np.arange(prefix_within(nu, t))
+
+
+def prefix_within(weights: np.ndarray, target: float) -> int:
+    """Length of the longest prefix of non-negative weights whose running sum stays <= target.
+
+    The search behind find_subset_with_mass; the caller checks the weights.
+    """
+    return int(np.searchsorted(np.cumsum(weights), target, side="right"))
 
 
 def simple_approximation(f: MeasurableFn, n: int) -> MeasurableFn:

@@ -98,6 +98,14 @@ class TestInvert:
         with pytest.raises(DomainError):
             power_family(0.5).inverse(-1.0)
 
+    @pytest.mark.parametrize(
+        "phi", [power_family(0.5), alpha_exp_family(4.0), log_sqrt_family()], ids=lambda f: f.description
+    )
+    def test_level_past_the_float_range_is_inf_without_warning(self, phi):
+        # pytest turns a RuntimeWarning into an error
+        assert float(phi.inverse(1e200)) == np.inf
+        np.testing.assert_array_equal(np.asarray(phi.inverse(np.array([1e200, 0.0]))), [np.inf, 0.0])
+
     @pytest.mark.parametrize("phi", ALL_FAMILIES, ids=lambda f: f.description)
     def test_invert_after_eval_is_identity(self, phi):
         xs = np.geomspace(1e-3, 1e3, 15)
@@ -342,6 +350,13 @@ class TestDelta2:
     def test_hypothesis_failure_raises(self):
         with pytest.raises(NotDelta2Error):
             delta2_solve(power_family(0.5), 3.0, np.geomspace(1e-3, 1e3, 25))
+
+    @pytest.mark.parametrize("k0", [1e300, 2.5])
+    def test_overflowing_grid_raises_domain_error(self, k0):
+        # k0 * x (and for the top point 2 * x) passes the float range; phi(inf)
+        # used to read as a failed concavity check
+        with pytest.raises(DomainError, match="overflows the float range"):
+            delta2_solve(power_family(0.5), k0, np.geomspace(1e300, 1.7e308, 50))
 
     def test_every_k_in_range(self):
         cert = delta2_solve(alpha_exp_family(2.0), 20.0, np.geomspace(1e-2, 1e2, 25))

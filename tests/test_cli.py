@@ -133,6 +133,14 @@ class TestDelta2:
         assert doc["status"] == "exact_global"
         assert doc["k_global"] == pytest.approx(16.0, abs=1e-9)
 
+    def test_grid_past_the_float_range_exits_two(self, capsys):
+        # k0 * x overflows on the grid; phi(inf) used to fail the concavity check with exit 1
+        argv = ["delta2", "--phi", "power:p=0.5", "--grid-lo", "1e300", "--grid-hi", "1.7e308", "--k0", "1e300"]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "overflows the float range" in err
+
 
 class TestConjugate:
     def test_numeric_against_reference(self, capsys):
@@ -532,6 +540,29 @@ class TestDemos:
         assert code == 0
         doc = json.loads(out)
         assert doc["final_modular"] == pytest.approx(10.0, rel=1e-9)
+
+    def test_nonconvex_overflowing_bump_height_exits_two(self, capsys):
+        # phi^-1(1.3 / (1/32)) = expm1(41.6^2) is past the float range
+        argv = ["demo", "nonconvex", "--phi", "log_sqrt", "--space", "interval:L=1,N=64", "--epsilon", "1.3", "--n", "32"]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "bump height phi^-1(41.6) on piece 1 overflows the float range" in err
+
+    def test_nonconvex_underflowing_bump_height_exits_two(self, capsys):
+        # phi^-1(1e-10) = 1e-1000 is 0 in floats; that used to read as a failed check (exit 1)
+        argv = ["demo", "nonconvex", "--phi", "power:p=0.01", "--atoms", "atoms:1e10,1", "--epsilon", "1", "--n", "2"]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "bump height phi^-1(1e-10) on piece 1 underflows to 0" in err
+
+    @pytest.mark.parametrize("space", ["--space=interval:L=1,N=64", "--atoms=atoms:1,2,3"])
+    def test_nonconvex_more_bumps_than_cells_exits_two(self, capsys, space):
+        code = main(["demo", "nonconvex", "--phi", "power:p=0.5", space, "--n", "65"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "disjoint pieces" in err
 
     def test_dualzero_trace_csv(self, capsys, tmp_path):
         out_path = tmp_path / "trace.csv"

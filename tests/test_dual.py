@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,6 +13,7 @@ from nstar import (
     MeasurableFn,
     MeasureSpace,
     NotApplicableError,
+    NStarFunction,
     alpha_exp_family,
     atom_dual_witness,
     delta2_solve,
@@ -29,6 +32,55 @@ from nstar import (
 
 HALF = power_family(0.5)
 CLOSED_FAMILIES = [power_family, scaled_power_family, alpha_exp_family, lambda _: log_sqrt_family()]
+
+
+def counting(phi: NStarFunction) -> tuple[NStarFunction, list[int]]:
+    """phi with its evaluations recorded: the element count of every pass."""
+    sizes: list[int] = []
+
+    def eval_fn(a):
+        sizes.append(int(np.size(a)))
+        return phi.eval_fn(a)
+
+    return dataclasses.replace(phi, eval_fn=eval_fn), sizes
+
+
+def reference_halving(phi, space, f0, kernel, iterations, theta):
+    """The halving construction as a plain loop over full arrays.
+
+    Returns one (modular, functional value, prefix cells, support cells,
+    step bound) row per step, and c_phi.
+    """
+    masses, u = space.masses, kernel.values
+    f = f0.values.copy()
+    nu = np.asarray(phi(np.abs(f)), dtype=float) * masses
+    rho, val = float(nu.sum()), float(np.dot(f * u, masses))
+    rows = [(rho, val, 0, int(np.count_nonzero(f)), 1.0)]
+    c_phi = 1.0
+    for _ in range(iterations):
+        k = int(np.searchsorted(np.cumsum(nu), theta * rho, side="right"))
+        g1, g2 = f.copy(), f.copy()
+        g1[k:] = 0.0
+        g2[:k] = 0.0
+        v1, v2 = float(np.dot(g1 * u, masses)), float(np.dot(g2 * u, masses))
+        g = g1 if abs(v1) >= abs(v2) else g2
+        pos = np.abs(g[g != 0.0])
+        c_step = float(np.max(np.asarray(phi(2.0 * pos)) / np.asarray(phi(pos)))) if pos.size else 1.0
+        c_phi = max(c_phi, c_step)
+        f = 2.0 * g
+        cap = c_step * max(theta, 1.0 - theta) * rho + c_step * float(nu.max()) + 1e-9 * rho
+        bound = cap / rho if rho > 0 else 1.0
+        nu = np.asarray(phi(np.abs(f)), dtype=float) * masses
+        rho, val = float(nu.sum()), float(np.dot(f * u, masses))
+        rows.append((rho, val, k, int(np.count_nonzero(f)), bound))
+    return rows, c_phi
+
+
+def trace_rows(trace):
+    return [
+        (s.modular, s.functional_value, s.prefix_cells, s.support_cells, s.step_bound)
+        for s in trace.steps
+    ]
 
 
 class TestEvaluateFunctional:
@@ -255,6 +307,187 @@ class TestDualZeroHalving:
         slope = np.diff(log_rho)
         ref_slope = np.log(trace.c_phi * 0.5)
         assert np.all(slope <= ref_slope + 0.05)
+
+
+class TestHalvingAgainstReference:
+    """dual_zero_halving records exactly what a plain full-array loop computes."""
+
+    @pytest.mark.parametrize(
+        "phi, theta",
+        [
+            (power_family(0.5), 0.5),
+            (power_family(0.25), 0.5),
+            (alpha_exp_family(4.0), 0.5),
+            (log_sqrt_family(), 0.5),
+            (power_family(0.5), 1.0 / 3.0),
+            (log_sqrt_family(), 1.0 / 3.0),
+        ],
+        ids=lambda v: v.description if isinstance(v, NStarFunction) else f"theta={v:.3g}",
+    )
+    def test_halving_instance_bit_for_bit(self, phi, theta):
+        X = MeasureSpace.interval(1.0, 3000)
+        f0, u = halving_instance(phi, X)
+        trace = dual_zero_halving(phi, X, f0, u, 12, theta)
+        rows, c_phi = reference_halving(phi, X, f0, u, 12, theta)
+        assert trace_rows(trace) == rows
+        assert trace.c_phi == c_phi
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kernel", ["signed", "front"])
+    def test_zeros_and_other_kernels_bit_for_bit(self, seed, kernel):
+        # interior zeros take the masked ratio path; a kernel that changes
+        # sign, or one that lives on the first cells only, makes rounds keep
+        # the prefix rather than the suffix
+        rng = np.random.default_rng(seed)
+        X = MeasureSpace.interval(1.0, 2000)
+        f0 = MeasurableFn(rng.uniform(0.0, 30.0, X.size) * (rng.uniform(size=X.size) < 0.7), X)
+        if kernel == "signed":
+            u = rng.uniform(-1.0, 3.0, X.size)
+        else:
+            u = np.where(np.arange(X.size) < 300, rng.uniform(0.5, 1.0, X.size), 0.0)
+        u *= 4.0 / abs(float(np.dot(f0.values * u, X.masses)))
+        u = MeasurableFn(u, X)
+        for theta in (0.5, 0.3, 0.8):
+            trace = dual_zero_halving(HALF, X, f0, u, 10, theta)
+            rows, c_phi = reference_halving(HALF, X, f0, u, 10, theta)
+            assert trace_rows(trace) == rows
+            assert trace.c_phi == c_phi
+
+    def test_a_support_without_modular_puts_every_cell_in_the_prefix(self):
+        # round 1 keeps the all-zero prefix of f0 (a tie at functional value
+        # 0); from then on every cell, past the support too, fits under theta * 0
+        X = MeasureSpace.interval(1.0, 64)
+        f0 = MeasurableFn.indicator(X, 63, 64)
+        zero = MeasurableFn.constant(X, 0.0)
+        trace = dual_zero_halving(HALF, X, f0, zero, 3)
+        assert trace_rows(trace) == reference_halving(HALF, X, f0, zero, 3, 0.5)[0]
+        assert [s.prefix_cells for s in trace.steps] == [0, 63, 64, 64]
+
+
+class TestDemoWork:
+    """Solver work of the two demos, counted by a wrapper around phi."""
+
+    def test_halving_makes_one_phi_pass_per_round(self):
+        X = MeasureSpace.interval(1.0, 2**12)
+        phi, sizes = counting(HALF)
+        f0, u = halving_instance(HALF, X)
+        dual_zero_halving(phi, X, f0, u, 9)
+        assert len(sizes) == 9 + 1
+        assert sizes[0] == X.size
+        # each pass covers the kept piece only, and that never grows
+        assert all(b <= a for a, b in zip(sizes, sizes[1:]))
+
+    @pytest.mark.parametrize("space", [MeasureSpace.interval(1.0, 2**16), MeasureSpace.atomic(np.full(500, 0.5))])
+    def test_nonconvex_makes_no_phi_pass_over_the_cells(self, space):
+        n = 32
+        phi, sizes = counting(HALF)
+        nonconvexity_demo(phi, space, 1.0, n)
+        assert len(sizes) == n
+        assert sum(sizes) == n * (n + 1) // 2
+        assert max(sizes) == n
+
+
+class TestDemoGuards:
+    """Every DomainError guard of the two demos is reachable."""
+
+    def test_halving_theta_outside_unit_interval(self):
+        X = MeasureSpace.interval(1.0, 64)
+        f0, u = halving_instance(HALF, X)
+        for theta in (0.0, 1.0, -0.5):
+            with pytest.raises(DomainError, match="theta"):
+                dual_zero_halving(HALF, X, f0, u, 2, theta)
+
+    def test_halving_weights_past_the_float_range(self):
+        # phi(100) * 5e307 overflows, so the modular weights are not finite
+        X = MeasureSpace.interval(1e308, 2)
+        zero = MeasurableFn.constant(X, 0.0)
+        with pytest.raises(DomainError, match="modular weights must be non-negative and finite"):
+            dual_zero_halving(HALF, X, MeasurableFn.constant(X, 100.0), zero, 1)
+
+    def test_halving_doubling_past_the_float_range(self):
+        X = MeasureSpace.interval(1.0, 2)
+        zero = MeasurableFn.constant(X, 0.0)
+        with pytest.raises(DomainError, match="doubling the kept piece overflows"):
+            dual_zero_halving(HALF, X, MeasurableFn.constant(X, 1e308), zero, 1)
+
+    # with a valid generator and tol >= 0 the construction cannot break
+    # either bound; a negative tol tightens a bound past what it guarantees
+    def test_halving_contraction_bound(self):
+        X = MeasureSpace.interval(1.0, 1024)
+        f0, u = halving_instance(HALF, X)
+        with pytest.raises(DomainError, match="violated its modular contraction bound"):
+            dual_zero_halving(HALF, X, f0, u, 3, tol=-1.0)
+
+    def test_halving_functional_mass(self):
+        X = MeasureSpace.interval(1.0, 1024)
+        f0, _ = halving_instance(HALF, X)
+        zero = MeasurableFn.constant(X, 0.0)
+        with pytest.raises(DomainError, match="lost functional mass"):
+            dual_zero_halving(HALF, X, f0, zero, 3, tol=-1e-300)
+
+    def test_nonconvex_epsilon_not_positive(self):
+        X = MeasureSpace.atomic([1.0, 1.0])
+        for eps in (0.0, -1.0, float("nan")):
+            with pytest.raises(DomainError, match="epsilon"):
+                nonconvexity_demo(HALF, X, eps, 2)
+
+    def test_nonconvex_modular_below_epsilon(self):
+        # phi(x) = x^2 is convex: averaging two bumps halves the modular
+        square = NStarFunction(
+            density=lambda t: 2.0 * np.asarray(t, float),
+            eval_fn=lambda a: np.asarray(a, float) ** 2,
+            inverse_fn=np.sqrt,
+        )
+        X = MeasureSpace.atomic([1.0, 1.0, 1.0])
+        with pytest.raises(DomainError, match="dropped below epsilon at m=2"):
+            nonconvexity_demo(square, X, 1.0, 3)
+
+    @pytest.mark.parametrize(
+        "masses, epsilon, message",
+        [
+            ([1.0, 1e-3, 1.0], 1.0, r"phi\^-1\(1000\) on piece 2 overflows the float range"),
+            ([1e-320, 1.0], 1e10, r"phi\^-1\(inf\) on piece 1 overflows the float range"),
+            ([1.0, 1e200], 1e-3, r"phi\^-1\(1e-203\) on piece 2 underflows to 0"),
+        ],
+        ids=["height", "level", "underflow"],
+    )
+    def test_nonconvex_height_outside_the_float_range(self, masses, epsilon, message):
+        X = MeasureSpace.atomic(masses)
+        with pytest.raises(CapacityError, match=message):
+            nonconvexity_demo(log_sqrt_family(), X, epsilon, len(masses))
+
+
+def mp_bump_modulars(mpmath, masses, epsilon, n):
+    """rho(h_m) = sum_{k<=m} phi(beta_k / m) mu_k for phi = sqrt(log(1+x)), in 40-digit mpmath."""
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    mus = [mp.mpf(float(mu)) for mu in masses[:n]]
+    betas = [mp.expm1((mp.mpf(float(epsilon)) / mu) ** 2) for mu in mus]
+    return [
+        float(mp.fsum(mp.sqrt(mp.log1p(beta / m)) * mu for beta, mu in zip(betas[:m], mus[:m])))
+        for m in range(1, n + 1)
+    ]
+
+
+class TestNonconvexityOracle:
+    def test_log_sqrt_uneven_atoms(self):
+        mpmath = pytest.importorskip("mpmath")
+        masses = np.array([0.3, 1.7, 0.05, 2.2, 0.9, 0.11, 4.0, 0.6, 0.07, 1.3])
+        X = MeasureSpace.atomic(masses)
+        trace = nonconvexity_demo(log_sqrt_family(), X, 0.4, masses.size)
+        np.testing.assert_allclose(trace.modulars, mp_bump_modulars(mpmath, masses, 0.4, masses.size), rtol=1e-13)
+
+    def test_log_sqrt_interval_not_a_multiple_of_n(self):
+        mpmath = pytest.importorskip("mpmath")
+        # 1001 cells of width 3/1001 in 7 blocks of 143; no cell is left over
+        # for 7, but 1000 cells in 7 blocks leave 6 cells out of every piece
+        for cells in (1001, 1000):
+            X = MeasureSpace.interval(3.0, cells)
+            block = cells // 7
+            mus = [block * mpmath.mpf(float(X.masses[0]))] * 7
+            trace = nonconvexity_demo(log_sqrt_family(), X, 0.7, 7)
+            want = mp_bump_modulars(mpmath, [float(mu) for mu in mus], 0.7, 7)
+            np.testing.assert_allclose(trace.modulars, want, rtol=1e-13)
 
 
 class TestNonconvexity:
