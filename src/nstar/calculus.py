@@ -294,9 +294,6 @@ class ValidationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> tuple[ValidationCheck, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
     def __getitem__(self, name: str) -> ValidationCheck:
         for c in self.checks:
             if c.name == name:

@@ -15,7 +15,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 import numpy as np
@@ -41,8 +40,8 @@ from .dual import (
     operator_norm_bruteforce,
 )
 from .errors import CapacityError, DocumentError, DomainError, NStarError
-from .space import luxemburg_norm, metric
-from .suite import CHECK_NAMES, default_doubling_constant, run_check_suite
+from .space import SLACK_TOL, luxemburg_norm, metric
+from .suite import CHECK_NAMES, DEFAULT_SAMPLES, DEFAULT_SEED, default_doubling_constant, run_check_suite
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -59,17 +58,6 @@ def _tolerance(value: float, name: str) -> float:
     """A slack tolerance: finite and non-negative, else exit 2."""
     _usage_check(0 <= value < np.inf, f"{name} must be finite and non-negative, got {value!r}")
     return value
-
-
-def _default_tol() -> float:
-    raw = os.environ.get("NSTAR_DEFAULT_TOL")
-    if raw is None:
-        return 1e-9
-    try:
-        tol = float(raw)
-    except ValueError:
-        raise DocumentError(f"NSTAR_DEFAULT_TOL={raw!r} is not a number") from None
-    return _tolerance(tol, "NSTAR_DEFAULT_TOL")
 
 
 def _grid(args, min_points: int = 1) -> np.ndarray:
@@ -240,9 +228,9 @@ def _cmd_check(args) -> int:
         phi = phi_from_text(args.phi)
         space = space_from_text(args.space)
         checks = list(CHECK_NAMES) if args.suite in (None, "all") else args.suite.split(",")
-        samples = 50 if args.samples is None else args.samples
-        seed = 0 if args.seed is None else args.seed
-        tol = _default_tol() if args.tol is None else _tolerance(args.tol, "--tol")
+        samples = DEFAULT_SAMPLES if args.samples is None else args.samples
+        seed = DEFAULT_SEED if args.seed is None else args.seed
+        tol = SLACK_TOL if args.tol is None else _tolerance(args.tol, "--tol")
     records = run_check_suite(phi, space, checks, samples=samples, seed=seed, tol=tol)
     results = [r.to_record() for r in records]
     ok = all(r.passed is not False for r in records)

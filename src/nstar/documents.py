@@ -3,8 +3,8 @@
 Every object the command line consumes has a JSON document form:
 
 * generator: {"family": name, "params": {...}}, params per family as in
-              families.FAMILY_PARAMS (power {"p"}, tabulated_density
-              {"t": [...], "p": [...]}, ...)
+              families.FAMILY_PARAMS, which the family table derives
+              (power {"p"}, tabulated_density {"t": [...], "p": [...]}, ...)
 * space:     {"kind": "atomic", "masses": [...]} or
              {"kind": "interval", "L": float, "N": int}
 * function:  {"values": [...]} or
@@ -36,7 +36,8 @@ from .calculus import NStarFunction
 from .errors import DocumentError
 from .families import FAMILY_NAMES, FAMILY_PARAMS, build_family
 from .measure import MeasurableFn, MeasureSpace
-from .suite import CHECK_NAMES
+from .space import SLACK_TOL
+from .suite import CHECK_NAMES, DEFAULT_SAMPLES, DEFAULT_SEED
 
 __all__ = [
     "parse_phi_doc",
@@ -228,13 +229,13 @@ def parse_suite_doc(doc: dict, context: str = "suite"):
     bad = [c for c in checks if c not in CHECK_NAMES]
     if bad:
         raise DocumentError(f"{context}.checks: unknown names {bad}")
-    samples = _integer(doc.get("samples", 50), f"{context}.samples")
-    seed = _seed(doc.get("seed", 0), f"{context}.seed")
+    samples = _integer(doc.get("samples", DEFAULT_SAMPLES), f"{context}.samples")
+    seed = _seed(doc.get("seed", DEFAULT_SEED), f"{context}.seed")
     tolerances = doc.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise DocumentError(f"{context}.tolerances: expected an object")
     _known_fields(tolerances, ("slack",), f"{context}.tolerances")
-    tol = _number(tolerances.get("slack", 1e-9), f"{context}.tolerances.slack")
+    tol = _number(tolerances.get("slack", SLACK_TOL), f"{context}.tolerances.slack")
     if tol < 0:
         raise DocumentError(f"{context}.tolerances.slack: must not be negative")
     return phi, space, checks, samples, seed, tol

@@ -155,32 +155,25 @@ def from_density(density: Callable, description: str = "") -> NStarFunction:
     return NStarFunction(density=density, description=description or "from_density")
 
 
-# the parameters each family's document takes
-FAMILY_PARAMS = {
-    "power": ("p",),
-    "power_scaled": ("p",),
-    "alpha_exp": ("alpha",),
-    "log_sqrt": (),
-    "tabulated_density": ("t", "p"),
+# each family's document parameters, and its constructor from them
+_FAMILIES = {
+    "power": (("p",), lambda params: power_family(float(params["p"]))),
+    "power_scaled": (("p",), lambda params: scaled_power_family(float(params["p"]))),
+    "alpha_exp": (("alpha",), lambda params: alpha_exp_family(float(params["alpha"]))),
+    "log_sqrt": ((), lambda params: log_sqrt_family()),
+    "tabulated_density": (("t", "p"), lambda params: tabulated_density_family(params["t"], params["p"])),
 }
-FAMILY_NAMES = tuple(FAMILY_PARAMS)
+FAMILY_PARAMS = {name: params for name, (params, _) in _FAMILIES.items()}
+FAMILY_NAMES = tuple(_FAMILIES)
 
 
 def build_family(name: str, params: dict) -> NStarFunction:
     """Construct a registered family from document fields."""
+    if name not in _FAMILIES:
+        raise DocumentError(f"unknown family {name!r}; expected one of {', '.join(FAMILY_NAMES)}")
     try:
-        if name == "power":
-            return power_family(float(params["p"]))
-        if name == "power_scaled":
-            return scaled_power_family(float(params["p"]))
-        if name == "alpha_exp":
-            return alpha_exp_family(float(params["alpha"]))
-        if name == "log_sqrt":
-            return log_sqrt_family()
-        if name == "tabulated_density":
-            return tabulated_density_family(params["t"], params["p"])
+        return _FAMILIES[name][1](params)
     except KeyError as exc:
         raise DocumentError(f"family {name!r} is missing parameter {exc.args[0]!r}") from exc
     except DomainError as exc:
         raise DocumentError(f"family {name!r}: {exc}") from exc
-    raise DocumentError(f"unknown family {name!r}; expected one of {', '.join(FAMILY_NAMES)}")

@@ -174,6 +174,12 @@ def luxemburg_norm(
     return QuasiNormResult(value=float(lam), lambda_residual=float(resid), iterations=iterations)
 
 
+def _slack_report(name: str, bound, value, scale: float, tol: float, data: dict, notes=()) -> CheckReport:
+    """One instance of value <= bound: it holds when the slack bound - value is >= -tol * scale."""
+    slack = float(bound - value)
+    return CheckReport(name, slack, slack, bool(slack >= -tol * scale), tuple(notes), data)
+
+
 def _bound_constant(phi: NStarFunction, k: float | None) -> float:
     if k is not None:
         return float(k)
@@ -204,18 +210,11 @@ def quasi_triangle_check(
         ratio = 0.0
     else:
         ratio = luxemburg_norm(phi, space, f + g).value / (nf + ng)
-    slack = kval - ratio
     notes = []
     if ratio > 1.0 + tol:
         notes.append(f"triangle inequality fails: ratio {ratio:.9g} > 1")
-    return CheckReport(
-        name="quasi_triangle",
-        slack_min=float(slack),
-        slack_max=float(slack),
-        passed=bool(slack >= -tol),
-        notes=tuple(notes),
-        data={"ratio": ratio, "k": kval, "norm_f": nf, "norm_g": ng},
-    )
+    data = {"ratio": ratio, "k": kval, "norm_f": nf, "norm_g": ng}
+    return _slack_report("quasi_triangle", kval, ratio, 1.0, tol, data, notes)
 
 
 def young_type_check(
@@ -237,15 +236,8 @@ def young_type_check(
         )
         left = float(np.dot(left_vals, space.masses))
     right = integrate(space, np.abs, f) + integrate(space, np.abs, g)
-    slack = right - left
     scale = max(abs(left), abs(right), 1.0)
-    return CheckReport(
-        name="young_type",
-        slack_min=float(slack),
-        slack_max=float(slack),
-        passed=bool(slack >= -tol * scale),
-        data={"left": left, "right": right},
-    )
+    return _slack_report("young_type", right, left, scale, tol, {"left": left, "right": right})
 
 
 def reversed_jensen_check(
@@ -262,15 +254,9 @@ def reversed_jensen_check(
     mean_abs = integrate(space, np.abs, f) / mu
     lhs = float(phi(mean_abs))
     rhs = modular(phi, space, f).value / mu
-    slack = lhs - rhs
     scale = max(abs(lhs), abs(rhs), 1.0)
-    return CheckReport(
-        name="reversed_jensen",
-        slack_min=float(slack),
-        slack_max=float(slack),
-        passed=bool(slack >= -tol * scale),
-        data={"phi_of_mean": lhs, "mean_modular": rhs},
-    )
+    data = {"phi_of_mean": lhs, "mean_modular": rhs}
+    return _slack_report("reversed_jensen", lhs, rhs, scale, tol, data)
 
 
 def l1_embedding_bound_check(
@@ -290,15 +276,8 @@ def l1_embedding_bound_check(
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         bound = float(np.divide(l1, mu * np.asarray(phi.inverse(1.0 / mu), dtype=float)))
     norm = luxemburg_norm(phi, space, f).value
-    slack = bound - norm
     scale = max(abs(bound), abs(norm), 1.0)
-    return CheckReport(
-        name="l1_embedding",
-        slack_min=float(slack),
-        slack_max=float(slack),
-        passed=bool(slack >= -tol * scale),
-        data={"norm": norm, "bound": bound, "l1": l1},
-    )
+    return _slack_report("l1_embedding", bound, norm, scale, tol, {"norm": norm, "bound": bound, "l1": l1})
 
 
 def modular_to_norm_bound_check(
@@ -332,15 +311,8 @@ def modular_to_norm_bound_check(
     except OverflowError:
         bound = math.inf
     norm = luxemburg_norm(phi, space, f).value
-    slack = bound - norm
-    scale = max(abs(bound), 1.0)
-    return CheckReport(
-        name="modular_to_norm",
-        slack_min=float(slack),
-        slack_max=float(slack),
-        passed=bool(slack >= -tol * scale),
-        data={"n0": n0, "bound": bound, "norm": norm, "modular": rho.value, "c": c},
-    )
+    data = {"n0": n0, "bound": bound, "norm": norm, "modular": rho.value, "c": c}
+    return _slack_report("modular_to_norm", bound, norm, max(abs(bound), 1.0), tol, data)
 
 
 def product_identity_check(
@@ -405,17 +377,17 @@ def intersection_check(
     integrals alongside.
     """
     phi_hat = phi_hat if phi_hat is not None else complementary(phi)
+    if not f.space.same_as(space):
+        raise SpaceMismatchError("function does not live on the given space")
     absv = np.abs(f.values)
-    mod_phi = modular(phi, space, f).value
+    masses = space.masses
     with np.errstate(over="ignore", invalid="ignore"):
-        l1 = float(np.dot(absv, space.masses))
-        mod_hat = float(np.dot(np.asarray(phi_hat(absv), dtype=float), space.masses))
-        prod = float(
-            np.dot(
-                np.asarray(phi(absv), dtype=float) * np.asarray(phi_hat(absv), dtype=float),
-                space.masses,
-            )
-        )
+        pv = np.asarray(phi(absv), dtype=float)
+        hv = np.asarray(phi_hat(absv), dtype=float)
+        l1 = float(np.dot(absv, masses))
+        mod_phi = float(np.dot(pv, masses))
+        mod_hat = float(np.dot(hv, masses))
+        prod = float(np.dot(pv * hv, masses))
     scale = max(l1, 1.0)
     lower = (prod - l1) / scale
     upper = (2.0 * l1 - prod) / scale

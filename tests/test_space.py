@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from nstar import (
     young_type_check,
 )
 from nstar import space as space_module
-from nstar.errors import DomainError
+from nstar.errors import DomainError, SpaceMismatchError
 
 HALF = power_family(0.5)
 HALF_SCALED = scaled_power_family(0.5)
@@ -411,6 +412,26 @@ class TestIntersection:
             p = float(rng.choice([0.25, 0.5, 0.75]))
             f = MeasurableFn(rng.uniform(-3, 3, size), X)
             assert intersection_check(scaled_power_family(p), X, f).slack_min >= -1e-9
+
+    def test_function_on_another_space_rejected(self):
+        f = MeasurableFn.constant(MeasureSpace.interval(1.0, 8), 1.0)
+        with pytest.raises(SpaceMismatchError):
+            intersection_check(HALF_SCALED, UNIT, f)
+
+    def test_each_generator_evaluated_once(self):
+        calls = {"phi": 0, "phi_hat": 0}
+
+        def counted(phi, key):
+            def eval_fn(a):
+                calls[key] += 1
+                return phi.eval_fn(a)
+
+            return dataclasses.replace(phi, eval_fn=eval_fn)
+
+        f = MeasurableFn.constant(UNIT, 1.0)
+        phi_hat = counted(complementary(HALF_SCALED), "phi_hat")
+        intersection_check(counted(HALF_SCALED, "phi"), UNIT, f, phi_hat=phi_hat)
+        assert calls == {"phi": 1, "phi_hat": 1}
 
 
 class TestConvergenceEquivalence:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nstar import DocumentError, MeasureSpace, log_sqrt_family, power_family
+from nstar import DocumentError, MeasureSpace, NStarFunction, log_sqrt_family, power_family
 from nstar.suite import CHECK_NAMES, default_doubling_constant, run_check_suite
 
 
@@ -19,6 +19,15 @@ class TestDefaultDoublingConstant:
     def test_non_doubling_family_rejected(self):
         with pytest.raises(DocumentError):
             default_doubling_constant(log_sqrt_family())
+
+    def test_fault_in_generator_propagates(self):
+        # a bug in eval_fn is not "could not certify a doubling constant"
+        def eval_fn(a):
+            raise ZeroDivisionError("bug in eval_fn")
+
+        phi = NStarFunction(density=lambda t: 1.0 / np.sqrt(t), eval_fn=eval_fn, inverse_fn=np.square)
+        with pytest.raises(ZeroDivisionError):
+            default_doubling_constant(phi)
 
 
 class TestRunCheckSuite:
