@@ -37,6 +37,7 @@ __all__ = [
     "delta2_solve",
     "growth_factor",
     "validate_nstar",
+    "VALIDATE_GRID",
 ]
 
 
@@ -137,8 +138,8 @@ def complementary(phi: NStarFunction, *, use_registered: bool = True) -> NStarFu
 
     G increases from G(0) = 0 (G' = -phi p'/p^2 >= 0), so hat(a) and
     hat'(a) invert G at a, and hat^-1(y) inverts 1/p at y, each by one
-    invert_increasing; G evaluates phi through its __call__. hat(0) is
-    pinned to 0: a density with a finite limit p(0) would give 1/p(0).
+    invert_increasing; G evaluates phi through its __call__. hat and hat^-1
+    are pinned to 0 at 0, where p is never read: a finite p(0) would give 1/p(0).
     Such a hat jumps from 0 to 1/p(0) at 0, and hat^-1 raises
     NonconvergenceError for the levels in between, which hat never takes.
     The same algebra applied to hat returns x = G_hat(G(x)) and
@@ -165,26 +166,37 @@ def complementary(phi: NStarFunction, *, use_registered: bool = True) -> NStarFu
         with np.errstate(invalid="ignore", over="ignore"):
             return np.asarray(phi(x), dtype=float) * reciprocal_density(x) - x
 
-    def hat_eval(a):
-        a = np.asarray(a, dtype=float)
-        out = np.where(a > 0, reciprocal_density(invert_increasing(young_gap, a)), 0.0)
-        return out if out.ndim else float(out)
+    def zero_at_zero(fn):
+        # hat(0) = hat^-1(0) = 0, so the density of phi is read only above 0
+        def pinned(a):
+            a = np.asarray(a, dtype=float)
+            out = np.zeros(a.shape)
+            out[a > 0] = fn(a[a > 0])
+            return out if out.ndim else float(out)
+
+        return pinned
 
     def hat_density(a):
         with np.errstate(divide="ignore"):
             return 1.0 / np.asarray(phi(invert_increasing(young_gap, np.abs(a))), dtype=float)
 
-    def hat_inverse(y):
-        return young_gap(invert_increasing(reciprocal_density, y))
-
     return NStarFunction(
         density=hat_density,
-        eval_fn=hat_eval,
-        inverse_fn=hat_inverse,
+        eval_fn=zero_at_zero(lambda a: reciprocal_density(invert_increasing(young_gap, a))),
+        inverse_fn=zero_at_zero(lambda y: young_gap(invert_increasing(reciprocal_density, y))),
         description=f"complementary({phi.description})" if phi.description else "complementary",
         registered_complementary=lambda: phi,
         source_nfunction=phi,
     )
+
+
+def _sample_grid(grid, min_points: int) -> np.ndarray:
+    """grid as floats; DomainError unless 1-d, finite, strictly positive, of min_points or more."""
+    xs = np.asarray(grid, dtype=float)
+    # written so that NaN fails too
+    if xs.ndim != 1 or xs.size < min_points or not np.all((xs > 0) & (xs < np.inf)):
+        raise DomainError(f"sample grid must be 1-d, finite, strictly positive, of {min_points}+ points")
+    return xs
 
 
 _K_SPREAD_TOL = 1e-8
@@ -204,9 +216,7 @@ def delta2_solve(phi: NStarFunction, k0: float, grid) -> Delta2Certificate:
     """
     if not k0 > 2:
         raise DomainError("doubling constant k0 must exceed 2")
-    xs = np.asarray(grid, dtype=float)
-    if xs.ndim != 1 or xs.size == 0 or np.any(xs <= 0) or not np.all(np.isfinite(xs)):
-        raise DomainError("sample grid must be finite and strictly positive")
+    xs = _sample_grid(grid, 1)
     # k0 x > 2 x, so this also catches 2 x past the float range
     with np.errstate(over="ignore"):
         scaled = k0 * xs
@@ -308,38 +318,47 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _trend_check(name: str, ratio_edge: float, ratio_ref: float, factor: float, direction: str):
-    # direction "up": edge ratio must exceed factor * reference
-    if direction == "up":
-        margin = ratio_edge / max(ratio_ref, 1e-300) - factor
-    else:
-        margin = 1.0 / max(ratio_edge / max(ratio_ref, 1e-300), 1e-300) - factor
-    return ValidationCheck(
-        name=name,
-        passed=bool(margin >= 0.0),
-        residual=float(margin),
-        note=f"edge/ref ratio {ratio_edge / max(ratio_ref, 1e-300):.3e}",
-    )
+VALIDATE_GRID = np.geomspace(1e-300, 1e300, 1201)
 
-
-_VALIDATE_SAMPLES = 200
 _VALIDATE_TOL = 1e-7
 _TREND_FACTOR = 10.0
+_PAIRS_PER_DECADE = 12.5
+
+
+def _limit_checks(prefix: str, series: np.ndarray, rising: bool, low: float | None = None) -> list[ValidationCheck]:
+    """Tenfold end checks against the middle sample: a falling series must pass ten times it at
+    its first sample (or low) and a tenth of it at its last, a rising one the reverse."""
+    ref = max(float(series[series.size // 2]), 1e-300)
+    first = float(series[0]) if low is None else low
+    names = ("vanishes_at_zero", "unbounded_at_infinity") if rising else ("unbounded_at_zero", "vanishes_at_infinity")
+    checks = []
+    for name, edge, up in zip(names, (first, float(series[-1])), (not rising, rising)):
+        ratio = edge / ref
+        margin = ratio - _TREND_FACTOR if up else 1.0 / max(ratio, 1e-300) - _TREND_FACTOR
+        note = f"edge/ref ratio {ratio:.3e}"
+        checks.append(ValidationCheck(f"{prefix}_{name}", bool(margin >= 0.0), float(margin), note))
+    return checks
 
 
 def validate_nstar(phi: NStarFunction, grid=None, *, seed: int = 0) -> ValidationReport:
     """Probe every structural property of a candidate generator.
 
-    Failures are report entries, never exceptions. Beyond the direct
-    properties (evenness, monotonicity, concavity, subadditivity,
-    superhomogeneity, ratio limits, density shape), the numerically
-    inverted generator is checked to behave like a convex Young function,
-    which is the cross-characterization of validity. 200 seeded random
-    pairs, residuals to 1e-7, and tenfold trends toward the grid's edges.
+    Failures are report entries, never exceptions; a grid that is not 1-d,
+    finite, strictly positive and of 2+ points raises DomainError. Beyond
+    the direct properties (evenness, monotonicity, concavity, subadditivity,
+    superhomogeneity, ratio limits, density shape), phi.inverse at the
+    distinct finite positive values of phi on the grid must round-trip and
+    behave like a convex Young function, the cross-characterization of
+    validity; under 8 such levels, or an inverse that raises, fail
+    inverse_midpoint_convex. Residuals to 1e-7, tenfold limits from the
+    grid's middle to its edges, and seeded random pairs, 12.5 per decade
+    (200 on 1e-8..1e8). The default grid, VALIDATE_GRID, spans 1e-300..1e300
+    at 2 points per decade, wide enough for slow limits such as hat(y)/y ~
+    1/sqrt(log y) of the log_sqrt complement.
     """
-    if grid is None:
-        grid = np.geomspace(1e-8, 1e8, 33)
-    xs = np.asarray(grid, dtype=float)
+    xs = _sample_grid(VALIDATE_GRID if grid is None else grid, 2)
+    lo, hi = float(xs.min()), float(xs.max())
+    pairs = max(1, int(round(_PAIRS_PER_DECADE * (np.log10(hi) - np.log10(lo)))))
     rng = np.random.default_rng(seed)
     checks: list[ValidationCheck] = []
 
@@ -356,9 +375,8 @@ def validate_nstar(phi: NStarFunction, grid=None, *, seed: int = 0) -> Validatio
         mono = float(np.min(np.diff(vals)))
         checks.append(ValidationCheck("phi_nondecreasing", mono >= -_VALIDATE_TOL * scale, mono))
 
-        lo, hi = float(xs.min()), float(xs.max())
-        x1 = np.exp(rng.uniform(np.log(lo), np.log(hi), _VALIDATE_SAMPLES))
-        x2 = np.exp(rng.uniform(np.log(lo), np.log(hi), _VALIDATE_SAMPLES))
+        x1 = np.exp(rng.uniform(np.log(lo), np.log(hi), pairs))
+        x2 = np.exp(rng.uniform(np.log(lo), np.log(hi), pairs))
         p1 = np.asarray(phi(x1), dtype=float)
         p2 = np.asarray(phi(x2), dtype=float)
         pair_scale = np.maximum(p1 + p2, 1e-300)
@@ -371,27 +389,12 @@ def validate_nstar(phi: NStarFunction, grid=None, *, seed: int = 0) -> Validatio
         worst = float(np.min(sub))
         checks.append(ValidationCheck("phi_subadditive", worst >= -_VALIDATE_TOL, worst))
 
-        alphas = rng.uniform(0.0, 1.0, _VALIDATE_SAMPLES)
+        alphas = rng.uniform(0.0, 1.0, pairs)
         sup = (np.asarray(phi(alphas * x1), dtype=float) - alphas * p1) / np.maximum(p1, 1e-300)
         worst = float(np.min(sup))
         checks.append(ValidationCheck("phi_superhomogeneous", worst >= -_VALIDATE_TOL, worst))
 
-        ratios = vals / xs
-        ref_idx = xs.size // 2
-        checks.append(
-            _trend_check(
-                "phi_ratio_unbounded_at_zero", float(ratios[0]), float(ratios[ref_idx]), _TREND_FACTOR, "up"
-            )
-        )
-        checks.append(
-            _trend_check(
-                "phi_ratio_vanishes_at_infinity",
-                float(ratios[-1]),
-                float(ratios[ref_idx]),
-                _TREND_FACTOR,
-                "down",
-            )
-        )
+        checks += _limit_checks("phi_ratio", vals / xs, rising=False)
 
         dens = np.asarray(phi.density(xs), dtype=float)
         finite = np.isfinite(dens)
@@ -404,58 +407,29 @@ def validate_nstar(phi: NStarFunction, grid=None, *, seed: int = 0) -> Validatio
             for name in ("density_unbounded_at_zero", "density_vanishes_at_infinity"):
                 checks.append(ValidationCheck(name, False, float("nan"), "no finite density sample"))
         else:
-            checks.append(
-                _trend_check(
-                    "density_unbounded_at_zero",
-                    float(dens[0]) if np.isfinite(dens[0]) else float(np.max(dv)) * _TREND_FACTOR * 2,
-                    float(dv[dv.size // 2]),
-                    _TREND_FACTOR,
-                    "up",
-                )
-            )
-            checks.append(
-                _trend_check(
-                    "density_vanishes_at_infinity",
-                    float(dv[-1]),
-                    float(dv[dv.size // 2]),
-                    _TREND_FACTOR,
-                    "down",
-                )
-            )
+            low = float(dens[0]) if finite[0] else float(np.max(dv)) * _TREND_FACTOR * 2
+            checks += _limit_checks("density", dv, rising=False, low=low)
 
-        # cross-characterization: the numeric inverse must be a convex Young function
-        ys = np.sort(vals[vals > 0])
+        # cross-characterization: the generator's own inverse must be a convex Young function
+        ys = np.unique(vals[(vals > 0) & np.isfinite(vals)])
         try:
             if ys.size < 8:
                 raise NonconvergenceError("generator not invertible on grid")
-            inv = np.asarray(invert_increasing(phi.__call__, ys), dtype=float)
-            y1 = np.exp(rng.uniform(np.log(ys[0]), np.log(ys[-1]), _VALIDATE_SAMPLES))
-            y2 = np.exp(rng.uniform(np.log(ys[0]), np.log(ys[-1]), _VALIDATE_SAMPLES))
-            m1 = np.asarray(invert_increasing(phi.__call__, y1), dtype=float)
-            m2 = np.asarray(invert_increasing(phi.__call__, y2), dtype=float)
-            mmid = np.asarray(invert_increasing(phi.__call__, 0.5 * (y1 + y2)), dtype=float)
-        except NonconvergenceError as exc:
-            # also a level the generator never reaches, as for power p=1e-300
+            inv = np.asarray(phi.inverse(ys), dtype=float)
+            y1 = np.exp(rng.uniform(np.log(ys[0]), np.log(ys[-1]), pairs))
+            y2 = np.exp(rng.uniform(np.log(ys[0]), np.log(ys[-1]), pairs))
+            m1, m2, mmid = (np.asarray(phi.inverse(y), dtype=float) for y in (y1, y2, 0.5 * (y1 + y2)))
+            # the largest float stands in for a root past the float range,
+            # as at the supremum of a bounded generator
+            back = np.asarray(phi(np.minimum(inv, np.finfo(float).max)), dtype=float)
+        except (NonconvergenceError, DomainError) as exc:  # DomainError: an integrated phi at a NaN root
             checks.append(ValidationCheck("inverse_midpoint_convex", False, float("nan"), str(exc)))
             return ValidationReport(tuple(checks))
         conv = (0.5 * (m1 + m2) - mmid) / np.maximum(m1 + m2, 1e-300)
         worst = float(np.min(conv))
         checks.append(ValidationCheck("inverse_midpoint_convex", worst >= -_VALIDATE_TOL, worst))
-        iratios = inv / ys
-        ir_ref = float(iratios[iratios.size // 2])
-        checks.append(
-            _trend_check(
-                "inverse_ratio_vanishes_at_zero", float(iratios[0]), ir_ref, _TREND_FACTOR, "down"
-            )
-        )
-        checks.append(
-            _trend_check(
-                "inverse_ratio_unbounded_at_infinity",
-                float(iratios[-1]),
-                ir_ref,
-                _TREND_FACTOR,
-                "up",
-            )
-        )
+        checks += _limit_checks("inverse_ratio", inv / ys, rising=True)
+        trip = float(np.max(np.abs(back - ys) / ys))
+        checks.append(ValidationCheck("inverse_round_trip", trip <= _VALIDATE_TOL, trip))
 
     return ValidationReport(tuple(checks))

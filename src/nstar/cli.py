@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .calculus import complementary, delta2_solve, growth_factor, validate_nstar
+from .calculus import VALIDATE_GRID, complementary, delta2_solve, growth_factor, validate_nstar
 from .documents import (
     fn_from_text,
     format_float,
@@ -420,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run structural checks on a generator")
     _add_common(p)
-    _add_grid(p, lo=1e-8, hi=1e8, points=33)
+    _add_grid(p, lo=float(VALIDATE_GRID[0]), hi=float(VALIDATE_GRID[-1]), points=VALIDATE_GRID.size)
     p.add_argument("--seed", type=_seed, default=0, help="seed of the random sample pairs")
     p.set_defaults(handler=_cmd_validate)
 

@@ -6,8 +6,8 @@ integrable singularity at the origin. Its mesh covers the whole normal
 float range, one segment per binade [2^k, 2^(k+1)], and is built once, on
 the first call: the 2046 segments are verified together, one refinement
 level per density call (every pending panel and both its halves in one
-batch), so a build costs at most 23 calls. The mass below 2^-1022 is left
-out; a density whose bottom binades show that mass is not negligible is
+batch), so a build costs at most 23 calls. The mass below 2^-1022 is
+estimated geometrically; a density for which it is not negligible is
 reported as divergent, as is one with a non-finite panel value below the
 argument. A non-finite argument raises DomainError.
 
@@ -71,10 +71,10 @@ class CumulativeIntegral:
     Gauss panel from there to t, so every later call costs 15 density
     nodes per argument.
 
-    The mass below 2^-1022 is left out: arguments below it give 0, and a
-    density whose bottom two binades, continued geometrically, put more
-    than 1e-8 of the mass below 1 under 2^-1022 raises
-    DivergedIntegralError for every argument above 2^-1022. A binade
+    The mass below 2^-1022, the bottom two binades continued geometrically
+    (exact for a power law), starts the prefix sums; arguments below it
+    give 0. When it is more than 1e-8 of the mass below 1, every argument
+    above 2^-1022 raises DivergedIntegralError. A binade
     holding a non-finite panel value raises it for every argument above
     the binade's lower end, and a non-finite argument raises DomainError.
     """
@@ -121,12 +121,13 @@ class CumulativeIntegral:
             first_bad = int(np.argmax(bad)) if bad.any() else bad.size
             keep = owners < first_bad
             breaks = np.concatenate((edges[:1], rights[keep]))
-            prefix = np.concatenate(([0.0], np.cumsum(values[keep])))
             # the bottom two binades continued geometrically leave
             # m0^2 / (m1 - m0) below 2^-1022, without bound when m1 <= m0
             m0, m1 = mass[0], mass[1]
             if m0 * m0 > _QUAD_TOL * mass[:1022].sum() * (m1 - m0):
                 raise DivergedIntegralError("mass below the smallest normal float is not negligible; diverges")
+            tail = m0 * m0 / (m1 - m0) if m0 > 0 else 0.0
+            prefix = np.cumsum(np.concatenate(([tail], values[keep])))
         return breaks, prefix, float(edges[first_bad])
 
     def __call__(self, t):

@@ -31,6 +31,8 @@ from nstar import (
     scaled_power_family,
     simple_approximation,
     single_atom_witness,
+    tabulated_density_family,
+    validate_nstar,
     young_type_check,
 )
 from nstar.dual import AtomicFunctional
@@ -293,3 +295,15 @@ def test_13_convergence_equivalence_and_density():
         ok = ok and bool(np.all(np.diff(rep.metric_distances) <= 1e-12))
         ok = ok and bool(np.all(np.diff(rep.norm_distances) <= 1e-9))
     report("C13 convergence equivalence and density (50 targets, monotone to < 1e-3)", ok)
+
+
+def test_14_every_family_validates_on_the_default_grid():
+    ts = np.geomspace(1e-6, 1e6, 33)
+    generators = [power_family(p) for p in (0.1, 0.5, 0.9, 0.995)]
+    generators += [scaled_power_family(p) for p in (0.1, 0.5, 0.99)]
+    generators += [alpha_exp_family(a) for a in (1.01, 3.0, 10.0)]
+    generators += [log_sqrt_family(), tabulated_density_family(ts, 0.3 * ts**-0.7)]
+    # the numeric complements: one inversion of 1/p per inverse
+    generators += [complementary(log_sqrt_family()), complementary(power_family(0.3), use_registered=False)]
+    failed = [phi.description for phi in generators if not validate_nstar(phi).passed]
+    report(f"C14 {len(generators)} generators validate on 1e-300..1e300 (failed: {failed or 'none'})", not failed)

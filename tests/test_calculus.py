@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -279,6 +280,15 @@ class TestComplementary:
         np.testing.assert_array_equal(hat(np.array([0.0, -0.0])), [0.0, 0.0])
         assert hat(1e-3) > 0.0
 
+    def test_source_density_is_never_read_at_zero(self):
+        # 0.5 * 0.0**-0.5 raises ZeroDivisionError on a Python float
+        hat = complementary(from_density(lambda t: 0.5 * t**-0.5))
+        assert hat(0.0) == 0.0
+        assert hat.inverse(0.0) == 0.0
+        xs = np.array([0.0, 1e-3, 1.0, 1e3])
+        np.testing.assert_array_equal(hat(xs)[1:], [hat(x) for x in xs[1:]])
+        assert validate_nstar(hat, np.geomspace(1e-8, 1e8, 33))["phi_zero_at_zero"].passed
+
     @pytest.mark.parametrize("q", [0.25, 0.5, 0.75])
     def test_tabulated_power_complement_closed_form(self, q):
         # the 1e240 probe of the conjugate's generalized inverse overran the
@@ -377,6 +387,25 @@ class TestGrowthFactor:
         assert growth_factor(phi) <= 2.0 + 1e-10
 
 
+def convex_on_1_10() -> NStarFunction:
+    """sqrt(x) below 1 and 100 sqrt(x/10) above 10, joined by x^2: convex on [1, 10] only."""
+
+    def eval_fn(a):
+        a = np.asarray(a, float)
+        return np.where(a <= 1.0, np.sqrt(a), np.where(a <= 10.0, a**2, 100.0 * np.sqrt(a / 10.0)))
+
+    def inverse_fn(y):
+        y = np.asarray(y, float)
+        return np.where(y <= 1.0, y**2, np.where(y <= 100.0, np.sqrt(y), 10.0 * (y / 100.0) ** 2))
+
+    def density(t):
+        t = np.asarray(t, float)
+        with np.errstate(divide="ignore"):
+            return np.where(t <= 1.0, 0.5 / np.sqrt(t), np.where(t <= 10.0, 2.0 * t, 5.0 / np.sqrt(t / 10.0)))
+
+    return NStarFunction(density=density, eval_fn=eval_fn, inverse_fn=inverse_fn, description="convex_on_1_10")
+
+
 class TestValidate:
     def test_valid_family_passes(self):
         report = validate_nstar(scaled_power_family(0.5))
@@ -386,6 +415,43 @@ class TestValidate:
     def test_all_registered_families_pass(self, phi):
         report = validate_nstar(phi)
         assert report.passed, report.summary()
+
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            power_family(0.9),
+            power_family(0.99),
+            power_family(0.995),
+            scaled_power_family(0.99),
+            alpha_exp_family(1.01),
+            complementary(log_sqrt_family()),
+            complementary(power_family(0.3), use_registered=False),
+            complementary(tabulated_density_family(np.geomspace(1e-6, 1e6, 33), np.geomspace(1e-6, 1e6, 33) ** -0.7)),
+        ],
+        ids=lambda f: f.description,
+    )
+    def test_slow_limits_pass_on_the_default_grid(self, phi):
+        # hat(y)/y of the log_sqrt complement decays like 1/sqrt(log y), and
+        # x^(p-1) with p near 1 needs more decades than 1e-8..1e8 for tenfold
+        report = validate_nstar(phi)
+        assert report.passed, report.summary()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_convexity_on_one_decade_is_found(self, seed):
+        assert not validate_nstar(convex_on_1_10(), seed=seed).passed
+
+    def test_inverse_that_disagrees_with_eval_fails_round_trip(self):
+        phi = power_family(0.5)
+        off = dataclasses.replace(phi, inverse_fn=lambda y: 1.01 * np.asarray(y, float) ** 2)
+        assert validate_nstar(phi)["inverse_round_trip"].passed
+        report = validate_nstar(off)
+        assert not report["inverse_round_trip"].passed
+        assert report["inverse_round_trip"].residual == pytest.approx(1.01**0.5 - 1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("grid", [[0.0, 1.0, 2.0], [-1.0, 1.0], [1.0, np.inf], [1.0, np.nan], [1.0], [[1.0, 2.0]]])
+    def test_malformed_grid_is_domain_error(self, grid):
+        with pytest.raises(DomainError, match="sample grid"):
+            validate_nstar(power_family(0.5), grid)
 
     def test_convex_square_fails_concavity_and_zero_limit(self):
         bad = NStarFunction(
@@ -405,7 +471,7 @@ class TestValidate:
         check = report["inverse_midpoint_convex"]
         assert not report.passed
         assert not check.passed
-        assert "max float" in check.note
+        assert "not invertible" in check.note
 
     def test_linear_fails_both_ratio_limits(self):
         linear = NStarFunction(
@@ -424,7 +490,7 @@ class TestValidate:
     def test_no_finite_density_sample_is_a_failed_check(self):
         # a table reaching 1e155 near 1e162 overflows its density on the whole grid
         phi = tabulated_density_family([4.2169650342858226e161, 4.216965034285822e162], [1e155, 1e154])
-        report = validate_nstar(phi)
+        report = validate_nstar(phi, np.geomspace(1e-8, 1e8, 33))
         for name in ("density_positive", "density_unbounded_at_zero", "density_vanishes_at_infinity"):
             assert not report[name].passed
         assert report["density_vanishes_at_infinity"].note == "no finite density sample"

@@ -113,6 +113,19 @@ class TestValidate:
         code, _ = run_cli(capsys, "validate", "--phi", "power:p=5")
         assert code == 2
 
+    def test_slow_limit_passes_on_the_default_grid(self, capsys):
+        # x^-0.1 changes tenfold over 10 decades, more than 1e-8..1e8 spans
+        code, out = run_cli(capsys, "validate", "--phi", "power:p=0.9")
+        assert code == 0
+        assert "overall: pass" in out
+
+    def test_json_matches_golden_on_the_former_default_grid(self, capsys):
+        # the rows before inverse_round_trip are the output of the bisection-inverse validator
+        argv = ["--phi", "power:p=0.5", "--grid-lo", "1e-8", "--grid-hi", "1e8", "--grid-points", "33"]
+        code, out = run_cli(capsys, "validate", *argv, "--format", "json")
+        assert code == 0
+        assert out == (DATA / "validate_power_1e8.json").read_text()
+
     def test_unreachable_level_reports_failure(self, capsys):
         code, out = run_cli(capsys, "validate", "--phi", "power:p=1e-300")
         assert code == 1

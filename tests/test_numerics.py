@@ -166,6 +166,15 @@ class TestCumulativeIntegral:
             with pytest.raises(DivergedIntegralError):
                 cum(1.0)
 
+    @pytest.mark.parametrize("a", [0.9, 0.97])
+    def test_mass_below_the_normal_floats_is_counted(self, a):
+        # t^-a integrates to t^(1-a)/(1-a); 2^(-1022(1-a))/(1-a) of it lies
+        # below 2^-1022, 0.59 of F(1e-300) at a = 0.97
+        cum = CumulativeIntegral(lambda t: t**-a)
+        xs = np.array([1e-300, 1e-100])
+        want = xs ** (1.0 - a) / (1.0 - a)
+        assert np.max(np.abs(cum(xs) / want - 1.0)) <= 1e-8
+
     @pytest.mark.parametrize(
         "density",
         [lambda t: t**-0.5, lambda t: np.exp(-t), log_sqrt_family().density, log_sqrt_conjugate_density],
