@@ -1,12 +1,12 @@
 """Command-line front end.
 
-Commands: validate, norm, metric, conjugate, delta2, check, dual-norm,
-demo (nonconvex | dualzero). Generator, space and function arguments take
-inline shorthand (power:p=0.5, interval:L=1,N=1000, identity) or a path to
-a JSON document (bare *.json path or @path). Exit codes: 0 all asserted
+Commands: validate, norm, metric, conjugate, delta2, check, dual-norm, demo
+nonconvex, demo dualzero; each accepts only the flags its handler reads.
+Arguments take inline shorthand (power:p=0.5, interval:L=1,N=1000, 1,-2)
+or a path to a JSON document (bare *.json path or @path). Handlers return
+their report and verdict; main maps it to the exit code: 0 all asserted
 checks pass, 1 an asserted check failed, 2 usage or document error.
-Machine-readable output (json, csv) is byte-stable for a fixed seed and
-uses 12 significant digits.
+Machine-readable output (json, csv) is byte-stable for a fixed seed.
 """
 
 from __future__ import annotations
@@ -21,8 +21,10 @@ import numpy as np
 
 from .calculus import VALIDATE_GRID, complementary, delta2_solve, growth_factor, validate_nstar
 from .documents import (
+    _doc_or_shorthand,
     fn_from_text,
     format_float,
+    functional_shorthand_to_doc,
     json_ready,
     load_json,
     parse_demo_doc,
@@ -49,7 +51,7 @@ EXIT_USAGE = 2
 
 
 def _usage_check(ok: bool, message: str) -> None:
-    """Usage check on a flag or document value: exit 2 before the library runs."""
+    """Usage check on a flag or document value, or on the input they make: a failure exits 2."""
     if not ok:
         raise DocumentError(message)
 
@@ -71,16 +73,22 @@ def _grid(args, min_points: int = 1) -> np.ndarray:
         return np.geomspace(args.grid_lo, args.grid_hi, args.grid_points)
 
 
+def _config_doc(args, *flags: str) -> dict | None:
+    """The --config document, or None; it holds the settings of these flags, so one beside it exits 2."""
+    if not args.config:
+        return None
+    given = [f"--{name}" for name in flags if getattr(args, name) is not None]
+    _usage_check(not given, f"--config cannot be combined with {', '.join(given)}")
+    return load_json(args.config, "--config")
+
+
 def _emit(payload: dict, table_lines: list[str], args) -> None:
-    fmt = args.format
-    if fmt == "table":
+    if args.format == "table":
         text = "\n".join(table_lines) + "\n"
-    elif fmt == "json":
+    elif args.format == "json":
         text = json.dumps(json_ready(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
-    elif fmt == "csv":
+    else:  # csv, the last of the choices argparse allows
         text = _to_csv(payload)
-    else:  # pragma: no cover - argparse restricts choices
-        raise DocumentError(f"unknown format {fmt!r}")
     sys.stdout.write(text)
     if args.out:
         with open(args.out, "w") as fh:
@@ -92,11 +100,7 @@ def _to_csv(payload: dict) -> str:
     if not isinstance(rows, list):
         rows = [payload]
     buf = io.StringIO()
-    keys: list[str] = []
-    for row in rows:
-        for k in row:
-            if k not in keys:
-                keys.append(k)
+    keys = list(dict.fromkeys(k for row in rows for k in row))
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(keys)
     for row in rows:
@@ -115,11 +119,13 @@ def _csv_cell(value) -> str:
 
 
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: each returns the payload, the table lines and the verdict
 # ---------------------------------------------------------------------------
 
+_Report = tuple[dict, list[str], bool]
 
-def _cmd_validate(args) -> int:
+
+def _cmd_validate(args) -> _Report:
     phi = phi_from_text(args.phi)
     report = validate_nstar(phi, _grid(args, min_points=2), seed=args.seed)
     results = [
@@ -132,11 +138,10 @@ def _cmd_validate(args) -> int:
         mark = "pass" if c.passed else "FAIL"
         lines.append(f"  {mark}  {c.name:36s} residual={c.residual:.3e}")
     lines.append(f"overall: {'pass' if report.passed else 'FAIL'}")
-    _emit(payload, lines, args)
-    return EXIT_OK if report.passed else EXIT_ASSERTION
+    return payload, lines, report.passed
 
 
-def _cmd_norm(args) -> int:
+def _cmd_norm(args) -> _Report:
     phi = phi_from_text(args.phi)
     space = space_from_text(args.space)
     f = fn_from_text(args.fn, space)
@@ -147,22 +152,20 @@ def _cmd_norm(args) -> int:
         "residual": result.lambda_residual,
         "iterations": result.iterations,
     }
-    _emit(payload, [f"norm = {format_float(result.value)}"], args)
-    return EXIT_OK
+    return payload, [f"norm = {format_float(result.value)}"], True
 
 
-def _cmd_metric(args) -> int:
+def _cmd_metric(args) -> _Report:
     phi = phi_from_text(args.phi)
     space = space_from_text(args.space)
     f = fn_from_text(args.fn, space)
     g = fn_from_text(args.fn2, space)
     value = metric(phi, space, f, g)
     payload = {"command": "metric", "value": value}
-    _emit(payload, [f"metric = {format_float(value)}"], args)
-    return EXIT_OK
+    return payload, [f"metric = {format_float(value)}"], True
 
 
-def _cmd_conjugate(args) -> int:
+def _cmd_conjugate(args) -> _Report:
     phi = phi_from_text(args.phi)
     phi_hat = complementary(phi, use_registered=not args.numeric)
     grid = _grid(args)
@@ -182,11 +185,10 @@ def _cmd_conjugate(args) -> int:
     for rec in results:
         extra = f"  ref={format_float(rec['reference'])}" if "reference" in rec else ""
         lines.append(f"  t={format_float(rec['t'])}  value={format_float(rec['value'])}{extra}")
-    _emit(payload, lines, args)
-    return EXIT_OK
+    return payload, lines, True
 
 
-def _cmd_delta2(args) -> int:
+def _cmd_delta2(args) -> _Report:
     phi = phi_from_text(args.phi)
     _usage_check(2 < args.k0 < np.inf, "--k0 must be a finite number above 2")
     try:
@@ -211,20 +213,15 @@ def _cmd_delta2(args) -> int:
     ]
     if cert.k_global is not None:
         lines.append(f"  k_global = {format_float(cert.k_global)}")
-    _emit(payload, lines, args)
-    return EXIT_OK
+    return payload, lines, True
 
 
-def _cmd_check(args) -> int:
-    if args.config:
-        # the document holds every suite setting; a flag beside it would be ignored
-        flags = ("phi", "space", "suite", "samples", "seed", "tol")
-        given = [f"--{name}" for name in flags if getattr(args, name) is not None]
-        _usage_check(not given, f"--config cannot be combined with {', '.join(given)}")
-        phi, space, checks, samples, seed, tol = parse_suite_doc(load_json(args.config, "--config"))
+def _cmd_check(args) -> _Report:
+    doc = _config_doc(args, "phi", "space", "suite", "samples", "seed", "tol")
+    if doc is not None:
+        phi, space, checks, samples, seed, tol = parse_suite_doc(doc)
     else:
-        if not args.phi or not args.space:
-            raise DocumentError("check needs --phi and --space (or --config)")
+        _usage_check(bool(args.phi and args.space), "check needs --phi and --space (or --config)")
         phi = phi_from_text(args.phi)
         space = space_from_text(args.space)
         checks = list(CHECK_NAMES) if args.suite in (None, "all") else args.suite.split(",")
@@ -250,21 +247,14 @@ def _cmd_check(args) -> int:
         for note in rec.notes:
             lines.append(f"        note: {note}")
     lines.append(f"overall: {'pass' if ok else 'FAIL'}")
-    _emit(payload, lines, args)
-    return EXIT_OK if ok else EXIT_ASSERTION
+    return payload, lines, ok
 
 
-def _cmd_dual_norm(args) -> int:
+def _cmd_dual_norm(args) -> _Report:
     tol = _tolerance(args.tol, "--tol")
     phi = phi_from_text(args.phi)
     space = space_from_text(args.space)
-    doc = load_json(args.functional, "--functional") if args.functional.endswith(".json") else None
-    if doc is None:
-        try:
-            coeff = [float(v) for v in args.functional.split(",")]
-        except ValueError:
-            raise DocumentError("--functional: expected a .json path or comma-separated numbers") from None
-        doc = {"coefficients": coeff}
+    doc = _doc_or_shorthand(args.functional, functional_shorthand_to_doc, "--functional")
     U = parse_functional_doc(doc, space, phi)
     formula = functional_norm_formula(U)
     brute = operator_norm_bruteforce(U, seed=args.seed)
@@ -282,105 +272,99 @@ def _cmd_dual_norm(args) -> int:
         f"brute-force unit-ball max   = {format_float(brute)}",
         f"bracket S <= max <= k*S (k={format_float(k)}): {'pass' if ok else 'FAIL'}",
     ]
-    _emit(payload, lines, args)
-    return EXIT_OK if ok else EXIT_ASSERTION
+    return payload, lines, ok
 
 
-def _cmd_demo(args) -> int:
+def _cmd_nonconvex(args) -> _Report:
     phi = phi_from_text(args.phi)
-    theta, iterations, epsilon = args.theta, args.iterations, args.epsilon
-    kernel_doc = None
-    if args.config:
-        theta, iterations, epsilon, kernel_doc = parse_demo_doc(load_json(args.config, "--config"))
-    if args.demo == "nonconvex":
-        space_text = args.atoms or args.space
-        if not space_text:
-            raise DocumentError("demo nonconvex needs --atoms or --space")
-        space = space_from_text(space_text)
-        _usage_check(0 < epsilon < np.inf, "demo epsilon must be positive and finite")
-        _usage_check(args.n >= 1, "--n must be at least 1")
-        try:
-            trace = nonconvexity_demo(phi, space, epsilon, args.n)
-        except CapacityError as exc:
-            # epsilon, --n and the space ask for bumps the space cannot carry
-            raise DocumentError(f"demo nonconvex: {exc}") from exc
-        results = [
-            {"n": int(c), "modular": float(m)} for c, m in zip(trace.counts, trace.modulars)
-        ]
-        final = float(trace.modulars[-1])
-        ok = bool(np.all(trace.modulars >= trace.epsilon * (1 - 1e-9)))
-        payload = {
-            "command": "demo-nonconvex",
-            "epsilon": trace.epsilon,
-            "results": results,
-            "final_modular": final,
-            "pass": ok,
-        }
-        lines = [
-            f"averaged disjoint bumps, epsilon={format_float(trace.epsilon)}",
-            f"  final modular at n={args.n}: {format_float(final)}",
-            f"  lower bound modular >= epsilon: {'pass' if ok else 'FAIL'}",
-        ]
-        _emit(payload, lines, args)
-        return EXIT_OK if ok else EXIT_ASSERTION
-    if args.demo == "dualzero":
-        _usage_check(0 < theta < 1, "demo theta must lie strictly between 0 and 1")
-        _usage_check(iterations >= 1, "demo iterations must be at least 1")
-        space = space_from_text(args.space)
-        if kernel_doc is not None:
-            kernel = parse_fn_doc(kernel_doc, space, "--config kernel")
-            f0 = fn_from_text(args.fn, space) if args.fn else halving_instance(phi, space)[0]
-        elif args.fn and args.kernel:
-            f0 = fn_from_text(args.fn, space)
-            kernel = fn_from_text(args.kernel, space)
-        elif args.fn or args.kernel:
-            raise DocumentError("demo dualzero needs both --fn and --kernel, or neither")
-        else:
-            f0, kernel = halving_instance(phi, space)
-        # dual_zero_halving rejects this too, but a given f0 or kernel is input
+    space = space_from_text(args.space)
+    _usage_check(0 < args.epsilon < np.inf, "demo epsilon must be positive and finite")
+    _usage_check(args.n >= 1, "--n must be at least 1")
+    try:
+        trace = nonconvexity_demo(phi, space, args.epsilon, args.n)
+    except CapacityError as exc:
+        # epsilon, --n and the space ask for bumps the space cannot carry
+        raise DocumentError(f"demo nonconvex: {exc}") from exc
+    results = [{"n": int(c), "modular": float(m)} for c, m in zip(trace.counts, trace.modulars)]
+    final = float(trace.modulars[-1])
+    ok = bool(np.all(trace.modulars >= trace.epsilon * (1 - 1e-9)))
+    payload = {
+        "command": "demo-nonconvex",
+        "epsilon": trace.epsilon,
+        "results": results,
+        "final_modular": final,
+        "pass": ok,
+    }
+    lines = [
+        f"averaged disjoint bumps, epsilon={format_float(trace.epsilon)}",
+        f"  final modular at n={args.n}: {format_float(final)}",
+        f"  lower bound modular >= epsilon: {'pass' if ok else 'FAIL'}",
+    ]
+    return payload, lines, ok
+
+
+def _cmd_dualzero(args) -> _Report:
+    phi = phi_from_text(args.phi)
+    doc = _config_doc(args, "theta", "iterations", "kernel")
+    # the document's defaults are the flags' defaults
+    theta, iterations, kernel_doc = parse_demo_doc({} if doc is None else doc)
+    theta = theta if args.theta is None else args.theta
+    iterations = iterations if args.iterations is None else args.iterations
+    _usage_check(0 < theta < 1, "demo theta must lie strictly between 0 and 1")
+    _usage_check(iterations >= 1, "demo iterations must be at least 1")
+    space = space_from_text(args.space)
+    if kernel_doc is not None:
+        kernel = parse_fn_doc(kernel_doc, space, "--config kernel")
+        f0 = fn_from_text(args.fn, space) if args.fn else halving_instance(phi, space)[0]
+    elif args.fn and args.kernel:
+        f0 = fn_from_text(args.fn, space)
+        kernel = fn_from_text(args.kernel, space)
+    elif args.fn or args.kernel:
+        raise DocumentError("demo dualzero needs both --fn and --kernel, or neither")
+    else:
+        f0, kernel = halving_instance(phi, space)
+    # dual_zero_halving rejects this too, but a given f0 or kernel is input
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing value is the library's error
         value = abs(float(np.dot(f0.values * kernel.values, space.masses)))
-        _usage_check(
-            not 0.0 < value < 1.0 - 1e-12,
-            "demo dualzero: scale f0 or the kernel so the functional value is 0 or at least 1",
-        )
-        trace = dual_zero_halving(phi, space, f0, kernel, iterations, theta)
-        bounds = trace.decay_bound()
-        results = [
-            {
-                "iteration": s.iteration,
-                "modular": s.modular,
-                "functional_value": s.functional_value,
-                "bound": float(bounds[i]),
-            }
-            for i, s in enumerate(trace.steps)
-        ]
-        ratio = trace.steps[-1].modular / trace.steps[0].modular
-        drop = min(abs(s.functional_value) for s in trace.steps) - abs(
-            trace.steps[0].functional_value
-        )
-        # cumulative product of the per-step bounds the run actually enforced
-        cumulative_bound = float(np.prod([s.step_bound for s in trace.steps]))
-        ok = bool(ratio <= cumulative_bound * (1 + 1e-9)) and drop >= -1e-6
-        payload = {
-            "command": "demo-dualzero",
-            "theta": theta,
-            "iterations": iterations,
-            "modular_ratio": ratio,
-            "cumulative_bound": cumulative_bound,
-            "functional_drop": drop,
-            "results": results,
-            "pass": ok,
+    _usage_check(
+        not 0.0 < value < 1.0 - 1e-12,
+        "demo dualzero: scale f0 or the kernel so the functional value is 0 or at least 1",
+    )
+    trace = dual_zero_halving(phi, space, f0, kernel, iterations, theta)
+    _usage_check(trace.steps[0].modular > 0, "demo dualzero: f0 has modular 0, so nothing decays")
+    bounds = trace.decay_bound()
+    results = [
+        {
+            "iteration": s.iteration,
+            "modular": s.modular,
+            "functional_value": s.functional_value,
+            "bound": float(bounds[i]),
         }
-        lines = [
-            f"support halving, theta={format_float(theta)}, {iterations} iterations",
-            f"  modular ratio rho_n/rho_0 = {format_float(ratio)}",
-            f"  enforced cumulative bound = {format_float(cumulative_bound)}",
-            f"  worst functional drop     = {format_float(drop)}",
-            f"  decay within bound        : {'pass' if ok else 'FAIL'}",
-        ]
-        _emit(payload, lines, args)
-        return EXIT_OK if ok else EXIT_ASSERTION
-    raise DocumentError(f"unknown demo {args.demo!r}")  # pragma: no cover
+        for i, s in enumerate(trace.steps)
+    ]
+    ratio = trace.steps[-1].modular / trace.steps[0].modular
+    drop = min(abs(s.functional_value) for s in trace.steps) - abs(trace.steps[0].functional_value)
+    # cumulative product of the per-step bounds the run actually enforced
+    cumulative_bound = float(np.prod([s.step_bound for s in trace.steps]))
+    ok = bool(ratio <= cumulative_bound * (1 + 1e-9)) and drop >= -1e-6
+    payload = {
+        "command": "demo-dualzero",
+        "theta": theta,
+        "iterations": iterations,
+        "modular_ratio": ratio,
+        "cumulative_bound": cumulative_bound,
+        "functional_drop": drop,
+        "results": results,
+        "pass": ok,
+    }
+    lines = [
+        f"support halving, theta={format_float(theta)}, {iterations} iterations",
+        f"  modular ratio rho_n/rho_0 = {format_float(ratio)}",
+        f"  enforced cumulative bound = {format_float(cumulative_bound)}",
+        f"  worst functional drop     = {format_float(drop)}",
+        f"  decay within bound        : {'pass' if ok else 'FAIL'}",
+    ]
+    return payload, lines, ok
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +372,19 @@ def _cmd_demo(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser, *, space=False, fn=False) -> None:
-    parser.add_argument("--phi", required=True, help="generator shorthand or JSON path")
-    if space:
-        parser.add_argument("--space", help="space shorthand or JSON path")
-    if fn:
-        parser.add_argument("--fn", help="function shorthand or JSON path")
+_FLAG_HELP = {
+    "phi": "generator shorthand or JSON path",
+    "space": "space shorthand or JSON path",
+    "fn": "function shorthand or JSON path",
+    "fn2": "second function",
+    "functional": "coefficients c1,c2,... or JSON path",
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, *required: str) -> None:
+    """The named flags of _FLAG_HELP, each required, then --format and --out."""
+    for name in required:
+        parser.add_argument(f"--{name}", required=True, help=_FLAG_HELP[name])
     parser.add_argument("--format", choices=("table", "json", "csv"), default="table")
     parser.add_argument("--out", help="also write the emitted report to this file")
 
@@ -419,22 +410,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="run structural checks on a generator")
-    _add_common(p)
+    _add_common(p, "phi")
     _add_grid(p, lo=float(VALIDATE_GRID[0]), hi=float(VALIDATE_GRID[-1]), points=VALIDATE_GRID.size)
     p.add_argument("--seed", type=_seed, default=0, help="seed of the random sample pairs")
     p.set_defaults(handler=_cmd_validate)
 
     p = sub.add_parser("norm", help="Luxemburg quasi-norm of a function")
-    _add_common(p, space=True, fn=True)
+    _add_common(p, "phi", "space", "fn")
     p.set_defaults(handler=_cmd_norm)
 
     p = sub.add_parser("metric", help="modular distance between two functions")
-    _add_common(p, space=True, fn=True)
-    p.add_argument("--fn2", required=True, help="second function")
+    _add_common(p, "phi", "space", "fn", "fn2")
     p.set_defaults(handler=_cmd_metric)
 
     p = sub.add_parser("conjugate", help="evaluate the complementary generator on a grid")
-    _add_common(p)
+    _add_common(p, "phi")
     _add_grid(p, lo=1e-3, hi=1e3, points=13)
     p.add_argument(
         "--numeric",
@@ -444,21 +434,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_conjugate)
 
     p = sub.add_parser("delta2", help="solve the doubling relation on a grid")
-    _add_common(p)
+    _add_common(p, "phi")
     _add_grid(p)
     p.add_argument("--k0", type=float, default=20.0, help="doubling hypothesis constant (> 2)")
     p.set_defaults(handler=_cmd_delta2)
 
     p = sub.add_parser("check", help="run the inequality check suite")
-    p.add_argument("--phi")
-    p.add_argument("--space")
+    p.add_argument("--phi", help=_FLAG_HELP["phi"])
+    p.add_argument("--space", help=_FLAG_HELP["space"])
     p.add_argument("--suite", help="'all' (default) or comma-separated check names")
     p.add_argument("--samples", type=int, help="random instances per check (default 50)")
     p.add_argument("--config", help="check-suite JSON document, in place of the flags above and below")
     p.add_argument("--seed", type=_seed, help="seed of the random instances (default 0)")
     p.add_argument("--tol", type=float, help="slack tolerance (default 1e-9)")
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p.add_argument("--out")
+    _add_common(p)
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser(
@@ -468,23 +457,29 @@ def build_parser() -> argparse.ArgumentParser:
         "single-atom witnesses, which attain S exactly, and 100 seeded unit-ball points "
         "(--seed); exit 1 if that maximum leaves the bracket [S, k S].",
     )
-    _add_common(p, space=True)
-    p.add_argument("--functional", required=True, help="coefficients c1,c2,... or JSON path")
+    _add_common(p, "phi", "space", "functional")
     p.add_argument("--seed", type=_seed, default=0, help="seed of the unit-ball points")
     p.add_argument("--tol", type=float, default=1e-6, help="relative tolerance of the bracket")
     p.set_defaults(handler=_cmd_dual_norm)
 
-    p = sub.add_parser("demo", help="constructive demonstrations")
-    p.add_argument("demo", choices=("nonconvex", "dualzero"))
-    _add_common(p, space=True, fn=True)
-    p.add_argument("--atoms", help="atomic space shorthand (nonconvex)")
-    p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--iterations", type=int, default=20)
-    p.add_argument("--kernel", help="kernel function for dualzero")
-    p.add_argument("--config", help="demo configuration JSON document")
-    p.set_defaults(handler=_cmd_demo)
+    demo = sub.add_parser("demo", help="constructive demonstrations")
+    demos = demo.add_subparsers(dest="demo", required=True)
+
+    p = demos.add_parser("nonconvex", help="averaged disjoint bumps: no convex neighbourhood of 0")
+    _add_common(p, "phi")
+    p.add_argument("--space", "--atoms", dest="space", required=True, help=_FLAG_HELP["space"])
+    p.add_argument("--epsilon", type=float, default=1.0, help="modular of each bump")
+    p.add_argument("--n", type=int, default=100, help="number of bumps")
+    p.set_defaults(handler=_cmd_nonconvex)
+
+    p = demos.add_parser("dualzero", help="support halving: the modular falls, the functional does not")
+    _add_common(p, "phi", "space")
+    p.add_argument("--fn", help="starting function f0 (with --kernel)")
+    p.add_argument("--kernel", help="kernel of the integral functional (with --fn)")
+    p.add_argument("--theta", type=float, help="split fraction of the modular (default 0.5)")
+    p.add_argument("--iterations", type=int, help="halving rounds (default 20)")
+    p.add_argument("--config", help="demo JSON document: theta, iterations, kernel")
+    p.set_defaults(handler=_cmd_dualzero)
 
     return parser
 
@@ -494,15 +489,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0,) else 0
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
-        return args.handler(args)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        payload, lines, ok = args.handler(args)
     except NStarError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ASSERTION
+        return EXIT_USAGE if isinstance(exc, DocumentError) else EXIT_ASSERTION
+    _emit(payload, lines, args)
+    return EXIT_OK if ok else EXIT_ASSERTION
 
 
 if __name__ == "__main__":

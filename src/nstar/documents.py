@@ -14,14 +14,14 @@ Every object the command line consumes has a JSON document form:
 * check suite: {"phi": <generator doc>, "space": <space doc>,
                 "checks": [names], "samples": int, "seed": int >= 0,
                 "tolerances": {"slack": float >= 0}}
-* demo:      {"theta": float, "iterations": int, "epsilon": float,
-              "kernel": <function doc>}
+* demo dualzero: {"theta": float, "iterations": int,
+                  "kernel": <function doc>}
 
 Inline shorthand maps one-to-one onto the documents, e.g.
 power:p=0.5 / interval:L=1,N=1000 / atoms:0.5,0.25 / equal:100,mass=2 /
 identity / constant:3 / indicator:0..50 / random:low=0,high=1,seed=7 /
-values:1,2,3. A field or shorthand key outside the known set, or a
-malformed value, raises DocumentError naming the field.
+values:1,2,3 / 1,-2,0.5 (functional). A field or shorthand key outside
+the known set, or a malformed value, raises DocumentError naming it.
 """
 
 from __future__ import annotations
@@ -204,17 +204,16 @@ def parse_functional_doc(doc: dict, space: MeasureSpace, phi: NStarFunction, con
 
 
 def parse_demo_doc(doc: dict, context: str = "demo"):
-    """Demo configuration: theta, iterations, epsilon, kernel (function doc)."""
+    """demo dualzero configuration: theta, iterations, kernel (function doc)."""
     if not isinstance(doc, dict):
         raise DocumentError(f"{context}: expected an object")
-    _known_fields(doc, ("theta", "iterations", "epsilon", "kernel"), context)
+    _known_fields(doc, ("theta", "iterations", "kernel"), context)
     theta = _number(doc.get("theta", 0.5), f"{context}.theta")
     iterations = _integer(doc.get("iterations", 20), f"{context}.iterations")
-    epsilon = _number(doc.get("epsilon", 1.0), f"{context}.epsilon")
     kernel_doc = doc.get("kernel")
     if kernel_doc is not None and not isinstance(kernel_doc, dict):
         raise DocumentError(f"{context}.kernel: expected a function document")
-    return theta, iterations, epsilon, kernel_doc
+    return theta, iterations, kernel_doc
 
 
 def parse_suite_doc(doc: dict, context: str = "suite"):
@@ -331,6 +330,13 @@ def fn_shorthand_to_doc(text: str) -> dict:
     raise DocumentError(
         f"--fn {text!r}: expected identity/constant/indicator/random/values shorthand"
     )
+
+
+def functional_shorthand_to_doc(text: str) -> dict:
+    try:
+        return {"coefficients": [float(v) for v in text.split(",")]}
+    except ValueError:
+        raise DocumentError("--functional: expected a .json path or comma-separated numbers") from None
 
 
 def load_json(path: str, context: str) -> dict:

@@ -214,8 +214,11 @@ def dual_zero_halving(
     masses = space.masses
     u = kernel.values
     # fu = f * u and nu = phi(|f|) * mass over the whole space, zero off the support
-    fu = f0.values * u
-    phi0 = float(np.dot(fu, masses))
+    with np.errstate(over="ignore", invalid="ignore"):
+        fu = f0.values * u
+        phi0 = float(np.dot(fu, masses))
+    if not np.isfinite(phi0):
+        raise DomainError("the functional value of f0 overflows the float range")
     # a vanishing functional is a degenerate but valid input (the trace then
     # only exhibits modular decay); a nonzero unscaled one is a caller error
     if 0.0 < abs(phi0) < 1.0 - 1e-12:
@@ -227,8 +230,8 @@ def dual_zero_halving(
     with np.errstate(over="ignore"):
         phi_f = np.asarray(phi(f), dtype=float)
         nu = phi_f * masses
+        rho = float(nu.sum())
     part = np.zeros(space.size)
-    rho = float(nu.sum())
     val = phi0
     steps: list[HalvingStep] = [HalvingStep(0, rho, val, 0, int(np.count_nonzero(f)))]
     c_phi = 1.0
@@ -245,7 +248,8 @@ def dual_zero_halving(
         # part holds the prefix side of fu, fu keeps the rest
         part[lo:split] = fu[lo:split]
         fu[lo:split] = 0.0
-        v1, v2 = float(np.dot(part, masses)), float(np.dot(fu, masses))
+        with np.errstate(over="ignore", invalid="ignore"):
+            v1, v2 = float(np.dot(part, masses)), float(np.dot(fu, masses))
         part[lo:split] = 0.0
         if abs(v1) >= abs(v2):
             new_lo, new_hi, dropped = lo, split, slice(split, hi)
@@ -273,11 +277,13 @@ def dual_zero_halving(
         nu[dropped] = 0.0
         fu[dropped] = 0.0
         kept = slice(new_lo, new_hi)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             np.multiply(phi_next, masses[kept], out=nu[kept])
             np.multiply(g, u[kept], out=fu[kept])
-        rho_next = float(nu.sum())
-        val_next = float(np.dot(fu, masses))
+            rho_next = float(nu.sum())
+            val_next = float(np.dot(fu, masses))
+        if not (np.isfinite(rho_next) and np.isfinite(val_next)):
+            raise DomainError(f"halving step {n}: the modular or functional value overflows the float range")
         if rho_next > step_cap:
             raise DomainError(f"halving step {n} violated its modular contraction bound")
         if abs(val_next) < abs(val) - tol * max(abs(val), 1.0):

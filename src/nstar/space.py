@@ -116,9 +116,9 @@ def luxemburg_norm(
     range exists; bisection on a geometric midpoint that cannot overflow or
     underflow stops when the modular residual is inside LUX_RESIDUAL_TOL (or
     the bracket collapses to rounding width); LUX_MAX_ITER modular
-    evaluations bound the whole search. A bracket that collapses where
-    the modular is not finite (f/lambda overflows before the modular comes
-    down to 1) raises NonconvergenceError.
+    evaluations bound the whole search. A bracket that collapses with the
+    residual still above LUX_RESIDUAL_TOL raises NonconvergenceError: there
+    the modular jumps across 1 because f/lambda overflows or underflows.
     """
     if not f.space.same_as(space):
         raise SpaceMismatchError("function does not live on the given space")
@@ -167,9 +167,13 @@ def luxemburg_norm(
         raise NonconvergenceError(
             f"quasi-norm bisection did not meet residual {LUX_RESIDUAL_TOL:g} in {LUX_MAX_ITER} steps"
         )
-    if not math.isfinite(value):
+    if resid > LUX_RESIDUAL_TOL:
+        # the bracket closed on a jump of the modular across 1, not on a root;
+        # the jump is an overflow when the modular above 1 is infinite
+        above = value if value > 1.0 else rho(lo)
+        edge = "overflows" if math.isinf(above) else "underflows"
         raise NonconvergenceError(
-            f"f/lambda overflows before the modular comes down to 1 (near lambda = {lam:.6g})"
+            f"f/lambda {edge} before the modular comes down to 1 (near lambda = {lam:.6g})"
         )
     return QuasiNormResult(value=float(lam), lambda_residual=float(resid), iterations=iterations)
 

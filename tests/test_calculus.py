@@ -436,6 +436,16 @@ class TestValidate:
         report = validate_nstar(phi)
         assert report.passed, report.summary()
 
+    @pytest.mark.parametrize(
+        "phi",
+        [power_family(0.5), tabulated_density_family([1.0, 2.0], [1.0, 0.7])],
+        ids=lambda f: f.description,
+    )
+    def test_grid_reaching_the_top_binade_passes(self, phi):
+        # x1 + x2 overflows on most pairs here
+        report = validate_nstar(phi, np.geomspace(1e200, 1.7e308, 50))
+        assert report.passed, report.summary()
+
     @pytest.mark.parametrize("seed", range(20))
     def test_convexity_on_one_decade_is_found(self, seed):
         assert not validate_nstar(convex_on_1_10(), seed=seed).passed

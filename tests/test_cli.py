@@ -1,9 +1,11 @@
+import argparse
 import contextlib
 import copy
 import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nstar
-from nstar.cli import main
+from nstar.cli import build_parser, main
 from nstar.families import FAMILY_NAMES, FAMILY_PARAMS
 
 
@@ -84,6 +86,15 @@ class TestNorm:
         assert captured.out == ""
         assert "overflows" in captured.err
 
+    def test_underflowing_quotient_exits_one(self, capsys):
+        # the true norm 1e300 puts f/lambda at 1e-600, below the float range
+        argv = ["norm", "--phi", "power:p=0.5", "--space", "atoms:1e-300,1e300", "--fn", "constant:1e-300"]
+        code = main([*argv, "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "underflows" in captured.err
+
 
 class TestMetric:
     def test_indicator_distance(self, capsys):
@@ -137,6 +148,18 @@ class TestValidate:
         assert code == 1
         checks = {c["name"]: c for c in strict_json(out)["results"]}
         assert checks["inverse_midpoint_convex"]["residual"] is None
+
+
+    @pytest.mark.parametrize("phi", ["power:p=0.5", "tabulated"])
+    def test_grid_reaching_the_top_binade(self, capsys, tmp_path, phi):
+        # x1 + x2 overflows there: a table rejected the infinite argument, and
+        # phi(inf) = inf failed subadditivity with residual -inf
+        if phi == "tabulated":
+            phi = str(tmp_path / "phi.json")
+            Path(phi).write_text(json.dumps({"family": "tabulated_density", "params": {"t": [1, 2], "p": [1, 0.7]}}))
+        code, out = run_cli(capsys, "validate", "--phi", phi, "--grid-lo", "1e200", "--grid-hi", "1.7e308", "--grid-points", "50")
+        assert code == 0, out
+        assert "overall: pass" in out
 
 
 class TestDelta2:
@@ -552,27 +575,69 @@ _FUZZ_SUITE = _mostly(
 )
 
 
+_FUZZ_SEED = _mostly(st.integers(0, 2**32 - 1).map(str), st.sampled_from(["-1", "x", ""]))
+_FUZZ_TOL = _mostly(st.floats(0.0, allow_infinity=False).map(repr), _FLOAT_TEXT)
+_FUZZ_GRID = [
+    ("--grid-lo", _mostly(_POSITIVE, _FLOAT_TEXT)),
+    ("--grid-hi", _mostly(_POSITIVE, _FLOAT_TEXT)),
+    ("--grid-points", _mostly(st.integers(1, 50), st.integers(-1, 0))),
+]
+# each command's flags and their values; a|b names two spellings of one flag
+_FUZZ_FLAGS = {
+    "norm": [("--phi", _SHORTHAND_PHI), ("--space", _FUZZ_SPACE), ("--fn", _FUZZ_FN)],
+    "metric": [("--phi", _SHORTHAND_PHI), ("--space", _FUZZ_SPACE), ("--fn", _FUZZ_FN), ("--fn2", _FUZZ_FN)],
+    "delta2": [
+        ("--phi", _SHORTHAND_PHI),
+        *_FUZZ_GRID,
+        ("--k0", _mostly(st.floats(2.0, exclude_min=True, allow_infinity=False).map(repr), _FLOAT_TEXT)),
+    ],
+    "check": [
+        ("--phi", _SHORTHAND_PHI),
+        ("--space", _FUZZ_SPACE),
+        ("--suite", _FUZZ_SUITE),
+        ("--samples", _mostly(st.integers(1, 2), st.integers(-1, 0))),
+        ("--seed", _FUZZ_SEED),
+        ("--tol", _FUZZ_TOL),
+    ],
+    "dual-norm": [
+        ("--phi", _SHORTHAND_PHI),
+        ("--space", _FUZZ_SPACE),
+        ("--functional", st.lists(_COEFF, min_size=1, max_size=4).map(",".join)),
+        ("--seed", _FUZZ_SEED),
+        ("--tol", _FUZZ_TOL),
+    ],
+    "demo nonconvex": [
+        ("--phi", _SHORTHAND_PHI),
+        ("--space|--atoms", _FUZZ_SPACE),
+        ("--epsilon", _mostly(_POSITIVE, _FLOAT_TEXT)),
+        ("--n", _mostly(st.integers(1, 70), st.integers(-1, 0))),
+    ],
+    "demo dualzero": [
+        ("--phi", _SHORTHAND_PHI),
+        ("--space", _FUZZ_SPACE),
+        ("--fn", _FUZZ_FN),
+        ("--kernel", _FUZZ_FN),
+        ("--theta", _mostly(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(repr), _FLOAT_TEXT)),
+        ("--iterations", _mostly(st.integers(1, 8), st.integers(-1, 0))),
+    ],
+}
+
+
 @st.composite
 def _flag_argv(draw):
-    """metric, delta2 or check with drawn flag values; at most 64 cells, 2 samples and 50 grid points."""
-    command = draw(st.sampled_from(["metric", "delta2", "check"]))
-    argv = [command, "--phi", draw(_SHORTHAND_PHI)]
-    if command == "metric":
-        argv += [f"--space={draw(_FUZZ_SPACE)}", f"--fn={draw(_FUZZ_FN)}", f"--fn2={draw(_FUZZ_FN)}"]
-    elif command == "delta2":
-        argv += [f"--grid-lo={draw(_mostly(_POSITIVE, _FLOAT_TEXT))}", f"--grid-hi={draw(_mostly(_POSITIVE, _FLOAT_TEXT))}"]
-        argv += [f"--grid-points={draw(_mostly(st.integers(1, 50), st.integers(-1, 0)))}"]
-        argv += [f"--k0={draw(_mostly(st.floats(2.0, exclude_min=True, allow_infinity=False).map(repr), _FLOAT_TEXT))}"]
-    else:
-        argv += [f"--space={draw(_FUZZ_SPACE)}", f"--suite={draw(_FUZZ_SUITE)}"]
-        argv += [f"--samples={draw(_mostly(st.integers(1, 2), st.integers(-1, 0)))}"]
-        argv += [f"--seed={draw(_mostly(st.integers(0, 2**32 - 1).map(str), st.sampled_from(['-1', 'x', ''])))}"]
-        argv += [f"--tol={draw(_mostly(st.floats(0.0, allow_infinity=False).map(repr), _FLOAT_TEXT))}"]
+    """A command with drawn flag values, each flag kept with probability 7/8, so
+    that missing required flags are drawn too; at most 64 cells, 2 samples,
+    8 halving rounds and 50 grid points."""
+    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    argv = command.split()
+    for names, values in _FUZZ_FLAGS[command]:
+        if draw(st.integers(0, 7)) != 5:
+            argv.append(f"{draw(st.sampled_from(names.split('|')))}={draw(values)}")
     return [*argv, "--format", "json"]
 
 
 class TestFlagFuzz:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=500, deadline=None)
     @given(_flag_argv())
     def test_exit_contract(self, argv):
         out, err = io.StringIO(), io.StringIO()
@@ -653,7 +718,7 @@ class TestDemos:
         assert modulars[-1] < modulars[0]
 
     def test_dualzero_demo_config_document(self, capsys, tmp_path):
-        cfg = {"theta": 1.0 / 3.0, "iterations": 6, "epsilon": 1.0}
+        cfg = {"theta": 1.0 / 3.0, "iterations": 6}
         path = tmp_path / "demo.json"
         path.write_text(json.dumps(cfg))
         code, out = run_cli(
@@ -708,6 +773,22 @@ class TestDemos:
         err = capsys.readouterr().err
         assert code == 2
         assert "iterations" in err
+
+    def test_dualzero_zero_modular_exits_two(self, capsys):
+        # f0 = x is 0 on one cell of mass 5e-324: the modular ratio was 0/0, a ZeroDivisionError
+        argv = ["demo", "dualzero", "--phi", "log_sqrt", "--space", "interval:L=5e-324,N=1"]
+        assert main([*argv, "--fn", "identity", "--kernel", "identity"]) == 2
+        assert "f0 has modular 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("length", ["8.958978968711217e+102", "7.110746319746581e+102"])
+    def test_dualzero_overflowing_functional_exits_one(self, capsys, length):
+        # the functional value L^3 / 4 overflows at the start or once doubled; both printed a trace
+        argv = ["demo", "dualzero", "--phi", "log_sqrt", "--space", f"interval:L={length},N=1"]
+        code = main([*argv, "--fn", "identity", "--kernel", "identity", "--iterations", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "overflows the float range" in captured.err
 
     def test_dualzero_deterministic_bytes(self, capsys):
         args = (
@@ -847,6 +928,15 @@ class TestSettingsNothingReads:
             "validate --phi power:p=0.5 --tol 1e-3",
             "demo nonconvex --phi power:p=0.5 --atoms equal:10 --seed 1",
             "demo nonconvex --phi power:p=0.5 --atoms equal:10 --tol 1e-3",
+            # each demo takes only its own flags
+            "demo nonconvex --phi power:p=0.5 --atoms equal:10 --theta 0.3",
+            "demo nonconvex --phi power:p=0.5 --atoms equal:10 --iterations 3",
+            "demo nonconvex --phi power:p=0.5 --atoms equal:10 --kernel constant:1",
+            "demo nonconvex --phi power:p=0.5 --atoms equal:10 --fn constant:1",
+            "demo nonconvex --phi power:p=0.5 --atoms equal:10 --config demo.json",
+            "demo dualzero --phi power:p=0.5 --space interval:L=1,N=64 --epsilon 1",
+            "demo dualzero --phi power:p=0.5 --space interval:L=1,N=64 --n 3",
+            "demo dualzero --phi power:p=0.5 --space interval:L=1,N=64 --atoms equal:64",
         ],
     )
     def test_unread_flag_exits_two(self, capsys, argv):
@@ -881,6 +971,23 @@ class TestSettingsNothingReads:
         assert code == 2
         assert "--seed: expected a non-negative integer" in err
 
+    def test_dualzero_document_epsilon_exits_two(self, capsys, tmp_path):
+        # epsilon belongs to demo nonconvex, which takes it as --epsilon only
+        path = tmp_path / "demo.json"
+        path.write_text(json.dumps({"theta": 0.5, "epsilon": 1.0}))
+        argv = ["demo", "dualzero", "--phi", "power:p=0.5", "--space", "interval:L=1,N=64", "--config", str(path)]
+        assert main(argv) == 2
+        assert "unknown fields ['epsilon']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--theta=0.3", "--iterations=7", "--kernel=constant:1"])
+    def test_dualzero_config_with_its_flags_exits_two(self, capsys, tmp_path, flag):
+        # the document sets theta, iterations and kernel, defaults included; the flag was ignored
+        path = tmp_path / "demo.json"
+        path.write_text(json.dumps({"iterations": 3}))
+        argv = ["demo", "dualzero", "--phi", "power:p=0.5", "--space", "interval:L=1,N=64", "--config", str(path)]
+        assert main([*argv, flag]) == 2
+        assert f"--config cannot be combined with {flag.split('=')[0]}" in capsys.readouterr().err
+
     def test_generator_quad_field_exits_two(self, capsys, tmp_path):
         doc = tmp_path / "phi.json"
         doc.write_text(json.dumps({"family": "log_sqrt", "params": {}, "quad": {"tol": 0.5, "mesh_ratio": 0.9}}))
@@ -888,6 +995,58 @@ class TestSettingsNothingReads:
         err = capsys.readouterr().err
         assert code == 2
         assert "unknown fields ['quad']" in err
+
+
+class TestFlagsEachCommandReads:
+    """Each command declares exactly the flags its handler reads and requires the ones it needs."""
+
+    @pytest.mark.parametrize(
+        "argv, missing",
+        [
+            ("norm --phi power:p=0.5 --fn constant:1", "--space"),
+            ("norm --phi power:p=0.5 --space atoms:1", "--fn"),
+            ("metric --phi power:p=0.5 --fn constant:1 --fn2 constant:0", "--space"),
+            ("metric --phi power:p=0.5 --space atoms:1 --fn2 constant:0", "--fn"),
+            ("dual-norm --phi power:p=0.5 --functional 1", "--space"),
+            ("demo dualzero --phi power:p=0.5", "--space"),
+            ("demo nonconvex --phi power:p=0.5", "--space/--atoms"),
+        ],
+    )
+    def test_missing_flag_exits_two(self, capsys, argv, missing):
+        # all but the last raised AttributeError on the missing argument
+        code = main(argv.split())
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.rstrip().endswith(f"the following arguments are required: {missing}")
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    @pytest.mark.parametrize("prefix", ["@", ""])
+    def test_functional_path_matches_inline(self, capsys, tmp_path, fmt, prefix):
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps({"coefficients": [1, -2, 0.5]}))
+        argv = ["dual-norm", "--phi", "power:p=0.5", "--space", "atoms:0.25,1,2", "--format", fmt]
+        inline = run_cli(capsys, *argv, "--functional", "1,-2,0.5")
+        assert inline[0] == 0
+        assert run_cli(capsys, *argv, "--functional", f"{prefix}{path}") == inline
+
+    def test_readme_flags_table_matches_the_parser(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = dict(re.findall(r"^\| `([a-z0-9 -]+)` \| (.+) \|$", readme, re.MULTILINE))
+        parsers = dict(_leaf_parsers(build_parser()))
+        assert sorted(rows) == sorted(parsers)
+        for name, parser in parsers.items():
+            flags = {o for a in parser._actions for o in a.option_strings} - {"-h", "--help", "--format", "--out"}
+            assert set(re.findall(r"`(--[a-z0-9-]+)`", rows[name])) == flags, name
+
+
+def _leaf_parsers(parser, words=()):
+    """(command words, parser) for each command, and each demo under demo."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_parsers(sub, (*words, name))
+            return
+    yield " ".join(words), parser
 
 
 class TestSlackTolerance:
@@ -1043,7 +1202,7 @@ _VALID_DOCS = {
         },
     ],
     "demo": [
-        {"theta": 0.5, "iterations": 3, "epsilon": 1.0},
+        {"theta": 0.5, "iterations": 3},
         {"theta": 0.25, "iterations": 2, "kernel": {"generator": "constant", "params": {"value": 100.0}}},
     ],
 }

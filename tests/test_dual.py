@@ -410,6 +410,22 @@ class TestDemoGuards:
         with pytest.raises(DomainError, match="doubling the kept piece overflows"):
             dual_zero_halving(HALF, X, MeasurableFn.constant(X, 1e308), zero, 1)
 
+    @pytest.mark.parametrize(
+        "length, match",
+        [
+            (8.958978968711217e102, "functional value of f0 overflows"),
+            (7.110746319746581e102, "step 1: the modular or functional value overflows"),
+        ],
+        ids=["start", "doubled"],
+    )
+    def test_halving_functional_past_the_float_range(self, length, match):
+        # f0 = u = x on one cell of mass L: the value L^3 / 4 is past the float range at the
+        # start, or 8.9e307 at the start and doubled past it; both once printed a trace
+        X = MeasureSpace.interval(length, 1)
+        f = MeasurableFn.identity(X)
+        with pytest.raises(DomainError, match=match):
+            dual_zero_halving(HALF, X, f, f, 1)
+
     # with a valid generator and tol >= 0 the construction cannot break
     # either bound; a negative tol tightens a bound past what it guarantees
     def test_halving_contraction_bound(self):

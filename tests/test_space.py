@@ -177,6 +177,15 @@ class TestLuxemburgNorm:
         with pytest.raises(NonconvergenceError, match="overflows"):
             luxemburg_norm(HALF, X, MeasurableFn.constant(X, 1e300))
 
+    def test_underflowing_quotient_raises(self):
+        # the norm is 1e300, where f/lambda = 1e-600 underflows: the bracket
+        # closed on the jump near 4e23 with residual 2e138 and returned it
+        from nstar import NonconvergenceError
+
+        X = MeasureSpace.atomic([1e-300, 1e300])
+        with pytest.raises(NonconvergenceError, match="underflows"):
+            luxemburg_norm(HALF, X, MeasurableFn.constant(X, 1e-300))
+
     @given(
         p=st.floats(0.01, 1.0, exclude_max=True),
         log_c=st.floats(-300.0, 300.0),
