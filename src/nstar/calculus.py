@@ -382,10 +382,8 @@ def validate_nstar(phi: NStarFunction, grid=None, *, seed: int = 0) -> Validatio
         pair_scale = np.maximum(p1 + p2, 1e-300)
         # x1 + x2 overflows on a grid reaching the top binade; the capped sum
         # lowers phi(x1 + x2), so it can hide a subadditivity failure, never invent one
-        pair_sum = x1 + x2
-        over = np.isinf(pair_sum)
-        mid = np.where(over, 0.5 * x1 + 0.5 * x2, 0.5 * pair_sum)
-        pair_sum[over] = np.finfo(float).max
+        mid = 0.5 * x1 + 0.5 * x2
+        pair_sum = np.minimum(x1 + x2, np.finfo(float).max)
 
         conc = (np.asarray(phi(mid), dtype=float) - 0.5 * (p1 + p2)) / pair_scale
         worst = float(np.min(conc))

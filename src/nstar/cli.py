@@ -324,11 +324,11 @@ def _cmd_dualzero(args) -> _Report:
     else:
         f0, kernel = halving_instance(phi, space)
     # dual_zero_halving rejects this too, but a given f0 or kernel is input
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing value is the library's error
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is input too
         value = abs(float(np.dot(f0.values * kernel.values, space.masses)))
     _usage_check(
-        not 0.0 < value < 1.0 - 1e-12,
-        "demo dualzero: scale f0 or the kernel so the functional value is 0 or at least 1",
+        np.isfinite(value) and not 0.0 < value < 1.0 - 1e-12,
+        "demo dualzero: scale f0 or the kernel so the functional value is 0 or finite and at least 1",
     )
     trace = dual_zero_halving(phi, space, f0, kernel, iterations, theta)
     _usage_check(trace.steps[0].modular > 0, "demo dualzero: f0 has modular 0, so nothing decays")

@@ -624,29 +624,40 @@ _FUZZ_FLAGS = {
 
 
 @st.composite
-def _flag_argv(draw):
-    """A command with drawn flag values, each flag kept with probability 7/8, so
-    that missing required flags are drawn too; at most 64 cells, 2 samples,
-    8 halving rounds and 50 grid points."""
-    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+def _flag_argv(draw, commands, drop):
+    """One of commands with drawn flag values; at most 64 cells, 2 samples,
+    8 halving rounds and 50 grid points. With drop, each flag is kept with
+    probability 7/8, so that missing required flags are drawn too."""
+    command = draw(st.sampled_from(commands))
     argv = command.split()
     for names, values in _FUZZ_FLAGS[command]:
-        if draw(st.integers(0, 7)) != 5:
+        if not drop or draw(st.integers(0, 7)) != 5:
             argv.append(f"{draw(st.sampled_from(names.split('|')))}={draw(values)}")
     return [*argv, "--format", "json"]
 
 
+def _assert_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if out.getvalue():
+        strict_json(out.getvalue())
+
+
 class TestFlagFuzz:
+    # every flag given, so that each draw reaches the handler: the depth that
+    # found the l1_embedding ZeroDivisionError
+    @settings(max_examples=300, deadline=None)
+    @given(_flag_argv(["metric", "delta2", "check"], drop=False))
+    def test_exit_contract_all_flags(self, argv):
+        _assert_exit_contract(argv)
+
     @settings(max_examples=500, deadline=None)
-    @given(_flag_argv())
+    @given(_flag_argv(sorted(_FUZZ_FLAGS), drop=True))
     def test_exit_contract(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
-        if out.getvalue():
-            strict_json(out.getvalue())
+        _assert_exit_contract(argv)
 
 
 class TestDemos:
@@ -780,10 +791,18 @@ class TestDemos:
         assert main([*argv, "--fn", "identity", "--kernel", "identity"]) == 2
         assert "f0 has modular 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("length", ["8.958978968711217e+102", "7.110746319746581e+102"])
-    def test_dualzero_overflowing_functional_exits_one(self, capsys, length):
-        # the functional value L^3 / 4 overflows at the start or once doubled; both printed a trace
-        argv = ["demo", "dualzero", "--phi", "log_sqrt", "--space", f"interval:L={length},N=1"]
+    def test_dualzero_overflowing_functional_exits_two(self, capsys):
+        # the functional value L^3 / 4 of the given f0 and kernel overflows at the start: an input error
+        argv = ["demo", "dualzero", "--phi", "log_sqrt", "--space", "interval:L=8.958978968711217e+102,N=1"]
+        code = main([*argv, "--fn", "identity", "--kernel", "identity", "--iterations", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "functional value is 0 or finite and at least 1" in captured.err
+
+    def test_dualzero_doubled_functional_overflow_exits_one(self, capsys):
+        # the functional value L^3 / 4 is finite but overflows once doubled; that printed a trace
+        argv = ["demo", "dualzero", "--phi", "log_sqrt", "--space", "interval:L=7.110746319746581e+102,N=1"]
         code = main([*argv, "--fn", "identity", "--kernel", "identity", "--iterations", "1"])
         captured = capsys.readouterr()
         assert code == 1
