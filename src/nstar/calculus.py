@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InvalidDensityError, NonconvergenceError, NotDelta2Error
-from .numerics import CumulativeIntegral, bisect_increasing, invert_increasing
+from .numerics import CumulativeIntegral, bisect_increasing, invert_increasing, on_positive
 
 __all__ = [
     "NStarFunction",
@@ -59,7 +59,10 @@ class NStarFunction:
     generator it was computed from.
     source_nfunction records that generator on a numeric complement and
     is None everywhere else. The density contracts are not constructor
-    checks; validate_nstar probes them on sample grids.
+    checks; validate_nstar probes them on sample grids. eval_fn and
+    inverse_fn return a float for a 0-d argument and a float64 array of
+    its shape otherwise, so __call__ and inverse do, and callers use their
+    results as they are; density may return any array-like.
     """
 
     density: Callable
@@ -164,26 +167,18 @@ def complementary(phi: NStarFunction, *, use_registered: bool = True) -> NStarFu
     def young_gap(x):
         # G(x) = phi(x)/p(x) - x, the conjugate of phi^-1 at slope 1/p(x)
         with np.errstate(invalid="ignore", over="ignore"):
-            return np.asarray(phi(x), dtype=float) * reciprocal_density(x) - x
-
-    def zero_at_zero(fn):
-        # hat(0) = hat^-1(0) = 0, so the density of phi is read only above 0
-        def pinned(a):
-            a = np.asarray(a, dtype=float)
-            out = np.zeros(a.shape)
-            out[a > 0] = fn(a[a > 0])
-            return out if out.ndim else float(out)
-
-        return pinned
+            return phi(x) * reciprocal_density(x) - x
 
     def hat_density(a):
+        # np.divide: phi may return a Python float, and 1.0 / 0.0 raises
         with np.errstate(divide="ignore"):
-            return 1.0 / np.asarray(phi(invert_increasing(young_gap, np.abs(a))), dtype=float)
+            return np.divide(1.0, phi(invert_increasing(young_gap, np.abs(a))))
 
     return NStarFunction(
         density=hat_density,
-        eval_fn=zero_at_zero(lambda a: reciprocal_density(invert_increasing(young_gap, a))),
-        inverse_fn=zero_at_zero(lambda y: young_gap(invert_increasing(reciprocal_density, y))),
+        # hat(0) = hat^-1(0) = 0, so the density of phi is read only above 0
+        eval_fn=lambda a: on_positive(lambda ap: reciprocal_density(invert_increasing(young_gap, ap)), a),
+        inverse_fn=lambda y: on_positive(lambda yp: young_gap(invert_increasing(reciprocal_density, yp)), y),
         description=f"complementary({phi.description})" if phi.description else "complementary",
         registered_complementary=lambda: phi,
         source_nfunction=phi,
@@ -225,9 +220,9 @@ def delta2_solve(phi: NStarFunction, k0: float, grid) -> Delta2Certificate:
         raise DomainError(f"k0*x overflows the float range at x={worst:.6g} for k0={k0:g}")
     # 2 phi(x) can still overflow near the top of the float range
     with np.errstate(over="ignore"):
-        twice = 2.0 * np.asarray(phi(xs), dtype=float)
-        top = np.asarray(phi(scaled), dtype=float)
-        bottom = np.asarray(phi(2.0 * xs), dtype=float)
+        twice = 2.0 * phi(xs)
+        top = phi(scaled)
+        bottom = phi(2.0 * xs)
     if np.any(top < twice * (1 - 1e-12)):
         worst = xs[np.argmin(top - twice)]
         raise NotDelta2Error(
@@ -243,7 +238,7 @@ def delta2_solve(phi: NStarFunction, k0: float, grid) -> Delta2Certificate:
     )
     ks = 0.5 * lo + 0.5 * hi
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = np.abs(np.asarray(phi(ks * xs), dtype=float) - twice)
+        resid = np.abs(phi(ks * xs) - twice)
     residual_max = float(np.max(resid / np.maximum(twice, 1e-300)))
     if residual_max > _K_RESIDUAL_TOL:
         raise NonconvergenceError(
@@ -276,8 +271,8 @@ _GROWTH_GRID = np.geomspace(1e-6, 1e6, 241)
 def growth_factor(phi: NStarFunction) -> float:
     """Largest ratio phi(2x)/phi(x) over 1e-6..1e6; at most 2 for a valid generator."""
     xs = _GROWTH_GRID
-    vals = np.asarray(phi(xs), dtype=float)
-    doubled = np.asarray(phi(2.0 * xs), dtype=float)
+    vals = phi(xs)
+    doubled = phi(2.0 * xs)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratios = np.where(vals > 0, doubled / vals, 1.0)
     return float(np.max(ratios))
@@ -363,13 +358,13 @@ def validate_nstar(phi: NStarFunction, grid=None, *, seed: int = 0) -> Validatio
     checks: list[ValidationCheck] = []
 
     with np.errstate(all="ignore"):
-        vals = np.asarray(phi(xs), dtype=float)
+        vals = phi(xs)
         scale = float(np.max(np.abs(vals))) + 1.0
 
         v0 = float(phi(0.0))
         checks.append(ValidationCheck("phi_zero_at_zero", abs(v0) <= _VALIDATE_TOL, abs(v0)))
 
-        even_res = float(np.max(np.abs(np.asarray(phi(-xs), dtype=float) - vals)))
+        even_res = float(np.max(np.abs(phi(-xs) - vals)))
         checks.append(ValidationCheck("phi_even", even_res <= _VALIDATE_TOL * scale, even_res))
 
         mono = float(np.min(np.diff(vals)))
@@ -377,24 +372,24 @@ def validate_nstar(phi: NStarFunction, grid=None, *, seed: int = 0) -> Validatio
 
         x1 = np.exp(rng.uniform(np.log(lo), np.log(hi), pairs))
         x2 = np.exp(rng.uniform(np.log(lo), np.log(hi), pairs))
-        p1 = np.asarray(phi(x1), dtype=float)
-        p2 = np.asarray(phi(x2), dtype=float)
+        p1 = phi(x1)
+        p2 = phi(x2)
         pair_scale = np.maximum(p1 + p2, 1e-300)
         # x1 + x2 overflows on a grid reaching the top binade; the capped sum
         # lowers phi(x1 + x2), so it can hide a subadditivity failure, never invent one
         mid = 0.5 * x1 + 0.5 * x2
         pair_sum = np.minimum(x1 + x2, np.finfo(float).max)
 
-        conc = (np.asarray(phi(mid), dtype=float) - 0.5 * (p1 + p2)) / pair_scale
+        conc = (phi(mid) - 0.5 * (p1 + p2)) / pair_scale
         worst = float(np.min(conc))
         checks.append(ValidationCheck("phi_midpoint_concave", worst >= -_VALIDATE_TOL, worst))
 
-        sub = (p1 + p2 - np.asarray(phi(pair_sum), dtype=float)) / pair_scale
+        sub = (p1 + p2 - phi(pair_sum)) / pair_scale
         worst = float(np.min(sub))
         checks.append(ValidationCheck("phi_subadditive", worst >= -_VALIDATE_TOL, worst))
 
         alphas = rng.uniform(0.0, 1.0, pairs)
-        sup = (np.asarray(phi(alphas * x1), dtype=float) - alphas * p1) / np.maximum(p1, 1e-300)
+        sup = (phi(alphas * x1) - alphas * p1) / np.maximum(p1, 1e-300)
         worst = float(np.min(sup))
         checks.append(ValidationCheck("phi_superhomogeneous", worst >= -_VALIDATE_TOL, worst))
 
@@ -419,13 +414,13 @@ def validate_nstar(phi: NStarFunction, grid=None, *, seed: int = 0) -> Validatio
         try:
             if ys.size < 8:
                 raise NonconvergenceError("generator not invertible on grid")
-            inv = np.asarray(phi.inverse(ys), dtype=float)
+            inv = phi.inverse(ys)
             y1 = np.exp(rng.uniform(np.log(ys[0]), np.log(ys[-1]), pairs))
             y2 = np.exp(rng.uniform(np.log(ys[0]), np.log(ys[-1]), pairs))
-            m1, m2, mmid = (np.asarray(phi.inverse(y), dtype=float) for y in (y1, y2, 0.5 * (y1 + y2)))
+            m1, m2, mmid = (phi.inverse(y) for y in (y1, y2, 0.5 * (y1 + y2)))
             # the largest float stands in for a root past the float range,
             # as at the supremum of a bounded generator
-            back = np.asarray(phi(np.minimum(inv, np.finfo(float).max)), dtype=float)
+            back = phi(np.minimum(inv, np.finfo(float).max))
         except (NonconvergenceError, DomainError) as exc:  # DomainError: an integrated phi at a NaN root
             checks.append(ValidationCheck("inverse_midpoint_convex", False, float("nan"), str(exc)))
             return ValidationReport(tuple(checks))

@@ -169,11 +169,11 @@ def _cmd_conjugate(args) -> _Report:
     phi = phi_from_text(args.phi)
     phi_hat = complementary(phi, use_registered=not args.numeric)
     grid = _grid(args)
-    values = np.asarray(phi_hat(grid), dtype=float)
+    values = phi_hat(grid)
     results = []
     reference = None
     if phi.registered_complementary is not None and args.numeric:
-        reference = np.asarray(phi.registered_complementary()(grid), dtype=float)
+        reference = phi.registered_complementary()(grid)
     for i, t in enumerate(grid):
         rec = {"t": float(t), "value": float(values[i])}
         if reference is not None:
@@ -190,11 +190,10 @@ def _cmd_conjugate(args) -> _Report:
 
 def _cmd_delta2(args) -> _Report:
     phi = phi_from_text(args.phi)
-    _usage_check(2 < args.k0 < np.inf, "--k0 must be a finite number above 2")
     try:
         cert = delta2_solve(phi, args.k0, _grid(args))
     except DomainError as exc:
-        # delta2_solve raises it only on k0 and the grid: k0 * x past the float range
+        # delta2_solve raises it only on k0 and the grid: k0 not above 2, or k0 * x past the float range
         raise DocumentError(str(exc)) from exc
     payload = {
         "command": "delta2",
@@ -254,6 +253,7 @@ def _cmd_dual_norm(args) -> _Report:
     tol = _tolerance(args.tol, "--tol")
     phi = phi_from_text(args.phi)
     space = space_from_text(args.space)
+    _usage_check(space.is_atomic, "dual-norm needs an atomic --space: functionals act on atoms")
     doc = _doc_or_shorthand(args.functional, functional_shorthand_to_doc, "--functional")
     U = parse_functional_doc(doc, space, phi)
     formula = functional_norm_formula(U)
@@ -313,6 +313,7 @@ def _cmd_dualzero(args) -> _Report:
     _usage_check(0 < theta < 1, "demo theta must lie strictly between 0 and 1")
     _usage_check(iterations >= 1, "demo iterations must be at least 1")
     space = space_from_text(args.space)
+    _usage_check(not space.is_atomic, "demo dualzero needs an interval --space: atoms cannot be halved")
     if kernel_doc is not None:
         kernel = parse_fn_doc(kernel_doc, space, "--config kernel")
         f0 = fn_from_text(args.fn, space) if args.fn else halving_instance(phi, space)[0]

@@ -97,7 +97,7 @@ def functional_norm_formula(U: AtomicFunctional) -> float:
     if not nonzero.any():
         return 0.0
     with np.errstate(over="ignore"):
-        inv = np.asarray(U.phi.inverse(1.0 / U.space.masses[nonzero]), dtype=float)
+        inv = U.phi.inverse(1.0 / U.space.masses[nonzero])
         return float(np.max(np.abs(U.coefficients[nonzero]) * inv))
 
 
@@ -107,7 +107,7 @@ def single_atom_witness(U: AtomicFunctional, index: int) -> MeasurableFn:
     # functional_norm_formula; a scalar takes libm's pow, which can differ
     # from them in the last bit
     with np.errstate(over="ignore"):
-        value = float(np.asarray(U.phi.inverse(1.0 / U.space.masses[[index]]))[0])
+        value = float(U.phi.inverse(1.0 / U.space.masses[[index]])[0])
     if not np.isfinite(value):
         raise DomainError(f"the witness phi^-1(1/a) on atom {index} overflows the float range")
     vals = np.zeros(U.space.size)
@@ -228,7 +228,7 @@ def dual_zero_halving(
     # f and phi(|f|) on the support only; f is doubled in place
     f = f0.values.copy()
     with np.errstate(over="ignore"):
-        phi_f = np.asarray(phi(f), dtype=float)
+        phi_f = phi(f)
         nu = phi_f * masses
         rho = float(nu.sum())
     part = np.zeros(space.size)
@@ -263,7 +263,7 @@ def dual_zero_halving(
         if not np.all(np.isfinite(g)):
             raise DomainError(f"halving step {n}: doubling the kept piece overflows the float range")
         with np.errstate(over="ignore"):
-            phi_next = np.asarray(phi(g), dtype=float)
+            phi_next = phi(g)
         if support_cells:
             nonzero = g != 0.0
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -311,7 +311,7 @@ def halving_instance(
         raise IndivisibleAtomsError("the halving construction needs the non-atomic model")
     x = space.midpoints() / space.length
     target_modular_density = np.exp(-decay_rate * x)
-    f_vals = np.asarray(phi.inverse(target_modular_density), dtype=float)
+    f_vals = phi.inverse(target_modular_density)
     with np.errstate(divide="ignore"):
         u_vals = np.where(f_vals > 0, 1.0 / f_vals, 0.0)
     f0 = MeasurableFn(f_vals, space)
@@ -359,7 +359,7 @@ def nonconvexity_demo(
     masses = np.array([space.masses[piece].sum() for piece in pieces])
     with np.errstate(over="ignore"):
         levels = epsilon / masses
-    heights = np.asarray(phi.inverse(levels), dtype=float)
+    heights = phi.inverse(levels)
     in_range = (heights > 0) & (heights < np.inf)
     if not np.all(in_range):
         k = int(np.argmin(in_range))
@@ -368,7 +368,7 @@ def nonconvexity_demo(
     counts = np.arange(1, n + 1)
     modulars = np.empty(n, dtype=float)
     for m in counts:
-        values = np.asarray(phi(heights[:m] / m), dtype=float)
+        values = phi(heights[:m] / m)
         modulars[m - 1] = float(np.dot(values, masses[:m]))
         if modulars[m - 1] < epsilon * (1.0 - tol):
             raise DomainError(f"averaged modular dropped below epsilon at m={m}")

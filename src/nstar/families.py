@@ -119,24 +119,16 @@ def tabulated_density_family(ts, ps, description: str = "tabulated_density") -> 
     beyond the table with the edge slopes, which preserves power-law decay
     and the singularity at the origin. Each piece is a power law, so the
     generator and its inverse are the interpolant's closed-form integral
-    and integral inverse (LogLogLinear.integral, integral_inverse). The
-    low-edge slope must exceed -1, or the integral diverges at 0
-    (DomainError). A top-edge slope below -1 gives a bounded generator,
-    whose inverse raises NonconvergenceError above the bound.
+    and integral inverse (LogLogLinear.integral, integral_inverse).
+    LogLogLinear checks the samples' shape, positivity and order; the
+    values must also be non-increasing, and the low-edge slope must exceed
+    -1, or the integral diverges at 0 (DomainError for each). A top-edge
+    slope below -1 gives a bounded generator, whose inverse raises
+    NonconvergenceError above the bound.
     """
-    ts = np.asarray(ts, dtype=float)
-    ps = np.asarray(ps, dtype=float)
-    if ts.size != ps.size or ts.size < 2:
-        raise DomainError("need matching (t, p) samples, at least two")
-    # written so that NaN fails too
-    if not (np.all((ts > 0) & (ts < np.inf)) and np.all((ps > 0) & (ps < np.inf))):
-        raise DomainError("density samples (t and p) must be positive and finite")
-    # on the logs, which the interpolant works in
-    if np.any(np.diff(np.log(ts)) <= 0):
-        raise DomainError("density samples must have strictly increasing t")
-    if np.any(np.diff(ps) > 0):
-        raise DomainError("density samples must be non-increasing")
     density = LogLogLinear(ts, ps)
+    if np.any(np.diff(np.asarray(ps, dtype=float)) > 0):
+        raise DomainError("density samples must be non-increasing")
     if not density.lo_slope > -1:
         raise DomainError(
             f"the density's low-edge slope {density.lo_slope:.6g} in log-log is not above -1,"

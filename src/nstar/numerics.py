@@ -57,6 +57,20 @@ def gauss_panel(g: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.asarray(vals).dot(_GL_W) * half
 
 
+def on_positive(fn: Callable, x, floor: float = 0.0) -> np.ndarray | float:
+    """fn on the entries of x above floor, 0 on the rest, NaN included.
+
+    fn gets those entries as one 1-d array, and no call when there are
+    none. Returns a float array of x's shape, or a float for a 0-d x.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape)
+    pos = x > floor
+    if pos.any():
+        out[pos] = fn(x[pos])
+    return float(out) if out.ndim == 0 else out
+
+
 class CumulativeIntegral:
     """F(t) = integral of g over (0, t], on one mesh over the normal float range.
 
@@ -134,20 +148,16 @@ class CumulativeIntegral:
         t_arr = np.asarray(t, dtype=float)
         if not np.all(np.isfinite(t_arr)):
             raise DomainError("argument must be finite")
-        scalar = t_arr.ndim == 0
-        t_arr = np.atleast_1d(t_arr)
-        out = np.zeros_like(t_arr)
-        pos = t_arr > _TINY_NORMAL
-        if pos.any():
-            if self._mesh is None:
-                self._mesh = self._build()
-            breaks, prefix, limit = self._mesh
-            tp = t_arr[pos]
-            if tp.max() > limit:
-                raise DivergedIntegralError("non-finite density value below the argument; integral diverges")
-            i = np.searchsorted(breaks, tp, side="left")
-            out[pos] = prefix[i - 1] + gauss_panel(self._g, breaks[i - 1], tp)
-        return float(out[0]) if scalar else out
+        return on_positive(self._integral, t_arr, _TINY_NORMAL)
+
+    def _integral(self, tp: np.ndarray) -> np.ndarray:
+        if self._mesh is None:
+            self._mesh = self._build()
+        breaks, prefix, limit = self._mesh
+        if tp.max() > limit:
+            raise DivergedIntegralError("non-finite density value below the argument; integral diverges")
+        i = np.searchsorted(breaks, tp, side="left")
+        return prefix[i - 1] + gauss_panel(self._g, breaks[i - 1], tp)
 
 
 def bisect_increasing(f: Callable, y, lo, hi) -> tuple[np.ndarray, np.ndarray]:
@@ -184,13 +194,8 @@ def invert_increasing(f: Callable, y) -> np.ndarray | float:
     y = 0 maps to 0 directly. A level that f does not reach inside the
     normal float range raises NonconvergenceError.
     """
-    y_arr = np.asarray(y, dtype=float)
-    scalar = y_arr.ndim == 0
-    y_arr = np.atleast_1d(y_arr)
-    out = np.zeros_like(y_arr)
-    pos = y_arr > 0.0
-    if pos.any():
-        target = y_arr[pos]
+
+    def invert(target: np.ndarray) -> np.ndarray:
         lo = np.ones_like(target)
         hi = np.ones_like(target)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -212,8 +217,9 @@ def invert_increasing(f: Callable, y) -> np.ndarray | float:
                 lo[need] = np.maximum(lo[need] / step, _TINY_NORMAL)
                 step *= step
                 need &= np.asarray(f(lo)) > target
-        out[pos], _ = bisect_increasing(f, target, lo, hi)
-    return float(out[0]) if scalar else out
+        return bisect_increasing(f, target, lo, hi)[0]
+
+    return on_positive(invert, y)
 
 
 def _expm1_over(b: np.ndarray, ell: np.ndarray) -> np.ndarray:
@@ -241,21 +247,22 @@ class LogLogLinear:
     over the knots, found by binary search, and integral_inverse solves
     it with L = log1p(b r)/b, r = (y - F_k)/(x_k y_k). No quadrature runs.
     The integral from 0 is finite only when lo_slope > -1, and it is
-    bounded when hi_slope < -1.
+    bounded when hi_slope < -1. Samples other than two matching 1-d arrays
+    of 2+ positive finite values, logs of x increasing, raise DomainError.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if x.ndim != 1 or x.shape != y.shape or x.size < 2:
-            raise ValueError("need two matching 1-d sample arrays of at least 2 samples")
+            raise DomainError("need two matching 1-d sample arrays of at least 2 samples")
         # written so that NaN fails too
         if not (np.all((x > 0) & (x < np.inf)) and np.all((y > 0) & (y < np.inf))):
-            raise ValueError("log-log interpolation needs positive finite samples")
+            raise DomainError("log-log interpolation needs positive finite samples")
         self._lx, self._ly = np.log(x), np.log(y)
         # on the logs: abscissae a few ulps apart near the float limits share a log
         if np.any(np.diff(self._lx) <= 0):
-            raise ValueError("sample abscissae must have strictly increasing logs")
+            raise DomainError("sample abscissae must have strictly increasing logs")
         slopes = np.diff(self._ly) / np.diff(self._lx)
         self.lo_slope, self.hi_slope = slopes[0], slopes[-1]
         # the low edge line's limit at 0: +inf when it falls, its level when flat
@@ -274,9 +281,7 @@ class LogLogLinear:
     def __call__(self, x):
         """The interpolant at x: its edge lines beyond the table, the low edge's limit at 0, 0 below."""
         x_arr = np.asarray(x, dtype=float)
-        scalar = x_arr.ndim == 0
-        x_arr = np.atleast_1d(x_arr)
-        out = np.zeros_like(x_arr)
+        out = np.zeros(x_arr.shape)
         if self._at_zero:
             out[x_arr == 0.0] = self._at_zero
         pos = x_arr > 0.0
@@ -292,7 +297,7 @@ class LogLogLinear:
             if high.any():
                 vals[high] = self._ly[-1] + self.hi_slope * (lx[high] - self._lx[-1])
             out[pos] = np.exp(vals, out=vals)
-        return float(out[0]) if scalar else out
+        return float(out) if out.ndim == 0 else out
 
     def integral(self, x):
         """Integral of the interpolant over (0, x], 0 at x <= 0; needs lo_slope > -1.
@@ -302,21 +307,18 @@ class LogLogLinear:
         x_arr = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(x_arr)):
             raise DomainError("argument must be finite")
-        scalar = x_arr.ndim == 0
-        x_arr = np.atleast_1d(x_arr)
-        out = np.zeros_like(x_arr)
-        pos = x_arr > 0.0
-        if pos.any():
-            lx = np.log(x_arr[pos])
-            k = np.clip(np.searchsorted(self._lx, lx, side="right") - 1, 0, self._b.size - 1)
-            ell = lx - self._lx[k]
-            with np.errstate(over="ignore", invalid="ignore"):
-                vals = self._cum[k] + self._scale[k] * _expm1_over(self._b[k], ell)
-                low = ell < 0.0
-                if low.any():
-                    vals[low] = self._cum[0] * np.exp(self._b[0] * ell[low])
-            out[pos] = vals
-        return float(out[0]) if scalar else out
+        return on_positive(self._integral, x_arr)
+
+    def _integral(self, xp: np.ndarray) -> np.ndarray:
+        lx = np.log(xp)
+        k = np.clip(np.searchsorted(self._lx, lx, side="right") - 1, 0, self._b.size - 1)
+        ell = lx - self._lx[k]
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = self._cum[k] + self._scale[k] * _expm1_over(self._b[k], ell)
+            low = ell < 0.0
+            if low.any():
+                vals[low] = self._cum[0] * np.exp(self._b[0] * ell[low])
+        return vals
 
     def integral_inverse(self, y):
         """The x >= 0 with integral(x) = y, for y >= 0.
@@ -330,17 +332,13 @@ class LogLogLinear:
             raise DomainError("level must not be NaN")
         if np.any(y_arr > self._sup):
             raise NonconvergenceError("level lies above the supremum of the integral")
-        scalar = y_arr.ndim == 0
-        y_arr = np.atleast_1d(y_arr)
-        out = np.zeros_like(y_arr)
-        pos = y_arr > 0.0
-        if pos.any():
-            yp = y_arr[pos]
-            k = np.clip(np.searchsorted(self._cum, yp, side="right") - 1, 0, self._b.size - 1)
-            with np.errstate(over="ignore"):
-                ell = _log1p_over(self._b[k], (yp - self._cum[k]) / self._scale[k])
-                low = yp < self._cum[0]
-                if low.any():
-                    ell[low] = (np.log(yp[low]) - np.log(self._cum[0])) / self._b[0]
-                out[pos] = self._x[k] * np.exp(ell)
-        return float(out[0]) if scalar else out
+        return on_positive(self._integral_inverse, y_arr)
+
+    def _integral_inverse(self, yp: np.ndarray) -> np.ndarray:
+        k = np.clip(np.searchsorted(self._cum, yp, side="right") - 1, 0, self._b.size - 1)
+        with np.errstate(over="ignore"):
+            ell = _log1p_over(self._b[k], (yp - self._cum[k]) / self._scale[k])
+            low = yp < self._cum[0]
+            if low.any():
+                ell[low] = (np.log(yp[low]) - np.log(self._cum[0])) / self._b[0]
+            return self._x[k] * np.exp(ell)

@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 LUX_RESIDUAL_TOL = 1e-10
-LUX_MAX_ITER = 200
 _TINY = float(np.finfo(float).tiny)
 _MAX = float(np.finfo(float).max)
 SLACK_TOL = 1e-9
@@ -95,7 +94,8 @@ class CheckReport:
 
 def modular(phi: NStarFunction, space: MeasureSpace, f: MeasurableFn) -> ModularValue:
     """rho(f) = integral of phi(|f|) d mu. Overflow yields an infinite flag, not a fault."""
-    value = integrate(space, lambda v: np.asarray(phi(np.abs(v)), dtype=float), f)
+    # phi is even, so it takes f's values as they are
+    value = integrate(space, phi, f)
     return ModularValue(value=value, finite=bool(np.isfinite(value)))
 
 
@@ -112,13 +112,15 @@ def luxemburg_norm(
     """Smallest lambda with modular(f / lambda) <= 1.
 
     lambda -> rho(f/lambda) is continuous and strictly decreasing through 1
-    on finite spaces, so a bracket grown from max|f| inside the normal float
-    range exists; bisection on a geometric midpoint that cannot overflow or
-    underflow stops when the modular residual is inside LUX_RESIDUAL_TOL (or
-    the bracket collapses to rounding width); LUX_MAX_ITER modular
-    evaluations bound the whole search. A bracket that collapses with the
-    residual still above LUX_RESIDUAL_TOL raises NonconvergenceError: there
-    the modular jumps across 1 because f/lambda overflows or underflows.
+    on finite spaces. The bracket grows from max|f|, inside the normal
+    float range, on the side its modular lies on, by steps of 2, 4, 16,
+    ..., 2^32, then 1e12: at most 56 steps. Bisection on a geometric
+    midpoint that cannot overflow or underflow stops when the modular
+    residual is inside LUX_RESIDUAL_TOL or the bracket collapses to
+    rounding width, within about 61 steps. A bracket that collapses with
+    the residual still above LUX_RESIDUAL_TOL raises NonconvergenceError:
+    there the modular jumps across 1 because f/lambda overflows or
+    underflows.
     """
     if not f.space.same_as(space):
         raise SpaceMismatchError("function does not live on the given space")
@@ -129,48 +131,45 @@ def luxemburg_norm(
 
     def rho(lam: float) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.asarray(phi(absv / lam), dtype=float)
-            out = float(np.dot(vals, masses))
+            out = float(np.dot(phi(absv / lam), masses))
         return out if np.isfinite(out) else math.inf
 
     iterations = 0
     lo = hi = max(float(absv.max()), _TINY)
+    # value is the modular at the last point evaluated, rho_lo the one at lo
+    value = rho_lo = rho(lo)
     step = 2.0
-    while rho(hi) > 1.0:
-        if hi >= _MAX or iterations > LUX_MAX_ITER:
-            raise NonconvergenceError("no upper bracket for the quasi-norm within budget")
+    while value > 1.0:
+        if hi >= _MAX:
+            raise NonconvergenceError("no upper bracket for the quasi-norm")
         hi = min(hi * step, _MAX)
         step = min(step * step, 1e12)
         iterations += 1
-    step = 2.0
-    while rho(lo) < 1.0:
-        if lo <= _TINY or iterations > LUX_MAX_ITER:
+        value = rho(hi)
+    while rho_lo < 1.0:
+        if lo <= _TINY:
             # the modular never reaches 1 from above: f is a modular null
-            raise NonconvergenceError("no lower bracket for the quasi-norm within budget")
+            raise NonconvergenceError("no lower bracket for the quasi-norm")
         lo = max(lo / step, _TINY)
         step = min(step * step, 1e12)
         iterations += 1
-    while iterations < LUX_MAX_ITER:
+        rho_lo = rho(lo)
+    while True:
         prod = lo * hi
-        mid = math.sqrt(prod) if _TINY <= prod <= _MAX else math.sqrt(lo) * math.sqrt(hi)
-        value = rho(mid)
+        lam = math.sqrt(prod) if _TINY <= prod <= _MAX else math.sqrt(lo) * math.sqrt(hi)
+        value = rho(lam)
         iterations += 1
-        lam = mid
         resid = abs(value - 1.0)
         if resid <= LUX_RESIDUAL_TOL or (hi - lo) <= 1e-15 * hi:
             break
         if value > 1.0:
-            lo = mid
+            lo, rho_lo = lam, value
         else:
-            hi = mid
-    else:
-        raise NonconvergenceError(
-            f"quasi-norm bisection did not meet residual {LUX_RESIDUAL_TOL:g} in {LUX_MAX_ITER} steps"
-        )
+            hi = lam
     if resid > LUX_RESIDUAL_TOL:
         # the bracket closed on a jump of the modular across 1, not on a root;
         # the jump is an overflow when the modular above 1 is infinite
-        above = value if value > 1.0 else rho(lo)
+        above = value if value > 1.0 else rho_lo
         edge = "overflows" if math.isinf(above) else "underflows"
         raise NonconvergenceError(
             f"f/lambda {edge} before the modular comes down to 1 (near lambda = {lam:.6g})"
@@ -235,9 +234,7 @@ def young_type_check(
     if not f.space.same_as(space) or not g.space.same_as(space):
         raise SpaceMismatchError("functions must live on the given space")
     with np.errstate(over="ignore", invalid="ignore"):
-        left_vals = np.asarray(phi(np.abs(f.values)), dtype=float) * np.asarray(
-            phi_hat(np.abs(g.values)), dtype=float
-        )
+        left_vals = phi(f.values) * phi_hat(g.values)
         left = float(np.dot(left_vals, space.masses))
     right = integrate(space, np.abs, f) + integrate(space, np.abs, g)
     scale = max(abs(left), abs(right), 1.0)
@@ -278,7 +275,7 @@ def l1_embedding_bound_check(
     # mu * phi^-1(1/mu) leaves the float range when mu is near either end of
     # it; underflow to 0 gives the bound inf, which holds trivially
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        bound = float(np.divide(l1, mu * np.asarray(phi.inverse(1.0 / mu), dtype=float)))
+        bound = float(np.divide(l1, mu * phi.inverse(1.0 / mu)))
     norm = luxemburg_norm(phi, space, f).value
     scale = max(abs(bound), abs(norm), 1.0)
     return _slack_report("l1_embedding", bound, norm, scale, tol, {"norm": norm, "bound": bound, "l1": l1})
@@ -337,8 +334,8 @@ def product_identity_check(
     alphas = np.asarray(alpha_grid, dtype=float)
     if np.any(alphas <= 0):
         raise DomainError("the sandwich is stated for strictly positive arguments")
-    pv = np.asarray(phi(alphas), dtype=float)
-    hv = np.asarray(phi_hat(alphas), dtype=float)
+    pv = phi(alphas)
+    hv = phi_hat(alphas)
     product = pv * hv
     lower = (product - alphas) / alphas
     upper = (2.0 * alphas - product) / alphas
@@ -386,8 +383,8 @@ def intersection_check(
     absv = np.abs(f.values)
     masses = space.masses
     with np.errstate(over="ignore", invalid="ignore"):
-        pv = np.asarray(phi(absv), dtype=float)
-        hv = np.asarray(phi_hat(absv), dtype=float)
+        pv = phi(absv)
+        hv = phi_hat(absv)
         l1 = float(np.dot(absv, masses))
         mod_phi = float(np.dot(pv, masses))
         mod_hat = float(np.dot(hv, masses))

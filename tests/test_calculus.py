@@ -48,6 +48,39 @@ def legendre_sup_bruteforce(M, t: float, s_hi: float, n: int = 400001) -> float:
     return float(np.max(t * s - np.asarray(M(s), dtype=float)))
 
 
+_TABLE_T = np.geomspace(1e-3, 1e3, 7)
+CONTRACT_GENERATORS = [
+    power_family(0.5),
+    scaled_power_family(0.3),
+    alpha_exp_family(3.0),
+    log_sqrt_family(),
+    tabulated_density_family(_TABLE_T, 0.5 * _TABLE_T**-0.5, "tabulated"),
+    from_density(lambda t: 0.5 * t**-0.5),
+    complementary(power_family(0.5), use_registered=False),
+    complementary(log_sqrt_family()),
+]
+
+
+class TestReturnContract:
+    """A generator and its inverse return a float for a scalar and a float64 array of its shape otherwise."""
+
+    @pytest.mark.parametrize("phi", CONTRACT_GENERATORS, ids=lambda f: f.description)
+    @pytest.mark.parametrize("method", ["__call__", "inverse"])
+    def test_scalar_and_array_types(self, phi, method):
+        fn = getattr(phi, method)
+        assert type(fn(0.7)) in (float, np.float64)
+        for shape in ((3,), (2, 3)):
+            out = fn(np.geomspace(0.1, 10.0, 6)[: np.prod(shape)].reshape(shape))
+            assert isinstance(out, np.ndarray)
+            assert out.dtype == np.float64 and out.shape == shape
+
+    @pytest.mark.parametrize("phi", CONTRACT_GENERATORS, ids=lambda f: f.description)
+    def test_zero_at_zero_and_even(self, phi):
+        xs = np.geomspace(0.1, 10.0, 6)
+        assert phi(0.0) == 0
+        assert np.array_equal(phi(-xs), phi(xs))
+
+
 class TestEvalFromDensity:
     def test_inverse_sqrt_density(self):
         # p(t) = 1/sqrt(2 t) integrates to sqrt(2 x); at x=4 that is 2 sqrt(2)

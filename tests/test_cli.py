@@ -351,7 +351,7 @@ DATA = Path(__file__).parent / "data"
 
 
 class TestCheckGolden:
-    """check --format json is byte-stable for a fixed seed; the files hold the earlier if/elif suite's output."""
+    """--format json is byte-stable for a fixed seed; the check files hold the earlier if/elif suite's output."""
 
     @pytest.mark.parametrize(
         "golden, argv",
@@ -359,20 +359,40 @@ class TestCheckGolden:
             # the README command
             (
                 "check_readme.json",
-                ["--phi", "power:p=0.5", "--space", "interval:L=1,N=1000", "--suite", "all", "--seed", "7"],
+                ["check", "--phi", "power:p=0.5", "--space", "interval:L=1,N=1000", "--suite", "all", "--seed", "7"],
             ),
             # a reordered subset: the checks draw from one rng in the order given
             (
                 "check_atoms_subset.json",
-                ["--phi", "power:p=0.5", "--space", "atoms:0.25,1,2,4"]
+                ["check", "--phi", "power:p=0.5", "--space", "atoms:0.25,1,2,4"]
                 + ["--suite", "convergence,young_type,quasi_triangle"],
             ),
             # no doubling constant: the k-dependent checks are skip records
-            ("check_log_sqrt.json", ["--phi", "log_sqrt", "--space", "interval:L=1,N=1000"]),
+            ("check_log_sqrt.json", ["check", "--phi", "log_sqrt", "--space", "interval:L=1,N=1000"]),
+            # the README solver commands: every digit of the quasi-norm's bisection shows
+            ("norm_readme.json", ["norm", "--phi", "power:p=0.5", "--space", "interval:L=1,N=100000", "--fn", "identity"]),
+            (
+                "metric_readme.json",
+                ["metric", "--phi", "power:p=0.5", "--space", "interval:L=1,N=1000"]
+                + ["--fn", "constant:1", "--fn2", "constant:0"],
+            ),
+            (
+                "dual_norm_readme.json",
+                ["dual-norm", "--phi", "power:p=0.5", "--space", "atoms:0.25,1,2", "--functional", "1,-2,0.5"],
+            ),
+            (
+                "nonconvex_readme.json",
+                ["demo", "nonconvex", "--phi", "power:p=0.5", "--epsilon", "1", "--n", "100", "--atoms", "equal:100"],
+            ),
+            # the unit-ball pass overshoots S = 4 by the quasi-norm's residual error
+            (
+                "dual_norm_tiny_atom.json",
+                ["dual-norm", "--phi", "power:p=0.5", "--space", "atoms:1e-200,0.5", "--functional", "0,1"],
+            ),
         ],
     )
     def test_json_matches_golden(self, capsys, golden, argv):
-        code, out = run_cli(capsys, "check", *argv, "--format", "json")
+        code, out = run_cli(capsys, *argv, "--format", "json")
         assert code == 0
         assert out == (DATA / golden).read_text()
 
@@ -439,6 +459,13 @@ class TestDualNorm:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "overflows" in captured.err
+
+    def test_interval_space_exits_two(self, capsys):
+        # the wrong kind of --space is a usage error; it exited 1 with the library's message
+        code = main(["dual-norm", "--phi", "power:p=0.5", "--space", "interval:L=1,N=3", "--functional", "1,1,1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "--space" in err
 
     def test_budget_flag_is_gone(self, capsys):
         code = main(["dual-norm", "--phi", "power:p=0.5", "--space", "atoms:1", "--functional", "1", "--budget", "10"])
@@ -661,6 +688,13 @@ class TestFlagFuzz:
 
 
 class TestDemos:
+    def test_dualzero_atomic_space_exits_two(self, capsys):
+        # the wrong kind of --space is a usage error; it exited 1 with the library's message
+        code = main(["demo", "dualzero", "--phi", "power:p=0.5", "--space", "atoms:1,2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "--space" in err
+
     def test_nonconvex_final_modular(self, capsys):
         code, out = run_cli(
             capsys,
@@ -881,11 +915,14 @@ class TestExitCodes:
             "norm --phi power:p=0.5 --space interval:L=1,N=10 --fn random:low=-1e308,high=1e308,seed=1",
             # numpy seeds take no sign
             "norm --phi power:p=0.5 --space interval:L=1,N=10 --fn random:seed=-1",
-            # numeric flags are checked before the library runs
+            # --k0 is checked by delta2_solve, whose DomainError exits 2
             "delta2 --phi power:p=0.5 --k0 1",
             "delta2 --phi power:p=0.5 --k0 2",
             "delta2 --phi power:p=0.5 --k0 nan",
             "delta2 --phi power:p=0.5 --k0 inf",
+            "delta2 --phi power:p=0.5 --k0 1.5",
+            "delta2 --phi power:p=0.5 --k0 1e308",
+            # numeric flags are checked before the library runs
             "demo dualzero --phi power:p=0.5 --space interval:L=1,N=64 --theta 1.5",
             "demo dualzero --phi power:p=0.5 --space interval:L=1,N=64 --theta 0",
             "demo dualzero --phi power:p=0.5 --space interval:L=1,N=64 --iterations 0",

@@ -20,6 +20,7 @@ from nstar.numerics import (
     LogLogLinear,
     bisect_increasing,
     invert_increasing,
+    on_positive,
 )
 
 
@@ -67,6 +68,34 @@ def quadrature_work(monkeypatch, integrator, run):
         m.setattr(calculus, "CumulativeIntegral", integrator)
         value = run()
     return value, work[0], work[1]
+
+
+class TestOnPositive:
+    def test_zero_at_and_below_the_floor_and_at_nan(self):
+        seen = []
+
+        def fn(x):
+            seen.append(x)
+            return 10.0 * x
+
+        out = on_positive(fn, np.array([[-1.0, 0.0, 0.5], [np.nan, 2.0, 3.0]]), floor=0.5)
+        assert np.array_equal(out, [[0.0, 0.0, 0.0], [0.0, 20.0, 30.0]])
+        assert out.dtype == np.float64
+        # fn sees only the entries above the floor, as one 1-d array
+        assert len(seen) == 1 and np.array_equal(seen[0], [2.0, 3.0])
+
+    def test_zero_dimensional_argument_gives_a_float(self):
+        assert on_positive(np.sqrt, 4.0) == 2.0
+        assert type(on_positive(np.sqrt, np.float64(4.0))) is float
+        assert type(on_positive(np.sqrt, -4.0)) is float
+        assert on_positive(np.sqrt, np.nan) == 0.0
+
+    def test_empty_argument_calls_nothing(self):
+        def fn(x):
+            raise AssertionError("called on no entries")
+
+        out = on_positive(fn, np.empty((0, 3)))
+        assert out.shape == (0, 3) and out.dtype == np.float64
 
 
 class TestCumulativeIntegral:
@@ -322,7 +351,7 @@ class TestInterpolants:
     )
     def test_loglog_linear_rejects_bad_samples(self, x, y):
         # five samples, so dropping the bad one would still leave a valid table
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             LogLogLinear(np.array(x), np.array(y))
 
 

@@ -26,8 +26,7 @@ from nstar import (
     simple_approximation,
     young_type_check,
 )
-from nstar import space as space_module
-from nstar.errors import DomainError, SpaceMismatchError
+from nstar.errors import DomainError, NonconvergenceError, SpaceMismatchError
 
 HALF = power_family(0.5)
 HALF_SCALED = scaled_power_family(0.5)
@@ -128,14 +127,34 @@ class TestLuxemburgNorm:
         res = luxemburg_norm(HALF, X, f)
         assert res.lambda_residual <= 1e-10
 
-    def test_iteration_budget_exhaustion(self, monkeypatch):
-        from nstar import NonconvergenceError
+    @staticmethod
+    def counted_norm(mass, c):
+        """luxemburg_norm of c on one atom of this mass under HALF, and its count of generator evaluations."""
+        calls = [0]
 
-        monkeypatch.setattr(space_module, "LUX_MAX_ITER", 3)
-        X = MeasureSpace.atomic([1e-12])
-        f = MeasurableFn(np.array([1.0]), X)  # norm 1e-24: far from the start point
-        with pytest.raises(NonconvergenceError):
-            luxemburg_norm(HALF, X, f)
+        def eval_fn(a):
+            calls[0] += 1
+            return HALF.eval_fn(a)
+
+        X = MeasureSpace.atomic([mass])
+        try:
+            result = luxemburg_norm(dataclasses.replace(HALF, eval_fn=eval_fn), X, MeasurableFn(np.array([c]), X))
+        except NonconvergenceError:
+            result = None
+        return result, calls[0]
+
+    # the modular at the start max|f| = 1 is 4 (the bracket grows up) and 1/4 (it grows down)
+    @pytest.mark.parametrize("mass, norm", [(4.0, 16.0), (0.25, 1.0 / 16.0)])
+    def test_one_evaluation_per_iteration_and_one_at_the_start(self, mass, norm):
+        result, calls = self.counted_norm(mass, 1.0)
+        assert result.value == pytest.approx(norm, rel=1e-9)
+        assert calls == result.iterations + 1
+
+    # the norms 1e8 and 1e-8, 308 decades from the start, and two that over- and underflow
+    @pytest.mark.parametrize("mass, c", [(1e154, 1e-300), (1e-154, 1e300), (1e-300, 1e300), (1e300, 1e-300)])
+    def test_evaluations_at_the_float_range_extremes(self, mass, c):
+        _, calls = self.counted_norm(mass, c)
+        assert calls <= 120
 
     def test_homogeneity(self):
         rng = np.random.default_rng(21)
