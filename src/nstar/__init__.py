@@ -9,142 +9,23 @@ coefficient functionals on atoms versus the support-halving construction
 that kills every bounded-kernel functional on the non-atomic model.
 """
 
-from .calculus import (
-    Delta2Certificate,
-    NStarFunction,
-    ValidationCheck,
-    ValidationReport,
-    complementary,
-    delta2_solve,
-    growth_factor,
-    validate_nstar,
-)
-from .dual import (
-    AtomicFunctional,
-    GrowthTrace,
-    HalvingStep,
-    HalvingTrace,
-    atom_dual_witness,
-    dual_zero_halving,
-    evaluate_functional,
-    functional_norm_formula,
-    halving_instance,
-    nonconvexity_demo,
-    operator_norm_bruteforce,
-    single_atom_witness,
-)
-from .errors import (
-    CapacityError,
-    DivergedIntegralError,
-    DocumentError,
-    DomainError,
-    IndivisibleAtomsError,
-    InvalidDensityError,
-    NonconvergenceError,
-    NotApplicableError,
-    NotDelta2Error,
-    NStarError,
-    SpaceMismatchError,
-)
-from .families import (
-    alpha_exp_family,
-    build_family,
-    from_density,
-    log_sqrt_family,
-    power_family,
-    scaled_power_family,
-    tabulated_density_family,
-)
-from .measure import (
-    MeasurableFn,
-    MeasureSpace,
-    disjoint_positive_family,
-    find_subset_with_mass,
-    integrate,
-    simple_approximation,
-)
-from .space import (
-    CheckReport,
-    ConvergenceReport,
-    ModularValue,
-    QuasiNormResult,
-    convergence_equivalence,
-    intersection_check,
-    l1_embedding_bound_check,
-    luxemburg_norm,
-    metric,
-    modular,
-    modular_to_norm_bound_check,
-    product_identity_check,
-    quasi_triangle_check,
-    reversed_jensen_check,
-    young_type_check,
-)
-from .suite import CHECK_NAMES, default_doubling_constant, run_check_suite
+from . import calculus, dual, errors, families, measure, space, suite
+from .calculus import *
+from .dual import *
+from .errors import *
+from .families import *
+from .measure import *
+from .space import *
+from .suite import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomicFunctional",
-    "CapacityError",
-    "CHECK_NAMES",
-    "CheckReport",
-    "ConvergenceReport",
-    "Delta2Certificate",
-    "DivergedIntegralError",
-    "DocumentError",
-    "DomainError",
-    "GrowthTrace",
-    "HalvingStep",
-    "HalvingTrace",
-    "IndivisibleAtomsError",
-    "InvalidDensityError",
-    "MeasurableFn",
-    "MeasureSpace",
-    "ModularValue",
-    "NStarFunction",
-    "NStarError",
-    "NonconvergenceError",
-    "NotApplicableError",
-    "NotDelta2Error",
-    "QuasiNormResult",
-    "SpaceMismatchError",
-    "ValidationCheck",
-    "ValidationReport",
-    "alpha_exp_family",
-    "atom_dual_witness",
-    "build_family",
-    "complementary",
-    "convergence_equivalence",
-    "default_doubling_constant",
-    "delta2_solve",
-    "disjoint_positive_family",
-    "dual_zero_halving",
-    "evaluate_functional",
-    "find_subset_with_mass",
-    "from_density",
-    "functional_norm_formula",
-    "growth_factor",
-    "halving_instance",
-    "integrate",
-    "intersection_check",
-    "l1_embedding_bound_check",
-    "log_sqrt_family",
-    "luxemburg_norm",
-    "metric",
-    "modular",
-    "modular_to_norm_bound_check",
-    "nonconvexity_demo",
-    "operator_norm_bruteforce",
-    "power_family",
-    "product_identity_check",
-    "quasi_triangle_check",
-    "reversed_jensen_check",
-    "run_check_suite",
-    "scaled_power_family",
-    "simple_approximation",
-    "single_atom_witness",
-    "tabulated_density_family",
-    "validate_nstar",
-    "young_type_check",
+    *calculus.__all__,
+    *dual.__all__,
+    *errors.__all__,
+    *families.__all__,
+    *measure.__all__,
+    *space.__all__,
+    *suite.__all__,
 ]

@@ -19,7 +19,6 @@ use needs no synchronization.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
@@ -70,7 +69,6 @@ class NStarFunction:
     inverse_fn: Callable | None = None
     description: str = ""
     registered_complementary: Callable[[], "NStarFunction"] | None = None
-    delta2: "Delta2Certificate | None" = None
     source_nfunction: "NStarFunction | None" = None
 
     def __post_init__(self):
@@ -90,17 +88,15 @@ class NStarFunction:
                 return self.inverse_fn(y_arr)
         return invert_increasing(self.__call__, y_arr)
 
-    def with_delta2(self, certificate: "Delta2Certificate") -> "NStarFunction":
-        return dataclasses.replace(self, delta2=certificate)
-
 
 @dataclass(frozen=True)
 class Delta2Certificate:
     """Per-point solutions k(x) of 2*phi(x) = phi(k(x) x) under a doubling bound.
 
     k0 certifies the hypothesis 2*phi(x) <= phi(k0 x) on the grid. When the
-    sampled k(x) agree to within spread_tol the certificate carries a single
-    global constant, otherwise only the per-point family.
+    sampled k(x) agree to within _K_SPREAD_TOL (1e-8, relative) the
+    certificate carries a single global constant, otherwise only the
+    per-point family.
     """
 
     k0: float

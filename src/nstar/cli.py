@@ -314,16 +314,20 @@ def _cmd_dualzero(args) -> _Report:
     _usage_check(iterations >= 1, "demo iterations must be at least 1")
     space = space_from_text(args.space)
     _usage_check(not space.is_atomic, "demo dualzero needs an interval --space: atoms cannot be halved")
-    if kernel_doc is not None:
-        kernel = parse_fn_doc(kernel_doc, space, "--config kernel")
-        f0 = fn_from_text(args.fn, space) if args.fn else halving_instance(phi, space)[0]
-    elif args.fn and args.kernel:
-        f0 = fn_from_text(args.fn, space)
-        kernel = fn_from_text(args.kernel, space)
-    elif args.fn or args.kernel:
-        raise DocumentError("demo dualzero needs both --fn and --kernel, or neither")
-    else:
-        f0, kernel = halving_instance(phi, space)
+    try:
+        if kernel_doc is not None:
+            kernel = parse_fn_doc(kernel_doc, space, "--config kernel")
+            f0 = fn_from_text(args.fn, space) if args.fn else halving_instance(phi, space)[0]
+        elif args.fn and args.kernel:
+            f0 = fn_from_text(args.fn, space)
+            kernel = fn_from_text(args.kernel, space)
+        elif args.fn or args.kernel:
+            raise DocumentError("demo dualzero needs both --fn and --kernel, or neither")
+        else:
+            f0, kernel = halving_instance(phi, space)
+    except CapacityError as exc:
+        # the built-in f0 and kernel leave the float range for this generator and space
+        raise DocumentError(f"demo dualzero: {exc}; give f0 and the kernel with --fn and --kernel") from exc
     # dual_zero_halving rejects this too, but a given f0 or kernel is input
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is input too
         value = abs(float(np.dot(f0.values * kernel.values, space.masses)))

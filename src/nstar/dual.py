@@ -52,6 +52,8 @@ __all__ = [
 
 # seeded points of the route-independent unit-ball pass in operator_norm_bruteforce
 UNIT_BALL_POINTS = 100
+# decay rate of the modular density of halving_instance's f0 across the interval
+HALVING_DECAY_RATE = 16.0
 
 
 @dataclass(frozen=True)
@@ -294,31 +296,31 @@ def dual_zero_halving(
     return HalvingTrace(steps=tuple(steps), theta=theta, c_phi=c_phi)
 
 
-def halving_instance(
-    phi: NStarFunction,
-    space: MeasureSpace,
-    *,
-    decay_rate: float = 16.0,
-) -> tuple[MeasurableFn, MeasurableFn]:
+def halving_instance(phi: NStarFunction, space: MeasureSpace) -> tuple[MeasurableFn, MeasurableFn]:
     """A smooth starting function and matched bounded kernel for the halving demo.
 
-    The modular density of f0 decays exponentially across the interval, so
-    every split point falls in a region of many small cells and the prefix
-    residual stays a tiny fraction of the modular; the kernel weights f0
-    to a constant, which keeps the functional mass on the surviving piece.
+    The modular density of f0, e^(-HALVING_DECAY_RATE x / L), decays
+    exponentially across the interval, so every split point falls in a
+    region of many small cells and the prefix residual stays a tiny fraction
+    of the modular; the kernel weights f0 to a constant, which keeps the
+    functional mass on the surviving piece. CapacityError when that kernel
+    leaves the float range: some f0 lies within about 2/max-float of 0, or
+    every f0 underflows to 0.
     """
     if space.is_atomic:
         raise IndivisibleAtomsError("the halving construction needs the non-atomic model")
     x = space.midpoints() / space.length
-    target_modular_density = np.exp(-decay_rate * x)
-    f_vals = phi.inverse(target_modular_density)
-    with np.errstate(divide="ignore"):
+    f_vals = phi.inverse(np.exp(-HALVING_DECAY_RATE * x))
+    # 1/f0 overflows to inf, and 2/raw to inf when raw is 0; the check below rejects both
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         u_vals = np.where(f_vals > 0, 1.0 / f_vals, 0.0)
-    f0 = MeasurableFn(f_vals, space)
-    raw = float(np.dot(f_vals * u_vals, space.masses))
-    scale = 2.0 / raw
-    kernel = MeasurableFn(u_vals * scale, space)
-    return f0, kernel
+        raw = float(np.dot(f_vals * u_vals, space.masses))
+        u_vals = u_vals * np.divide(2.0, raw)
+    if not np.all(np.isfinite(u_vals)):
+        tiny = f_vals[f_vals > 0]
+        what = f"the smallest positive f0 is {tiny.min():.6g}" if tiny.size else "every f0 underflows to 0"
+        raise CapacityError(f"the kernel 1/f0 leaves the float range: {what}")
+    return MeasurableFn(f_vals, space), MeasurableFn(u_vals, space)
 
 
 @dataclass(frozen=True)
@@ -375,22 +377,16 @@ def nonconvexity_demo(
     return GrowthTrace(counts=counts, modulars=modulars, epsilon=float(epsilon))
 
 
-def atom_dual_witness(space: MeasureSpace, atom_id, phi: NStarFunction) -> AtomicFunctional:
-    """Evaluation functional f -> f(atom): nonzero, linear, bounded.
+def atom_dual_witness(space: MeasureSpace, index: int, phi: NStarFunction) -> AtomicFunctional:
+    """Evaluation functional f -> f(atom index): nonzero, linear, bounded.
 
     The witness exists exactly when the space has an atom of finite
     positive mass; interval models have none and are rejected.
     """
     if not space.is_atomic:
         raise NotApplicableError("no atoms: the evaluation functional does not exist here")
-    if isinstance(atom_id, (int, np.integer)):
-        index = int(atom_id)
-        if not 0 <= index < space.size:
-            raise DomainError(f"atom index {index} out of range")
-    else:
-        if space.atom_ids is None or str(atom_id) not in space.atom_ids:
-            raise DomainError(f"unknown atom id {atom_id!r}")
-        index = space.atom_ids.index(str(atom_id))
+    if not (isinstance(index, (int, np.integer)) and 0 <= index < space.size):
+        raise DomainError(f"atom index must be an integer in [0, {space.size}), got {index!r}")
     coeff = np.zeros(space.size)
     coeff[index] = 1.0
     return AtomicFunctional(coefficients=coeff, space=space, phi=phi)

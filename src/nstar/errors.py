@@ -4,6 +4,20 @@ Public functions raise these instead of bare ValueError/RuntimeError so
 callers can distinguish contract violations from numerical failures.
 """
 
+__all__ = [
+    "NStarError",
+    "DomainError",
+    "InvalidDensityError",
+    "DivergedIntegralError",
+    "NonconvergenceError",
+    "NotDelta2Error",
+    "SpaceMismatchError",
+    "IndivisibleAtomsError",
+    "CapacityError",
+    "NotApplicableError",
+    "DocumentError",
+]
+
 
 class NStarError(Exception):
     """Base error for this package."""
@@ -22,7 +36,7 @@ class DivergedIntegralError(NStarError):
 
 
 class NonconvergenceError(NStarError):
-    """An iterative solver exhausted its budget without bracketing/converging."""
+    """An iterative solver could not bracket or close on its target."""
 
 
 class NotDelta2Error(NStarError):

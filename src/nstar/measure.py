@@ -13,18 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    DomainError,
-    IndivisibleAtomsError,
-    SpaceMismatchError,
-)
+from .errors import CapacityError, DomainError, SpaceMismatchError
 
 __all__ = [
     "MeasureSpace",
     "MeasurableFn",
     "integrate",
-    "find_subset_with_mass",
     "prefix_within",
     "simple_approximation",
     "disjoint_positive_family",
@@ -39,7 +33,6 @@ class MeasureSpace:
     kind: str
     masses: np.ndarray
     length: float | None = None
-    atom_ids: tuple[str, ...] | None = None
 
     def __post_init__(self):
         masses = np.array(self.masses, dtype=float)
@@ -51,15 +44,8 @@ class MeasureSpace:
         masses.setflags(write=False)
 
     @classmethod
-    def atomic(cls, masses, atom_ids=None) -> "MeasureSpace":
-        masses = np.asarray(masses, dtype=float)
-        if atom_ids is None:
-            atom_ids = tuple(f"a{i}" for i in range(masses.size))
-        else:
-            atom_ids = tuple(str(a) for a in atom_ids)
-            if len(atom_ids) != masses.size:
-                raise DomainError("atom_ids must match the number of masses")
-        return cls(kind=ATOMIC, masses=masses, length=None, atom_ids=atom_ids)
+    def atomic(cls, masses) -> "MeasureSpace":
+        return cls(kind=ATOMIC, masses=masses)
 
     @classmethod
     def interval(cls, length: float, cells: int) -> "MeasureSpace":
@@ -178,12 +164,6 @@ class MeasurableFn:
     def __neg__(self) -> "MeasurableFn":
         return MeasurableFn(-self.values, self.space)
 
-    def restrict(self, cells: np.ndarray) -> "MeasurableFn":
-        """Zero the function outside the given cell indices."""
-        mask = np.zeros(self.space.size, dtype=bool)
-        mask[np.asarray(cells, dtype=int)] = True
-        return MeasurableFn(np.where(mask, self.values, 0.0), self.space)
-
 
 def integrate(space: MeasureSpace, g, f: MeasurableFn) -> float:
     """Integral of g(f) over the space: sum of mass_i * g(values_i).
@@ -197,31 +177,10 @@ def integrate(space: MeasureSpace, g, f: MeasurableFn) -> float:
         return float(np.dot(vals, space.masses))
 
 
-def find_subset_with_mass(space: MeasureSpace, nu_weights, t: float) -> np.ndarray:
-    """Prefix of cells whose nu-mass best approximates t from below.
-
-    Deterministic greedy accumulation: returns the longest prefix whose
-    accumulated weight stays <= t, so the residual |nu(A) - t| is bounded
-    by one cell's weight. Atomic spaces cannot split and are rejected:
-    their atoms are exactly the obstruction this operation rules out.
-    """
-    if space.is_atomic:
-        raise IndivisibleAtomsError("exact-mass subsets require a non-atomic (interval) model")
-    nu = np.asarray(nu_weights, dtype=float)
-    if nu.shape != (space.size,):
-        raise SpaceMismatchError("weight vector does not match the space")
-    if np.any(nu < 0) or not np.all(np.isfinite(nu)):
-        raise DomainError("weights must be non-negative and finite")
-    total = float(nu.sum())
-    if not 0.0 <= t <= total * (1 + 1e-12) + 1e-300:
-        raise DomainError(f"target mass {t:g} outside [0, {total:g}]")
-    return np.arange(prefix_within(nu, t))
-
-
 def prefix_within(weights: np.ndarray, target: float) -> int:
     """Length of the longest prefix of non-negative weights whose running sum stays <= target.
 
-    The search behind find_subset_with_mass; the caller checks the weights.
+    The split search of dual_zero_halving; the caller checks the weights.
     """
     return int(np.searchsorted(np.cumsum(weights), target, side="right"))
 

@@ -183,21 +183,13 @@ def _slack_report(name: str, bound, value, scale: float, tol: float, data: dict,
     return CheckReport(name, slack, slack, bool(slack >= -tol * scale), tuple(notes), data)
 
 
-def _bound_constant(phi: NStarFunction, k: float | None) -> float:
-    if k is not None:
-        return float(k)
-    if phi.delta2 is not None:
-        return phi.delta2.bound_constant
-    raise DomainError("a doubling constant is required; attach a certificate or pass k")
-
-
 def quasi_triangle_check(
     phi: NStarFunction,
     space: MeasureSpace,
     f: MeasurableFn,
     g: MeasurableFn,
     *,
-    k: float | None = None,
+    k: float,
     tol: float = SLACK_TOL,
 ) -> CheckReport:
     """Ratio ||f+g|| / (||f|| + ||g||) against the doubling constant k.
@@ -206,7 +198,7 @@ def quasi_triangle_check(
     that is reported as a note, never as a failure. Both summands zero
     yields ratio 0 by convention.
     """
-    kval = _bound_constant(phi, k)
+    k = float(k)
     nf = luxemburg_norm(phi, space, f).value
     ng = luxemburg_norm(phi, space, g).value
     if nf + ng == 0.0:
@@ -216,8 +208,8 @@ def quasi_triangle_check(
     notes = []
     if ratio > 1.0 + tol:
         notes.append(f"triangle inequality fails: ratio {ratio:.9g} > 1")
-    data = {"ratio": ratio, "k": kval, "norm_f": nf, "norm_g": ng}
-    return _slack_report("quasi_triangle", kval, ratio, 1.0, tol, data, notes)
+    data = {"ratio": ratio, "k": k, "norm_f": nf, "norm_g": ng}
+    return _slack_report("quasi_triangle", k, ratio, 1.0, tol, data, notes)
 
 
 def young_type_check(
@@ -287,7 +279,7 @@ def modular_to_norm_bound_check(
     f: MeasurableFn,
     c: float,
     *,
-    k: float | None = None,
+    k: float,
     tol: float = SLACK_TOL,
 ) -> CheckReport:
     """Modular below c forces quasi-norm below k^(floor(ln c / ln 2) + 1).
@@ -295,7 +287,7 @@ def modular_to_norm_bound_check(
     When the precondition modular(f) < c fails the check is skipped
     (passed is None), not failed.
     """
-    kval = _bound_constant(phi, k)
+    k = float(k)
     rho = modular(phi, space, f)
     if not rho.finite or not rho.value < c:
         return CheckReport(
@@ -308,7 +300,7 @@ def modular_to_norm_bound_check(
     # with c or k^n0 past the float range the bound is inf, which holds trivially
     n0 = math.floor(math.log(c) / math.log(2.0)) + 1 if c < math.inf else math.inf
     try:
-        bound = kval**n0
+        bound = k**n0
     except OverflowError:
         bound = math.inf
     norm = luxemburg_norm(phi, space, f).value

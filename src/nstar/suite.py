@@ -42,9 +42,7 @@ DEFAULT_SEED = 0
 
 
 def default_doubling_constant(phi: NStarFunction) -> float:
-    """Doubling constant from the attached certificate, else solved on a log grid."""
-    if phi.delta2 is not None:
-        return phi.delta2.bound_constant
+    """Doubling constant of phi, certified by delta2_solve on a log grid."""
     grid = np.geomspace(1e-3, 1e3, 25)
     for k0 in (8.0, 32.0, 128.0, 1024.0):
         try:

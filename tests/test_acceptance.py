@@ -137,13 +137,12 @@ def test_05_reversed_jensen():
 
 
 def test_06_quasi_norm_not_norm():
-    phi = power_family(0.5).with_delta2(
-        delta2_solve(power_family(0.5), 8.0, np.geomspace(1e-3, 1e3, 25))
-    )
+    phi = power_family(0.5)
+    k = delta2_solve(phi, 8.0, np.geomspace(1e-3, 1e3, 25)).bound_constant
     pair_space = MeasureSpace.atomic([1.0, 1.0])
     f = MeasurableFn(np.array([1.0, 0.0]), pair_space)
     g = MeasurableFn(np.array([0.0, 1.0]), pair_space)
-    rep = quasi_triangle_check(phi, pair_space, f, g)
+    rep = quasi_triangle_check(phi, pair_space, f, g, k=k)
     ratio = rep.data["ratio"]
     rng = np.random.default_rng(1006)
     worst_ratio = 0.0
@@ -151,7 +150,7 @@ def test_06_quasi_norm_not_norm():
         space = random_finite_space(rng)
         a = MeasurableFn(rng.uniform(-2.0, 2.0, space.size), space)
         b = MeasurableFn(rng.uniform(-2.0, 2.0, space.size), space)
-        worst_ratio = max(worst_ratio, quasi_triangle_check(phi, space, a, b).data["ratio"])
+        worst_ratio = max(worst_ratio, quasi_triangle_check(phi, space, a, b, k=k).data["ratio"])
     ok = abs(ratio - 2.0) <= 1e-9 and ratio > 1.0 and worst_ratio <= 4.0 + 1e-9
     report(
         f"C6 quasi-norm not norm (witness ratio {ratio:.12g}, random max {worst_ratio:.6g} <= 4)",
@@ -160,19 +159,18 @@ def test_06_quasi_norm_not_norm():
 
 
 def test_07_modular_to_norm_bound():
-    phi = power_family(0.5).with_delta2(
-        delta2_solve(power_family(0.5), 8.0, np.geomspace(1e-3, 1e3, 25))
-    )
+    phi = power_family(0.5)
+    k = delta2_solve(phi, 8.0, np.geomspace(1e-3, 1e3, 25)).bound_constant
     rng = np.random.default_rng(1007)
     all_pass = True
     for _ in range(200):
         space = random_finite_space(rng)
         f = MeasurableFn(rng.uniform(-6.0, 6.0, space.size), space)
         c = modular(phi, space, f).value * float(rng.uniform(1.05, 5.0)) + 1e-9
-        rep = modular_to_norm_bound_check(phi, space, f, c)
+        rep = modular_to_norm_bound_check(phi, space, f, c, k=k)
         all_pass = all_pass and bool(rep.passed)
     unit = MeasureSpace.interval(1.0, 1000)
-    worked = modular_to_norm_bound_check(phi, unit, MeasurableFn.constant(unit, 9.0), 4.0)
+    worked = modular_to_norm_bound_check(phi, unit, MeasurableFn.constant(unit, 9.0), 4.0, k=k)
     ok = (
         all_pass
         and worked.data["n0"] == 3

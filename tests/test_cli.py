@@ -26,6 +26,13 @@ def run_cli(capsys, *argv):
     return code, captured.out
 
 
+def run_child(*argv):
+    """Run python with argv in a child process that imports the same package as this one."""
+    src = str(Path(nstar.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
 def strict_json(text: str):
     """json.loads that rejects NaN and +-Infinity, which are not JSON."""
 
@@ -180,18 +187,17 @@ class TestDelta2:
 
 
 class TestConjugate:
-    def test_numeric_against_reference(self, capsys):
-        code, out = run_cli(
-            capsys,
-            "conjugate",
-            "--phi",
-            "power_scaled:p=0.5",
-            "--numeric",
-            "--grid-points",
-            "5",
-            "--format",
-            "json",
-        )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--phi", "power_scaled:p=0.5", "--grid-points", "5"),
+            # alpha near the top of the float range: the complement is the identity to 1.4e-16
+            ("--phi", "alpha_exp:alpha=9.8e299"),
+        ],
+        ids=["power_scaled", "alpha_exp-huge-alpha"],
+    )
+    def test_numeric_against_reference(self, capsys, argv):
+        code, out = run_cli(capsys, "conjugate", *argv, "--numeric", "--format", "json")
         assert code == 0
         doc = json.loads(out)
         for rec in doc["results"]:
@@ -695,6 +701,15 @@ class TestDemos:
         assert code == 2
         assert err.startswith("error: ") and "--space" in err
 
+    def test_dualzero_kernel_past_the_float_range_exits_two(self):
+        # below p ~ 0.0226 the built-in kernel 1/f0 overflows: it printed two numpy
+        # RuntimeWarnings and "function values must be finite", and exited 1
+        proc = run_child("-m", "nstar.cli", "demo", "dualzero", "--phi", "power:p=0.02", "--space", "interval:L=1,N=1000")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: demo dualzero: ") and "kernel 1/f0 leaves the float range" in proc.stderr
+        assert "--fn" in proc.stderr and "Warning" not in proc.stderr
+
     def test_nonconvex_final_modular(self, capsys):
         code, out = run_cli(
             capsys,
@@ -870,28 +885,14 @@ class TestExitCodes:
 
     def test_entry_point_runs(self):
         # the child imports the same package as this process, installed or not
-        src = str(Path(nstar.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "nstar.cli", "norm", "--phi", "power:p=0.5", "--space", "atoms:1", "--fn", "constant:2"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = run_child("-m", "nstar.cli", "norm", "--phi", "power:p=0.5", "--space", "atoms:1", "--fn", "constant:2")
         assert proc.returncode == 0
         assert "norm = 2" in proc.stdout
 
     def test_import_does_not_load_scipy(self):
         # numpy is the only runtime dependency; importing scipy.interpolate
         # alone would cost every process about 0.7 s
-        src = str(Path(nstar.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import nstar, nstar.cli, sys; print('scipy' in sys.modules)"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = run_child("-c", "import nstar, nstar.cli, sys; print('scipy' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 

@@ -441,6 +441,19 @@ class TestDemoGuards:
         with pytest.raises(DomainError, match="lost functional mass"):
             dual_zero_halving(HALF, X, f0, zero, 3, tol=-1e-300)
 
+    @pytest.mark.parametrize(
+        "p, cells",
+        [(0.02, 1000), (0.01, 1)],
+        ids=["kernel-overflows", "f0-underflows"],
+    )
+    def test_halving_instance_kernel_past_the_float_range(self, p, cells):
+        # f0 = phi^-1(e^-16x) = e^(-16x/p): below p ~ 0.0226 some f0 lies under
+        # 1/max-float and 1/f0 overflowed to inf; where every f0 underflows to 0
+        # the kernel scale 2/0 raised ZeroDivisionError
+        X = MeasureSpace.interval(1.0, cells)
+        with pytest.raises(CapacityError, match="kernel 1/f0 leaves the float range"):
+            halving_instance(power_family(p), X)
+
     def test_nonconvex_epsilon_not_positive(self):
         X = MeasureSpace.atomic([1.0, 1.0])
         for eps in (0.0, -1.0, float("nan")):
@@ -543,12 +556,6 @@ class TestAtomDualWitness:
         f = MeasurableFn(np.array([7.0, -1.0]), X)
         assert evaluate_functional(W, f) == 7.0
 
-    def test_by_atom_id(self):
-        X = MeasureSpace.atomic([1.0, 2.0])
-        W = atom_dual_witness(X, "a1", HALF)
-        f = MeasurableFn(np.array([7.0, -1.0]), X)
-        assert evaluate_functional(W, f) == -1.0
-
     def test_linearity(self):
         rng = np.random.default_rng(13)
         X = MeasureSpace.atomic(rng.uniform(0.2, 2.0, 3))
@@ -577,3 +584,8 @@ class TestAtomDualWitness:
         X = MeasureSpace.interval(1.0, 16)
         with pytest.raises(NotApplicableError):
             atom_dual_witness(X, 0, HALF)
+
+    @pytest.mark.parametrize("index", [2, -1, 1.0, "a1"])
+    def test_index_outside_the_atoms_rejected(self, index):
+        with pytest.raises(DomainError, match="atom index must be an integer in \\[0, 2\\)"):
+            atom_dual_witness(MeasureSpace.atomic([1.0, 2.0]), index, HALF)

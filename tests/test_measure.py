@@ -4,15 +4,14 @@ import pytest
 from nstar import (
     CapacityError,
     DomainError,
-    IndivisibleAtomsError,
     MeasurableFn,
     MeasureSpace,
     SpaceMismatchError,
     disjoint_positive_family,
-    find_subset_with_mass,
     integrate,
     metric,
     power_family,
+    prefix_within,
     simple_approximation,
 )
 
@@ -71,57 +70,42 @@ class TestIntegrate:
         b = 2.0 * integrate(X, lambda v: v, f)
         assert a == pytest.approx(b, rel=1e-12)
         # additivity over a disjoint split
-        left = f.restrict(np.arange(0, 32))
-        right = f.restrict(np.arange(32, 64))
+        first_half = np.arange(64) < 32
+        left = MeasurableFn(np.where(first_half, f.values, 0.0), X)
+        right = MeasurableFn(np.where(first_half, 0.0, f.values), X)
         total = integrate(X, np.abs, f)
         assert integrate(X, np.abs, left) + integrate(X, np.abs, right) == pytest.approx(
             total, rel=1e-12
         )
 
 
-class TestFindSubsetWithMass:
+class TestPrefixWithin:
     def test_uniform_prefix(self):
-        X = MeasureSpace.interval(1.0, 300)
         nu = np.full(300, 1.0 / 300)
-        cells = find_subset_with_mass(X, nu, 1.0 / 3.0)
-        # within one cell of a third of the interval, as a prefix
-        assert abs(cells.size - 100) <= 1
-        assert abs(nu[cells].sum() - 1.0 / 3.0) <= nu.max() + 1e-15
-        assert np.array_equal(cells, np.arange(cells.size))
+        cut = prefix_within(nu, 1.0 / 3.0)
+        # within one cell of a third of the interval
+        assert abs(cut - 100) <= 1
+        assert abs(nu[:cut].sum() - 1.0 / 3.0) <= nu.max() + 1e-15
 
     def test_zero_target_is_empty(self):
-        X = MeasureSpace.interval(1.0, 10)
-        assert find_subset_with_mass(X, np.full(10, 0.1), 0.0).size == 0
+        assert prefix_within(np.full(10, 0.1), 0.0) == 0
 
     def test_sqrt_weighted_prefix_endpoint(self):
         # nu ~ sqrt(x) dx: prefix mass 2/9 ends near x = 3^(-2/3)
         N = 2000
         X = MeasureSpace.interval(1.0, N)
         nu = np.sqrt(X.midpoints()) / N
-        cells = find_subset_with_mass(X, nu, (1.0 / 3.0) * (2.0 / 3.0))
-        end = cells.size / N
+        end = prefix_within(nu, (1.0 / 3.0) * (2.0 / 3.0)) / N
         assert end == pytest.approx(THIRD_ROOT, abs=2.0 / N)
 
     def test_residual_bounded_and_shrinking(self):
         t = 1.0 / np.pi
         residuals = {}
         for N in (100, 1600):
-            X = MeasureSpace.interval(1.0, N)
             nu = np.full(N, 1.0 / N)
-            cells = find_subset_with_mass(X, nu, t)
-            residuals[N] = abs(nu[cells].sum() - t)
+            residuals[N] = abs(nu[: prefix_within(nu, t)].sum() - t)
             assert residuals[N] <= 1.0 / N
         assert residuals[1600] < residuals[100]
-
-    def test_atomic_space_rejected(self):
-        X = MeasureSpace.atomic([1.0, 1.0])
-        with pytest.raises(IndivisibleAtomsError):
-            find_subset_with_mass(X, np.array([0.5, 0.5]), 0.5)
-
-    def test_out_of_range_target(self):
-        X = MeasureSpace.interval(1.0, 10)
-        with pytest.raises(DomainError):
-            find_subset_with_mass(X, np.full(10, 0.1), 2.0)
 
 
 class TestSimpleApproximation:

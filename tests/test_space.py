@@ -33,8 +33,8 @@ HALF_SCALED = scaled_power_family(0.5)
 UNIT = MeasureSpace.interval(1.0, 1000)
 
 
-def certified(phi, k0=8.0):
-    return phi.with_delta2(delta2_solve(phi, k0, np.geomspace(1e-3, 1e3, 25)))
+# the doubling constant of HALF that delta2_solve certifies, as the suite solves it
+HALF_K = delta2_solve(HALF, 8.0, np.geomspace(1e-3, 1e3, 25)).bound_constant
 
 
 def p_norm(f, p, space):
@@ -233,31 +233,28 @@ class TestLuxemburgNorm:
 class TestQuasiTriangle:
     def test_disjoint_indicators_ratio_two(self):
         X = MeasureSpace.atomic([1.0, 1.0])
-        phi = certified(HALF)
         f = MeasurableFn(np.array([1.0, 0.0]), X)
         g = MeasurableFn(np.array([0.0, 1.0]), X)
-        rep = quasi_triangle_check(phi, X, f, g)
+        rep = quasi_triangle_check(HALF, X, f, g, k=HALF_K)
         assert rep.data["ratio"] == pytest.approx(2.0, abs=1e-9)
         assert rep.passed
         assert any("fails" in note for note in rep.notes)
 
     def test_zero_pair_ratio_zero(self):
         X = MeasureSpace.atomic([1.0, 1.0])
-        phi = certified(HALF)
         z = MeasurableFn.constant(X, 0.0)
-        rep = quasi_triangle_check(phi, X, z, z)
+        rep = quasi_triangle_check(HALF, X, z, z, k=HALF_K)
         assert rep.data["ratio"] == 0.0
         assert rep.passed
 
     def test_random_pairs_below_k(self):
-        phi = certified(HALF)
         rng = np.random.default_rng(13)
         X = MeasureSpace.atomic(rng.uniform(0.1, 1.0, 16))
         worst = 0.0
         for _ in range(60):
             f = MeasurableFn(rng.uniform(-2, 2, 16), X)
             g = MeasurableFn(rng.uniform(-2, 2, 16), X)
-            rep = quasi_triangle_check(phi, X, f, g)
+            rep = quasi_triangle_check(HALF, X, f, g, k=HALF_K)
             assert rep.passed
             worst = max(worst, rep.data["ratio"])
         # the sharp power bound 2^((1-p)/p) = 2 also holds
@@ -353,18 +350,16 @@ class TestL1Embedding:
 
 class TestModularToNorm:
     def test_worked_instance(self):
-        phi = certified(HALF)
         f = MeasurableFn.constant(UNIT, 9.0)  # modular = 3
-        rep = modular_to_norm_bound_check(phi, UNIT, f, 4.0)
+        rep = modular_to_norm_bound_check(HALF, UNIT, f, 4.0, k=HALF_K)
         assert rep.data["n0"] == 3
         assert rep.data["bound"] == pytest.approx(64.0)
         assert rep.data["norm"] == pytest.approx(9.0, rel=1e-8)
         assert rep.passed
 
     def test_small_c_gives_n0_one(self):
-        phi = certified(HALF)
         f = MeasurableFn.constant(UNIT, 0.25)  # modular = 0.5 < 1
-        rep = modular_to_norm_bound_check(phi, UNIT, f, 1.0)
+        rep = modular_to_norm_bound_check(HALF, UNIT, f, 1.0, k=HALF_K)
         assert rep.data["n0"] == 1
         assert rep.data["bound"] == pytest.approx(4.0)
 
@@ -377,20 +372,18 @@ class TestModularToNorm:
         assert rep.passed
 
     def test_precondition_failure_skips(self):
-        phi = certified(HALF)
         f = MeasurableFn.constant(UNIT, 9.0)
-        rep = modular_to_norm_bound_check(phi, UNIT, f, 2.0)  # modular 3 >= 2
+        rep = modular_to_norm_bound_check(HALF, UNIT, f, 2.0, k=HALF_K)  # modular 3 >= 2
         assert rep.skipped
         assert rep.passed is None
 
     def test_random_instances(self):
-        phi = certified(HALF)
         rng = np.random.default_rng(29)
         X = MeasureSpace.atomic(rng.uniform(0.1, 1.0, 12))
         for _ in range(60):
             f = MeasurableFn(rng.uniform(-6, 6, 12), X)
-            c = modular(phi, X, f).value * float(rng.uniform(1.05, 5.0)) + 1e-9
-            rep = modular_to_norm_bound_check(phi, X, f, c)
+            c = modular(HALF, X, f).value * float(rng.uniform(1.05, 5.0)) + 1e-9
+            rep = modular_to_norm_bound_check(HALF, X, f, c, k=HALF_K)
             assert rep.passed
 
 

@@ -9,13 +9,6 @@ class TestDefaultDoublingConstant:
     def test_power_family(self):
         assert default_doubling_constant(power_family(0.5)) == pytest.approx(4.0, abs=1e-9)
 
-    def test_attached_certificate_wins(self):
-        from nstar import delta2_solve
-
-        phi = power_family(0.5)
-        cert = delta2_solve(phi, 8.0, np.geomspace(1e-2, 1e2, 9))
-        assert default_doubling_constant(phi.with_delta2(cert)) == cert.bound_constant
-
     def test_non_doubling_family_rejected(self):
         with pytest.raises(DocumentError):
             default_doubling_constant(log_sqrt_family())
