@@ -255,7 +255,7 @@ def _cmd_dual_norm(args) -> _Report:
     space = space_from_text(args.space)
     _usage_check(space.is_atomic, "dual-norm needs an atomic --space: functionals act on atoms")
     doc = _doc_or_shorthand(args.functional, functional_shorthand_to_doc, "--functional")
-    U = parse_functional_doc(doc, space, phi)
+    U = parse_functional_doc(doc, space, phi, "--functional")
     formula = functional_norm_formula(U)
     brute = operator_norm_bruteforce(U, seed=args.seed)
     k = default_doubling_constant(phi)

@@ -20,8 +20,18 @@ Every object the command line consumes has a JSON document form:
 Inline shorthand maps one-to-one onto the documents, e.g.
 power:p=0.5 / interval:L=1,N=1000 / atoms:0.5,0.25 / equal:100,mass=2 /
 identity / constant:3 / indicator:0..50 / random:low=0,high=1,seed=7 /
-values:1,2,3 / 1,-2,0.5 (functional). A field or shorthand key outside
-the known set, or a malformed value, raises DocumentError naming it.
+values:1,2,3 / 1,-2,0.5 (functional). A shorthand number reads as an
+integer where it is one, else as a float, and every list item must be a
+number (atoms:1,,2 is rejected).
+
+This module owns what a library constructor cannot check: JSON types,
+known and required fields, and shorthand syntax, each raising
+DocumentError naming the field or flag. Value rules belong to the
+constructors (positive masses and cell widths, a cell count of at least
+1, one value or coefficient per atom or cell, an indicator range inside
+the space, identity on intervals only, a family's parameter range);
+_construct turns their DomainError or SpaceMismatchError into a
+DocumentError that names the context.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .calculus import NStarFunction
-from .errors import DocumentError
+from .errors import DocumentError, DomainError, SpaceMismatchError
 from .families import FAMILY_NAMES, FAMILY_PARAMS, build_family
 from .measure import MeasurableFn, MeasureSpace
 from .space import SLACK_TOL
@@ -54,6 +64,12 @@ __all__ = [
 ]
 
 
+def _object(value, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise DocumentError(f"{context}: expected an object")
+    return value
+
+
 def _known_fields(doc: dict, known, context: str) -> None:
     """Reject any field of doc outside known, naming it."""
     extra = set(doc) - set(known)
@@ -65,6 +81,14 @@ def _require(doc: dict, key: str, context: str):
     if key not in doc:
         raise DocumentError(f"{context}: missing required field {key!r}")
     return doc[key]
+
+
+def _construct(context: str, constructor, *args):
+    """constructor(*args); its argument errors become a DocumentError naming context."""
+    try:
+        return constructor(*args)
+    except (DomainError, SpaceMismatchError) as exc:
+        raise DocumentError(f"{context}: {exc}") from exc
 
 
 def _number(value, context: str) -> float:
@@ -96,45 +120,34 @@ def _number_list(value, context: str) -> list[float]:
 
 
 def parse_phi_doc(doc: dict, context: str = "phi") -> NStarFunction:
-    if not isinstance(doc, dict):
-        raise DocumentError(f"{context}: expected an object")
-    family = _require(doc, "family", context)
+    family = _require(_object(doc, context), "family", context)
     if family not in FAMILY_NAMES:
         raise DocumentError(
             f"{context}.family: unknown family {family!r}; expected one of {', '.join(FAMILY_NAMES)}"
         )
     _known_fields(doc, ("family", "params"), context)
-    params = doc.get("params", {})
-    if not isinstance(params, dict):
-        raise DocumentError(f"{context}.params: expected an object")
+    params = _object(doc.get("params", {}), f"{context}.params")
     _known_fields(params, FAMILY_PARAMS[family], f"{context}.params")
     number = _number_list if family == "tabulated_density" else _number
-    return build_family(family, {k: number(v, f"{context}.params.{k}") for k, v in params.items()})
+    params = {k: number(v, f"{context}.params.{k}") for k, v in params.items()}
+    return _construct(f"{context}.params", build_family, family, params)
 
 
 def parse_space_doc(doc: dict, context: str = "space") -> MeasureSpace:
-    if not isinstance(doc, dict):
-        raise DocumentError(f"{context}: expected an object")
-    kind = _require(doc, "kind", context)
+    kind = _require(_object(doc, context), "kind", context)
     if kind == "atomic":
         _known_fields(doc, ("kind", "masses"), context)
         masses = _number_list(_require(doc, "masses", context), f"{context}.masses")
-        if any(m <= 0 for m in masses):
-            raise DocumentError(f"{context}.masses: all masses must be positive")
-        return MeasureSpace.atomic(masses)
+        return _construct(f"{context}.masses", MeasureSpace.atomic, masses)
     if kind == "interval":
         _known_fields(doc, ("kind", "L", "N"), context)
         length = _number(_require(doc, "L", context), f"{context}.L")
         cells = _integer(_require(doc, "N", context), f"{context}.N")
-        if length <= 0:
-            raise DocumentError(f"{context}.L: must be positive")
-        if cells < 1:
-            raise DocumentError(f"{context}.N: must be a positive integer")
-        return MeasureSpace.interval(length, cells)
+        return _construct(context, MeasureSpace.interval, length, cells)
     raise DocumentError(f"{context}.kind: expected 'atomic' or 'interval', got {kind!r}")
 
 
-# the parameters each function generator takes
+# the parameters each function generator takes; each generator is the MeasurableFn constructor of its name
 _FN_PARAMS = {
     "constant": ("value",),
     "identity": (),
@@ -144,82 +157,57 @@ _FN_PARAMS = {
 
 
 def parse_fn_doc(doc: dict, space: MeasureSpace, context: str = "fn") -> MeasurableFn:
-    if not isinstance(doc, dict):
-        raise DocumentError(f"{context}: expected an object")
-    if "values" in doc:
+    if "values" in _object(doc, context):
         _known_fields(doc, ("values",), context)
         values = _number_list(doc["values"], f"{context}.values")
-        if len(values) != space.size:
-            raise DocumentError(
-                f"{context}.values: {len(values)} values for a space of size {space.size}"
-            )
-        return MeasurableFn(np.asarray(values), space)
+        return _construct(f"{context}.values", MeasurableFn, values, space)
     generator = _require(doc, "generator", context)
     if not isinstance(generator, str) or generator not in _FN_PARAMS:
         raise DocumentError(
             f"{context}.generator: expected constant/identity/indicator/random, got {generator!r}"
         )
     _known_fields(doc, ("generator", "params"), context)
-    params = doc.get("params", {})
-    if not isinstance(params, dict):
-        raise DocumentError(f"{context}.params: expected an object")
+    params = _object(doc.get("params", {}), f"{context}.params")
     _known_fields(params, _FN_PARAMS[generator], f"{context}.params")
     if generator == "constant":
-        return MeasurableFn.constant(space, _number(params.get("value", 1.0), f"{context}.params.value"))
-    if generator == "identity":
-        if space.is_atomic:
-            raise DocumentError(f"{context}: the identity generator needs an interval space")
-        return MeasurableFn.identity(space)
-    if generator == "indicator":
-        lo = _integer(params.get("lo", 0), f"{context}.params.lo")
+        args: tuple = (_number(params.get("value", 1.0), f"{context}.params.value"),)
+    elif generator == "indicator":
         hi = params.get("hi")
-        hi = space.size if hi is None else _integer(hi, f"{context}.params.hi")
-        if not 0 <= lo <= hi <= space.size:
-            raise DocumentError(f"{context}.params: indicator range out of bounds")
-        return MeasurableFn.indicator(space, lo, hi)
-    # random
-    if "seed" not in params:
-        raise DocumentError(f"{context}.params.seed: required for the random generator")
-    seed = _seed(params["seed"], f"{context}.params.seed")
-    low = _number(params.get("low", 0.0), f"{context}.params.low")
-    high = _number(params.get("high", 1.0), f"{context}.params.high")
-    # numpy's uniform also needs the width high - low to be a finite float
-    if not 0 <= high - low < np.inf:
-        raise DocumentError(f"{context}.params: random needs low <= high and a finite high - low")
-    return MeasurableFn.random(space, seed, low, high)
+        args = (
+            _integer(params.get("lo", 0), f"{context}.params.lo"),
+            None if hi is None else _integer(hi, f"{context}.params.hi"),
+        )
+    elif generator == "random":
+        seed = _seed(_require(params, "seed", f"{context}.params"), f"{context}.params.seed")
+        low = _number(params.get("low", 0.0), f"{context}.params.low")
+        high = _number(params.get("high", 1.0), f"{context}.params.high")
+        # numpy's uniform also needs the width high - low to be a finite float
+        if not 0 <= high - low < np.inf:
+            raise DocumentError(f"{context}.params: random needs low <= high and a finite high - low")
+        args = (seed, low, high)
+    else:
+        args = ()
+    return _construct(f"{context} {generator}", getattr(MeasurableFn, generator), space, *args)
 
 
 def parse_functional_doc(doc: dict, space: MeasureSpace, phi: NStarFunction, context: str = "functional"):
     from .dual import AtomicFunctional
 
-    if not isinstance(doc, dict):
-        raise DocumentError(f"{context}: expected an object")
-    _known_fields(doc, ("coefficients",), context)
+    _known_fields(_object(doc, context), ("coefficients",), context)
     coeff = _number_list(_require(doc, "coefficients", context), f"{context}.coefficients")
-    if len(coeff) != space.size:
-        raise DocumentError(
-            f"{context}.coefficients: {len(coeff)} values for a space of size {space.size}"
-        )
-    return AtomicFunctional(np.asarray(coeff), space, phi)
+    return _construct(f"{context}.coefficients", AtomicFunctional, coeff, space, phi)
 
 
 def parse_demo_doc(doc: dict, context: str = "demo"):
-    """demo dualzero configuration: theta, iterations, kernel (function doc)."""
-    if not isinstance(doc, dict):
-        raise DocumentError(f"{context}: expected an object")
-    _known_fields(doc, ("theta", "iterations", "kernel"), context)
+    """demo dualzero configuration: theta, iterations, and the kernel's function document, unparsed."""
+    _known_fields(_object(doc, context), ("theta", "iterations", "kernel"), context)
     theta = _number(doc.get("theta", 0.5), f"{context}.theta")
     iterations = _integer(doc.get("iterations", 20), f"{context}.iterations")
-    kernel_doc = doc.get("kernel")
-    if kernel_doc is not None and not isinstance(kernel_doc, dict):
-        raise DocumentError(f"{context}.kernel: expected a function document")
-    return theta, iterations, kernel_doc
+    return theta, iterations, doc.get("kernel")
 
 
 def parse_suite_doc(doc: dict, context: str = "suite"):
-    if not isinstance(doc, dict):
-        raise DocumentError(f"{context}: expected an object")
-    _known_fields(doc, ("phi", "space", "checks", "samples", "seed", "tolerances"), context)
+    _known_fields(_object(doc, context), ("phi", "space", "checks", "samples", "seed", "tolerances"), context)
     phi = parse_phi_doc(_require(doc, "phi", context), f"{context}.phi")
     space = parse_space_doc(_require(doc, "space", context), f"{context}.space")
     checks = doc.get("checks", list(CHECK_NAMES))
@@ -230,9 +218,7 @@ def parse_suite_doc(doc: dict, context: str = "suite"):
         raise DocumentError(f"{context}.checks: unknown names {bad}")
     samples = _integer(doc.get("samples", DEFAULT_SAMPLES), f"{context}.samples")
     seed = _seed(doc.get("seed", DEFAULT_SEED), f"{context}.seed")
-    tolerances = doc.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise DocumentError(f"{context}.tolerances: expected an object")
+    tolerances = _object(doc.get("tolerances", {}), f"{context}.tolerances")
     _known_fields(tolerances, ("slack",), f"{context}.tolerances")
     tol = _number(tolerances.get("slack", SLACK_TOL), f"{context}.tolerances.slack")
     if tol < 0:
@@ -245,6 +231,23 @@ def parse_suite_doc(doc: dict, context: str = "suite"):
 # ---------------------------------------------------------------------------
 
 
+def _shorthand_number(text: str, context: str) -> int | float:
+    """An integer where text reads as one, else a float; the document parser checks the value."""
+    try:
+        return int(text)
+    except ValueError:
+        try:
+            return float(text)
+        except ValueError:
+            raise DocumentError(f"{context}: expected a number, got {text!r}") from None
+
+
+def _shorthand_numbers(body: str, context: str) -> list:
+    """Comma-separated numbers; an empty item is rejected and named."""
+    items = body.split(",")
+    return [_shorthand_number(item, f"{context} item {i + 1}") for i, item in enumerate(items)]
+
+
 def _split_kv(body: str, context: str) -> dict:
     params: dict = {}
     if not body:
@@ -253,14 +256,8 @@ def _split_kv(body: str, context: str) -> dict:
         if "=" not in item:
             raise DocumentError(f"{context}: expected key=value, got {item!r}")
         key, _, raw = item.partition("=")
-        try:
-            value: float | int = int(raw)
-        except ValueError:
-            try:
-                value = float(raw)
-            except ValueError:
-                raise DocumentError(f"{context}: {key}={raw!r} is not a number") from None
-        params[key.strip()] = value
+        key = key.strip()
+        params[key] = _shorthand_number(raw, f"{context} {key}")
     return params
 
 
@@ -273,70 +270,50 @@ def phi_shorthand_to_doc(text: str) -> dict:
 
 
 def space_shorthand_to_doc(text: str) -> dict:
+    """interval: and equal: pass their keys on, so parse_space_doc names an unknown one."""
     name, _, body = text.partition(":")
+    context = f"--space {text!r}"
     if name == "interval":
-        params = _split_kv(body, f"--space {text!r}")
-        _known_fields(params, ("L", "N"), f"--space {text!r}")
-        return {"kind": "interval", "L": params.get("L", 1.0), "N": params.get("N", 1000)}
+        return {"kind": "interval", "L": 1.0, "N": 1000, **_split_kv(body, context)}
     if name == "atoms":
-        try:
-            masses = [float(v) for v in body.split(",") if v]
-        except ValueError:
-            raise DocumentError(f"--space {text!r}: masses must be numbers") from None
-        return {"kind": "atomic", "masses": masses}
+        return {"kind": "atomic", "masses": _shorthand_numbers(body, context)}
     if name == "equal":
         count_text, _, rest = body.partition(",")
         try:
             count = int(count_text)
         except ValueError:
-            raise DocumentError(f"--space {text!r}: equal:COUNT needs an integer") from None
-        params = _split_kv(rest, f"--space {text!r}")
-        _known_fields(params, ("mass",), f"--space {text!r}")
-        mass = float(params.get("mass", 1.0))
-        return {"kind": "atomic", "masses": [mass] * count}
-    raise DocumentError(f"--space {text!r}: expected interval:/atoms:/equal: shorthand")
+            raise DocumentError(f"{context}: equal:COUNT needs an integer") from None
+        params = _split_kv(rest, context)
+        return {"kind": "atomic", "masses": [params.pop("mass", 1.0)] * count, **params}
+    raise DocumentError(f"{context}: expected interval:/atoms:/equal: shorthand")
 
 
 def fn_shorthand_to_doc(text: str) -> dict:
     name, _, body = text.partition(":")
+    context = f"--fn {text!r}"
     if name == "identity":
         return {"generator": "identity"}
     if name == "constant":
-        try:
-            value = float(body or 1.0)
-        except ValueError:
-            raise DocumentError(f"--fn {text!r}: constant:VALUE needs a number") from None
-        return {"generator": "constant", "params": {"value": value}}
+        if not body:
+            return {"generator": "constant"}
+        return {"generator": "constant", "params": {"value": _shorthand_number(body, context)}}
     if name == "indicator":
         if not body:
             return {"generator": "indicator"}
         lo_text, sep, hi_text = body.partition("..")
         if not sep:
-            raise DocumentError(f"--fn {text!r}: indicator needs lo..hi")
-        try:
-            bounds = {"lo": int(lo_text), "hi": int(hi_text)}
-        except ValueError:
-            raise DocumentError(f"--fn {text!r}: indicator lo..hi needs integers") from None
+            raise DocumentError(f"{context}: indicator needs lo..hi")
+        bounds = {"lo": _shorthand_number(lo_text, context), "hi": _shorthand_number(hi_text, context)}
         return {"generator": "indicator", "params": bounds}
     if name == "random":
-        params = _split_kv(body, f"--fn {text!r}")
-        return {"generator": "random", "params": params}
+        return {"generator": "random", "params": _split_kv(body, context)}
     if name == "values":
-        try:
-            values = [float(v) for v in body.split(",") if v]
-        except ValueError:
-            raise DocumentError(f"--fn {text!r}: values must be numbers") from None
-        return {"values": values}
-    raise DocumentError(
-        f"--fn {text!r}: expected identity/constant/indicator/random/values shorthand"
-    )
+        return {"values": _shorthand_numbers(body, context)}
+    raise DocumentError(f"{context}: expected identity/constant/indicator/random/values shorthand")
 
 
 def functional_shorthand_to_doc(text: str) -> dict:
-    try:
-        return {"coefficients": [float(v) for v in text.split(",")]}
-    except ValueError:
-        raise DocumentError("--functional: expected a .json path or comma-separated numbers") from None
+    return {"coefficients": _shorthand_numbers(text, "--functional")}
 
 
 def load_json(path: str, context: str) -> dict:

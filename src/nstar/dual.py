@@ -54,6 +54,9 @@ __all__ = [
 UNIT_BALL_POINTS = 100
 # decay rate of the modular density of halving_instance's f0 across the interval
 HALVING_DECAY_RATE = 16.0
+# relative rounding allowance of the demos' asserted bounds: halving contraction,
+# functional mass, and the averaged modular staying at or above epsilon
+DEMO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -69,21 +72,21 @@ class AtomicFunctional:
             raise DomainError("atomic functionals require an atomic space")
         coeff = np.array(self.coefficients, dtype=float)
         if coeff.shape != (self.space.size,):
-            raise SpaceMismatchError("one coefficient per atom is required")
+            raise SpaceMismatchError(
+                f"functional has {coeff.size} coefficients for a space of size {self.space.size}"
+            )
         if not np.all(np.isfinite(coeff)):
             raise DomainError("coefficients must be finite")
         object.__setattr__(self, "coefficients", coeff)
         coeff.setflags(write=False)
-
-    def __call__(self, f: MeasurableFn) -> float:
-        return evaluate_functional(self, f)
 
 
 def evaluate_functional(U: AtomicFunctional, f: MeasurableFn) -> float:
     """U(f) = sum_i u_i * f_i with absolute convergence verified."""
     if not f.space.same_as(U.space):
         raise SpaceMismatchError("function does not live on the functional's space")
-    total_abs = float(np.dot(np.abs(U.coefficients), np.abs(f.values)))
+    with np.errstate(over="ignore"):
+        total_abs = float(np.dot(np.abs(U.coefficients), np.abs(f.values)))
     if not np.isfinite(total_abs):
         raise DomainError("functional sum does not converge absolutely")
     return float(np.dot(U.coefficients, f.values))
@@ -185,8 +188,6 @@ def dual_zero_halving(
     kernel: MeasurableFn,
     iterations: int,
     theta: float = 0.5,
-    *,
-    tol: float = 1e-9,
 ) -> HalvingTrace:
     """Drive the modular to zero while a bounded-kernel integral functional holds.
 
@@ -275,7 +276,7 @@ def dual_zero_halving(
         c_phi = max(c_phi, c_step)
         # the kept piece carries at most keep_fraction of the modular plus one cell
         allowance = c_step * float(support.max(initial=0.0))
-        step_cap = c_step * keep_fraction * rho + allowance + tol * rho
+        step_cap = c_step * keep_fraction * rho + allowance + DEMO_TOL * rho
         nu[dropped] = 0.0
         fu[dropped] = 0.0
         kept = slice(new_lo, new_hi)
@@ -288,7 +289,7 @@ def dual_zero_halving(
             raise DomainError(f"halving step {n}: the modular or functional value overflows the float range")
         if rho_next > step_cap:
             raise DomainError(f"halving step {n} violated its modular contraction bound")
-        if abs(val_next) < abs(val) - tol * max(abs(val), 1.0):
+        if abs(val_next) < abs(val) - DEMO_TOL * max(abs(val), 1.0):
             raise DomainError(f"halving step {n} lost functional mass")
         step_bound = step_cap / rho if rho > 0 else 1.0
         lo, hi, f, phi_f, rho, val = new_lo, new_hi, g, phi_next, rho_next, val_next
@@ -337,8 +338,6 @@ def nonconvexity_demo(
     space: MeasureSpace,
     epsilon: float,
     n: int,
-    *,
-    tol: float = 1e-9,
 ) -> GrowthTrace:
     """Average n disjoint bumps of modular epsilon and record the growth.
 
@@ -372,7 +371,7 @@ def nonconvexity_demo(
     for m in counts:
         values = phi(heights[:m] / m)
         modulars[m - 1] = float(np.dot(values, masses[:m]))
-        if modulars[m - 1] < epsilon * (1.0 - tol):
+        if modulars[m - 1] < epsilon * (1.0 - DEMO_TOL):
             raise DomainError(f"averaged modular dropped below epsilon at m={m}")
     return GrowthTrace(counts=counts, modulars=modulars, epsilon=float(epsilon))
 

@@ -160,12 +160,10 @@ FAMILY_NAMES = tuple(_FAMILIES)
 
 
 def build_family(name: str, params: dict) -> NStarFunction:
-    """Construct a registered family from document fields."""
+    """Construct a registered family from document fields; its constructor checks their values."""
     if name not in _FAMILIES:
         raise DocumentError(f"unknown family {name!r}; expected one of {', '.join(FAMILY_NAMES)}")
     try:
         return _FAMILIES[name][1](params)
     except KeyError as exc:
         raise DocumentError(f"family {name!r} is missing parameter {exc.args[0]!r}") from exc
-    except DomainError as exc:
-        raise DocumentError(f"family {name!r}: {exc}") from exc

@@ -84,12 +84,6 @@ class MeasureSpace:
             and bool(np.array_equal(self.masses, other.masses))
         )
 
-    def __eq__(self, other):
-        return isinstance(other, MeasureSpace) and self.same_as(other)
-
-    def __hash__(self):
-        return hash((self.kind, self.masses.shape, float(self.masses[0]), float(self.masses[-1])))
-
 
 @dataclass(frozen=True, eq=False)
 class MeasurableFn:
@@ -160,9 +154,6 @@ class MeasurableFn:
             return MeasurableFn(self.values * float(scalar), self.space)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "MeasurableFn":
-        return MeasurableFn(-self.values, self.space)
 
 
 def integrate(space: MeasureSpace, g, f: MeasurableFn) -> float:

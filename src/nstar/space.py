@@ -183,6 +183,18 @@ def _slack_report(name: str, bound, value, scale: float, tol: float, data: dict,
     return CheckReport(name, slack, slack, bool(slack >= -tol * scale), tuple(notes), data)
 
 
+def _sandwich_report(name: str, lower, upper, tol: float, data: dict, notes=()) -> CheckReport:
+    """A two-sided bound, its scaled slacks lower and upper scalars or arrays: it holds when all are >= -tol."""
+    slack_min = float(min(np.min(lower), np.min(upper)))
+    slack_max = float(max(np.max(lower), np.max(upper)))
+    return CheckReport(name, slack_min, slack_max, bool(slack_min >= -tol), tuple(notes), data)
+
+
+def _skipped_report(name: str, *notes: str) -> CheckReport:
+    """A check whose precondition failed: no slack, passed None, the notes say why."""
+    return CheckReport(name, float("nan"), float("nan"), None, notes)
+
+
 def quasi_triangle_check(
     phi: NStarFunction,
     space: MeasureSpace,
@@ -290,13 +302,8 @@ def modular_to_norm_bound_check(
     k = float(k)
     rho = modular(phi, space, f)
     if not rho.finite or not rho.value < c:
-        return CheckReport(
-            name="modular_to_norm",
-            slack_min=float("nan"),
-            slack_max=float("nan"),
-            passed=None,
-            notes=(f"precondition modular < c failed: modular={rho.value:.6g}, c={c:.6g}",),
-        )
+        note = f"precondition modular < c failed: modular={rho.value:.6g}, c={c:.6g}"
+        return _skipped_report("modular_to_norm", note)
     # with c or k^n0 past the float range the bound is inf, which holds trivially
     n0 = math.floor(math.log(c) / math.log(2.0)) + 1 if c < math.inf else math.inf
     try:
@@ -331,8 +338,6 @@ def product_identity_check(
     product = pv * hv
     lower = (product - alphas) / alphas
     upper = (2.0 * alphas - product) / alphas
-    slack_min = float(min(lower.min(), upper.min()))
-    slack_max = float(max(lower.max(), upper.max()))
     total = pv + hv
     notes = []
     bad_low = alphas[total <= alphas * (1 + 1e-12)]
@@ -346,14 +351,8 @@ def product_identity_check(
         notes.append(
             f"additive upper bound fails at {bad_high.size} grid points, e.g. alpha={bad_high[0]:.6g}"
         )
-    return CheckReport(
-        name="product_identity",
-        slack_min=slack_min,
-        slack_max=slack_max,
-        passed=bool(slack_min >= -tol),
-        notes=tuple(notes),
-        data={"alphas": alphas, "product": product, "sum": total},
-    )
+    data = {"alphas": alphas, "product": product, "sum": total}
+    return _sandwich_report("product_identity", lower, upper, tol, data, notes)
 
 
 def intersection_check(
@@ -382,16 +381,8 @@ def intersection_check(
         mod_hat = float(np.dot(hv, masses))
         prod = float(np.dot(pv * hv, masses))
     scale = max(l1, 1.0)
-    lower = (prod - l1) / scale
-    upper = (2.0 * l1 - prod) / scale
-    slack_min = float(min(lower, upper))
-    return CheckReport(
-        name="intersection",
-        slack_min=slack_min,
-        slack_max=float(max(lower, upper)),
-        passed=bool(slack_min >= -tol),
-        data={"l1": l1, "modular_phi": mod_phi, "modular_hat": mod_hat, "product_integral": prod},
-    )
+    data = {"l1": l1, "modular_phi": mod_phi, "modular_hat": mod_hat, "product_integral": prod}
+    return _sandwich_report("intersection", (prod - l1) / scale, (2.0 * l1 - prod) / scale, tol, data)
 
 
 @dataclass(frozen=True)

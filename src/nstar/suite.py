@@ -24,6 +24,7 @@ from .measure import MeasurableFn, MeasureSpace, simple_approximation
 from .space import (
     SLACK_TOL,
     CheckReport,
+    _skipped_report,
     convergence_equivalence,
     intersection_check,
     l1_embedding_bound_check,
@@ -57,7 +58,7 @@ def _merge(name: str, reports: list[CheckReport]) -> CheckReport:
     live = [r for r in reports if r.passed is not None]
     notes = [note for r in reports for note in r.notes]
     if not live:
-        return CheckReport(name, float("nan"), float("nan"), None, tuple(notes))
+        return _skipped_report(name, *notes)
     return CheckReport(
         name=name,
         slack_min=min(r.slack_min for r in live),
@@ -156,7 +157,7 @@ def run_check_suite(
     records: list[CheckReport] = []
     for name, check in zip(checks, table):
         if check.needs_k and k is None:
-            reports = [CheckReport(name, float("nan"), float("nan"), None, (skip_note,))]
+            reports = [_skipped_report(name, skip_note)]
         else:
             reports = [check.instance(run) for _ in range(1 if check.once else samples)]
         records.append(_merge(name, reports))

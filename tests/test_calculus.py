@@ -401,6 +401,12 @@ class TestDelta2:
         with pytest.raises(DomainError, match="overflows the float range"):
             delta2_solve(power_family(0.5), k0, np.geomspace(1e300, 1.7e308, 50))
 
+    def test_convex_generator_rejected(self):
+        # phi(2x) = 4 x^2 exceeds 2 phi(x) at every x
+        square = NStarFunction(density=lambda t: 2.0 * t, eval_fn=np.square, inverse_fn=np.sqrt, description="x^2")
+        with pytest.raises(NotDelta2Error, match="not a concave generator"):
+            delta2_solve(square, 20.0, np.geomspace(1e-3, 1e3, 25))
+
     def test_every_k_in_range(self):
         cert = delta2_solve(alpha_exp_family(2.0), 20.0, np.geomspace(1e-2, 1e2, 25))
         assert np.all(cert.ks >= 2.0)
@@ -583,6 +589,11 @@ class TestTabulatedFamily:
             phi(bad)
         with pytest.raises(DomainError):
             phi(np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_scaled_power_exponent_outside_the_unit_interval(self, p):
+        with pytest.raises(DomainError, match="power exponent must lie in"):
+            scaled_power_family(p)
 
     def test_rejects_increasing_samples(self):
         with pytest.raises(DomainError):

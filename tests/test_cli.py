@@ -907,6 +907,8 @@ class TestExitCodes:
             "delta2 --phi power:p=0.5 --grid-hi inf",
             # document numbers must be finite
             "norm --phi power:p=0.5 --space interval:L=inf --fn identity",
+            # the cell width L/N underflows to 0
+            "norm --phi power:p=0.5 --space interval:L=5e-324,N=2 --fn identity",
             "norm --phi power:p=0.5 --space atoms:nan --fn constant:1",
             "norm --phi power:p=0.5 --space interval:L=1,N=10 --fn constant:nan",
             "norm --phi power:p=0.5 --space interval:L=1,N=10 --fn constant:inf",
@@ -940,6 +942,21 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("norm --phi power:p=0.5 --space interval:L=5e-324,N=2 --fn identity", "--space: masses and cell widths"),
+            # an empty list item is rejected and named, in every shorthand list
+            ("norm --phi power:p=0.5 --space atoms:1,,2 --fn constant:1", "'atoms:1,,2' item 2: expected a number"),
+            ("norm --phi power:p=0.5 --space interval:L=1,N=3 --fn values:1,,2", "'values:1,,2' item 2: expected"),
+            ("dual-norm --phi power:p=0.5 --space atoms:1,2,3 --functional 1,,2", "--functional item 2: expected"),
+        ],
+    )
+    def test_value_errors_name_their_flag(self, capsys, argv, message):
+        code = main(argv.split())
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "t, p",

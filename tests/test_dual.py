@@ -14,6 +14,7 @@ from nstar import (
     MeasureSpace,
     NotApplicableError,
     NStarFunction,
+    SpaceMismatchError,
     alpha_exp_family,
     atom_dual_witness,
     delta2_solve,
@@ -111,6 +112,52 @@ class TestEvaluateFunctional:
         lhs = evaluate_functional(U, 2.0 * f + (-3.0) * g)
         rhs = 2.0 * evaluate_functional(U, f) - 3.0 * evaluate_functional(U, g)
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+ATOMS = MeasureSpace.atomic([1.0, 2.0])
+CELLS = MeasureSpace.interval(1.0, 8)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: AtomicFunctional(np.ones(8), CELLS, HALF), DomainError, "require an atomic space"),
+        (lambda: AtomicFunctional(np.array([1.0, np.inf]), ATOMS, HALF), DomainError, "coefficients must be finite"),
+        (lambda: AtomicFunctional(np.ones(3), ATOMS, HALF), SpaceMismatchError, "3 coefficients for a space of size 2"),
+        (
+            lambda: evaluate_functional(
+                AtomicFunctional(np.ones(2), ATOMS, HALF), MeasurableFn.constant(MeasureSpace.atomic([1.0, 3.0]), 1.0)
+            ),
+            SpaceMismatchError,
+            "the functional's space",
+        ),
+        (
+            lambda: evaluate_functional(
+                AtomicFunctional(np.full(2, 1e300), ATOMS, HALF), MeasurableFn.constant(ATOMS, 1e300)
+            ),
+            DomainError,
+            "does not converge absolutely",
+        ),
+        (
+            lambda: dual_zero_halving(HALF, CELLS, *halving_instance(HALF, MeasureSpace.interval(2.0, 8)), 1),
+            SpaceMismatchError,
+            "f0 and kernel must live on the given space",
+        ),
+        (lambda: halving_instance(HALF, ATOMS), IndivisibleAtomsError, "non-atomic model"),
+    ],
+    ids=[
+        "functional-on-interval",
+        "inf-coefficient",
+        "coefficient-count",
+        "evaluate-on-other-space",
+        "evaluate-not-convergent",
+        "halving-f0-on-other-space",
+        "halving-instance-on-atoms",
+    ],
+)
+def test_argument_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 class TestNormFormula:
@@ -426,20 +473,22 @@ class TestDemoGuards:
         with pytest.raises(DomainError, match=match):
             dual_zero_halving(HALF, X, f, f, 1)
 
-    # with a valid generator and tol >= 0 the construction cannot break
-    # either bound; a negative tol tightens a bound past what it guarantees
-    def test_halving_contraction_bound(self):
+    # with a valid generator and DEMO_TOL >= 0 the construction cannot break
+    # either bound; a negative DEMO_TOL tightens a bound past what it guarantees
+    def test_halving_contraction_bound(self, monkeypatch):
         X = MeasureSpace.interval(1.0, 1024)
         f0, u = halving_instance(HALF, X)
+        monkeypatch.setattr("nstar.dual.DEMO_TOL", -1.0)
         with pytest.raises(DomainError, match="violated its modular contraction bound"):
-            dual_zero_halving(HALF, X, f0, u, 3, tol=-1.0)
+            dual_zero_halving(HALF, X, f0, u, 3)
 
-    def test_halving_functional_mass(self):
+    def test_halving_functional_mass(self, monkeypatch):
         X = MeasureSpace.interval(1.0, 1024)
         f0, _ = halving_instance(HALF, X)
         zero = MeasurableFn.constant(X, 0.0)
+        monkeypatch.setattr("nstar.dual.DEMO_TOL", -1e-300)
         with pytest.raises(DomainError, match="lost functional mass"):
-            dual_zero_halving(HALF, X, f0, zero, 3, tol=-1e-300)
+            dual_zero_halving(HALF, X, f0, zero, 3)
 
     @pytest.mark.parametrize(
         "p, cells",

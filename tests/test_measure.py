@@ -38,6 +38,31 @@ class TestMeasureSpace:
             MeasureSpace.atomic([1.0]).midpoints()
 
 
+FOUR = MeasureSpace.interval(1.0, 4)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: MeasureSpace.atomic([]), DomainError, "at least one atom or cell"),
+        # the cell width L/N underflows to 0
+        (lambda: MeasureSpace.interval(5e-324, 2), DomainError, "strictly positive and finite"),
+        (lambda: MeasurableFn(np.array([1.0, np.nan, 0.0, 0.0]), FOUR), DomainError, "values must be finite"),
+        (
+            lambda: MeasurableFn.constant(FOUR, 1.0) + MeasurableFn.constant(MeasureSpace.interval(2.0, 4), 1.0),
+            SpaceMismatchError,
+            "different measure spaces",
+        ),
+        (lambda: simple_approximation(MeasurableFn.constant(FOUR, 1.0), 0), DomainError, "approximation level"),
+        (lambda: disjoint_positive_family(FOUR, 0), DomainError, "count must be a positive integer"),
+    ],
+    ids=["no-atoms", "underflowing-cells", "nan-value", "other-space", "level-0", "count-0"],
+)
+def test_argument_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 class TestIntegrate:
     def test_unit_indicator(self):
         X = MeasureSpace.interval(1.0, 1000)

@@ -455,6 +455,23 @@ class TestIntersection:
         assert calls == {"phi": 1, "phi_hat": 1}
 
 
+OTHER = MeasurableFn.constant(MeasureSpace.interval(1.0, 8), 1.0)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: luxemburg_norm(HALF, UNIT, OTHER), SpaceMismatchError, "does not live on the given space"),
+        (lambda: young_type_check(HALF, UNIT, OTHER, OTHER), SpaceMismatchError, "functions must live on the given space"),
+        (lambda: product_identity_check(HALF, np.array([1.0, 0.0])), DomainError, "strictly positive arguments"),
+    ],
+    ids=["norm-on-other-space", "young-on-other-space", "alpha-zero"],
+)
+def test_argument_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 class TestConvergenceEquivalence:
     def test_simple_approximation_sequence_co_vanishes(self):
         rng = np.random.default_rng(41)
