@@ -22,6 +22,7 @@ import numpy as np
 from .calculus import VALIDATE_GRID, complementary, delta2_solve, growth_factor, validate_nstar
 from .documents import (
     _doc_or_shorthand,
+    _slack,
     fn_from_text,
     format_float,
     functional_shorthand_to_doc,
@@ -54,12 +55,6 @@ def _usage_check(ok: bool, message: str) -> None:
     """Usage check on a flag or document value, or on the input they make: a failure exits 2."""
     if not ok:
         raise DocumentError(message)
-
-
-def _tolerance(value: float, name: str) -> float:
-    """A slack tolerance: finite and non-negative, else exit 2."""
-    _usage_check(0 <= value < np.inf, f"{name} must be finite and non-negative, got {value!r}")
-    return value
 
 
 def _grid(args, min_points: int = 1) -> np.ndarray:
@@ -109,6 +104,8 @@ def _to_csv(payload: dict) -> str:
 
 
 def _csv_cell(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
@@ -226,7 +223,7 @@ def _cmd_check(args) -> _Report:
         checks = list(CHECK_NAMES) if args.suite in (None, "all") else args.suite.split(",")
         samples = DEFAULT_SAMPLES if args.samples is None else args.samples
         seed = DEFAULT_SEED if args.seed is None else args.seed
-        tol = SLACK_TOL if args.tol is None else _tolerance(args.tol, "--tol")
+        tol = SLACK_TOL if args.tol is None else _slack(args.tol, "--tol")
     records = run_check_suite(phi, space, checks, samples=samples, seed=seed, tol=tol)
     results = [r.to_record() for r in records]
     ok = all(r.passed is not False for r in records)
@@ -250,7 +247,7 @@ def _cmd_check(args) -> _Report:
 
 
 def _cmd_dual_norm(args) -> _Report:
-    tol = _tolerance(args.tol, "--tol")
+    tol = _slack(args.tol, "--tol")
     phi = phi_from_text(args.phi)
     space = space_from_text(args.space)
     _usage_check(space.is_atomic, "dual-norm needs an atomic --space: functionals act on atoms")

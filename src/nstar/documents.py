@@ -2,20 +2,23 @@
 
 Every object the command line consumes has a JSON document form:
 
-* generator: {"family": name, "params": {...}}, params per family as in
-              families.FAMILY_PARAMS, which the family table derives
-              (power {"p"}, tabulated_density {"t": [...], "p": [...]}, ...)
+* generator: {"family": name, "params": {...}}, a family and its params
+              as in _GENERATORS (power {"p"}, tabulated_density
+              {"t": [...], "p": [...]}, log_sqrt {}, ...)
 * space:     {"kind": "atomic", "masses": [...]} or
-             {"kind": "interval", "L": float, "N": int}
+             {"kind": "interval", "L": float, "N": int}, as in _SPACES
 * function:  {"values": [...]} or
              {"generator": "constant"|"identity"|"indicator"|"random",
-              "params": {...}}, params per generator as in _FN_PARAMS
+              "params": {...}}, params as in _FUNCTIONS
 * functional: {"coefficients": [...]}
 * check suite: {"phi": <generator doc>, "space": <space doc>,
                 "checks": [names], "samples": int, "seed": int >= 0,
                 "tolerances": {"slack": float >= 0}}
 * demo dualzero: {"theta": float, "iterations": int,
                   "kernel": <function doc>}
+
+_fields reads every document by a spec {field: (reader, default)}; a name
+field picks the constructor and the spec of the others from a table.
 
 Inline shorthand maps one-to-one onto the documents, e.g.
 power:p=0.5 / interval:L=1,N=1000 / atoms:0.5,0.25 / equal:100,mass=2 /
@@ -29,22 +32,29 @@ known and required fields, and shorthand syntax, each raising
 DocumentError naming the field or flag. Value rules belong to the
 constructors (positive masses and cell widths, a cell count of at least
 1, one value or coefficient per atom or cell, an indicator range inside
-the space, identity on intervals only, a family's parameter range);
-_construct turns their DomainError or SpaceMismatchError into a
-DocumentError that names the context.
+the space, identity on intervals only, an ordered random range, a
+family's parameter range); _construct turns their DomainError or
+SpaceMismatchError into a DocumentError that names the context.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .calculus import NStarFunction
 from .errors import DocumentError, DomainError, SpaceMismatchError
-from .families import FAMILY_NAMES, FAMILY_PARAMS, build_family
+from .families import (
+    alpha_exp_family,
+    log_sqrt_family,
+    power_family,
+    scaled_power_family,
+    tabulated_density_family,
+)
 from .measure import MeasurableFn, MeasureSpace
 from .space import SLACK_TOL
 from .suite import CHECK_NAMES, DEFAULT_SAMPLES, DEFAULT_SEED
@@ -70,17 +80,24 @@ def _object(value, context: str) -> dict:
     return value
 
 
-def _known_fields(doc: dict, known, context: str) -> None:
-    """Reject any field of doc outside known, naming it."""
-    extra = set(doc) - set(known)
+_REQUIRED = object()  # the default of a field that a document must give
+
+
+def _fields(doc, spec: dict, context: str) -> dict:
+    """doc's fields by spec {field: (reader, default)}, in spec order: reader(value, context) reads a given
+    field, a missing one takes its default unless that is _REQUIRED, and one outside spec is rejected."""
+    extra = set(_object(doc, context)) - set(spec)
     if extra:
-        raise DocumentError(f"{context}: unknown fields {sorted(extra)}; expected only {sorted(known)}")
-
-
-def _require(doc: dict, key: str, context: str):
-    if key not in doc:
-        raise DocumentError(f"{context}: missing required field {key!r}")
-    return doc[key]
+        raise DocumentError(f"{context}: unknown fields {sorted(extra)}; expected only {sorted(spec)}")
+    read = {}
+    for field, (reader, default) in spec.items():
+        if field in doc:
+            read[field] = reader(doc[field], f"{context}.{field}")
+        elif default is _REQUIRED:
+            raise DocumentError(f"{context}: missing required field {field!r}")
+        else:
+            read[field] = default
+    return read
 
 
 def _construct(context: str, constructor, *args):
@@ -113,117 +130,113 @@ def _seed(value, context: str) -> int:
     return seed
 
 
+def _slack(value, context: str) -> float:
+    """A slack tolerance, from --tol or a suite document's tolerances.slack; NaN fails too."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= sys.float_info.max:
+        raise DocumentError(f"{context} must be finite and non-negative, got {value!r}")
+    return float(value)
+
+
 def _number_list(value, context: str) -> list[float]:
     if not isinstance(value, (list, tuple)) or not value:
         raise DocumentError(f"{context}: expected a non-empty list of numbers")
     return [_number(v, f"{context}[{i}]") for i, v in enumerate(value)]
 
 
+def _check_names(value, context: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(c, str) for c in value):
+        raise DocumentError(f"{context}: expected a list of check names")
+    bad = [c for c in value if c not in CHECK_NAMES]
+    if bad:
+        raise DocumentError(f"{context}: unknown names {bad}")
+    return value
+
+
+def _tolerances(doc, context: str) -> float:
+    return _fields(doc, {"slack": (_slack, SLACK_TOL)}, context)["slack"]
+
+
+def _entry(table: dict, name, context: str):
+    """The (constructor, spec) that a document's name field picks from table."""
+    if not isinstance(name, str) or name not in table:
+        raise DocumentError(f"{context}: expected one of {', '.join(table)}, got {name!r}")
+    return table[name]
+
+
+# name -> (constructor, spec): the constructor takes the fields spec reads, in
+# spec order, from "params" (a function's constructor taking the space first)
+# or, for a space, beside "kind". The measure constructors are looked up at
+# each call, so a wrapper later bound over them still sees every call.
+_GENERATORS = {
+    "power": (power_family, {"p": (_number, _REQUIRED)}),
+    "power_scaled": (scaled_power_family, {"p": (_number, _REQUIRED)}),
+    "alpha_exp": (alpha_exp_family, {"alpha": (_number, _REQUIRED)}),
+    "log_sqrt": (log_sqrt_family, {}),
+    "tabulated_density": (tabulated_density_family, {"t": (_number_list, _REQUIRED), "p": (_number_list, _REQUIRED)}),
+}
+_SPACES = {
+    "atomic": (lambda *a: MeasureSpace.atomic(*a), {"masses": (_number_list, _REQUIRED)}),
+    "interval": (lambda *a: MeasureSpace.interval(*a), {"L": (_number, _REQUIRED), "N": (_integer, _REQUIRED)}),
+}
+_FUNCTIONS = {
+    "constant": (lambda *a: MeasurableFn.constant(*a), {"value": (_number, 1.0)}),
+    "identity": (lambda *a: MeasurableFn.identity(*a), {}),
+    "indicator": (lambda *a: MeasurableFn.indicator(*a), {"lo": (_integer, 0), "hi": (_integer, None)}),
+    "random": (
+        lambda *a: MeasurableFn.random(*a),
+        {"seed": (_seed, _REQUIRED), "low": (_number, 0.0), "high": (_number, 1.0)},
+    ),
+}
+
+
+def _build(table: dict, key: str, doc, context: str, *args):
+    """What a {key: name, "params": {...}} document names: table[name]'s constructor on args and the params."""
+    read = _fields(doc, {key: (partial(_entry, table), _REQUIRED), "params": (_object, {})}, context)
+    constructor, spec = read[key]
+    params = _fields(read["params"], spec, f"{context}.params")
+    return _construct(f"{context} {doc[key]}", constructor, *args, *params.values())
+
+
 def parse_phi_doc(doc: dict, context: str = "phi") -> NStarFunction:
-    family = _require(_object(doc, context), "family", context)
-    if family not in FAMILY_NAMES:
-        raise DocumentError(
-            f"{context}.family: unknown family {family!r}; expected one of {', '.join(FAMILY_NAMES)}"
-        )
-    _known_fields(doc, ("family", "params"), context)
-    params = _object(doc.get("params", {}), f"{context}.params")
-    _known_fields(params, FAMILY_PARAMS[family], f"{context}.params")
-    number = _number_list if family == "tabulated_density" else _number
-    params = {k: number(v, f"{context}.params.{k}") for k, v in params.items()}
-    return _construct(f"{context}.params", build_family, family, params)
+    return _build(_GENERATORS, "family", doc, context)
 
 
 def parse_space_doc(doc: dict, context: str = "space") -> MeasureSpace:
-    kind = _require(_object(doc, context), "kind", context)
-    if kind == "atomic":
-        _known_fields(doc, ("kind", "masses"), context)
-        masses = _number_list(_require(doc, "masses", context), f"{context}.masses")
-        return _construct(f"{context}.masses", MeasureSpace.atomic, masses)
-    if kind == "interval":
-        _known_fields(doc, ("kind", "L", "N"), context)
-        length = _number(_require(doc, "L", context), f"{context}.L")
-        cells = _integer(_require(doc, "N", context), f"{context}.N")
-        return _construct(context, MeasureSpace.interval, length, cells)
-    raise DocumentError(f"{context}.kind: expected 'atomic' or 'interval', got {kind!r}")
-
-
-# the parameters each function generator takes; each generator is the MeasurableFn constructor of its name
-_FN_PARAMS = {
-    "constant": ("value",),
-    "identity": (),
-    "indicator": ("lo", "hi"),
-    "random": ("seed", "low", "high"),
-}
+    constructor, spec = _entry(_SPACES, _object(doc, context).get("kind"), f"{context}.kind")
+    fields = _fields({k: v for k, v in doc.items() if k != "kind"}, spec, context)
+    return _construct(context, constructor, *fields.values())
 
 
 def parse_fn_doc(doc: dict, space: MeasureSpace, context: str = "fn") -> MeasurableFn:
     if "values" in _object(doc, context):
-        _known_fields(doc, ("values",), context)
-        values = _number_list(doc["values"], f"{context}.values")
+        values = _fields(doc, {"values": (_number_list, _REQUIRED)}, context)["values"]
         return _construct(f"{context}.values", MeasurableFn, values, space)
-    generator = _require(doc, "generator", context)
-    if not isinstance(generator, str) or generator not in _FN_PARAMS:
-        raise DocumentError(
-            f"{context}.generator: expected constant/identity/indicator/random, got {generator!r}"
-        )
-    _known_fields(doc, ("generator", "params"), context)
-    params = _object(doc.get("params", {}), f"{context}.params")
-    _known_fields(params, _FN_PARAMS[generator], f"{context}.params")
-    if generator == "constant":
-        args: tuple = (_number(params.get("value", 1.0), f"{context}.params.value"),)
-    elif generator == "indicator":
-        hi = params.get("hi")
-        args = (
-            _integer(params.get("lo", 0), f"{context}.params.lo"),
-            None if hi is None else _integer(hi, f"{context}.params.hi"),
-        )
-    elif generator == "random":
-        seed = _seed(_require(params, "seed", f"{context}.params"), f"{context}.params.seed")
-        low = _number(params.get("low", 0.0), f"{context}.params.low")
-        high = _number(params.get("high", 1.0), f"{context}.params.high")
-        # numpy's uniform also needs the width high - low to be a finite float
-        if not 0 <= high - low < np.inf:
-            raise DocumentError(f"{context}.params: random needs low <= high and a finite high - low")
-        args = (seed, low, high)
-    else:
-        args = ()
-    return _construct(f"{context} {generator}", getattr(MeasurableFn, generator), space, *args)
+    return _build(_FUNCTIONS, "generator", doc, context, space)
 
 
 def parse_functional_doc(doc: dict, space: MeasureSpace, phi: NStarFunction, context: str = "functional"):
     from .dual import AtomicFunctional
 
-    _known_fields(_object(doc, context), ("coefficients",), context)
-    coeff = _number_list(_require(doc, "coefficients", context), f"{context}.coefficients")
+    coeff = _fields(doc, {"coefficients": (_number_list, _REQUIRED)}, context)["coefficients"]
     return _construct(f"{context}.coefficients", AtomicFunctional, coeff, space, phi)
 
 
 def parse_demo_doc(doc: dict, context: str = "demo"):
     """demo dualzero configuration: theta, iterations, and the kernel's function document, unparsed."""
-    _known_fields(_object(doc, context), ("theta", "iterations", "kernel"), context)
-    theta = _number(doc.get("theta", 0.5), f"{context}.theta")
-    iterations = _integer(doc.get("iterations", 20), f"{context}.iterations")
-    return theta, iterations, doc.get("kernel")
+    spec = {"theta": (_number, 0.5), "iterations": (_integer, 20), "kernel": (lambda kernel, _: kernel, None)}
+    return tuple(_fields(doc, spec, context).values())
 
 
 def parse_suite_doc(doc: dict, context: str = "suite"):
-    _known_fields(_object(doc, context), ("phi", "space", "checks", "samples", "seed", "tolerances"), context)
-    phi = parse_phi_doc(_require(doc, "phi", context), f"{context}.phi")
-    space = parse_space_doc(_require(doc, "space", context), f"{context}.space")
-    checks = doc.get("checks", list(CHECK_NAMES))
-    if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
-        raise DocumentError(f"{context}.checks: expected a list of check names")
-    bad = [c for c in checks if c not in CHECK_NAMES]
-    if bad:
-        raise DocumentError(f"{context}.checks: unknown names {bad}")
-    samples = _integer(doc.get("samples", DEFAULT_SAMPLES), f"{context}.samples")
-    seed = _seed(doc.get("seed", DEFAULT_SEED), f"{context}.seed")
-    tolerances = _object(doc.get("tolerances", {}), f"{context}.tolerances")
-    _known_fields(tolerances, ("slack",), f"{context}.tolerances")
-    tol = _number(tolerances.get("slack", SLACK_TOL), f"{context}.tolerances.slack")
-    if tol < 0:
-        raise DocumentError(f"{context}.tolerances.slack: must not be negative")
-    return phi, space, checks, samples, seed, tol
+    spec = {
+        "phi": (parse_phi_doc, _REQUIRED),
+        "space": (parse_space_doc, _REQUIRED),
+        "checks": (_check_names, CHECK_NAMES),
+        "samples": (_integer, DEFAULT_SAMPLES),
+        "seed": (_seed, DEFAULT_SEED),
+        "tolerances": (_tolerances, SLACK_TOL),
+    }
+    return tuple(_fields(doc, spec, context).values())
 
 
 # ---------------------------------------------------------------------------
@@ -279,37 +292,34 @@ def space_shorthand_to_doc(text: str) -> dict:
         return {"kind": "atomic", "masses": _shorthand_numbers(body, context)}
     if name == "equal":
         count_text, _, rest = body.partition(",")
+        params = _split_kv(rest, context)
         try:
-            count = int(count_text)
+            masses = [params.pop("mass", 1.0)] * int(count_text)
         except ValueError:
             raise DocumentError(f"{context}: equal:COUNT needs an integer") from None
-        params = _split_kv(rest, context)
-        return {"kind": "atomic", "masses": [params.pop("mass", 1.0)] * count, **params}
+        except (OverflowError, MemoryError):
+            raise DocumentError(f"{context}: atom count too large to allocate") from None
+        return {"kind": "atomic", "masses": masses, **params}
     raise DocumentError(f"{context}: expected interval:/atoms:/equal: shorthand")
 
 
 def fn_shorthand_to_doc(text: str) -> dict:
+    """values:, constant:VALUE and indicator:LO..HI have their own syntax; other names take key=value params."""
     name, _, body = text.partition(":")
     context = f"--fn {text!r}"
-    if name == "identity":
-        return {"generator": "identity"}
-    if name == "constant":
-        if not body:
-            return {"generator": "constant"}
-        return {"generator": "constant", "params": {"value": _shorthand_number(body, context)}}
-    if name == "indicator":
-        if not body:
-            return {"generator": "indicator"}
+    if name == "values":
+        return {"values": _shorthand_numbers(body, context)}
+    doc: dict = {"generator": name}
+    if body and name == "constant":
+        doc["params"] = {"value": _shorthand_number(body, context)}
+    elif body and name == "indicator":
         lo_text, sep, hi_text = body.partition("..")
         if not sep:
             raise DocumentError(f"{context}: indicator needs lo..hi")
-        bounds = {"lo": _shorthand_number(lo_text, context), "hi": _shorthand_number(hi_text, context)}
-        return {"generator": "indicator", "params": bounds}
-    if name == "random":
-        return {"generator": "random", "params": _split_kv(body, context)}
-    if name == "values":
-        return {"values": _shorthand_numbers(body, context)}
-    raise DocumentError(f"{context}: expected identity/constant/indicator/random/values shorthand")
+        doc["params"] = {"lo": _shorthand_number(lo_text, context), "hi": _shorthand_number(hi_text, context)}
+    elif body:
+        doc["params"] = _split_kv(body, context)
+    return doc
 
 
 def functional_shorthand_to_doc(text: str) -> dict:

@@ -1,4 +1,4 @@
-"""Registered closed-form generator families.
+"""Closed-form generator families.
 
 Four families ship with closed evaluation, inversion and slope density:
 
@@ -15,6 +15,8 @@ complement of log_sqrt, of a tabulated density or of a generator from
 from_density is computed by calculus.complementary, which inverts Young's
 equality hat(phi(x)/p(x) - x) = 1/p(x) point by point. No family runs a
 quadrature; only from_density, outside every document, integrates one.
+Each constructor checks its parameters' values; the generator documents
+that name these families live in documents.py.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .calculus import NStarFunction
-from .errors import DocumentError, DomainError
+from .errors import DomainError
 from .numerics import LogLogLinear
 
 __all__ = [
@@ -34,8 +36,6 @@ __all__ = [
     "log_sqrt_family",
     "tabulated_density_family",
     "from_density",
-    "build_family",
-    "FAMILY_NAMES",
 ]
 
 
@@ -145,25 +145,3 @@ def tabulated_density_family(ts, ps, description: str = "tabulated_density") -> 
 def from_density(density: Callable, description: str = "") -> NStarFunction:
     """Generator defined only through its slope density, integrated to 1e-8 by CumulativeIntegral."""
     return NStarFunction(density=density, description=description or "from_density")
-
-
-# each family's document parameters, and its constructor from them
-_FAMILIES = {
-    "power": (("p",), lambda params: power_family(float(params["p"]))),
-    "power_scaled": (("p",), lambda params: scaled_power_family(float(params["p"]))),
-    "alpha_exp": (("alpha",), lambda params: alpha_exp_family(float(params["alpha"]))),
-    "log_sqrt": ((), lambda params: log_sqrt_family()),
-    "tabulated_density": (("t", "p"), lambda params: tabulated_density_family(params["t"], params["p"])),
-}
-FAMILY_PARAMS = {name: params for name, (params, _) in _FAMILIES.items()}
-FAMILY_NAMES = tuple(_FAMILIES)
-
-
-def build_family(name: str, params: dict) -> NStarFunction:
-    """Construct a registered family from document fields; its constructor checks their values."""
-    if name not in _FAMILIES:
-        raise DocumentError(f"unknown family {name!r}; expected one of {', '.join(FAMILY_NAMES)}")
-    try:
-        return _FAMILIES[name][1](params)
-    except KeyError as exc:
-        raise DocumentError(f"family {name!r} is missing parameter {exc.args[0]!r}") from exc

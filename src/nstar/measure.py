@@ -53,7 +53,11 @@ class MeasureSpace:
             raise DomainError("interval length must be positive")
         if not isinstance(cells, (int, np.integer)) or cells < 1:
             raise DomainError("cell count must be a positive integer")
-        masses = np.full(int(cells), float(length) / int(cells))
+        try:
+            masses = np.full(int(cells), float(length) / int(cells))
+        except (ValueError, OverflowError, MemoryError):
+            # a count past the float range, a shape past numpy's index range, or memory the host refuses
+            raise DomainError("cell count too large to allocate") from None
         return cls(kind=INTERVAL, masses=masses, length=float(length))
 
     @property
@@ -128,6 +132,9 @@ class MeasurableFn:
     def random(
         cls, space: MeasureSpace, seed: int, low: float = 0.0, high: float = 1.0
     ) -> "MeasurableFn":
+        """Uniform values on [low, high); numpy's uniform needs low <= high and a finite width high - low."""
+        if not 0 <= high - low < np.inf:
+            raise DomainError("random needs low <= high and a finite high - low")
         rng = np.random.default_rng(seed)
         return cls(rng.uniform(low, high, space.size), space)
 

@@ -128,14 +128,18 @@ def luxemburg_norm(
     if not absv.any():
         return QuasiNormResult(0.0, 0.0, 0)
     masses = space.masses
+    top = float(absv.max())
 
     def rho(lam: float) -> float:
+        # inf where max|f|/lambda overflows: a generator need not take an infinite argument
+        if math.isinf(top / lam):
+            return math.inf
         with np.errstate(over="ignore", invalid="ignore"):
             out = float(np.dot(phi(absv / lam), masses))
         return out if np.isfinite(out) else math.inf
 
     iterations = 0
-    lo = hi = max(float(absv.max()), _TINY)
+    lo = hi = max(top, _TINY)
     # value is the modular at the last point evaluated, rho_lo the one at lo
     value = rho_lo = rho(lo)
     step = 2.0

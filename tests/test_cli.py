@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import nstar
 from nstar.cli import build_parser, main
-from nstar.families import FAMILY_NAMES, FAMILY_PARAMS
+from nstar.documents import _FUNCTIONS, _GENERATORS, _SPACES
 
 
 def run_cli(capsys, *argv):
@@ -289,6 +289,37 @@ class TestCheck:
         assert rows[1][0] == "reversed_jensen"
         float(rows[1][1])  # numeric cells parse back
 
+    def test_csv_skipped_row_and_notes(self, capsys):
+        code, out = run_cli(
+            capsys,
+            "check",
+            "--phi",
+            "log_sqrt",
+            "--space",
+            "atoms:1,2",
+            "--suite",
+            "quasi_triangle,product_identity",
+            "--samples",
+            "1",
+            "--format",
+            "csv",
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["name", "slack_min", "slack_max", "pass", "notes"]
+        # a skipped check's pass is JSON null, an empty cell here
+        assert rows[1] == [
+            "quasi_triangle",
+            "nan",
+            "nan",
+            "",
+            "skipped: could not certify a doubling constant for this generator",
+        ]
+        notes = rows[2][4].split(";")
+        assert len(notes) == 2
+        assert notes[0].startswith("additive lower bound fails at 14 grid points")
+        assert notes[1].startswith("additive upper bound fails at 23 grid points")
+
     def test_config_document(self, capsys, tmp_path):
         cfg = {
             "phi": {"family": "power", "params": {"p": 0.5}},
@@ -413,14 +444,24 @@ class TestCheckGolden:
             "intersection",
             "convergence",
         )
-        assert FAMILY_PARAMS == {
+
+        def fields(table):
+            return {name: tuple(spec) for name, (_, spec) in table.items()}
+
+        assert fields(_GENERATORS) == {
             "power": ("p",),
             "power_scaled": ("p",),
             "alpha_exp": ("alpha",),
             "log_sqrt": (),
             "tabulated_density": ("t", "p"),
         }
-        assert FAMILY_NAMES == tuple(FAMILY_PARAMS)
+        assert fields(_SPACES) == {"atomic": ("masses",), "interval": ("L", "N")}
+        assert fields(_FUNCTIONS) == {
+            "constant": ("value",),
+            "identity": (),
+            "indicator": ("lo", "hi"),
+            "random": ("seed", "low", "high"),
+        }
 
 
 class TestDualNorm:
@@ -951,6 +992,13 @@ class TestExitCodes:
             ("norm --phi power:p=0.5 --space atoms:1,,2 --fn constant:1", "'atoms:1,,2' item 2: expected a number"),
             ("norm --phi power:p=0.5 --space interval:L=1,N=3 --fn values:1,,2", "'values:1,,2' item 2: expected"),
             ("dual-norm --phi power:p=0.5 --space atoms:1,2,3 --functional 1,,2", "--functional item 2: expected"),
+            # sizes no host can allocate
+            (
+                "norm --phi power:p=0.5 --space interval:L=1,N=100000000000000000000 --fn constant:1",
+                "--space: cell count too large to allocate",
+            ),
+            ("norm --phi power:p=0.5 --space equal:100000000000000000000 --fn constant:1", "too large to allocate"),
+            ("norm --phi power:p=0.5 --space equal:2305843009213693952 --fn constant:1", "too large to allocate"),
         ],
     )
     def test_value_errors_name_their_flag(self, capsys, argv, message):
@@ -976,6 +1024,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("tabulated", [True, False], ids=["tabulated", "power"])
+    def test_quasi_norm_overflow_reads_as_overflow(self, capsys, tmp_path, tabulated):
+        # f/lambda overflows below the norm; a tabulated generator rejects an infinite argument
+        doc = tmp_path / "phi.json"
+        doc.write_text('{"family": "tabulated_density", "params": {"t": [0.01, 1, 100], "p": [5, 0.5, 0.05]}}')
+        phi = str(doc) if tabulated else "power:p=0.5"
+        code = main(["norm", "--phi", phi, "--space", "atoms:1e-300", "--fn", "constant:1e300"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "f/lambda overflows before the modular comes down to 1" in err
 
     def test_non_integrable_table_exits_two_for_norm(self, capsys, tmp_path):
         # the low-edge slope -2 makes the integral diverge at 0
@@ -1150,7 +1209,7 @@ class TestSlackTolerance:
     def test_dual_norm_default_passes(self, capsys):
         assert main(self.DUAL) == 0
 
-    @pytest.mark.parametrize("slack, message", [(-5, "must not be negative"), (1e400, "finite")])
+    @pytest.mark.parametrize("slack, message", [(-5, "non-negative"), (1e400, "finite")])
     def test_suite_document(self, capsys, tmp_path, slack, message):
         path = tmp_path / "suite.json"
         doc = {

@@ -1,8 +1,11 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nstar
 from nstar import DocumentError, MeasureSpace
 from nstar.documents import (
     fn_from_text,
@@ -188,3 +191,18 @@ class TestReportSchema:
     def test_non_finite_floats_become_null(self):
         out = json_ready({"v": [float("nan"), np.inf, -np.inf, np.float64("nan"), 1.5]})
         assert out["v"] == [None, None, None, None, 1.5]
+
+
+@pytest.mark.parametrize("module", ["calculus", "dual", "families", "measure", "numerics", "space"])
+def test_library_layer_names_no_document_error(module):
+    # documents.py, cli.py and suite.py raise DocumentError; the library layers raise their own errors
+    tree = ast.parse((Path(nstar.__file__).parent / f"{module}.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert "DocumentError" not in names

@@ -55,8 +55,27 @@ FOUR = MeasureSpace.interval(1.0, 4)
         ),
         (lambda: simple_approximation(MeasurableFn.constant(FOUR, 1.0), 0), DomainError, "approximation level"),
         (lambda: disjoint_positive_family(FOUR, 0), DomainError, "count must be a positive integer"),
+        # counts no host can allocate: past numpy's dimension limit, past its byte-size limit, past the float range
+        (lambda: MeasureSpace.interval(1.0, 10**20), DomainError, "too large to allocate"),
+        (lambda: MeasureSpace.interval(1.0, 2**61), DomainError, "too large to allocate"),
+        (lambda: MeasureSpace.interval(1.0, 10**400), DomainError, "too large to allocate"),
+        (lambda: MeasurableFn.random(FOUR, 1, 5.0, 1.0), DomainError, "low <= high"),
+        # numpy's uniform needs the width high - low to be a finite float
+        (lambda: MeasurableFn.random(FOUR, 1, -1e308, 1e308), DomainError, "finite high - low"),
     ],
-    ids=["no-atoms", "underflowing-cells", "nan-value", "other-space", "level-0", "count-0"],
+    ids=[
+        "no-atoms",
+        "underflowing-cells",
+        "nan-value",
+        "other-space",
+        "level-0",
+        "count-0",
+        "cells-1e20",
+        "cells-2^61",
+        "cells-1e400",
+        "random-low-above-high",
+        "random-infinite-width",
+    ],
 )
 def test_argument_checks(call, error, match):
     with pytest.raises(error, match=match):
