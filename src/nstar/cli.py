@@ -5,7 +5,10 @@ nonconvex, demo dualzero; each accepts only the flags its handler reads.
 Arguments take inline shorthand (power:p=0.5, interval:L=1,N=1000, 1,-2)
 or a path to a JSON document (bare *.json path or @path). Handlers return
 their report and verdict; main maps it to the exit code: 0 all asserted
-checks pass, 1 an asserted check failed, 2 usage or document error.
+checks pass, 1 an asserted check failed, 2 usage or document error. The
+class of an error decides its code, wherever it was raised: a DomainError
+(the inputs lie outside what the operation accepts) exits 2, any other
+NStarError (a computation could not certify its result) exits 1.
 Machine-readable output (json, csv) is byte-stable for a fixed seed.
 """
 
@@ -51,12 +54,6 @@ EXIT_ASSERTION = 1
 EXIT_USAGE = 2
 
 
-def _usage_check(ok: bool, message: str) -> None:
-    """Usage check on a flag or document value, or on the input they make: a failure exits 2."""
-    if not ok:
-        raise DocumentError(message)
-
-
 def _grid(args, min_points: int = 1) -> np.ndarray:
     if not (0 < args.grid_lo < np.inf and 0 < args.grid_hi < np.inf):
         raise DocumentError("--grid-lo and --grid-hi must be finite and positive")
@@ -73,7 +70,8 @@ def _config_doc(args, *flags: str) -> dict | None:
     if not args.config:
         return None
     given = [f"--{name}" for name in flags if getattr(args, name) is not None]
-    _usage_check(not given, f"--config cannot be combined with {', '.join(given)}")
+    if given:
+        raise DocumentError(f"--config cannot be combined with {', '.join(given)}")
     return load_json(args.config, "--config")
 
 
@@ -187,11 +185,7 @@ def _cmd_conjugate(args) -> _Report:
 
 def _cmd_delta2(args) -> _Report:
     phi = phi_from_text(args.phi)
-    try:
-        cert = delta2_solve(phi, args.k0, _grid(args))
-    except DomainError as exc:
-        # delta2_solve raises it only on k0 and the grid: k0 not above 2, or k0 * x past the float range
-        raise DocumentError(str(exc)) from exc
+    cert = delta2_solve(phi, args.k0, _grid(args))
     payload = {
         "command": "delta2",
         "k0": cert.k0,
@@ -217,7 +211,8 @@ def _cmd_check(args) -> _Report:
     if doc is not None:
         phi, space, checks, samples, seed, tol = parse_suite_doc(doc)
     else:
-        _usage_check(bool(args.phi and args.space), "check needs --phi and --space (or --config)")
+        if not (args.phi and args.space):
+            raise DocumentError("check needs --phi and --space (or --config)")
         phi = phi_from_text(args.phi)
         space = space_from_text(args.space)
         checks = list(CHECK_NAMES) if args.suite in (None, "all") else args.suite.split(",")
@@ -250,7 +245,6 @@ def _cmd_dual_norm(args) -> _Report:
     tol = _slack(args.tol, "--tol")
     phi = phi_from_text(args.phi)
     space = space_from_text(args.space)
-    _usage_check(space.is_atomic, "dual-norm needs an atomic --space: functionals act on atoms")
     doc = _doc_or_shorthand(args.functional, functional_shorthand_to_doc, "--functional")
     U = parse_functional_doc(doc, space, phi, "--functional")
     formula = functional_norm_formula(U)
@@ -275,13 +269,7 @@ def _cmd_dual_norm(args) -> _Report:
 def _cmd_nonconvex(args) -> _Report:
     phi = phi_from_text(args.phi)
     space = space_from_text(args.space)
-    _usage_check(0 < args.epsilon < np.inf, "demo epsilon must be positive and finite")
-    _usage_check(args.n >= 1, "--n must be at least 1")
-    try:
-        trace = nonconvexity_demo(phi, space, args.epsilon, args.n)
-    except CapacityError as exc:
-        # epsilon, --n and the space ask for bumps the space cannot carry
-        raise DocumentError(f"demo nonconvex: {exc}") from exc
+    trace = nonconvexity_demo(phi, space, args.epsilon, args.n)
     results = [{"n": int(c), "modular": float(m)} for c, m in zip(trace.counts, trace.modulars)]
     final = float(trace.modulars[-1])
     ok = bool(np.all(trace.modulars >= trace.epsilon * (1 - 1e-9)))
@@ -307,10 +295,7 @@ def _cmd_dualzero(args) -> _Report:
     theta, iterations, kernel_doc = parse_demo_doc({} if doc is None else doc)
     theta = theta if args.theta is None else args.theta
     iterations = iterations if args.iterations is None else args.iterations
-    _usage_check(0 < theta < 1, "demo theta must lie strictly between 0 and 1")
-    _usage_check(iterations >= 1, "demo iterations must be at least 1")
     space = space_from_text(args.space)
-    _usage_check(not space.is_atomic, "demo dualzero needs an interval --space: atoms cannot be halved")
     try:
         if kernel_doc is not None:
             kernel = parse_fn_doc(kernel_doc, space, "--config kernel")
@@ -323,17 +308,9 @@ def _cmd_dualzero(args) -> _Report:
         else:
             f0, kernel = halving_instance(phi, space)
     except CapacityError as exc:
-        # the built-in f0 and kernel leave the float range for this generator and space
-        raise DocumentError(f"demo dualzero: {exc}; give f0 and the kernel with --fn and --kernel") from exc
-    # dual_zero_halving rejects this too, but a given f0 or kernel is input
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is input too
-        value = abs(float(np.dot(f0.values * kernel.values, space.masses)))
-    _usage_check(
-        np.isfinite(value) and not 0.0 < value < 1.0 - 1e-12,
-        "demo dualzero: scale f0 or the kernel so the functional value is 0 or finite and at least 1",
-    )
+        # the built-in f0 and kernel leave the float range for this generator and space; the flags replace them
+        raise CapacityError(f"demo dualzero: {exc}; give f0 and the kernel with --fn and --kernel") from exc
     trace = dual_zero_halving(phi, space, f0, kernel, iterations, theta)
-    _usage_check(trace.steps[0].modular > 0, "demo dualzero: f0 has modular 0, so nothing decays")
     bounds = trace.decay_bound()
     results = [
         {
@@ -496,7 +473,7 @@ def main(argv=None) -> int:
         payload, lines, ok = args.handler(args)
     except NStarError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE if isinstance(exc, DocumentError) else EXIT_ASSERTION
+        return EXIT_USAGE if isinstance(exc, DomainError) else EXIT_ASSERTION
     _emit(payload, lines, args)
     return EXIT_OK if ok else EXIT_ASSERTION
 

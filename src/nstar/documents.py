@@ -33,8 +33,9 @@ DocumentError naming the field or flag. Value rules belong to the
 constructors (positive masses and cell widths, a cell count of at least
 1, one value or coefficient per atom or cell, an indicator range inside
 the space, identity on intervals only, an ordered random range, a
-family's parameter range); _construct turns their DomainError or
-SpaceMismatchError into a DocumentError that names the context.
+family's parameter range); _construct turns their DomainError into a
+DocumentError that names the context. Check names belong to
+suite.run_check_suite.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from .calculus import NStarFunction
-from .errors import DocumentError, DomainError, SpaceMismatchError
+from .errors import DocumentError, DomainError
 from .families import (
     alpha_exp_family,
     log_sqrt_family,
@@ -104,7 +105,7 @@ def _construct(context: str, constructor, *args):
     """constructor(*args); its argument errors become a DocumentError naming context."""
     try:
         return constructor(*args)
-    except (DomainError, SpaceMismatchError) as exc:
+    except DomainError as exc:
         raise DocumentError(f"{context}: {exc}") from exc
 
 
@@ -146,9 +147,6 @@ def _number_list(value, context: str) -> list[float]:
 def _check_names(value, context: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(c, str) for c in value):
         raise DocumentError(f"{context}: expected a list of check names")
-    bad = [c for c in value if c not in CHECK_NAMES]
-    if bad:
-        raise DocumentError(f"{context}: unknown names {bad}")
     return value
 
 
@@ -202,9 +200,11 @@ def parse_phi_doc(doc: dict, context: str = "phi") -> NStarFunction:
 
 
 def parse_space_doc(doc: dict, context: str = "space") -> MeasureSpace:
-    constructor, spec = _entry(_SPACES, _object(doc, context).get("kind"), f"{context}.kind")
-    fields = _fields({k: v for k, v in doc.items() if k != "kind"}, spec, context)
-    return _construct(context, constructor, *fields.values())
+    fields = dict(_object(doc, context))
+    if "kind" not in fields:
+        raise DocumentError(f"{context}: missing required field 'kind'")
+    constructor, spec = _entry(_SPACES, fields.pop("kind"), f"{context}.kind")
+    return _construct(context, constructor, *_fields(fields, spec, context).values())
 
 
 def parse_fn_doc(doc: dict, space: MeasureSpace, context: str = "fn") -> MeasurableFn:

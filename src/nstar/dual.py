@@ -29,7 +29,7 @@ from .errors import (
     CapacityError,
     DomainError,
     IndivisibleAtomsError,
-    NotApplicableError,
+    NonconvergenceError,
     SpaceMismatchError,
 )
 from .measure import MeasurableFn, MeasureSpace, disjoint_positive_family, prefix_within
@@ -47,7 +47,6 @@ __all__ = [
     "dual_zero_halving",
     "halving_instance",
     "nonconvexity_demo",
-    "atom_dual_witness",
 ]
 
 # seeded points of the route-independent unit-ball pass in operator_norm_bruteforce
@@ -88,7 +87,7 @@ def evaluate_functional(U: AtomicFunctional, f: MeasurableFn) -> float:
     with np.errstate(over="ignore"):
         total_abs = float(np.dot(np.abs(U.coefficients), np.abs(f.values)))
     if not np.isfinite(total_abs):
-        raise DomainError("functional sum does not converge absolutely")
+        raise NonconvergenceError("functional sum does not converge absolutely")
     return float(np.dot(U.coefficients, f.values))
 
 
@@ -114,7 +113,7 @@ def single_atom_witness(U: AtomicFunctional, index: int) -> MeasurableFn:
     with np.errstate(over="ignore"):
         value = float(U.phi.inverse(1.0 / U.space.masses[[index]])[0])
     if not np.isfinite(value):
-        raise DomainError(f"the witness phi^-1(1/a) on atom {index} overflows the float range")
+        raise NonconvergenceError(f"the witness phi^-1(1/a) on atom {index} overflows the float range")
     vals = np.zeros(U.space.size)
     vals[index] = value
     return MeasurableFn(vals, U.space)
@@ -206,11 +205,18 @@ def dual_zero_halving(
     the round before, the round's doubling ratio. Sums and integrals still
     run over the whole space, so every recorded number is the one a plain
     loop over full arrays gives, bit for bit.
+
+    Argument errors (DomainError): theta outside (0, 1), iterations below
+    1, a functional value of f0 that is neither 0 nor finite and at least
+    1, or an f0 of modular 0. A round that overflows or breaks its bounds
+    raises NonconvergenceError.
     """
     if space.is_atomic:
         raise IndivisibleAtomsError("the halving construction needs the non-atomic model")
     if not 0.0 < theta < 1.0:
         raise DomainError("theta must lie strictly between 0 and 1")
+    if iterations < 1:
+        raise DomainError("iterations must be at least 1")
     if not f0.space.same_as(space) or not kernel.space.same_as(space):
         raise SpaceMismatchError("f0 and kernel must live on the given space")
 
@@ -220,12 +226,10 @@ def dual_zero_halving(
     with np.errstate(over="ignore", invalid="ignore"):
         fu = f0.values * u
         phi0 = float(np.dot(fu, masses))
-    if not np.isfinite(phi0):
-        raise DomainError("the functional value of f0 overflows the float range")
     # a vanishing functional is a degenerate but valid input (the trace then
     # only exhibits modular decay); a nonzero unscaled one is a caller error
-    if 0.0 < abs(phi0) < 1.0 - 1e-12:
-        raise DomainError("scale f0 so the functional value is at least 1")
+    if not np.isfinite(phi0) or 0.0 < abs(phi0) < 1.0 - 1e-12:
+        raise DomainError("scale f0 or the kernel so the functional value is 0 or finite and at least 1")
 
     lo, hi = 0, space.size
     # f and phi(|f|) on the support only; f is doubled in place
@@ -234,6 +238,8 @@ def dual_zero_halving(
         phi_f = phi(f)
         nu = phi_f * masses
         rho = float(nu.sum())
+    if rho == 0.0:
+        raise DomainError("f0 has modular 0, so nothing decays")
     part = np.zeros(space.size)
     val = phi0
     steps: list[HalvingStep] = [HalvingStep(0, rho, val, 0, int(np.count_nonzero(f)))]
@@ -242,7 +248,7 @@ def dual_zero_halving(
     for n in range(1, iterations + 1):
         support = nu[lo:hi]
         if not (np.isfinite(rho) and support.min(initial=0.0) >= 0.0):
-            raise DomainError(f"halving step {n}: modular weights must be non-negative and finite")
+            raise NonconvergenceError(f"halving step {n}: modular weights must be non-negative and finite")
         # the longest prefix of cells whose modular mass stays <= theta * rho;
         # cells before lo add nothing, and if the whole support fits, so does every cell after it
         cut = prefix_within(support, theta * rho)
@@ -264,7 +270,7 @@ def dual_zero_halving(
         with np.errstate(over="ignore"):
             g *= 2.0
         if not np.all(np.isfinite(g)):
-            raise DomainError(f"halving step {n}: doubling the kept piece overflows the float range")
+            raise NonconvergenceError(f"halving step {n}: doubling the kept piece overflows the float range")
         with np.errstate(over="ignore"):
             phi_next = phi(g)
         if support_cells:
@@ -286,11 +292,11 @@ def dual_zero_halving(
             rho_next = float(nu.sum())
             val_next = float(np.dot(fu, masses))
         if not (np.isfinite(rho_next) and np.isfinite(val_next)):
-            raise DomainError(f"halving step {n}: the modular or functional value overflows the float range")
+            raise NonconvergenceError(f"halving step {n}: the modular or functional value overflows the float range")
         if rho_next > step_cap:
-            raise DomainError(f"halving step {n} violated its modular contraction bound")
+            raise NonconvergenceError(f"halving step {n} violated its modular contraction bound")
         if abs(val_next) < abs(val) - DEMO_TOL * max(abs(val), 1.0):
-            raise DomainError(f"halving step {n} lost functional mass")
+            raise NonconvergenceError(f"halving step {n} lost functional mass")
         step_bound = step_cap / rho if rho > 0 else 1.0
         lo, hi, f, phi_f, rho, val = new_lo, new_hi, g, phi_next, rho_next, val_next
         steps.append(HalvingStep(n, rho, val, prefix_cells, support_cells, step_bound))
@@ -353,9 +359,10 @@ def nonconvexity_demo(
     cells. Summing the piece masses still reads each cell's mass once.
     CapacityError when the space cannot carry n such bumps: it has fewer
     than n atoms or cells, or a height beta_k overflows or underflows to 0.
+    An epsilon that is not positive and finite raises DomainError.
     """
-    if not epsilon > 0:
-        raise DomainError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise DomainError("epsilon must be positive and finite")
     pieces = disjoint_positive_family(space, n)
     masses = np.array([space.masses[piece].sum() for piece in pieces])
     with np.errstate(over="ignore"):
@@ -372,20 +379,5 @@ def nonconvexity_demo(
         values = phi(heights[:m] / m)
         modulars[m - 1] = float(np.dot(values, masses[:m]))
         if modulars[m - 1] < epsilon * (1.0 - DEMO_TOL):
-            raise DomainError(f"averaged modular dropped below epsilon at m={m}")
+            raise NonconvergenceError(f"averaged modular dropped below epsilon at m={m}")
     return GrowthTrace(counts=counts, modulars=modulars, epsilon=float(epsilon))
-
-
-def atom_dual_witness(space: MeasureSpace, index: int, phi: NStarFunction) -> AtomicFunctional:
-    """Evaluation functional f -> f(atom index): nonzero, linear, bounded.
-
-    The witness exists exactly when the space has an atom of finite
-    positive mass; interval models have none and are rejected.
-    """
-    if not space.is_atomic:
-        raise NotApplicableError("no atoms: the evaluation functional does not exist here")
-    if not (isinstance(index, (int, np.integer)) and 0 <= index < space.size):
-        raise DomainError(f"atom index must be an integer in [0, {space.size}), got {index!r}")
-    coeff = np.zeros(space.size)
-    coeff[index] = 1.0
-    return AtomicFunctional(coefficients=coeff, space=space, phi=phi)

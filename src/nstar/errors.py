@@ -1,7 +1,14 @@
 """Semantic exception hierarchy for the toolkit.
 
-Public functions raise these instead of bare ValueError/RuntimeError so
-callers can distinguish contract violations from numerical failures.
+Public functions raise these instead of bare ValueError/RuntimeError, and
+the class says which of two kinds an error is:
+
+* argument errors, DomainError and its subclasses: the inputs lie outside
+  what the operation accepts, whether the CLI, a document or a library
+  function found it. The command line exits 2 on them.
+* computation failures, every other NStarError: a solver or construction
+  that accepted its arguments could not reach or certify its result. The
+  command line exits 1 on them, as on a failed asserted check.
 """
 
 __all__ = [
@@ -14,7 +21,6 @@ __all__ = [
     "SpaceMismatchError",
     "IndivisibleAtomsError",
     "CapacityError",
-    "NotApplicableError",
     "DocumentError",
 ]
 
@@ -27,7 +33,7 @@ class DomainError(NStarError, ValueError):
     """An argument lies outside the mathematical domain of the operation."""
 
 
-class InvalidDensityError(NStarError, ValueError):
+class InvalidDensityError(DomainError):
     """A density violates its monotonicity/positivity contract."""
 
 
@@ -36,28 +42,24 @@ class DivergedIntegralError(NStarError):
 
 
 class NonconvergenceError(NStarError):
-    """An iterative solver could not bracket or close on its target."""
+    """A solver or construction that accepted its arguments could not reach or certify its result."""
 
 
 class NotDelta2Error(NStarError):
     """The doubling hypothesis 2*phi(x) <= phi(k0*x) fails on the sample grid."""
 
 
-class SpaceMismatchError(NStarError, ValueError):
+class SpaceMismatchError(DomainError):
     """Operands live on different measure spaces."""
 
 
-class IndivisibleAtomsError(NStarError):
+class IndivisibleAtomsError(DomainError):
     """A subdivision was requested on an atomic space, which cannot split."""
 
 
-class CapacityError(NStarError, ValueError):
+class CapacityError(DomainError):
     """More pieces were requested than the space can provide."""
 
 
-class NotApplicableError(NStarError):
-    """The operation requires structure (e.g. an atom) the space lacks."""
-
-
-class DocumentError(NStarError, ValueError):
+class DocumentError(DomainError):
     """A configuration document failed to parse or validate."""

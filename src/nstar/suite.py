@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .calculus import NStarFunction, complementary, delta2_solve
-from .errors import DocumentError, NStarError
+from .errors import DomainError, NotDelta2Error, NStarError
 from .measure import MeasurableFn, MeasureSpace, simple_approximation
 from .space import (
     SLACK_TOL,
@@ -43,7 +43,7 @@ DEFAULT_SEED = 0
 
 
 def default_doubling_constant(phi: NStarFunction) -> float:
-    """Doubling constant of phi, certified by delta2_solve on a log grid."""
+    """Doubling constant of phi, certified by delta2_solve on a log grid; NotDelta2Error if none is."""
     grid = np.geomspace(1e-3, 1e3, 25)
     for k0 in (8.0, 32.0, 128.0, 1024.0):
         try:
@@ -51,7 +51,7 @@ def default_doubling_constant(phi: NStarFunction) -> float:
         except NStarError:
             continue
         return cert.bound_constant
-    raise DocumentError("could not certify a doubling constant for this generator")
+    raise NotDelta2Error("could not certify a doubling constant for this generator")
 
 
 def _merge(name: str, reports: list[CheckReport]) -> CheckReport:
@@ -140,17 +140,17 @@ def run_check_suite(
     """Run the named checks with seeded random instances; one record per check."""
     if samples < 1:
         # with no instance every sampled check would pass vacuously
-        raise DocumentError(f"samples must be at least 1, got {samples}")
+        raise DomainError(f"samples must be at least 1, got {samples}")
     unknown = [c for c in checks if c not in _CHECKS]
     if unknown:
-        raise DocumentError(f"unknown checks {unknown}; known: {', '.join(CHECK_NAMES)}")
+        raise DomainError(f"unknown checks {unknown}; known: {', '.join(CHECK_NAMES)}")
     table = [_CHECKS[name] for name in checks]
     phi_hat = complementary(phi) if any(c.needs_complement for c in table) else None
     k = skip_note = None
     if any(c.needs_k for c in table):
         try:
             k = default_doubling_constant(phi)
-        except DocumentError as exc:
+        except NotDelta2Error as exc:
             # without a doubling constant the k-dependent bounds do not apply
             skip_note = f"skipped: {exc}"
     run = _Run(phi, space, np.random.default_rng(seed), phi_hat, k, tol)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nstar
+from nstar import errors
 from nstar.cli import build_parser, main
 from nstar.documents import _FUNCTIONS, _GENERATORS, _SPACES
 
@@ -377,6 +378,25 @@ class TestCheck:
         assert err.startswith("error: --config cannot be combined with")
         assert all(flag in err for flag in flags[::2])
 
+    def test_unknown_check_in_config_exits_two(self, capsys, tmp_path):
+        # run_check_suite owns the check names, for --suite and a suite document alike
+        cfg = {"phi": {"family": "power", "params": {"p": 0.5}}, "space": {"kind": "atomic", "masses": [1.0]}}
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps({**cfg, "checks": ["nonsense"]}))
+        code = main(["check", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "nonsense" in err
+
+    @pytest.mark.parametrize("check", ["reversed_jensen", "l1_embedding"])
+    def test_total_mass_past_the_float_range_exits_two(self, capsys, check):
+        # each mass is finite, their sum is not: the check's precondition on the space
+        code = main(["check", "--phi", "power:p=0.5", "--space", "atoms:1e308,1e308", "--suite", check])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "needs finite positive total mass" in captured.err
+
     def test_malformed_config_exit_two(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -512,7 +532,16 @@ class TestDualNorm:
         code = main(["dual-norm", "--phi", "power:p=0.5", "--space", "interval:L=1,N=3", "--functional", "1,1,1"])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error: ") and "--space" in err
+        assert err.startswith("error: ") and "require an atomic space" in err
+
+    def test_uncertified_doubling_constant_exits_one(self, capsys):
+        # log_sqrt has no doubling constant on the grid: the inputs are valid, and the
+        # bracket [S, k S] cannot be certified
+        code = main(["dual-norm", "--phi", "log_sqrt", "--space", "atoms:1", "--functional", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: could not certify a doubling constant for this generator\n"
 
     def test_budget_flag_is_gone(self, capsys):
         code = main(["dual-norm", "--phi", "power:p=0.5", "--space", "atoms:1", "--functional", "1", "--budget", "10"])
@@ -740,7 +769,7 @@ class TestDemos:
         code = main(["demo", "dualzero", "--phi", "power:p=0.5", "--space", "atoms:1,2"])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error: ") and "--space" in err
+        assert err.startswith("error: ") and "non-atomic model" in err
 
     def test_dualzero_kernel_past_the_float_range_exits_two(self):
         # below p ~ 0.0226 the built-in kernel 1/f0 overflows: it printed two numpy
@@ -917,7 +946,30 @@ class TestDemos:
         assert out1 == out2
 
 
+# errors.__all__ names whose class means "the inputs lie outside what the operation accepts"
+_ARGUMENT_ERRORS = {
+    "DomainError",
+    "DocumentError",
+    "SpaceMismatchError",
+    "CapacityError",
+    "IndivisibleAtomsError",
+    "InvalidDensityError",
+}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("name", errors.__all__)
+    def test_error_class_decides_the_exit_code(self, capsys, monkeypatch, name):
+        # 2 for an argument error, wherever it is raised; 1 for a computation that could not certify its result
+        def handler(args):
+            raise getattr(errors, name)("raised by the handler")
+
+        monkeypatch.setattr("nstar.cli._cmd_norm", handler)
+        code = main(["norm", "--phi", "power:p=0.5", "--space", "atoms:1", "--fn", "constant:1"])
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: raised by the handler\n")
+        assert code == (2 if name in _ARGUMENT_ERRORS else 1)
+
     def test_unknown_command_exits_two(self, capsys):
         assert main(["frobnicate"]) == 2
 
@@ -966,7 +1018,7 @@ class TestExitCodes:
             "delta2 --phi power:p=0.5 --k0 inf",
             "delta2 --phi power:p=0.5 --k0 1.5",
             "delta2 --phi power:p=0.5 --k0 1e308",
-            # numeric flags are checked before the library runs
+            # numeric flags are checked by the demo functions, whose DomainError exits 2
             "demo dualzero --phi power:p=0.5 --space interval:L=1,N=64 --theta 1.5",
             "demo dualzero --phi power:p=0.5 --space interval:L=1,N=64 --theta 0",
             "demo dualzero --phi power:p=0.5 --space interval:L=1,N=64 --iterations 0",

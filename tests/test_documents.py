@@ -67,6 +67,11 @@ class TestSpaceDoc:
         with pytest.raises(DocumentError, match="kind"):
             parse_space_doc({"kind": "manifold"})
 
+    def test_missing_kind(self):
+        # the message every other document gives for a missing field
+        with pytest.raises(DocumentError, match="^space: missing required field 'kind'$"):
+            parse_space_doc({"masses": [1.0]})
+
     def test_nonpositive_mass(self):
         with pytest.raises(DocumentError, match="masses"):
             parse_space_doc({"kind": "atomic", "masses": [1.0, -2.0]})
@@ -173,15 +178,6 @@ class TestSuiteDoc:
         assert space.size == 64 and samples == 7 and seed == 3 and tol == 1e-8
         assert checks == ["young_type", "reversed_jensen"]
 
-    def test_unknown_check_rejected(self):
-        doc = {
-            "phi": {"family": "power", "params": {"p": 0.5}},
-            "space": {"kind": "interval", "L": 1.0, "N": 64},
-            "checks": ["nonsense"],
-        }
-        with pytest.raises(DocumentError, match="nonsense"):
-            parse_suite_doc(doc)
-
 
 class TestReportSchema:
     def test_twelve_digit_rounding(self):
@@ -193,10 +189,14 @@ class TestReportSchema:
         assert out["v"] == [None, None, None, None, 1.5]
 
 
-@pytest.mark.parametrize("module", ["calculus", "dual", "families", "measure", "numerics", "space"])
+SRC = Path(nstar.__file__).parent
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.stem not in ("cli", "documents")))
 def test_library_layer_names_no_document_error(module):
-    # documents.py, cli.py and suite.py raise DocumentError; the library layers raise their own errors
-    tree = ast.parse((Path(nstar.__file__).parent / f"{module}.py").read_text())
+    # only documents.py and cli.py raise DocumentError; the library layers raise their own errors
+    # (errors.py defines the class, which is a ClassDef and a string in __all__, not a name)
+    tree = ast.parse((SRC / f"{module}.py").read_text())
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):

@@ -12,11 +12,10 @@ from nstar import (
     IndivisibleAtomsError,
     MeasurableFn,
     MeasureSpace,
-    NotApplicableError,
+    NonconvergenceError,
     NStarFunction,
     SpaceMismatchError,
     alpha_exp_family,
-    atom_dual_witness,
     delta2_solve,
     dual_zero_halving,
     evaluate_functional,
@@ -135,7 +134,7 @@ CELLS = MeasureSpace.interval(1.0, 8)
             lambda: evaluate_functional(
                 AtomicFunctional(np.full(2, 1e300), ATOMS, HALF), MeasurableFn.constant(ATOMS, 1e300)
             ),
-            DomainError,
+            NonconvergenceError,
             "does not converge absolutely",
         ),
         (
@@ -144,6 +143,16 @@ CELLS = MeasureSpace.interval(1.0, 8)
             "f0 and kernel must live on the given space",
         ),
         (lambda: halving_instance(HALF, ATOMS), IndivisibleAtomsError, "non-atomic model"),
+        (lambda: dual_zero_halving(HALF, CELLS, *halving_instance(HALF, CELLS), 0), DomainError, "iterations"),
+        (lambda: dual_zero_halving(HALF, CELLS, *halving_instance(HALF, CELLS), -1), DomainError, "iterations"),
+        # with rho_0 = 0 there is no decay to show, and the modular ratio is 0/0
+        (
+            lambda: dual_zero_halving(
+                HALF, CELLS, MeasurableFn.constant(CELLS, 0.0), MeasurableFn.constant(CELLS, 1.0), 3
+            ),
+            DomainError,
+            "f0 has modular 0",
+        ),
     ],
     ids=[
         "functional-on-interval",
@@ -153,6 +162,9 @@ CELLS = MeasureSpace.interval(1.0, 8)
         "evaluate-not-convergent",
         "halving-f0-on-other-space",
         "halving-instance-on-atoms",
+        "halving-zero-iterations",
+        "halving-negative-iterations",
+        "halving-f0-without-modular",
     ],
 )
 def test_argument_checks(call, error, match):
@@ -236,7 +248,7 @@ class TestBruteforce:
         X = MeasureSpace.atomic([1e-200, 0.5])
         U = AtomicFunctional(np.array([1.0, 1.0]), X, HALF)
         assert functional_norm_formula(U) == np.inf
-        with pytest.raises(DomainError, match="overflows"):
+        with pytest.raises(NonconvergenceError, match="overflows"):
             operator_norm_bruteforce(U)
 
 
@@ -448,29 +460,29 @@ class TestDemoGuards:
         # phi(100) * 5e307 overflows, so the modular weights are not finite
         X = MeasureSpace.interval(1e308, 2)
         zero = MeasurableFn.constant(X, 0.0)
-        with pytest.raises(DomainError, match="modular weights must be non-negative and finite"):
+        with pytest.raises(NonconvergenceError, match="modular weights must be non-negative and finite"):
             dual_zero_halving(HALF, X, MeasurableFn.constant(X, 100.0), zero, 1)
 
     def test_halving_doubling_past_the_float_range(self):
         X = MeasureSpace.interval(1.0, 2)
         zero = MeasurableFn.constant(X, 0.0)
-        with pytest.raises(DomainError, match="doubling the kept piece overflows"):
+        with pytest.raises(NonconvergenceError, match="doubling the kept piece overflows"):
             dual_zero_halving(HALF, X, MeasurableFn.constant(X, 1e308), zero, 1)
 
     @pytest.mark.parametrize(
-        "length, match",
+        "length, error, match",
         [
-            (8.958978968711217e102, "functional value of f0 overflows"),
-            (7.110746319746581e102, "step 1: the modular or functional value overflows"),
+            (8.958978968711217e102, DomainError, "functional value is 0 or finite and at least 1"),
+            (7.110746319746581e102, NonconvergenceError, "step 1: the modular or functional value overflows"),
         ],
         ids=["start", "doubled"],
     )
-    def test_halving_functional_past_the_float_range(self, length, match):
+    def test_halving_functional_past_the_float_range(self, length, error, match):
         # f0 = u = x on one cell of mass L: the value L^3 / 4 is past the float range at the
-        # start, or 8.9e307 at the start and doubled past it; both once printed a trace
+        # start (the caller must rescale), or 8.9e307 at the start and doubled past it
         X = MeasureSpace.interval(length, 1)
         f = MeasurableFn.identity(X)
-        with pytest.raises(DomainError, match=match):
+        with pytest.raises(error, match=match):
             dual_zero_halving(HALF, X, f, f, 1)
 
     # with a valid generator and DEMO_TOL >= 0 the construction cannot break
@@ -479,7 +491,7 @@ class TestDemoGuards:
         X = MeasureSpace.interval(1.0, 1024)
         f0, u = halving_instance(HALF, X)
         monkeypatch.setattr("nstar.dual.DEMO_TOL", -1.0)
-        with pytest.raises(DomainError, match="violated its modular contraction bound"):
+        with pytest.raises(NonconvergenceError, match="violated its modular contraction bound"):
             dual_zero_halving(HALF, X, f0, u, 3)
 
     def test_halving_functional_mass(self, monkeypatch):
@@ -487,7 +499,7 @@ class TestDemoGuards:
         f0, _ = halving_instance(HALF, X)
         zero = MeasurableFn.constant(X, 0.0)
         monkeypatch.setattr("nstar.dual.DEMO_TOL", -1e-300)
-        with pytest.raises(DomainError, match="lost functional mass"):
+        with pytest.raises(NonconvergenceError, match="lost functional mass"):
             dual_zero_halving(HALF, X, f0, zero, 3)
 
     @pytest.mark.parametrize(
@@ -505,7 +517,7 @@ class TestDemoGuards:
 
     def test_nonconvex_epsilon_not_positive(self):
         X = MeasureSpace.atomic([1.0, 1.0])
-        for eps in (0.0, -1.0, float("nan")):
+        for eps in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(DomainError, match="epsilon"):
                 nonconvexity_demo(HALF, X, eps, 2)
 
@@ -517,7 +529,7 @@ class TestDemoGuards:
             inverse_fn=np.sqrt,
         )
         X = MeasureSpace.atomic([1.0, 1.0, 1.0])
-        with pytest.raises(DomainError, match="dropped below epsilon at m=2"):
+        with pytest.raises(NonconvergenceError, match="dropped below epsilon at m=2"):
             nonconvexity_demo(square, X, 1.0, 3)
 
     @pytest.mark.parametrize(
@@ -596,45 +608,3 @@ class TestNonconvexity:
         X = MeasureSpace.atomic([1.0, 1.0, 1.0])
         with pytest.raises(CapacityError):
             nonconvexity_demo(HALF, X, 1.0, 4)
-
-
-class TestAtomDualWitness:
-    def test_reads_atom_value(self):
-        X = MeasureSpace.atomic([1.0, 2.0])
-        W = atom_dual_witness(X, 0, HALF)
-        f = MeasurableFn(np.array([7.0, -1.0]), X)
-        assert evaluate_functional(W, f) == 7.0
-
-    def test_linearity(self):
-        rng = np.random.default_rng(13)
-        X = MeasureSpace.atomic(rng.uniform(0.2, 2.0, 3))
-        W = atom_dual_witness(X, 1, HALF)
-        f = MeasurableFn(rng.uniform(-2, 2, 3), X)
-        g = MeasurableFn(rng.uniform(-2, 2, 3), X)
-        assert evaluate_functional(W, 2.0 * f + 3.0 * g) == pytest.approx(
-            2.0 * evaluate_functional(W, f) + 3.0 * evaluate_functional(W, g), rel=1e-12
-        )
-
-    def test_boundedness_with_tightness(self):
-        rng = np.random.default_rng(17)
-        masses = rng.uniform(0.2, 2.0, 4)
-        X = MeasureSpace.atomic(masses)
-        W = atom_dual_witness(X, 2, HALF)
-        cap = float(HALF.inverse(1.0 / masses[2]))
-        for _ in range(40):
-            f = MeasurableFn(rng.uniform(-3, 3, 4), X)
-            norm = luxemburg_norm(HALF, X, f).value
-            assert abs(evaluate_functional(W, f)) <= cap * norm * (1 + 1e-9)
-        # tight when supported on the atom alone
-        w = single_atom_witness(W, 2)
-        assert abs(evaluate_functional(W, w)) == pytest.approx(cap, rel=1e-12)
-
-    def test_no_atoms_rejected(self):
-        X = MeasureSpace.interval(1.0, 16)
-        with pytest.raises(NotApplicableError):
-            atom_dual_witness(X, 0, HALF)
-
-    @pytest.mark.parametrize("index", [2, -1, 1.0, "a1"])
-    def test_index_outside_the_atoms_rejected(self, index):
-        with pytest.raises(DomainError, match="atom index must be an integer in \\[0, 2\\)"):
-            atom_dual_witness(MeasureSpace.atomic([1.0, 2.0]), index, HALF)
