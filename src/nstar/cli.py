@@ -30,11 +30,7 @@ from .documents import (
     format_float,
     functional_shorthand_to_doc,
     json_ready,
-    load_json,
-    parse_demo_doc,
-    parse_fn_doc,
     parse_functional_doc,
-    parse_suite_doc,
     phi_from_text,
     space_from_text,
 )
@@ -63,16 +59,6 @@ def _grid(args, min_points: int = 1) -> np.ndarray:
     # geomspace then sets both ends to the given values exactly
     with np.errstate(over="ignore"):
         return np.geomspace(args.grid_lo, args.grid_hi, args.grid_points)
-
-
-def _config_doc(args, *flags: str) -> dict | None:
-    """The --config document, or None; it holds the settings of these flags, so one beside it exits 2."""
-    if not args.config:
-        return None
-    given = [f"--{name}" for name in flags if getattr(args, name) is not None]
-    if given:
-        raise DocumentError(f"--config cannot be combined with {', '.join(given)}")
-    return load_json(args.config, "--config")
 
 
 def _emit(payload: dict, table_lines: list[str], args) -> None:
@@ -139,7 +125,7 @@ def _cmd_validate(args) -> _Report:
 def _cmd_norm(args) -> _Report:
     phi = phi_from_text(args.phi)
     space = space_from_text(args.space)
-    f = fn_from_text(args.fn, space)
+    f = fn_from_text(args.fn, space, "--fn")
     result = luxemburg_norm(phi, space, f)
     payload = {
         "command": "norm",
@@ -153,8 +139,8 @@ def _cmd_norm(args) -> _Report:
 def _cmd_metric(args) -> _Report:
     phi = phi_from_text(args.phi)
     space = space_from_text(args.space)
-    f = fn_from_text(args.fn, space)
-    g = fn_from_text(args.fn2, space)
+    f = fn_from_text(args.fn, space, "--fn")
+    g = fn_from_text(args.fn2, space, "--fn2")
     value = metric(phi, space, f, g)
     payload = {"command": "metric", "value": value}
     return payload, [f"metric = {format_float(value)}"], True
@@ -207,29 +193,21 @@ def _cmd_delta2(args) -> _Report:
 
 
 def _cmd_check(args) -> _Report:
-    doc = _config_doc(args, "phi", "space", "suite", "samples", "seed", "tol")
-    if doc is not None:
-        phi, space, checks, samples, seed, tol = parse_suite_doc(doc)
-    else:
-        if not (args.phi and args.space):
-            raise DocumentError("check needs --phi and --space (or --config)")
-        phi = phi_from_text(args.phi)
-        space = space_from_text(args.space)
-        checks = list(CHECK_NAMES) if args.suite in (None, "all") else args.suite.split(",")
-        samples = DEFAULT_SAMPLES if args.samples is None else args.samples
-        seed = DEFAULT_SEED if args.seed is None else args.seed
-        tol = SLACK_TOL if args.tol is None else _slack(args.tol, "--tol")
-    records = run_check_suite(phi, space, checks, samples=samples, seed=seed, tol=tol)
+    phi = phi_from_text(args.phi)
+    space = space_from_text(args.space)
+    checks = list(CHECK_NAMES) if args.suite == "all" else args.suite.split(",")
+    tol = _slack(args.tol, "--tol")
+    records = run_check_suite(phi, space, checks, samples=args.samples, seed=args.seed, tol=tol)
     results = [r.to_record() for r in records]
     ok = all(r.passed is not False for r in records)
     payload = {
         "command": "check",
-        "seed": seed,
-        "samples": samples,
+        "seed": args.seed,
+        "samples": args.samples,
         "results": results,
         "pass": ok,
     }
-    lines = [f"check suite (seed={seed}, samples={samples})"]
+    lines = [f"check suite (seed={args.seed}, samples={args.samples})"]
     for rec in records:
         mark = "skip" if rec.skipped else ("pass" if rec.passed else "FAIL")
         lines.append(
@@ -269,48 +247,41 @@ def _cmd_dual_norm(args) -> _Report:
 def _cmd_nonconvex(args) -> _Report:
     phi = phi_from_text(args.phi)
     space = space_from_text(args.space)
+    # nonconvexity_demo raises once a modular falls below epsilon, so a returned trace passes
     trace = nonconvexity_demo(phi, space, args.epsilon, args.n)
     results = [{"n": int(c), "modular": float(m)} for c, m in zip(trace.counts, trace.modulars)]
     final = float(trace.modulars[-1])
-    ok = bool(np.all(trace.modulars >= trace.epsilon * (1 - 1e-9)))
     payload = {
         "command": "demo-nonconvex",
         "epsilon": trace.epsilon,
         "results": results,
         "final_modular": final,
-        "pass": ok,
+        "pass": True,
     }
     lines = [
         f"averaged disjoint bumps, epsilon={format_float(trace.epsilon)}",
         f"  final modular at n={args.n}: {format_float(final)}",
-        f"  lower bound modular >= epsilon: {'pass' if ok else 'FAIL'}",
+        "  lower bound modular >= epsilon: pass",
     ]
-    return payload, lines, ok
+    return payload, lines, True
 
 
 def _cmd_dualzero(args) -> _Report:
     phi = phi_from_text(args.phi)
-    doc = _config_doc(args, "theta", "iterations", "kernel")
-    # the document's defaults are the flags' defaults
-    theta, iterations, kernel_doc = parse_demo_doc({} if doc is None else doc)
-    theta = theta if args.theta is None else args.theta
-    iterations = iterations if args.iterations is None else args.iterations
     space = space_from_text(args.space)
-    try:
-        if kernel_doc is not None:
-            kernel = parse_fn_doc(kernel_doc, space, "--config kernel")
-            f0 = fn_from_text(args.fn, space) if args.fn else halving_instance(phi, space)[0]
-        elif args.fn and args.kernel:
-            f0 = fn_from_text(args.fn, space)
-            kernel = fn_from_text(args.kernel, space)
-        elif args.fn or args.kernel:
-            raise DocumentError("demo dualzero needs both --fn and --kernel, or neither")
-        else:
+    if args.fn and not args.kernel:
+        raise DocumentError("demo dualzero: --fn needs --kernel; --kernel alone runs with the built-in f0")
+    if args.fn:
+        f0 = fn_from_text(args.fn, space, "--fn")
+    else:
+        try:
             f0, kernel = halving_instance(phi, space)
-    except CapacityError as exc:
-        # the built-in f0 and kernel leave the float range for this generator and space; the flags replace them
-        raise CapacityError(f"demo dualzero: {exc}; give f0 and the kernel with --fn and --kernel") from exc
-    trace = dual_zero_halving(phi, space, f0, kernel, iterations, theta)
+        except CapacityError as exc:
+            # the built-in f0 and kernel leave the float range for this generator and space; the flags replace them
+            raise CapacityError(f"demo dualzero: {exc}; give f0 and the kernel with --fn and --kernel") from exc
+    if args.kernel:
+        kernel = fn_from_text(args.kernel, space, "--kernel")
+    trace = dual_zero_halving(phi, space, f0, kernel, args.iterations, args.theta)
     bounds = trace.decay_bound()
     results = [
         {
@@ -328,8 +299,8 @@ def _cmd_dualzero(args) -> _Report:
     ok = bool(ratio <= cumulative_bound * (1 + 1e-9)) and drop >= -1e-6
     payload = {
         "command": "demo-dualzero",
-        "theta": theta,
-        "iterations": iterations,
+        "theta": args.theta,
+        "iterations": args.iterations,
         "modular_ratio": ratio,
         "cumulative_bound": cumulative_bound,
         "functional_drop": drop,
@@ -337,7 +308,7 @@ def _cmd_dualzero(args) -> _Report:
         "pass": ok,
     }
     lines = [
-        f"support halving, theta={format_float(theta)}, {iterations} iterations",
+        f"support halving, theta={format_float(args.theta)}, {args.iterations} iterations",
         f"  modular ratio rho_n/rho_0 = {format_float(ratio)}",
         f"  enforced cumulative bound = {format_float(cumulative_bound)}",
         f"  worst functional drop     = {format_float(drop)}",
@@ -358,6 +329,9 @@ _FLAG_HELP = {
     "fn2": "second function",
     "functional": "coefficients c1,c2,... or JSON path",
 }
+
+
+_DEFAULT = " (default %(default)s)"
 
 
 def _add_common(parser: argparse.ArgumentParser, *required: str) -> None:
@@ -419,14 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_delta2)
 
     p = sub.add_parser("check", help="run the inequality check suite")
-    p.add_argument("--phi", help=_FLAG_HELP["phi"])
-    p.add_argument("--space", help=_FLAG_HELP["space"])
-    p.add_argument("--suite", help="'all' (default) or comma-separated check names")
-    p.add_argument("--samples", type=int, help="random instances per check (default 50)")
-    p.add_argument("--config", help="check-suite JSON document, in place of the flags above and below")
-    p.add_argument("--seed", type=_seed, help="seed of the random instances (default 0)")
-    p.add_argument("--tol", type=float, help="slack tolerance (default 1e-9)")
-    _add_common(p)
+    _add_common(p, "phi", "space")
+    p.add_argument("--suite", default="all", help="'all' or comma-separated check names" + _DEFAULT)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help="random instances per check" + _DEFAULT)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED, help="seed of the random instances" + _DEFAULT)
+    p.add_argument("--tol", type=float, default=SLACK_TOL, help="slack tolerance" + _DEFAULT)
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser(
@@ -453,11 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = demos.add_parser("dualzero", help="support halving: the modular falls, the functional does not")
     _add_common(p, "phi", "space")
-    p.add_argument("--fn", help="starting function f0 (with --kernel)")
-    p.add_argument("--kernel", help="kernel of the integral functional (with --fn)")
-    p.add_argument("--theta", type=float, help="split fraction of the modular (default 0.5)")
-    p.add_argument("--iterations", type=int, help="halving rounds (default 20)")
-    p.add_argument("--config", help="demo JSON document: theta, iterations, kernel")
+    p.add_argument("--fn", help="starting function f0 (needs --kernel)")
+    p.add_argument("--kernel", help="kernel of the integral functional (alone, with the built-in f0)")
+    p.add_argument("--theta", type=float, default=0.5, help="split fraction of the modular" + _DEFAULT)
+    p.add_argument("--iterations", type=int, default=20, help="halving rounds" + _DEFAULT)
     p.set_defaults(handler=_cmd_dualzero)
 
     return parser

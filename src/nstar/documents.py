@@ -1,6 +1,7 @@
-"""Configuration documents and inline shorthand.
+"""Documents and inline shorthand for the objects the command line reads.
 
-Every object the command line consumes has a JSON document form:
+Every object the command line consumes has a JSON document form; every
+other setting is a plain flag:
 
 * generator: {"family": name, "params": {...}}, a family and its params
               as in _GENERATORS (power {"p"}, tabulated_density
@@ -11,11 +12,6 @@ Every object the command line consumes has a JSON document form:
              {"generator": "constant"|"identity"|"indicator"|"random",
               "params": {...}}, params as in _FUNCTIONS
 * functional: {"coefficients": [...]}
-* check suite: {"phi": <generator doc>, "space": <space doc>,
-                "checks": [names], "samples": int, "seed": int >= 0,
-                "tolerances": {"slack": float >= 0}}
-* demo dualzero: {"theta": float, "iterations": int,
-                  "kernel": <function doc>}
 
 _fields reads every document by a spec {field: (reader, default)}; a name
 field picks the constructor and the spec of the others from a table.
@@ -31,11 +27,12 @@ This module owns what a library constructor cannot check: JSON types,
 known and required fields, and shorthand syntax, each raising
 DocumentError naming the field or flag. Value rules belong to the
 constructors (positive masses and cell widths, a cell count of at least
-1, one value or coefficient per atom or cell, an indicator range inside
+1, one value per atom or cell, an indicator range inside
 the space, identity on intervals only, an ordered random range, a
 family's parameter range); _construct turns their DomainError into a
-DocumentError that names the context. Check names belong to
-suite.run_check_suite.
+DocumentError that names the context. An atomic functional's errors pass
+unprefixed: each concerns the space it is paired with (an atomic space,
+one coefficient per atom), not the functional document alone.
 """
 
 from __future__ import annotations
@@ -48,6 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .calculus import NStarFunction
+from .dual import AtomicFunctional
 from .errors import DocumentError, DomainError
 from .families import (
     alpha_exp_family,
@@ -57,15 +55,12 @@ from .families import (
     tabulated_density_family,
 )
 from .measure import MeasurableFn, MeasureSpace
-from .space import SLACK_TOL
-from .suite import CHECK_NAMES, DEFAULT_SAMPLES, DEFAULT_SEED
 
 __all__ = [
     "parse_phi_doc",
     "parse_space_doc",
     "parse_fn_doc",
     "parse_functional_doc",
-    "parse_suite_doc",
     "phi_from_text",
     "space_from_text",
     "fn_from_text",
@@ -132,7 +127,7 @@ def _seed(value, context: str) -> int:
 
 
 def _slack(value, context: str) -> float:
-    """A slack tolerance, from --tol or a suite document's tolerances.slack; NaN fails too."""
+    """A slack tolerance, from --tol; NaN fails too."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= sys.float_info.max:
         raise DocumentError(f"{context} must be finite and non-negative, got {value!r}")
     return float(value)
@@ -142,16 +137,6 @@ def _number_list(value, context: str) -> list[float]:
     if not isinstance(value, (list, tuple)) or not value:
         raise DocumentError(f"{context}: expected a non-empty list of numbers")
     return [_number(v, f"{context}[{i}]") for i, v in enumerate(value)]
-
-
-def _check_names(value, context: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(c, str) for c in value):
-        raise DocumentError(f"{context}: expected a list of check names")
-    return value
-
-
-def _tolerances(doc, context: str) -> float:
-    return _fields(doc, {"slack": (_slack, SLACK_TOL)}, context)["slack"]
 
 
 def _entry(table: dict, name, context: str):
@@ -215,28 +200,8 @@ def parse_fn_doc(doc: dict, space: MeasureSpace, context: str = "fn") -> Measura
 
 
 def parse_functional_doc(doc: dict, space: MeasureSpace, phi: NStarFunction, context: str = "functional"):
-    from .dual import AtomicFunctional
-
     coeff = _fields(doc, {"coefficients": (_number_list, _REQUIRED)}, context)["coefficients"]
-    return _construct(f"{context}.coefficients", AtomicFunctional, coeff, space, phi)
-
-
-def parse_demo_doc(doc: dict, context: str = "demo"):
-    """demo dualzero configuration: theta, iterations, and the kernel's function document, unparsed."""
-    spec = {"theta": (_number, 0.5), "iterations": (_integer, 20), "kernel": (lambda kernel, _: kernel, None)}
-    return tuple(_fields(doc, spec, context).values())
-
-
-def parse_suite_doc(doc: dict, context: str = "suite"):
-    spec = {
-        "phi": (parse_phi_doc, _REQUIRED),
-        "space": (parse_space_doc, _REQUIRED),
-        "checks": (_check_names, CHECK_NAMES),
-        "samples": (_integer, DEFAULT_SAMPLES),
-        "seed": (_seed, DEFAULT_SEED),
-        "tolerances": (_tolerances, SLACK_TOL),
-    }
-    return tuple(_fields(doc, spec, context).values())
+    return AtomicFunctional(coeff, space, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +268,10 @@ def space_shorthand_to_doc(text: str) -> dict:
     raise DocumentError(f"{context}: expected interval:/atoms:/equal: shorthand")
 
 
-def fn_shorthand_to_doc(text: str) -> dict:
+def fn_shorthand_to_doc(text: str, flag: str) -> dict:
     """values:, constant:VALUE and indicator:LO..HI have their own syntax; other names take key=value params."""
     name, _, body = text.partition(":")
-    context = f"--fn {text!r}"
+    context = f"{flag} {text!r}"
     if name == "values":
         return {"values": _shorthand_numbers(body, context)}
     doc: dict = {"generator": name}
@@ -353,8 +318,9 @@ def space_from_text(text: str) -> MeasureSpace:
     return parse_space_doc(_doc_or_shorthand(text, space_shorthand_to_doc, "--space"), "--space")
 
 
-def fn_from_text(text: str, space: MeasureSpace) -> MeasurableFn:
-    return parse_fn_doc(_doc_or_shorthand(text, fn_shorthand_to_doc, "--fn"), space, "--fn")
+def fn_from_text(text: str, space: MeasureSpace, flag: str) -> MeasurableFn:
+    """The function that flag's text names on space; flag names it in every error."""
+    return parse_fn_doc(_doc_or_shorthand(text, partial(fn_shorthand_to_doc, flag=flag), flag), space, flag)
 
 
 # ---------------------------------------------------------------------------

@@ -321,19 +321,6 @@ class TestCheck:
         assert notes[0].startswith("additive lower bound fails at 14 grid points")
         assert notes[1].startswith("additive upper bound fails at 23 grid points")
 
-    def test_config_document(self, capsys, tmp_path):
-        cfg = {
-            "phi": {"family": "power", "params": {"p": 0.5}},
-            "space": {"kind": "atomic", "masses": [1.0, 0.5]},
-            "checks": ["young_type"],
-            "samples": 5,
-            "seed": 2,
-        }
-        path = tmp_path / "suite.json"
-        path.write_text(json.dumps(cfg))
-        code, out = run_cli(capsys, "check", "--config", str(path))
-        assert code == 0
-
     def test_zero_samples_exit_two(self, capsys):
         code = main(["check", "--phi", "power:p=0.5", "--space", "atoms:1,2", "--samples", "0"])
         err = capsys.readouterr().err
@@ -341,52 +328,12 @@ class TestCheck:
         assert "samples" in err
         assert "Traceback" not in err
 
-    def test_zero_samples_in_config_exit_two(self, capsys, tmp_path):
-        cfg = {
-            "phi": {"family": "power", "params": {"p": 0.5}},
-            "space": {"kind": "atomic", "masses": [1.0, 0.5]},
-            "samples": 0,
-        }
-        path = tmp_path / "suite.json"
-        path.write_text(json.dumps(cfg))
-        code = main(["check", "--config", str(path)])
+    def test_unknown_check_exits_two(self, capsys):
+        # run_check_suite owns the check names
+        code = main(["check", "--phi", "power:p=0.5", "--space", "atoms:1", "--suite", "young_type,nonsense"])
         err = capsys.readouterr().err
         assert code == 2
-        assert "samples" in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            ["--tol", "nan", "--seed", "5", "--samples", "0", "--suite", "bogus"],
-            ["--phi", "log_sqrt"],
-            ["--space", "atoms:1"],
-            ["--seed", "0"],
-            ["--samples", "50"],
-            ["--suite", "all"],
-            ["--tol", "1e-9"],
-        ],
-    )
-    def test_config_with_suite_flags_exits_two(self, capsys, tmp_path, flags):
-        # the document holds every suite setting; each of these flags was ignored beside it
-        cfg = {"phi": {"family": "power", "params": {"p": 0.5}}, "space": {"kind": "atomic", "masses": [1.0]}}
-        path = tmp_path / "suite.json"
-        path.write_text(json.dumps(cfg))
-        code = main(["check", "--config", str(path), *flags])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error: --config cannot be combined with")
-        assert all(flag in err for flag in flags[::2])
-
-    def test_unknown_check_in_config_exits_two(self, capsys, tmp_path):
-        # run_check_suite owns the check names, for --suite and a suite document alike
-        cfg = {"phi": {"family": "power", "params": {"p": 0.5}}, "space": {"kind": "atomic", "masses": [1.0]}}
-        path = tmp_path / "suite.json"
-        path.write_text(json.dumps({**cfg, "checks": ["nonsense"]}))
-        code = main(["check", "--config", str(path)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "nonsense" in err
+        assert "unknown checks ['nonsense']" in err
 
     @pytest.mark.parametrize("check", ["reversed_jensen", "l1_embedding"])
     def test_total_mass_past_the_float_range_exits_two(self, capsys, check):
@@ -397,11 +344,15 @@ class TestCheck:
         assert captured.out == ""
         assert "needs finite positive total mass" in captured.err
 
-    def test_malformed_config_exit_two(self, capsys, tmp_path):
+    @pytest.mark.parametrize("text, message", [("{not json", "line 1 col 2"), (None, "cannot read")])
+    def test_unreadable_phi_document_exits_two(self, capsys, tmp_path, text, message):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        code, _ = run_cli(capsys, "check", "--config", str(path))
+        if text is not None:
+            path.write_text(text)
+        code = main(["check", "--phi", f"@{path}", "--space", "atoms:1"])
+        err = capsys.readouterr().err
         assert code == 2
+        assert err.startswith("error: --phi: ") and message in err
 
 
 DATA = Path(__file__).parent / "data"
@@ -847,62 +798,40 @@ class TestDemos:
         modulars = [float(r[1]) for r in rows[1:]]
         assert modulars[-1] < modulars[0]
 
-    def test_dualzero_demo_config_document(self, capsys, tmp_path):
-        cfg = {"theta": 1.0 / 3.0, "iterations": 6}
-        path = tmp_path / "demo.json"
-        path.write_text(json.dumps(cfg))
-        code, out = run_cli(
-            capsys,
-            "demo",
-            "dualzero",
-            "--phi",
-            "power:p=0.5",
-            "--space",
-            "interval:L=1,N=2048",
-            "--config",
-            str(path),
-            "--format",
-            "json",
-        )
+    def test_dualzero_theta_and_iterations_flags(self, capsys):
+        argv = ["demo", "dualzero", "--phi", "power:p=0.5", "--space", "interval:L=1,N=2048", "--format", "json"]
+        code, out = run_cli(capsys, *argv, "--theta", repr(1.0 / 3.0), "--iterations", "6")
         assert code == 0
         doc = json.loads(out)
         assert doc["theta"] == pytest.approx(1.0 / 3.0)
         assert doc["iterations"] == 6
         assert len(doc["results"]) == 7
 
-    def test_dualzero_config_seed_exits_two(self, capsys, tmp_path):
-        # the demos draw nothing at random, so their document takes no seed
-        path = tmp_path / "demo.json"
-        path.write_text(json.dumps({"theta": 0.5, "seed": 0}))
-        argv = ["demo", "dualzero", "--phi", "power:p=0.5", "--space", "interval:L=1,N=64"]
-        code = main([*argv, "--config", str(path)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "unknown fields ['seed']" in err
+    def test_dualzero_kernel_alone_runs_with_the_builtin_f0(self, capsys):
+        phi, space = nstar.power_family(0.5), nstar.MeasureSpace.interval(1.0, 64)
+        f0 = nstar.halving_instance(phi, space)[0]
+        argv = ["demo", "dualzero", "--phi", "power:p=0.5", "--space", "interval:L=1,N=64", "--format", "json"]
+        code, out = run_cli(capsys, *argv, "--kernel", "constant:100", "--iterations", "2")
+        assert code == 0
+        start = json.loads(out)["results"][0]["functional_value"]
+        assert start == pytest.approx(100.0 * float(np.dot(f0.values, space.masses)), rel=1e-11)
 
-    @pytest.mark.parametrize("how", ["config", "flags"])
-    def test_dualzero_functional_below_one_exits_two(self, capsys, tmp_path, how):
-        # f0 * kernel integrates to 0.5 (flags) or the halving f0's mean (config): input, not a failed check
-        argv = ["demo", "dualzero", "--phi", "power:p=0.5", "--space", "interval:L=1,N=64"]
-        if how == "config":
-            path = tmp_path / "demo.json"
-            path.write_text(json.dumps({"kernel": {"generator": "constant", "params": {"value": 1.0}}}))
-            argv += ["--config", str(path)]
-        else:
-            argv += ["--fn", "constant:1", "--kernel", "constant:0.5"]
+    def test_dualzero_fn_alone_exits_two(self, capsys):
+        argv = ["demo", "dualzero", "--phi", "power:p=0.5", "--space", "interval:L=1,N=64", "--fn", "constant:1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: demo dualzero: --fn needs --kernel; --kernel alone runs with the built-in f0\n"
+        )
+
+    @pytest.mark.parametrize("how", ["kernel", "both"])
+    def test_dualzero_functional_below_one_exits_two(self, capsys, how):
+        # f0 * kernel integrates to the built-in f0's mean (kernel) or 0.5 (both): input, not a failed check
+        argv = ["demo", "dualzero", "--phi", "power:p=0.5", "--space", "interval:L=1,N=64", "--kernel"]
+        argv += ["constant:1"] if how == "kernel" else ["constant:0.5", "--fn", "constant:1"]
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 2
         assert "functional value" in err
-
-    def test_dualzero_zero_iterations_in_config_exit_two(self, capsys, tmp_path):
-        path = tmp_path / "demo.json"
-        path.write_text(json.dumps({"iterations": 0}))
-        argv = ["demo", "dualzero", "--phi", "power:p=0.5", "--space", "interval:L=1,N=64"]
-        code = main([*argv, "--config", str(path)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "iterations" in err
 
     def test_dualzero_zero_modular_exits_two(self, capsys):
         # f0 = x is 0 on one cell of mass 5e-324: the modular ratio was 0/0, a ZeroDivisionError
@@ -1051,6 +980,23 @@ class TestExitCodes:
             ),
             ("norm --phi power:p=0.5 --space equal:100000000000000000000 --fn constant:1", "too large to allocate"),
             ("norm --phi power:p=0.5 --space equal:2305843009213693952 --fn constant:1", "too large to allocate"),
+            # shorthand syntax
+            ("norm --phi power:p=0.5 --space equal:abc --fn constant:1", "--space 'equal:abc': equal:COUNT needs"),
+            ("norm --phi power:p=0.5 --space interval:L=1,N=3 --fn indicator:3", "--fn 'indicator:3': indicator needs"),
+            # each function flag names itself
+            (
+                "metric --phi power:p=0.5 --space interval:L=1,N=3 --fn constant:1 --fn2 constant:abc",
+                "error: --fn2 'constant:abc': expected a number",
+            ),
+            (
+                "demo dualzero --phi power:p=0.5 --space interval:L=1,N=4 --fn constant:1 --kernel indicator:0..9",
+                "error: --kernel indicator: indicator range out of bounds",
+            ),
+            # the space, not the coefficients, is what an atomic functional cannot take
+            (
+                "dual-norm --phi power:p=0.5 --space interval:L=1,N=3 --functional 1,1,1",
+                "error: atomic functionals require an atomic space",
+            ),
         ],
     )
     def test_value_errors_name_their_flag(self, capsys, argv, message):
@@ -1122,6 +1068,10 @@ class TestSettingsNothingReads:
             "demo dualzero --phi power:p=0.5 --space interval:L=1,N=64 --epsilon 1",
             "demo dualzero --phi power:p=0.5 --space interval:L=1,N=64 --n 3",
             "demo dualzero --phi power:p=0.5 --space interval:L=1,N=64 --atoms equal:64",
+            "demo dualzero --phi power:p=0.5 --space interval:L=1,N=64 --seed 1",
+            # every setting has its flag; no command reads a settings document
+            "check --phi power:p=0.5 --space atoms:1 --config suite.json",
+            "demo dualzero --phi power:p=0.5 --space interval:L=1,N=64 --config demo.json",
         ],
     )
     def test_unread_flag_exits_two(self, capsys, argv):
@@ -1155,23 +1105,6 @@ class TestSettingsNothingReads:
         err = capsys.readouterr().err
         assert code == 2
         assert "--seed: expected a non-negative integer" in err
-
-    def test_dualzero_document_epsilon_exits_two(self, capsys, tmp_path):
-        # epsilon belongs to demo nonconvex, which takes it as --epsilon only
-        path = tmp_path / "demo.json"
-        path.write_text(json.dumps({"theta": 0.5, "epsilon": 1.0}))
-        argv = ["demo", "dualzero", "--phi", "power:p=0.5", "--space", "interval:L=1,N=64", "--config", str(path)]
-        assert main(argv) == 2
-        assert "unknown fields ['epsilon']" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flag", ["--theta=0.3", "--iterations=7", "--kernel=constant:1"])
-    def test_dualzero_config_with_its_flags_exits_two(self, capsys, tmp_path, flag):
-        # the document sets theta, iterations and kernel, defaults included; the flag was ignored
-        path = tmp_path / "demo.json"
-        path.write_text(json.dumps({"iterations": 3}))
-        argv = ["demo", "dualzero", "--phi", "power:p=0.5", "--space", "interval:L=1,N=64", "--config", str(path)]
-        assert main([*argv, flag]) == 2
-        assert f"--config cannot be combined with {flag.split('=')[0]}" in capsys.readouterr().err
 
     def test_generator_quad_field_exits_two(self, capsys, tmp_path):
         doc = tmp_path / "phi.json"
@@ -1261,21 +1194,6 @@ class TestSlackTolerance:
     def test_dual_norm_default_passes(self, capsys):
         assert main(self.DUAL) == 0
 
-    @pytest.mark.parametrize("slack, message", [(-5, "non-negative"), (1e400, "finite")])
-    def test_suite_document(self, capsys, tmp_path, slack, message):
-        path = tmp_path / "suite.json"
-        doc = {
-            "phi": {"family": "power", "params": {"p": 0.5}},
-            "space": {"kind": "interval", "L": 1, "N": 100},
-            "checks": ["young_type"],
-            "tolerances": {"slack": slack},
-        }
-        path.write_text(json.dumps(doc))
-        code = main(["check", "--config", str(path)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "tolerances.slack" in err and message in err
-
 
 class TestMisspeltParameters:
     """Every shorthand key and document field outside the known set exits 2 and is named."""
@@ -1326,27 +1244,11 @@ class TestMisspeltParameters:
         assert code == 2
         assert "unknown fields ['scale']" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra", [{"sample": 5}, {"tolerances": {"slak": 1e-6}}])
-    def test_suite_document(self, capsys, tmp_path, extra):
-        path = tmp_path / "suite.json"
-        doc = {"phi": {"family": "power", "params": {"p": 0.5}}, "space": {"kind": "atomic", "masses": [1, 1]}}
-        path.write_text(json.dumps({**doc, **extra}))
-        code = main(["check", "--config", str(path)])
-        assert code == 2
-        assert "unknown fields" in capsys.readouterr().err
-
     def test_function_generator_of_wrong_type_exits_two(self, capsys, tmp_path):
         path = tmp_path / "fn.json"
         path.write_text(json.dumps({"generator": []}))
         assert main(["norm", "--phi", "power:p=0.5", "--space", "atoms:1", "--fn", str(path)]) == 2
         assert "--fn.generator: expected" in capsys.readouterr().err
-
-    def test_negative_suite_seed_exits_two(self, capsys, tmp_path):
-        path = tmp_path / "suite.json"
-        doc = {"phi": {"family": "power", "params": {"p": 0.5}}, "space": {"kind": "atomic", "masses": [1]}}
-        path.write_text(json.dumps({**doc, "seed": -1}))
-        assert main(["check", "--config", str(path)]) == 2
-        assert "seed must not be negative" in capsys.readouterr().err
 
     def test_wrong_parameter_type_exits_two(self, capsys, tmp_path):
         path = tmp_path / "phi.json"
@@ -1375,20 +1277,6 @@ _VALID_DOCS = {
         {"generator": "indicator", "params": {"lo": 0, "hi": 2}},
         {"generator": "random", "params": {"seed": 1, "low": 0, "high": 5}},
         {"values": [1.0, 2.0, 3.0]},
-    ],
-    "suite": [
-        {
-            "phi": {"family": "power", "params": {"p": 0.5}},
-            "space": {"kind": "interval", "L": 1, "N": 16},
-            "checks": ["young_type", "quasi_triangle"],
-            "samples": 2,
-            "seed": 3,
-            "tolerances": {"slack": 1e-9},
-        },
-    ],
-    "demo": [
-        {"theta": 0.5, "iterations": 3},
-        {"theta": 0.25, "iterations": 2, "kernel": {"generator": "constant", "params": {"value": 100.0}}},
     ],
 }
 # wrong types, non-finite and boundary numbers; none can make a large space
@@ -1439,10 +1327,7 @@ _FUZZ_ARGV = {
     "phi": [["validate", "--grid-points", "9"], ["norm", "--space", "atoms:1,2", "--fn", "constant:1"]],
     "space": [["norm", "--phi", "power:p=0.5", "--fn", "constant:1"]],
     "fn": [["norm", "--phi", "power:p=0.5", "--space", "interval:L=1,N=3"]],
-    "suite": [["check"]],
-    "demo": [["demo", "dualzero", "--phi", "power:p=0.5", "--space", "interval:L=1,N=64"]],
 }
-_FUZZ_FLAG = {"phi": "--phi", "space": "--space", "fn": "--fn", "suite": "--config", "demo": "--config"}
 
 
 class TestDocumentFuzz:
@@ -1456,7 +1341,7 @@ class TestDocumentFuzz:
         argv = _FUZZ_ARGV[kind][which % len(_FUZZ_ARGV[kind])]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([*argv, _FUZZ_FLAG[kind], str(path), "--format", "json"])
+            code = main([*argv, f"--{kind}", str(path), "--format", "json"])
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
         if out.getvalue():

@@ -14,7 +14,6 @@ from nstar.documents import (
     parse_fn_doc,
     parse_phi_doc,
     parse_space_doc,
-    parse_suite_doc,
     phi_from_text,
     phi_shorthand_to_doc,
     space_from_text,
@@ -139,19 +138,19 @@ class TestShorthand:
         assert space_from_text("equal:100,mass=0.01").total_mass == pytest.approx(1.0)
 
     def test_fn_shorthand(self):
-        assert fn_shorthand_to_doc("identity") == {"generator": "identity"}
-        assert fn_shorthand_to_doc("constant:3") == {"generator": "constant", "params": {"value": 3.0}}
-        assert fn_shorthand_to_doc("indicator:0..5") == {
+        assert fn_shorthand_to_doc("identity", "--fn") == {"generator": "identity"}
+        assert fn_shorthand_to_doc("constant:3", "--fn") == {"generator": "constant", "params": {"value": 3.0}}
+        assert fn_shorthand_to_doc("indicator:0..5", "--fn") == {
             "generator": "indicator",
             "params": {"lo": 0, "hi": 5},
         }
-        assert fn_shorthand_to_doc("values:1,2,3") == {"values": [1.0, 2.0, 3.0]}
+        assert fn_shorthand_to_doc("values:1,2,3", "--fn") == {"values": [1.0, 2.0, 3.0]}
 
     def test_bad_shorthand(self):
         with pytest.raises(DocumentError):
             space_from_text("circle:r=1")
         with pytest.raises(DocumentError):
-            fn_from_text("spline:3", MeasureSpace.interval(1.0, 4))
+            fn_from_text("spline:3", MeasureSpace.interval(1.0, 4), "--fn")
         with pytest.raises(DocumentError):
             phi_from_text("power:p=abc")
 
@@ -162,21 +161,6 @@ class TestShorthand:
         assert float(phi(4.0)) == pytest.approx(2.0)
         phi_at = phi_from_text("@" + str(path))
         assert float(phi_at(4.0)) == pytest.approx(2.0)
-
-
-class TestSuiteDoc:
-    def test_full_document(self):
-        doc = {
-            "phi": {"family": "power", "params": {"p": 0.5}},
-            "space": {"kind": "interval", "L": 1.0, "N": 64},
-            "checks": ["young_type", "reversed_jensen"],
-            "samples": 7,
-            "seed": 3,
-            "tolerances": {"slack": 1e-8},
-        }
-        phi, space, checks, samples, seed, tol = parse_suite_doc(doc)
-        assert space.size == 64 and samples == 7 and seed == 3 and tol == 1e-8
-        assert checks == ["young_type", "reversed_jensen"]
 
 
 class TestReportSchema:
@@ -206,3 +190,16 @@ def test_library_layer_names_no_document_error(module):
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     assert "DocumentError" not in names
+
+
+def test_documents_imports_no_suite_space_or_cli():
+    # documents.py reads the documents of the objects; it knows no check suite, space functional or command
+    tree = ast.parse((SRC / "documents.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rpartition(".")[2])
+            imported.update(alias.name for alias in node.names if not node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rpartition(".")[2] for alias in node.names)
+    assert imported.isdisjoint({"suite", "space", "cli"})
