@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import copy
 import csv
+import inspect
 import io
 import json
 import os
@@ -18,7 +19,9 @@ from hypothesis import strategies as st
 import nstar
 from nstar import errors
 from nstar.cli import build_parser, main
+from nstar.dual import dual_zero_halving
 from nstar.documents import _FUNCTIONS, _GENERATORS, _SPACES
+from nstar.suite import run_check_suite
 
 
 def run_cli(capsys, *argv):
@@ -320,6 +323,37 @@ class TestCheck:
         assert len(notes) == 2
         assert notes[0].startswith("additive lower bound fails at 14 grid points")
         assert notes[1].startswith("additive upper bound fails at 23 grid points")
+
+    def test_suite_samples_and_seed_flags(self, capsys):
+        argv = ["check", "--phi", "power:p=0.5", "--space", "atoms:1,0.5", "--format", "json"]
+        code, out = run_cli(capsys, *argv, "--suite", "young_type", "--samples", "5", "--seed", "2")
+        assert code == 0
+        doc = json.loads(out)
+        assert [r["name"] for r in doc["results"]] == ["young_type"]
+        assert (doc["samples"], doc["seed"]) == (5, 2)
+
+    def test_omitted_flags_take_the_library_defaults(self, capsys):
+        defaults = inspect.signature(run_check_suite).parameters
+        argv = ["check", "--phi", "power:p=0.5", "--space", "atoms:1,0.5", "--format", "json"]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        explicit = ["--suite", "all", "--tol", repr(defaults["tol"].default)]
+        explicit += ["--samples", str(defaults["samples"].default), "--seed", str(defaults["seed"].default)]
+        assert run_cli(capsys, *argv, *explicit) == (0, out)
+
+    @pytest.mark.parametrize("missing", ["--phi", "--space"])
+    def test_phi_and_space_are_required(self, capsys, missing):
+        flags = {"--phi": "power:p=0.5", "--space": "atoms:1"}
+        del flags[missing]
+        code = main(["check", *[item for pair in flags.items() for item in pair]])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.endswith(f"error: the following arguments are required: {missing}\n")
+
+    def test_negative_samples_exit_two(self, capsys):
+        code = main(["check", "--phi", "power:p=0.5", "--space", "atoms:1", "--samples", "-1"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: samples must be at least 1, got -1\n"
 
     def test_zero_samples_exit_two(self, capsys):
         code = main(["check", "--phi", "power:p=0.5", "--space", "atoms:1,2", "--samples", "0"])
@@ -816,6 +850,15 @@ class TestDemos:
         start = json.loads(out)["results"][0]["functional_value"]
         assert start == pytest.approx(100.0 * float(np.dot(f0.values, space.masses)), rel=1e-11)
 
+    def test_dualzero_omitted_flags_take_the_defaults(self, capsys):
+        argv = ["demo", "dualzero", "--phi", "power:p=0.5", "--space", "interval:L=1,N=64", "--format", "json"]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["theta"] == inspect.signature(dual_zero_halving).parameters["theta"].default
+        assert doc["iterations"] == 20
+        assert run_cli(capsys, *argv, "--theta", "0.5", "--iterations", "20") == (0, out)
+
     def test_dualzero_fn_alone_exits_two(self, capsys):
         argv = ["demo", "dualzero", "--phi", "power:p=0.5", "--space", "interval:L=1,N=64", "--fn", "constant:1"]
         assert main(argv) == 2
@@ -1173,7 +1216,7 @@ class TestSlackTolerance:
     CHECK = ["check", "--phi", "power:p=0.5", "--space", "interval:L=1,N=100", "--suite", "young_type"]
     DUAL = ["dual-norm", "--phi", "power:p=0.5", "--space", "atoms:1,2", "--functional", "1,1"]
 
-    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "1e400"])
     def test_check_flag(self, capsys, tol):
         code = main([*self.CHECK, "--tol", tol])
         err = capsys.readouterr().err
@@ -1184,7 +1227,7 @@ class TestSlackTolerance:
         # every young_type slack here lies in 0.65..1.12
         assert main([*self.CHECK, "--tol", "0"]) == 0
 
-    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "1e400"])
     def test_dual_norm_flag(self, capsys, tol):
         code = main([*self.DUAL, "--tol", tol])
         err = capsys.readouterr().err

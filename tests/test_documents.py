@@ -146,6 +146,13 @@ class TestShorthand:
         }
         assert fn_shorthand_to_doc("values:1,2,3", "--fn") == {"values": [1.0, 2.0, 3.0]}
 
+    @pytest.mark.parametrize("flag, text", [("--fn2", "constant:abc"), ("--kernel", "indicator:3")])
+    def test_fn_errors_name_the_flag_read(self, flag, text):
+        with pytest.raises(DocumentError, match=f"^{flag} '{text}': "):
+            fn_shorthand_to_doc(text, flag)
+        with pytest.raises(DocumentError, match=f"^{flag} '{text}': "):
+            fn_from_text(text, MeasureSpace.interval(1.0, 4), flag)
+
     def test_bad_shorthand(self):
         with pytest.raises(DocumentError):
             space_from_text("circle:r=1")
