@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, InvalidDensityError, NonconvergenceError, NotDelta2Error
+from .errors import DomainError, NonconvergenceError, NStarError
 from .numerics import CumulativeIntegral, bisect_increasing, invert_increasing, on_positive
 
 __all__ = [
@@ -100,7 +100,6 @@ class Delta2Certificate:
     """
 
     k0: float
-    xs: np.ndarray
     ks: np.ndarray
     status: str  # "exact_global" | "per_x_only"
     k_global: float | None
@@ -145,8 +144,8 @@ def complementary(phi: NStarFunction, *, use_registered: bool = True) -> NStarFu
     hat_hat(x) = phi(x), so the complement of hat is phi itself, recorded
     as registered_complementary; source_nfunction records phi as well.
     A density that is negative or increasing on _PROBE_GRID raises
-    InvalidDensityError. Registered closed complements are returned
-    unless use_registered is False.
+    DomainError. Registered closed complements are returned unless
+    use_registered is False.
     """
     if use_registered and phi.registered_complementary is not None:
         return phi.registered_complementary()
@@ -154,7 +153,7 @@ def complementary(phi: NStarFunction, *, use_registered: bool = True) -> NStarFu
         probe = np.asarray(phi.density(_PROBE_GRID), dtype=float)
     probe = probe[np.isfinite(probe)]
     if np.any(probe < 0) or np.any(np.diff(probe) > 1e-9 * probe[:-1] + 1e-300):
-        raise InvalidDensityError("complementation requires a non-negative, non-increasing density")
+        raise DomainError("complementation requires a non-negative, non-increasing density")
 
     def reciprocal_density(x):
         with np.errstate(divide="ignore"):
@@ -221,12 +220,12 @@ def delta2_solve(phi: NStarFunction, k0: float, grid) -> Delta2Certificate:
         bottom = phi(2.0 * xs)
     if np.any(top < twice * (1 - 1e-12)):
         worst = xs[np.argmin(top - twice)]
-        raise NotDelta2Error(
+        raise NonconvergenceError(
             f"doubling hypothesis 2*phi(x) <= phi(k0*x) fails at x={worst:.6g} for k0={k0:g}"
         )
     if np.any(bottom > twice * (1 + 1e-12)):
         worst = xs[np.argmax(bottom - twice)]
-        raise NotDelta2Error(
+        raise NonconvergenceError(
             f"phi(2x) <= 2*phi(x) fails at x={worst:.6g}; not a concave generator"
         )
     lo, hi = bisect_increasing(
@@ -251,7 +250,6 @@ def delta2_solve(phi: NStarFunction, k0: float, grid) -> Delta2Certificate:
         k_global = None
     return Delta2Certificate(
         k0=float(k0),
-        xs=xs,
         ks=ks,
         status=status,
         k_global=k_global,
@@ -417,7 +415,7 @@ def validate_nstar(phi: NStarFunction, grid=None, *, seed: int = 0) -> Validatio
             # the largest float stands in for a root past the float range,
             # as at the supremum of a bounded generator
             back = phi(np.minimum(inv, np.finfo(float).max))
-        except (NonconvergenceError, DomainError) as exc:  # DomainError: an integrated phi at a NaN root
+        except NStarError as exc:  # e.g. a diverging integral, or an integrated phi at a NaN root
             checks.append(ValidationCheck("inverse_midpoint_convex", False, float("nan"), str(exc)))
             return ValidationReport(tuple(checks))
         conv = (0.5 * (m1 + m2) - mmid) / np.maximum(m1 + m2, 1e-300)

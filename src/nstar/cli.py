@@ -23,17 +23,7 @@ import sys
 import numpy as np
 
 from .calculus import VALIDATE_GRID, complementary, delta2_solve, growth_factor, validate_nstar
-from .documents import (
-    _doc_or_shorthand,
-    _slack,
-    fn_from_text,
-    format_float,
-    functional_shorthand_to_doc,
-    json_ready,
-    parse_functional_doc,
-    phi_from_text,
-    space_from_text,
-)
+from .documents import fn_from_text, format_float, functional_from_text, json_ready, phi_from_text, space_from_text
 from .dual import (
     dual_zero_halving,
     functional_norm_formula,
@@ -41,7 +31,7 @@ from .dual import (
     nonconvexity_demo,
     operator_norm_bruteforce,
 )
-from .errors import CapacityError, DocumentError, DomainError, NStarError
+from .errors import CapacityError, DomainError, NStarError
 from .space import SLACK_TOL, luxemburg_norm, metric
 from .suite import CHECK_NAMES, DEFAULT_SAMPLES, DEFAULT_SEED, default_doubling_constant, run_check_suite
 
@@ -52,13 +42,20 @@ EXIT_USAGE = 2
 
 def _grid(args, min_points: int = 1) -> np.ndarray:
     if not (0 < args.grid_lo < np.inf and 0 < args.grid_hi < np.inf):
-        raise DocumentError("--grid-lo and --grid-hi must be finite and positive")
+        raise DomainError("--grid-lo and --grid-hi must be finite and positive")
     if args.grid_points < min_points:
-        raise DocumentError(f"--grid-points must be at least {min_points}")
+        raise DomainError(f"--grid-points must be at least {min_points}")
     # the rounded power at an end next to the largest float can overflow;
     # geomspace then sets both ends to the given values exactly
     with np.errstate(over="ignore"):
         return np.geomspace(args.grid_lo, args.grid_hi, args.grid_points)
+
+
+def _tol(value: float) -> float:
+    """A --tol slack tolerance; NaN fails too."""
+    if not 0 <= value <= sys.float_info.max:
+        raise DomainError(f"--tol must be finite and non-negative, got {value!r}")
+    return value
 
 
 def _emit(payload: dict, table_lines: list[str], args) -> None:
@@ -196,7 +193,7 @@ def _cmd_check(args) -> _Report:
     phi = phi_from_text(args.phi)
     space = space_from_text(args.space)
     checks = list(CHECK_NAMES) if args.suite == "all" else args.suite.split(",")
-    tol = _slack(args.tol, "--tol")
+    tol = _tol(args.tol)
     records = run_check_suite(phi, space, checks, samples=args.samples, seed=args.seed, tol=tol)
     results = [r.to_record() for r in records]
     ok = all(r.passed is not False for r in records)
@@ -220,11 +217,10 @@ def _cmd_check(args) -> _Report:
 
 
 def _cmd_dual_norm(args) -> _Report:
-    tol = _slack(args.tol, "--tol")
+    tol = _tol(args.tol)
     phi = phi_from_text(args.phi)
     space = space_from_text(args.space)
-    doc = _doc_or_shorthand(args.functional, functional_shorthand_to_doc, "--functional")
-    U = parse_functional_doc(doc, space, phi, "--functional")
+    U = functional_from_text(args.functional, space, phi)
     formula = functional_norm_formula(U)
     brute = operator_norm_bruteforce(U, seed=args.seed)
     k = default_doubling_constant(phi)
@@ -270,7 +266,7 @@ def _cmd_dualzero(args) -> _Report:
     phi = phi_from_text(args.phi)
     space = space_from_text(args.space)
     if args.fn and not args.kernel:
-        raise DocumentError("demo dualzero: --fn needs --kernel; --kernel alone runs with the built-in f0")
+        raise DomainError("demo dualzero: --fn needs --kernel; --kernel alone runs with the built-in f0")
     if args.fn:
         f0 = fn_from_text(args.fn, space, "--fn")
     else:

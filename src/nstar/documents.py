@@ -24,15 +24,15 @@ integer where it is one, else as a float, and every list item must be a
 number (atoms:1,,2 is rejected).
 
 This module owns what a library constructor cannot check: JSON types,
-known and required fields, and shorthand syntax, each raising
-DocumentError naming the field or flag. Value rules belong to the
+known and required fields, and shorthand syntax, each raising a
+DomainError naming the field or flag. Value rules belong to the
 constructors (positive masses and cell widths, a cell count of at least
-1, one value per atom or cell, an indicator range inside
-the space, identity on intervals only, an ordered random range, a
-family's parameter range); _construct turns their DomainError into a
-DocumentError that names the context. An atomic functional's errors pass
-unprefixed: each concerns the space it is paired with (an atomic space,
-one coefficient per atom), not the functional document alone.
+1, one value per atom or cell, an indicator range inside the space,
+identity on intervals only, an ordered random range, a family's
+parameter range); _construct prefixes their DomainError with the
+context. An atomic functional's errors pass unprefixed: each concerns
+the space it is paired with (an atomic space, one coefficient per atom),
+not the functional document alone.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 
 from .calculus import NStarFunction
 from .dual import AtomicFunctional
-from .errors import DocumentError, DomainError
+from .errors import DomainError
 from .families import (
     alpha_exp_family,
     log_sqrt_family,
@@ -64,6 +64,7 @@ __all__ = [
     "phi_from_text",
     "space_from_text",
     "fn_from_text",
+    "functional_from_text",
     "load_json",
     "format_float",
     "json_ready",
@@ -72,7 +73,7 @@ __all__ = [
 
 def _object(value, context: str) -> dict:
     if not isinstance(value, dict):
-        raise DocumentError(f"{context}: expected an object")
+        raise DomainError(f"{context}: expected an object")
     return value
 
 
@@ -84,65 +85,58 @@ def _fields(doc, spec: dict, context: str) -> dict:
     field, a missing one takes its default unless that is _REQUIRED, and one outside spec is rejected."""
     extra = set(_object(doc, context)) - set(spec)
     if extra:
-        raise DocumentError(f"{context}: unknown fields {sorted(extra)}; expected only {sorted(spec)}")
+        raise DomainError(f"{context}: unknown fields {sorted(extra)}; expected only {sorted(spec)}")
     read = {}
     for field, (reader, default) in spec.items():
         if field in doc:
             read[field] = reader(doc[field], f"{context}.{field}")
         elif default is _REQUIRED:
-            raise DocumentError(f"{context}: missing required field {field!r}")
+            raise DomainError(f"{context}: missing required field {field!r}")
         else:
             read[field] = default
     return read
 
 
 def _construct(context: str, constructor, *args):
-    """constructor(*args); its argument errors become a DocumentError naming context."""
+    """constructor(*args); an argument error it raises is raised again with context as its prefix."""
     try:
         return constructor(*args)
     except DomainError as exc:
-        raise DocumentError(f"{context}: {exc}") from exc
+        raise DomainError(f"{context}: {exc}") from exc
 
 
 def _number(value, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DocumentError(f"{context}: expected a number, got {value!r}")
+        raise DomainError(f"{context}: expected a number, got {value!r}")
     # written so that NaN fails too; an integer past the float range fails here, not in float()
     if not abs(value) <= sys.float_info.max:
-        raise DocumentError(f"{context}: expected a finite number, got {value!r}")
+        raise DomainError(f"{context}: expected a finite number, got {value!r}")
     return float(value)
 
 
 def _integer(value, context: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise DocumentError(f"{context}: expected an integer, got {value!r}")
+        raise DomainError(f"{context}: expected an integer, got {value!r}")
     return value
 
 
 def _seed(value, context: str) -> int:
     seed = _integer(value, context)
     if seed < 0:
-        raise DocumentError(f"{context}: a seed must not be negative")
+        raise DomainError(f"{context}: a seed must not be negative")
     return seed
-
-
-def _slack(value, context: str) -> float:
-    """A slack tolerance, from --tol; NaN fails too."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= sys.float_info.max:
-        raise DocumentError(f"{context} must be finite and non-negative, got {value!r}")
-    return float(value)
 
 
 def _number_list(value, context: str) -> list[float]:
     if not isinstance(value, (list, tuple)) or not value:
-        raise DocumentError(f"{context}: expected a non-empty list of numbers")
+        raise DomainError(f"{context}: expected a non-empty list of numbers")
     return [_number(v, f"{context}[{i}]") for i, v in enumerate(value)]
 
 
 def _entry(table: dict, name, context: str):
     """The (constructor, spec) that a document's name field picks from table."""
     if not isinstance(name, str) or name not in table:
-        raise DocumentError(f"{context}: expected one of {', '.join(table)}, got {name!r}")
+        raise DomainError(f"{context}: expected one of {', '.join(table)}, got {name!r}")
     return table[name]
 
 
@@ -187,7 +181,7 @@ def parse_phi_doc(doc: dict, context: str = "phi") -> NStarFunction:
 def parse_space_doc(doc: dict, context: str = "space") -> MeasureSpace:
     fields = dict(_object(doc, context))
     if "kind" not in fields:
-        raise DocumentError(f"{context}: missing required field 'kind'")
+        raise DomainError(f"{context}: missing required field 'kind'")
     constructor, spec = _entry(_SPACES, fields.pop("kind"), f"{context}.kind")
     return _construct(context, constructor, *_fields(fields, spec, context).values())
 
@@ -217,7 +211,7 @@ def _shorthand_number(text: str, context: str) -> int | float:
         try:
             return float(text)
         except ValueError:
-            raise DocumentError(f"{context}: expected a number, got {text!r}") from None
+            raise DomainError(f"{context}: expected a number, got {text!r}") from None
 
 
 def _shorthand_numbers(body: str, context: str) -> list:
@@ -232,7 +226,7 @@ def _split_kv(body: str, context: str) -> dict:
         return params
     for item in body.split(","):
         if "=" not in item:
-            raise DocumentError(f"{context}: expected key=value, got {item!r}")
+            raise DomainError(f"{context}: expected key=value, got {item!r}")
         key, _, raw = item.partition("=")
         key = key.strip()
         params[key] = _shorthand_number(raw, f"{context} {key}")
@@ -261,11 +255,11 @@ def space_shorthand_to_doc(text: str) -> dict:
         try:
             masses = [params.pop("mass", 1.0)] * int(count_text)
         except ValueError:
-            raise DocumentError(f"{context}: equal:COUNT needs an integer") from None
+            raise DomainError(f"{context}: equal:COUNT needs an integer") from None
         except (OverflowError, MemoryError):
-            raise DocumentError(f"{context}: atom count too large to allocate") from None
+            raise DomainError(f"{context}: atom count too large to allocate") from None
         return {"kind": "atomic", "masses": masses, **params}
-    raise DocumentError(f"{context}: expected interval:/atoms:/equal: shorthand")
+    raise DomainError(f"{context}: expected interval:/atoms:/equal: shorthand")
 
 
 def fn_shorthand_to_doc(text: str, flag: str) -> dict:
@@ -280,7 +274,7 @@ def fn_shorthand_to_doc(text: str, flag: str) -> dict:
     elif body and name == "indicator":
         lo_text, sep, hi_text = body.partition("..")
         if not sep:
-            raise DocumentError(f"{context}: indicator needs lo..hi")
+            raise DomainError(f"{context}: indicator needs lo..hi")
         doc["params"] = {"lo": _shorthand_number(lo_text, context), "hi": _shorthand_number(hi_text, context)}
     elif body:
         doc["params"] = _split_kv(body, context)
@@ -295,11 +289,11 @@ def load_json(path: str, context: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise DocumentError(f"{context}: cannot read {path!r}: {exc}") from exc
+        raise DomainError(f"{context}: cannot read {path!r}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise DocumentError(f"{context}: {path!r} line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
+        raise DomainError(f"{context}: {path!r} line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
 
 
 def _doc_or_shorthand(text: str, to_doc, context: str) -> dict:
@@ -321,6 +315,11 @@ def space_from_text(text: str) -> MeasureSpace:
 def fn_from_text(text: str, space: MeasureSpace, flag: str) -> MeasurableFn:
     """The function that flag's text names on space; flag names it in every error."""
     return parse_fn_doc(_doc_or_shorthand(text, partial(fn_shorthand_to_doc, flag=flag), flag), space, flag)
+
+
+def functional_from_text(text: str, space: MeasureSpace, phi: NStarFunction) -> AtomicFunctional:
+    doc = _doc_or_shorthand(text, functional_shorthand_to_doc, "--functional")
+    return parse_functional_doc(doc, space, phi, "--functional")
 
 
 # ---------------------------------------------------------------------------

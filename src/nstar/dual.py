@@ -25,13 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import NStarFunction
-from .errors import (
-    CapacityError,
-    DomainError,
-    IndivisibleAtomsError,
-    NonconvergenceError,
-    SpaceMismatchError,
-)
+from .errors import CapacityError, DomainError, NonconvergenceError
 from .measure import MeasurableFn, MeasureSpace, disjoint_positive_family, prefix_within
 from .space import luxemburg_norm
 
@@ -71,7 +65,7 @@ class AtomicFunctional:
             raise DomainError("atomic functionals require an atomic space")
         coeff = np.array(self.coefficients, dtype=float)
         if coeff.shape != (self.space.size,):
-            raise SpaceMismatchError(
+            raise DomainError(
                 f"functional has {coeff.size} coefficients for a space of size {self.space.size}"
             )
         if not np.all(np.isfinite(coeff)):
@@ -83,7 +77,7 @@ class AtomicFunctional:
 def evaluate_functional(U: AtomicFunctional, f: MeasurableFn) -> float:
     """U(f) = sum_i u_i * f_i with absolute convergence verified."""
     if not f.space.same_as(U.space):
-        raise SpaceMismatchError("function does not live on the functional's space")
+        raise DomainError("function does not live on the functional's space")
     with np.errstate(over="ignore"):
         total_abs = float(np.dot(np.abs(U.coefficients), np.abs(f.values)))
     if not np.isfinite(total_abs):
@@ -212,13 +206,13 @@ def dual_zero_halving(
     raises NonconvergenceError.
     """
     if space.is_atomic:
-        raise IndivisibleAtomsError("the halving construction needs the non-atomic model")
+        raise DomainError("the halving construction needs the non-atomic model")
     if not 0.0 < theta < 1.0:
         raise DomainError("theta must lie strictly between 0 and 1")
     if iterations < 1:
         raise DomainError("iterations must be at least 1")
     if not f0.space.same_as(space) or not kernel.space.same_as(space):
-        raise SpaceMismatchError("f0 and kernel must live on the given space")
+        raise DomainError("f0 and kernel must live on the given space")
 
     masses = space.masses
     u = kernel.values
@@ -315,7 +309,7 @@ def halving_instance(phi: NStarFunction, space: MeasureSpace) -> tuple[Measurabl
     every f0 underflows to 0.
     """
     if space.is_atomic:
-        raise IndivisibleAtomsError("the halving construction needs the non-atomic model")
+        raise DomainError("the halving construction needs the non-atomic model")
     x = space.midpoints() / space.length
     f_vals = phi.inverse(np.exp(-HALVING_DECAY_RATE * x))
     # 1/f0 overflows to inf, and 2/raw to inf when raw is 0; the check below rejects both

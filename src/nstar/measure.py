@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, SpaceMismatchError
+from .errors import CapacityError, DomainError
 
 __all__ = [
     "MeasureSpace",
@@ -99,7 +99,7 @@ class MeasurableFn:
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
         if values.shape != (self.space.size,):
-            raise SpaceMismatchError(
+            raise DomainError(
                 f"function has {values.size} values for a space of size {self.space.size}"
             )
         if not np.all(np.isfinite(values)):
@@ -144,7 +144,7 @@ class MeasurableFn:
 
     def _check(self, other: "MeasurableFn") -> None:
         if not self.space.same_as(other.space):
-            raise SpaceMismatchError("operands live on different measure spaces")
+            raise DomainError("operands live on different measure spaces")
 
     def __add__(self, other: "MeasurableFn") -> "MeasurableFn":
         self._check(other)
@@ -169,7 +169,7 @@ def integrate(space: MeasureSpace, g, f: MeasurableFn) -> float:
     Exact for piecewise-constant integrands. g must be vectorized.
     """
     if not f.space.same_as(space):
-        raise SpaceMismatchError("function does not live on the given space")
+        raise DomainError("function does not live on the given space")
     with np.errstate(over="ignore", invalid="ignore"):
         vals = np.asarray(g(f.values), dtype=float)
         return float(np.dot(vals, space.masses))

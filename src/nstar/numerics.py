@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergedIntegralError, DomainError, NonconvergenceError
+from .errors import DomainError, NonconvergenceError
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
 
@@ -88,9 +88,9 @@ class CumulativeIntegral:
     The mass below 2^-1022, the bottom two binades continued geometrically
     (exact for a power law), starts the prefix sums; arguments below it
     give 0. When it is more than 1e-8 of the mass below 1, every argument
-    above 2^-1022 raises DivergedIntegralError. A binade
-    holding a non-finite panel value raises it for every argument above
-    the binade's lower end, and a non-finite argument raises DomainError.
+    above 2^-1022 raises NonconvergenceError. A binade holding a non-finite
+    panel value raises it for every argument above the binade's lower end,
+    and a non-finite argument raises DomainError.
     """
 
     def __init__(self, g: Callable):
@@ -139,7 +139,7 @@ class CumulativeIntegral:
             # m0^2 / (m1 - m0) below 2^-1022, without bound when m1 <= m0
             m0, m1 = mass[0], mass[1]
             if m0 * m0 > _QUAD_TOL * mass[:1022].sum() * (m1 - m0):
-                raise DivergedIntegralError("mass below the smallest normal float is not negligible; diverges")
+                raise NonconvergenceError("mass below the smallest normal float is not negligible; diverges")
             tail = m0 * m0 / (m1 - m0) if m0 > 0 else 0.0
             prefix = np.cumsum(np.concatenate(([tail], values[keep])))
         return breaks, prefix, float(edges[first_bad])
@@ -155,7 +155,7 @@ class CumulativeIntegral:
             self._mesh = self._build()
         breaks, prefix, limit = self._mesh
         if tp.max() > limit:
-            raise DivergedIntegralError("non-finite density value below the argument; integral diverges")
+            raise NonconvergenceError("non-finite density value below the argument; integral diverges")
         i = np.searchsorted(breaks, tp, side="left")
         return prefix[i - 1] + gauss_panel(self._g, breaks[i - 1], tp)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import NStarFunction, complementary
-from .errors import DomainError, NonconvergenceError, SpaceMismatchError
+from .errors import DomainError, NonconvergenceError
 from .measure import MeasurableFn, MeasureSpace, integrate
 
 __all__ = [
@@ -76,6 +76,11 @@ class CheckReport:
     notes: tuple[str, ...] = ()
     data: dict = field(default_factory=dict)
 
+    @classmethod
+    def skip(cls, name: str, *notes: str) -> CheckReport:
+        """A check whose precondition failed: no slack, passed None, the notes say why."""
+        return cls(name, float("nan"), float("nan"), None, notes)
+
     @property
     def skipped(self) -> bool:
         return self.passed is None
@@ -123,7 +128,7 @@ def luxemburg_norm(
     underflows.
     """
     if not f.space.same_as(space):
-        raise SpaceMismatchError("function does not live on the given space")
+        raise DomainError("function does not live on the given space")
     absv = np.abs(f.values)
     if not absv.any():
         return QuasiNormResult(0.0, 0.0, 0)
@@ -194,11 +199,6 @@ def _sandwich_report(name: str, lower, upper, tol: float, data: dict, notes=()) 
     return CheckReport(name, slack_min, slack_max, bool(slack_min >= -tol), tuple(notes), data)
 
 
-def _skipped_report(name: str, *notes: str) -> CheckReport:
-    """A check whose precondition failed: no slack, passed None, the notes say why."""
-    return CheckReport(name, float("nan"), float("nan"), None, notes)
-
-
 def quasi_triangle_check(
     phi: NStarFunction,
     space: MeasureSpace,
@@ -240,7 +240,7 @@ def young_type_check(
     """integral of phi(|f|) * phi_hat(|g|) against integral |f| + integral |g|."""
     phi_hat = phi_hat if phi_hat is not None else complementary(phi)
     if not f.space.same_as(space) or not g.space.same_as(space):
-        raise SpaceMismatchError("functions must live on the given space")
+        raise DomainError("functions must live on the given space")
     with np.errstate(over="ignore", invalid="ignore"):
         left_vals = phi(f.values) * phi_hat(g.values)
         left = float(np.dot(left_vals, space.masses))
@@ -307,7 +307,7 @@ def modular_to_norm_bound_check(
     rho = modular(phi, space, f)
     if not rho.finite or not rho.value < c:
         note = f"precondition modular < c failed: modular={rho.value:.6g}, c={c:.6g}"
-        return _skipped_report("modular_to_norm", note)
+        return CheckReport.skip("modular_to_norm", note)
     # with c or k^n0 past the float range the bound is inf, which holds trivially
     n0 = math.floor(math.log(c) / math.log(2.0)) + 1 if c < math.inf else math.inf
     try:
@@ -374,7 +374,7 @@ def intersection_check(
     """
     phi_hat = phi_hat if phi_hat is not None else complementary(phi)
     if not f.space.same_as(space):
-        raise SpaceMismatchError("function does not live on the given space")
+        raise DomainError("function does not live on the given space")
     absv = np.abs(f.values)
     masses = space.masses
     with np.errstate(over="ignore", invalid="ignore"):
@@ -416,7 +416,7 @@ def convergence_equivalence(
     qs = []
     for fn in sequence:
         diff = fn - f
-        ds.append(metric(phi, space, fn, f))
+        ds.append(modular(phi, space, diff).value)
         qs.append(luxemburg_norm(phi, space, diff).value)
     ds_arr = np.asarray(ds)
     qs_arr = np.asarray(qs)

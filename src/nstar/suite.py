@@ -19,12 +19,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .calculus import NStarFunction, complementary, delta2_solve
-from .errors import DomainError, NotDelta2Error, NStarError
+from .errors import DomainError, NonconvergenceError, NStarError
 from .measure import MeasurableFn, MeasureSpace, simple_approximation
 from .space import (
     SLACK_TOL,
     CheckReport,
-    _skipped_report,
     convergence_equivalence,
     intersection_check,
     l1_embedding_bound_check,
@@ -43,7 +42,7 @@ DEFAULT_SEED = 0
 
 
 def default_doubling_constant(phi: NStarFunction) -> float:
-    """Doubling constant of phi, certified by delta2_solve on a log grid; NotDelta2Error if none is."""
+    """Doubling constant of phi, certified by delta2_solve on a log grid; NonconvergenceError if none is."""
     grid = np.geomspace(1e-3, 1e3, 25)
     for k0 in (8.0, 32.0, 128.0, 1024.0):
         try:
@@ -51,14 +50,14 @@ def default_doubling_constant(phi: NStarFunction) -> float:
         except NStarError:
             continue
         return cert.bound_constant
-    raise NotDelta2Error("could not certify a doubling constant for this generator")
+    raise NonconvergenceError("could not certify a doubling constant for this generator")
 
 
 def _merge(name: str, reports: list[CheckReport]) -> CheckReport:
     live = [r for r in reports if r.passed is not None]
     notes = [note for r in reports for note in r.notes]
     if not live:
-        return _skipped_report(name, *notes)
+        return CheckReport.skip(name, *notes)
     return CheckReport(
         name=name,
         slack_min=min(r.slack_min for r in live),
@@ -150,14 +149,14 @@ def run_check_suite(
     if any(c.needs_k for c in table):
         try:
             k = default_doubling_constant(phi)
-        except NotDelta2Error as exc:
+        except NonconvergenceError as exc:
             # without a doubling constant the k-dependent bounds do not apply
             skip_note = f"skipped: {exc}"
     run = _Run(phi, space, np.random.default_rng(seed), phi_hat, k, tol)
     records: list[CheckReport] = []
     for name, check in zip(checks, table):
         if check.needs_k and k is None:
-            reports = [_skipped_report(name, skip_note)]
+            reports = [CheckReport.skip(name, skip_note)]
         else:
             reports = [check.instance(run) for _ in range(1 if check.once else samples)]
         records.append(_merge(name, reports))

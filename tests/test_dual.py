@@ -9,12 +9,10 @@ from nstar import (
     AtomicFunctional,
     CapacityError,
     DomainError,
-    IndivisibleAtomsError,
     MeasurableFn,
     MeasureSpace,
     NonconvergenceError,
     NStarFunction,
-    SpaceMismatchError,
     alpha_exp_family,
     delta2_solve,
     dual_zero_halving,
@@ -29,6 +27,7 @@ from nstar import (
     scaled_power_family,
     single_atom_witness,
 )
+from oracle import mp_bump_modulars
 
 HALF = power_family(0.5)
 CLOSED_FAMILIES = [power_family, scaled_power_family, alpha_exp_family, lambda _: log_sqrt_family()]
@@ -122,12 +121,12 @@ CELLS = MeasureSpace.interval(1.0, 8)
     [
         (lambda: AtomicFunctional(np.ones(8), CELLS, HALF), DomainError, "require an atomic space"),
         (lambda: AtomicFunctional(np.array([1.0, np.inf]), ATOMS, HALF), DomainError, "coefficients must be finite"),
-        (lambda: AtomicFunctional(np.ones(3), ATOMS, HALF), SpaceMismatchError, "3 coefficients for a space of size 2"),
+        (lambda: AtomicFunctional(np.ones(3), ATOMS, HALF), DomainError, "3 coefficients for a space of size 2"),
         (
             lambda: evaluate_functional(
                 AtomicFunctional(np.ones(2), ATOMS, HALF), MeasurableFn.constant(MeasureSpace.atomic([1.0, 3.0]), 1.0)
             ),
-            SpaceMismatchError,
+            DomainError,
             "the functional's space",
         ),
         (
@@ -139,10 +138,10 @@ CELLS = MeasureSpace.interval(1.0, 8)
         ),
         (
             lambda: dual_zero_halving(HALF, CELLS, *halving_instance(HALF, MeasureSpace.interval(2.0, 8)), 1),
-            SpaceMismatchError,
+            DomainError,
             "f0 and kernel must live on the given space",
         ),
-        (lambda: halving_instance(HALF, ATOMS), IndivisibleAtomsError, "non-atomic model"),
+        (lambda: halving_instance(HALF, ATOMS), DomainError, "non-atomic model"),
         (lambda: dual_zero_halving(HALF, CELLS, *halving_instance(HALF, CELLS), 0), DomainError, "iterations"),
         (lambda: dual_zero_halving(HALF, CELLS, *halving_instance(HALF, CELLS), -1), DomainError, "iterations"),
         # with rho_0 = 0 there is no decay to show, and the modular ratio is 0/0
@@ -352,7 +351,7 @@ class TestDualZeroHalving:
         X = MeasureSpace.atomic([1.0, 1.0])
         f0 = MeasurableFn(np.array([2.0, 2.0]), X)
         u = MeasurableFn.constant(X, 1.0)
-        with pytest.raises(IndivisibleAtomsError):
+        with pytest.raises(DomainError, match="the halving construction needs the non-atomic model"):
             dual_zero_halving(HALF, X, f0, u, 3, 0.5)
 
     def test_decay_bound_curve_shape(self):
@@ -545,18 +544,6 @@ class TestDemoGuards:
         X = MeasureSpace.atomic(masses)
         with pytest.raises(CapacityError, match=message):
             nonconvexity_demo(log_sqrt_family(), X, epsilon, len(masses))
-
-
-def mp_bump_modulars(mpmath, masses, epsilon, n):
-    """rho(h_m) = sum_{k<=m} phi(beta_k / m) mu_k for phi = sqrt(log(1+x)), in 40-digit mpmath."""
-    mp = mpmath.mp.clone()
-    mp.dps = 40
-    mus = [mp.mpf(float(mu)) for mu in masses[:n]]
-    betas = [mp.expm1((mp.mpf(float(epsilon)) / mu) ** 2) for mu in mus]
-    return [
-        float(mp.fsum(mp.sqrt(mp.log1p(beta / m)) * mu for beta, mu in zip(betas[:m], mus[:m])))
-        for m in range(1, n + 1)
-    ]
 
 
 class TestNonconvexityOracle:

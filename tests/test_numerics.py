@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nstar import calculus, numerics
 from nstar.calculus import complementary
-from nstar.errors import DivergedIntegralError, DomainError, NonconvergenceError
+from nstar.errors import DomainError, NonconvergenceError
 from nstar.families import (
     alpha_exp_family,
     from_density,
@@ -22,6 +22,7 @@ from nstar.numerics import (
     invert_increasing,
     on_positive,
 )
+from oracle import mp_table_integral
 
 
 def log_sqrt_conjugate_density(t):
@@ -131,7 +132,7 @@ class TestCumulativeIntegral:
 
     def test_nonintegrable_density_diverges(self):
         cum = CumulativeIntegral(lambda t: 1.0 / t)
-        with pytest.raises(DivergedIntegralError):
+        with pytest.raises(NonconvergenceError, match="mass below the smallest normal float is not negligible"):
             cum(1.0)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -156,11 +157,11 @@ class TestCumulativeIntegral:
     def test_non_finite_panel_value_diverges(self):
         # the density is NaN above 2: the first panel graded down from 10 holds NaN
         cum = CumulativeIntegral(call_limited(lambda t: np.where(t > 2.0, np.nan, t**-0.5)))
-        with pytest.raises(DivergedIntegralError):
+        with pytest.raises(NonconvergenceError, match="non-finite density value below the argument"):
             cum(10.0)
         up = CumulativeIntegral(call_limited(lambda t: np.where(t > 2.0, np.inf, t**-0.5)))
         assert up(1.0) == pytest.approx(2.0, rel=1e-10)
-        with pytest.raises(DivergedIntegralError):
+        with pytest.raises(NonconvergenceError, match="non-finite density value below the argument"):
             up(10.0)
 
     def test_matches_a_closed_integral_across_the_float_range(self):
@@ -182,7 +183,7 @@ class TestCumulativeIntegral:
         # NaN on [1e-200, 2e-200] only: the mesh holds it for every argument above 1e-200
         cum = CumulativeIntegral(lambda t: np.where((t > 1e-200) & (t < 2e-200), np.nan, t**-0.5))
         assert cum(1e-201) == pytest.approx(2e-201**0.5 * 2**0.5, rel=1e-10)
-        with pytest.raises(DivergedIntegralError):
+        with pytest.raises(NonconvergenceError, match="non-finite density value below the argument"):
             cum(1.0)
 
     @pytest.mark.parametrize("a, integrable", [(0.01, False), (0.025, False), (0.03, True)])
@@ -192,7 +193,7 @@ class TestCumulativeIntegral:
         if integrable:
             assert cum(1.0) == pytest.approx(1.0 / a, rel=1e-9)
         else:
-            with pytest.raises(DivergedIntegralError):
+            with pytest.raises(NonconvergenceError, match="mass below the smallest normal float is not negligible"):
                 cum(1.0)
 
     @pytest.mark.parametrize("a", [0.9, 0.97])
@@ -364,31 +365,6 @@ def decreasing_tables(draw):
     slopes = [draw(st.floats(-0.95, 0.0))] + draw(st.lists(st.floats(-4.0, 0.0), min_size=n - 2, max_size=n - 2))
     log_p = draw(st.floats(-3.0, 3.0)) + np.concatenate(([0.0], np.cumsum(np.array(slopes) * gaps)))
     return 10.0**log_t, 10.0**log_p
-
-
-def mp_table_integral(ts, ps, x):
-    """Integral over (0, x] of the piecewise power law through (ts, ps), in 30-digit mpmath.
-
-    The exponents come from the samples in mpmath precision. The low piece
-    integrates in closed form (its t^a singularity at 0 defeats quad for a
-    near -1); mpmath.quad integrates the rest piece by piece.
-    """
-    mpmath = pytest.importorskip("mpmath")
-    mp = mpmath.mp.clone()
-    mp.dps = 30
-    ts = [mp.mpf(float(t)) for t in ts]
-    ps = [mp.mpf(float(p)) for p in ps]
-    a = [mp.log(ps[k + 1] / ps[k]) / mp.log(ts[k + 1] / ts[k]) for k in range(len(ts) - 1)]
-
-    def density(t):
-        k = min(max(sum(1 for tk in ts if tk <= t) - 1, 0), len(a) - 1)
-        return ps[k] * (t / ts[k]) ** a[k]
-
-    x = mp.mpf(float(x))
-    b = a[0] + 1
-    if x <= ts[0]:
-        return float(ps[0] * ts[0] / b * (x / ts[0]) ** b)
-    return float(ps[0] * ts[0] / b + mp.quad(density, [t for t in ts if t < x] + [x]))
 
 
 class TestLogLogCalculus:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nstar import DomainError, MeasureSpace, NotDelta2Error, NStarFunction, log_sqrt_family, power_family
+from nstar import DomainError, MeasureSpace, NonconvergenceError, NStarFunction, log_sqrt_family, power_family
 from nstar.suite import CHECK_NAMES, default_doubling_constant, run_check_suite
 
 
@@ -10,7 +10,7 @@ class TestDefaultDoublingConstant:
         assert default_doubling_constant(power_family(0.5)) == pytest.approx(4.0, abs=1e-9)
 
     def test_non_doubling_family_rejected(self):
-        with pytest.raises(NotDelta2Error, match="could not certify a doubling constant for this generator"):
+        with pytest.raises(NonconvergenceError, match="could not certify a doubling constant for this generator"):
             default_doubling_constant(log_sqrt_family())
 
     def test_fault_in_generator_propagates(self):
