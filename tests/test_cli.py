@@ -18,9 +18,13 @@ from hypothesis import strategies as st
 
 import nstar
 from nstar import errors
+from nstar.calculus import complementary, delta2_solve
 from nstar.cli import build_parser, main
 from nstar.dual import dual_zero_halving
-from nstar.documents import _FUNCTIONS, _GENERATORS, _SPACES
+from nstar.documents import _FUNCTIONS, _GENERATORS, _SPACES, fn_from_text
+from nstar.families import from_density, power_family
+from nstar.measure import MeasurableFn, MeasureSpace, integrate
+from nstar.numerics import CumulativeIntegral
 from nstar.suite import run_check_suite
 
 
@@ -934,6 +938,44 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: raised by the handler\n")
         assert code == (2 if name in _ARGUMENT_ERRORS else 1)
+
+    @pytest.mark.parametrize(
+        "site, code, message",
+        [
+            # one library raise site of each class that was folded into its kind
+            pytest.param("document", 2, "--fn 'indicator:3': indicator needs lo..hi", id="document"),
+            pytest.param("space-mismatch", 2, "function does not live on the given space", id="space-mismatch"),
+            pytest.param("atomic-space", 2, "the halving construction needs the non-atomic model", id="atomic-space"),
+            pytest.param("increasing-density", 2, "complementation requires a non-negative, non-increasing density", id="increasing-density"),
+            pytest.param("diverged-integral", 1, "mass below the smallest normal float is not negligible", id="diverged-integral"),
+            pytest.param("not-delta2", 1, r"doubling hypothesis 2*phi(x) <= phi(k0*x) fails", id="not-delta2"),
+        ],
+    )
+    def test_library_raise_site_decides_the_exit_code(self, capsys, monkeypatch, site, code, message):
+        # the kind a library function raises, not the CLI, decides the exit code; the message passes through
+        atoms = MeasureSpace.atomic([1.0, 1.0])
+        raisers = {
+            "document": lambda: fn_from_text("indicator:3", MeasureSpace.interval(1.0, 4), "--fn"),
+            "space-mismatch": lambda: integrate(
+                MeasureSpace.interval(1.0, 10), lambda v: v, MeasurableFn.constant(MeasureSpace.interval(1.0, 11), 1.0)
+            ),
+            "atomic-space": lambda: dual_zero_halving(
+                power_family(0.5), atoms, MeasurableFn.constant(atoms, 2.0), MeasurableFn.constant(atoms, 1.0), 3, 0.5
+            ),
+            "increasing-density": lambda: complementary(from_density(lambda t: np.asarray(t, float) ** 0.5)),
+            "diverged-integral": lambda: CumulativeIntegral(lambda t: 1.0 / t)(1.0),
+            "not-delta2": lambda: delta2_solve(power_family(0.5), 3.0, np.geomspace(1e-3, 1e3, 25)),
+        }
+
+        def handler(args):
+            raisers[site]()
+
+        monkeypatch.setattr("nstar.cli._cmd_norm", handler)
+        got = main(["norm", "--phi", "power:p=0.5", "--space", "atoms:1", "--fn", "constant:1"])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + message)
+        assert got == code
 
     def test_unknown_command_exits_two(self, capsys):
         assert main(["frobnicate"]) == 2
