@@ -19,6 +19,7 @@ __all__ = [
     "MeasureSpace",
     "MeasurableFn",
     "integrate",
+    "weighted_sum",
     "prefix_within",
     "simple_approximation",
     "disjoint_positive_family",
@@ -26,6 +27,11 @@ __all__ = [
 
 ATOMIC = "atomic"
 INTERVAL = "interval"
+# cells per slice of a blocked pass (integrate, weighted_sum): each float64
+# temporary of a slice is 128 KiB and stays in L2. On a 2-vCPU Xeon (2 MiB L2
+# per core) a 2^20-cell luxemburg_norm took the same time at 2^13-2^16 and
+# 40% longer at 2^12, where per-slice call overhead shows
+BLOCK = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,13 +172,34 @@ class MeasurableFn:
 def integrate(space: MeasureSpace, g, f: MeasurableFn) -> float:
     """Integral of g(f) over the space: sum of mass_i * g(values_i).
 
-    Exact for piecewise-constant integrands. g must be vectorized.
+    Exact for piecewise-constant integrands. g must be vectorized and act
+    elementwise. A function of at most BLOCK cells takes one call g(values).
+    A longer one is cut into contiguous slices of BLOCK cells (the last one
+    ragged); g's result on each slice is written into one output buffer,
+    and one np.dot of the whole buffer with the masses forms the sum. Every
+    temporary g makes then has BLOCK elements and stays in cache, instead
+    of a fresh full-size array the kernel maps and zero-fills on every
+    pass. Since g acts elementwise, each buffer element is the value the
+    whole-array call gives it, and the final dot is the same whole-array
+    dot, so the sum is bit-identical to np.dot(g(values), masses).
     """
     if not f.space.same_as(space):
         raise DomainError("function does not live on the given space")
+    return weighted_sum(g, f.values, space.masses)
+
+
+def weighted_sum(g, values: np.ndarray, masses: np.ndarray) -> float:
+    """Sum of masses_i * g(values_i), blocked as in integrate, for a caller that checked the space.
+
+    Overflow to inf and invalid operations in g are not flagged.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.asarray(g(f.values), dtype=float)
-        return float(np.dot(vals, space.masses))
+        if values.size <= BLOCK:
+            return float(np.dot(np.asarray(g(values), dtype=float), masses))
+        out = np.empty(values.size)
+        for lo in range(0, values.size, BLOCK):
+            out[lo : lo + BLOCK] = g(values[lo : lo + BLOCK])
+        return float(np.dot(out, masses))
 
 
 def prefix_within(weights: np.ndarray, target: float) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .calculus import NStarFunction, complementary
 from .errors import DomainError, NonconvergenceError
-from .measure import MeasurableFn, MeasureSpace, integrate
+from .measure import MeasurableFn, MeasureSpace, integrate, weighted_sum
 
 __all__ = [
     "ModularValue",
@@ -125,22 +125,21 @@ def luxemburg_norm(
     rounding width, within about 61 steps. A bracket that collapses with
     the residual still above LUX_RESIDUAL_TOL raises NonconvergenceError:
     there the modular jumps across 1 because f/lambda overflows or
-    underflows.
+    underflows. Each step is one blocked pass over f's cells (weighted_sum).
     """
     if not f.space.same_as(space):
         raise DomainError("function does not live on the given space")
-    absv = np.abs(f.values)
-    if not absv.any():
+    values, masses = f.values, space.masses
+    top = max(float(values.max()), -float(values.min()))
+    if top == 0.0:
         return QuasiNormResult(0.0, 0.0, 0)
-    masses = space.masses
-    top = float(absv.max())
 
     def rho(lam: float) -> float:
         # inf where max|f|/lambda overflows: a generator need not take an infinite argument
         if math.isinf(top / lam):
             return math.inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = float(np.dot(phi(absv / lam), masses))
+        # phi is even, so it takes f's values as they are
+        out = weighted_sum(lambda v: phi(v / lam), values, masses)
         return out if np.isfinite(out) else math.inf
 
     iterations = 0

@@ -68,3 +68,16 @@ def mp_table_integral(ts, ps, x):
     if x <= ts[0]:
         return float(ps[0] * ts[0] / b * (x / ts[0]) ** b)
     return float(ps[0] * ts[0] / b + mp.quad(density, [t for t in ts if t < x] + [x]))
+
+
+def mp_constant_power_norm(masses, c, p, dps=60):
+    """Luxemburg norm of the constant c under phi = |x|^p, in mpmath: c (sum of the masses)^(1/p).
+
+    The masses are taken as the floats they are stored as, so the oracle
+    is the exact norm of the measure the code holds.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = dps
+    total = mp.fsum(mp.mpf(float(a)) for a in masses)
+    return float(mp.mpf(float(c)) * total ** (1 / mp.mpf(float(p))))
