@@ -26,7 +26,7 @@ import numpy as np
 
 from .calculus import NStarFunction
 from .errors import CapacityError, DomainError, NonconvergenceError
-from .measure import MeasurableFn, MeasureSpace, disjoint_positive_family, prefix_within
+from .measure import BLOCK, MeasurableFn, MeasureSpace, disjoint_positive_family, prefix_within
 from .space import luxemburg_norm
 
 __all__ = [
@@ -194,11 +194,20 @@ def dual_zero_halving(
 
     Every split is a prefix, so the support stays one contiguous range
     [lo, hi) of cells, and phi(0) = 0 gives the cells off it no modular.
-    A round makes one generator pass, phi(2|g|) over the kept piece: it
-    gives the next modular weights, and divided by phi(|g|), carried from
-    the round before, the round's doubling ratio. Sums and integrals still
-    run over the whole space, so every recorded number is the one a plain
-    loop over full arrays gives, bit for bit.
+    The split search (prefix_within) reads the support's modular weights
+    only up to the slice of BLOCK cells where the split falls. A round then
+    makes one pass over the kept piece in slices of BLOCK cells: each slice
+    is counted, doubled in place, checked for overflow and passed through
+    phi once. phi(2|g|) divided by phi(|g|), carried from the round before,
+    gives the slice's largest doubling ratio; phi(2|g|) is then written over
+    phi(|g|), and the slice's modular weights and f * u are written with
+    their least and largest weight, which the next round's weight check and
+    contraction bound read. Every temporary of the pass has at most BLOCK
+    elements. The modular, the functional value and the two split values
+    are still sums and dots over the whole space, so every recorded number
+    is the one a plain loop over full arrays gives, bit for bit, under one
+    BLAS thread count: np.dot of the same long vectors can differ in the
+    last bit between thread counts.
 
     Argument errors (DomainError): theta outside (0, 1), iterations below
     1, a functional value of f0 that is neither 0 nor finite and at least
@@ -226,26 +235,29 @@ def dual_zero_halving(
         raise DomainError("scale f0 or the kernel so the functional value is 0 or finite and at least 1")
 
     lo, hi = 0, space.size
-    # f and phi(|f|) on the support only; f is doubled in place
+    # f and phi(|f|) on the support only; f is doubled and phi_f overwritten in place
     f = f0.values.copy()
+    phi_f = np.empty(space.size)
     with np.errstate(over="ignore"):
-        phi_f = phi(f)
+        for a in range(0, space.size, BLOCK):
+            phi_f[a : a + BLOCK] = phi(f[a : a + BLOCK])
         nu = phi_f * masses
         rho = float(nu.sum())
     if rho == 0.0:
         raise DomainError("f0 has modular 0, so nothing decays")
+    # least and largest modular weight on the support, and zero
+    nu_min, nu_max = float(nu.min(initial=0.0)), float(nu.max(initial=0.0))
     part = np.zeros(space.size)
     val = phi0
     steps: list[HalvingStep] = [HalvingStep(0, rho, val, 0, int(np.count_nonzero(f)))]
     c_phi = 1.0
     keep_fraction = max(theta, 1.0 - theta)
     for n in range(1, iterations + 1):
-        support = nu[lo:hi]
-        if not (np.isfinite(rho) and support.min(initial=0.0) >= 0.0):
+        if not (np.isfinite(rho) and nu_min >= 0.0):
             raise NonconvergenceError(f"halving step {n}: modular weights must be non-negative and finite")
         # the longest prefix of cells whose modular mass stays <= theta * rho;
         # cells before lo add nothing, and if the whole support fits, so does every cell after it
-        cut = prefix_within(support, theta * rho)
+        cut = prefix_within(nu[lo:hi], theta * rho)
         split = lo + cut
         prefix_cells = split if cut < hi - lo else space.size
         # part holds the prefix side of fu, fu keeps the rest
@@ -258,31 +270,41 @@ def dual_zero_halving(
             new_lo, new_hi, dropped = lo, split, slice(split, hi)
         else:
             new_lo, new_hi, dropped = split, hi, slice(lo, split)
-        g = f[new_lo - lo : new_hi - lo]
-        phi_g = phi_f[new_lo - lo : new_hi - lo]
-        support_cells = int(np.count_nonzero(g))
-        with np.errstate(over="ignore"):
-            g *= 2.0
-        if not np.all(np.isfinite(g)):
-            raise NonconvergenceError(f"halving step {n}: doubling the kept piece overflows the float range")
-        with np.errstate(over="ignore"):
-            phi_next = phi(g)
-        if support_cells:
-            nonzero = g != 0.0
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                c_step = float(np.max(phi_next[nonzero] / phi_g[nonzero]))
-        else:
-            c_step = 1.0
-        c_phi = max(c_phi, c_step)
-        # the kept piece carries at most keep_fraction of the modular plus one cell
-        allowance = c_step * float(support.max(initial=0.0))
-        step_cap = c_step * keep_fraction * rho + allowance + DEMO_TOL * rho
         nu[dropped] = 0.0
         fu[dropped] = 0.0
-        kept = slice(new_lo, new_hi)
+        # one pass over the kept piece in slices of BLOCK cells: double g, take
+        # phi(2g) and its ratio to phi(g), then write phi(2g) over phi(g), nu and fu
+        support_cells = 0
+        ratio = -np.inf
+        support_max = nu_max
+        nu_min = nu_max = 0.0
+        for a in range(new_lo, new_hi, BLOCK):
+            b = min(a + BLOCK, new_hi)
+            g = f[a - lo : b - lo]
+            phi_g = phi_f[a - lo : b - lo]
+            nonzero = g != 0.0
+            support_cells += int(np.count_nonzero(nonzero))
+            with np.errstate(over="ignore"):
+                g *= 2.0
+                if not np.all(np.isfinite(g)):
+                    raise NonconvergenceError(
+                        f"halving step {n}: doubling the kept piece overflows the float range"
+                    )
+                phi_next = phi(g)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                # np.maximum, unlike max, keeps a NaN ratio, as one np.max over the piece does
+                ratio = np.maximum(ratio, np.max(phi_next / phi_g, where=nonzero, initial=-np.inf))
+                phi_g[...] = phi_next
+                weights = np.multiply(phi_next, masses[a:b], out=nu[a:b])
+                np.multiply(g, u[a:b], out=fu[a:b])
+            nu_min = min(nu_min, float(weights.min()))
+            nu_max = max(nu_max, float(weights.max()))
+        c_step = float(ratio) if support_cells else 1.0
+        c_phi = max(c_phi, c_step)
+        # the kept piece carries at most keep_fraction of the modular plus one cell
+        allowance = c_step * support_max
+        step_cap = c_step * keep_fraction * rho + allowance + DEMO_TOL * rho
         with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(phi_next, masses[kept], out=nu[kept])
-            np.multiply(g, u[kept], out=fu[kept])
             rho_next = float(nu.sum())
             val_next = float(np.dot(fu, masses))
         if not (np.isfinite(rho_next) and np.isfinite(val_next)):
@@ -292,7 +314,8 @@ def dual_zero_halving(
         if abs(val_next) < abs(val) - DEMO_TOL * max(abs(val), 1.0):
             raise NonconvergenceError(f"halving step {n} lost functional mass")
         step_bound = step_cap / rho if rho > 0 else 1.0
-        lo, hi, f, phi_f, rho, val = new_lo, new_hi, g, phi_next, rho_next, val_next
+        f, phi_f = f[new_lo - lo : new_hi - lo], phi_f[new_lo - lo : new_hi - lo]
+        lo, hi, rho, val = new_lo, new_hi, rho_next, val_next
         steps.append(HalvingStep(n, rho, val, prefix_cells, support_cells, step_bound))
     return HalvingTrace(steps=tuple(steps), theta=theta, c_phi=c_phi)
 

@@ -27,10 +27,11 @@ __all__ = [
 
 ATOMIC = "atomic"
 INTERVAL = "interval"
-# cells per slice of a blocked pass (integrate, weighted_sum): each float64
-# temporary of a slice is 128 KiB and stays in L2. On a 2-vCPU Xeon (2 MiB L2
-# per core) a 2^20-cell luxemburg_norm took the same time at 2^13-2^16 and
-# 40% longer at 2^12, where per-slice call overhead shows
+# cells per slice of a blocked pass (integrate, weighted_sum, prefix_within
+# and the rounds of dual.dual_zero_halving): each float64 temporary of a slice
+# is 128 KiB and stays in L2. On a 2-vCPU Xeon (2 MiB L2 per core) a
+# 2^20-cell luxemburg_norm took the same time at 2^13-2^16 and 40% longer at
+# 2^12, where per-slice call overhead shows
 BLOCK = 2**14
 
 
@@ -181,7 +182,9 @@ def integrate(space: MeasureSpace, g, f: MeasurableFn) -> float:
     of a fresh full-size array the kernel maps and zero-fills on every
     pass. Since g acts elementwise, each buffer element is the value the
     whole-array call gives it, and the final dot is the same whole-array
-    dot, so the sum is bit-identical to np.dot(g(values), masses).
+    dot, so the sum is bit-identical to np.dot(g(values), masses) under the
+    same BLAS thread count (a long np.dot can differ in the last bit between
+    thread counts).
     """
     if not f.space.same_as(space):
         raise DomainError("function does not live on the given space")
@@ -206,8 +209,26 @@ def prefix_within(weights: np.ndarray, target: float) -> int:
     """Length of the longest prefix of non-negative weights whose running sum stays <= target.
 
     The split search of dual_zero_halving; the caller checks the weights.
+    The running sum is taken in slices of BLOCK cells, and the search stops
+    at the first slice whose sum passes the target, so a prefix in the front
+    of the weights reads only its own slices. Each slice is summed behind
+    the running sum of the slices before it (one np.cumsum of [sum, slice]),
+    and np.cumsum adds in order, so every running sum is the one
+    np.cumsum(weights) gives, bit for bit, and the result is
+    np.searchsorted(np.cumsum(weights), target, side="right").
     """
-    return int(np.searchsorted(np.cumsum(weights), target, side="right"))
+    buf = np.empty(min(weights.size, BLOCK) + 1)
+    total = 0.0
+    for lo in range(0, weights.size, BLOCK):
+        piece = weights[lo : lo + BLOCK]
+        run = buf[: piece.size + 1]
+        run[0] = total
+        run[1:] = piece
+        np.cumsum(run, out=run)
+        total = run[-1]
+        if total > target:
+            return lo + int(np.searchsorted(run[1:], target, side="right"))
+    return weights.size
 
 
 def simple_approximation(f: MeasurableFn, n: int) -> MeasurableFn:

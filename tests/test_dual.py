@@ -27,6 +27,7 @@ from nstar import (
     scaled_power_family,
     single_atom_witness,
 )
+from nstar.measure import BLOCK
 from oracle import mp_bump_modulars
 
 HALF = power_family(0.5)
@@ -367,9 +368,14 @@ class TestDualZeroHalving:
         assert np.all(slope <= ref_slope + 0.05)
 
 
+# cell counts around the slice length of a blocked halving round
+HALVING_SIZES = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5]
+
+
 class TestHalvingAgainstReference:
     """dual_zero_halving records exactly what a plain full-array loop computes."""
 
+    @pytest.mark.parametrize("cells", [3000, *HALVING_SIZES])
     @pytest.mark.parametrize(
         "phi, theta",
         [
@@ -379,25 +385,27 @@ class TestHalvingAgainstReference:
             (log_sqrt_family(), 0.5),
             (power_family(0.5), 1.0 / 3.0),
             (log_sqrt_family(), 1.0 / 3.0),
+            (alpha_exp_family(4.0), 0.8),
         ],
         ids=lambda v: v.description if isinstance(v, NStarFunction) else f"theta={v:.3g}",
     )
-    def test_halving_instance_bit_for_bit(self, phi, theta):
-        X = MeasureSpace.interval(1.0, 3000)
+    def test_halving_instance_bit_for_bit(self, phi, theta, cells):
+        X = MeasureSpace.interval(1.0, cells)
         f0, u = halving_instance(phi, X)
         trace = dual_zero_halving(phi, X, f0, u, 12, theta)
         rows, c_phi = reference_halving(phi, X, f0, u, 12, theta)
         assert trace_rows(trace) == rows
         assert trace.c_phi == c_phi
 
+    @pytest.mark.parametrize("cells", [2000, *HALVING_SIZES])
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("kernel", ["signed", "front"])
-    def test_zeros_and_other_kernels_bit_for_bit(self, seed, kernel):
+    def test_zeros_and_other_kernels_bit_for_bit(self, seed, kernel, cells):
         # interior zeros take the masked ratio path; a kernel that changes
         # sign, or one that lives on the first cells only, makes rounds keep
         # the prefix rather than the suffix
         rng = np.random.default_rng(seed)
-        X = MeasureSpace.interval(1.0, 2000)
+        X = MeasureSpace.interval(1.0, cells)
         f0 = MeasurableFn(rng.uniform(0.0, 30.0, X.size) * (rng.uniform(size=X.size) < 0.7), X)
         if kernel == "signed":
             u = rng.uniform(-1.0, 3.0, X.size)
@@ -425,15 +433,23 @@ class TestHalvingAgainstReference:
 class TestDemoWork:
     """Solver work of the two demos, counted by a wrapper around phi."""
 
-    def test_halving_makes_one_phi_pass_per_round(self):
-        X = MeasureSpace.interval(1.0, 2**12)
+    def test_halving_evaluates_phi_once_on_each_kept_cell(self):
+        # f0 of halving_instance has no zeros, so the cells a round keeps are
+        # its support cells; every call but the last of a pass takes BLOCK cells
+        X = MeasureSpace.interval(1.0, 2 * BLOCK + 5)
         phi, sizes = counting(HALF)
         f0, u = halving_instance(HALF, X)
-        dual_zero_halving(phi, X, f0, u, 9)
-        assert len(sizes) == 9 + 1
-        assert sizes[0] == X.size
-        # each pass covers the kept piece only, and that never grows
-        assert all(b <= a for a, b in zip(sizes, sizes[1:]))
+        trace = dual_zero_halving(phi, X, f0, u, 9)
+        assert max(sizes) <= BLOCK
+        calls = iter(sizes)
+        for step in trace.steps:
+            done, last = 0, 0
+            while done < step.support_cells:
+                assert last in (0, BLOCK)
+                last = next(calls)
+                done += last
+            assert done == step.support_cells
+        assert next(calls, None) is None
 
     @pytest.mark.parametrize("space", [MeasureSpace.interval(1.0, 2**16), MeasureSpace.atomic(np.full(500, 0.5))])
     def test_nonconvex_makes_no_phi_pass_over_the_cells(self, space):
@@ -467,6 +483,36 @@ class TestDemoGuards:
         zero = MeasurableFn.constant(X, 0.0)
         with pytest.raises(NonconvergenceError, match="doubling the kept piece overflows"):
             dual_zero_halving(HALF, X, MeasurableFn.constant(X, 1e308), zero, 1)
+
+    def test_halving_doubling_past_the_float_range_in_a_later_slice(self):
+        # a zero kernel ties every split, so round 1 keeps the prefix, which
+        # runs past BLOCK into the cells of 1e308; only its second slice overflows
+        X = MeasureSpace.interval(1.0, 2 * BLOCK + 5)
+        f0 = MeasurableFn(np.where(np.arange(X.size) < BLOCK, 1.0, 1e308), X)
+        zero = MeasurableFn.constant(X, 0.0)
+        with pytest.raises(NonconvergenceError, match="step 1: doubling the kept piece overflows"):
+            dual_zero_halving(HALF, X, f0, zero, 1)
+
+    @pytest.mark.parametrize(
+        "bad, past, match",
+        [
+            (-1.0, 200.0, "step 1: modular weights must be non-negative and finite"),
+            (np.nan, 200.0, "step 1: modular weights must be non-negative and finite"),
+            (-1.0, 60.0, "step 2: modular weights must be non-negative and finite"),
+            # a NaN written in round 1 makes its own modular NaN
+            (np.nan, 60.0, "step 1: the modular or functional value overflows"),
+        ],
+        ids=["negative-start", "nan-start", "negative-doubled", "nan-doubled"],
+    )
+    def test_halving_weights_broken_in_a_later_slice(self, bad, past, match):
+        # phi turns bad above 100 on the cells past BLOCK only: at the start
+        # (f0 = 200), or in round 1's pass (2 * 60)
+        broken = dataclasses.replace(HALF, eval_fn=lambda a: np.where(a > 100.0, bad, np.sqrt(a)))
+        X = MeasureSpace.interval(1.0, 2 * BLOCK + 5)
+        f0 = MeasurableFn(np.where(np.arange(X.size) < BLOCK, 1.0, past), X)
+        zero = MeasurableFn.constant(X, 0.0)
+        with pytest.raises(NonconvergenceError, match=match):
+            dual_zero_halving(broken, X, f0, zero, 2)
 
     @pytest.mark.parametrize(
         "length, error, match",

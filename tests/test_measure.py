@@ -13,6 +13,7 @@ from nstar import (
     prefix_within,
     simple_approximation,
 )
+from nstar.measure import BLOCK
 
 THIRD_ROOT = 3.0 ** (-2.0 / 3.0)  # solves s^(3/2) = 1/3
 
@@ -149,6 +150,36 @@ class TestPrefixWithin:
             residuals[N] = abs(nu[: prefix_within(nu, t)].sum() - t)
             assert residuals[N] <= 1.0 / N
         assert residuals[1600] < residuals[100]
+
+
+def prefix_cases(n):
+    """(weights, target) pairs of n cells whose prefix ends in each kind of place."""
+    rng = np.random.default_rng(n)
+    w = rng.uniform(0.0, 1.0, n)
+    cs = np.cumsum(w)
+    edge = min(BLOCK, n) - 1
+    runs = w.copy()
+    runs[BLOCK // 2 : BLOCK + BLOCK // 2] = 0.0
+    runs[:7] = 0.0
+    rcs = np.cumsum(runs)
+    return [
+        (w, cs[10]),  # in the first slice
+        (w, cs[edge]),  # on the last cell of the first slice
+        (w, float(np.nextafter(cs[edge], -np.inf))),
+        (w, cs[-1]),  # the whole total
+        (w, cs[-1] * 2.0),  # past the total
+        (w, 0.0),
+        (runs, 0.0),  # leading zeros fit under 0
+        (runs, rcs[BLOCK // 2]),  # a run of zeros across a slice edge
+        (runs, rcs[-1]),
+        (np.zeros(n), 0.0),
+    ]
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5])
+def test_prefix_within_is_the_whole_array_search(n):
+    for weights, target in prefix_cases(n):
+        assert prefix_within(weights, target) == np.searchsorted(np.cumsum(weights), target, side="right")
 
 
 class TestSimpleApproximation:

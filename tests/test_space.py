@@ -15,7 +15,9 @@ from nstar import (
     complementary,
     convergence_equivalence,
     delta2_solve,
+    dual_zero_halving,
     from_density,
+    halving_instance,
     intersection_check,
     l1_embedding_bound_check,
     log_sqrt_family,
@@ -322,6 +324,22 @@ def test_pass_allocates_one_full_size_buffer(functional, bound):
     finally:
         tracemalloc.stop()
     assert peak / f.values.nbytes <= bound
+
+
+# the halving construction holds five full-size buffers (f, phi(|f|), the
+# modular weights, f * u and the prefix side of f * u) and slices of BLOCK
+# cells; its whole-array rounds peaked at 7.99x
+def test_halving_allocates_five_full_size_buffers():
+    X = MeasureSpace.interval(1.0, 2**18)
+    phi = power_family(0.25)
+    f0, u = halving_instance(phi, X)
+    tracemalloc.start()
+    try:
+        dual_zero_halving(phi, X, f0, u, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / f0.values.nbytes <= 5.5
 
 
 class TestQuasiTriangle:
