@@ -27,11 +27,12 @@ from .documents import fn_from_text, format_float, functional_from_text, json_re
 from .dual import (
     dual_zero_halving,
     functional_norm_formula,
-    halving_instance,
+    halving_f0,
+    halving_kernel,
     nonconvexity_demo,
     operator_norm_bruteforce,
 )
-from .errors import CapacityError, DomainError, NStarError
+from .errors import DomainError, NStarError
 from .space import SLACK_TOL, luxemburg_norm, metric
 from .suite import CHECK_NAMES, DEFAULT_SAMPLES, DEFAULT_SEED, default_doubling_constant, run_check_suite
 
@@ -267,16 +268,15 @@ def _cmd_dualzero(args) -> _Report:
     space = space_from_text(args.space)
     if args.fn and not args.kernel:
         raise DomainError("demo dualzero: --fn needs --kernel; --kernel alone runs with the built-in f0")
-    if args.fn:
-        f0 = fn_from_text(args.fn, space, "--fn")
-    else:
-        try:
-            f0, kernel = halving_instance(phi, space)
-        except CapacityError as exc:
-            # the built-in f0 and kernel leave the float range for this generator and space; the flags replace them
-            raise CapacityError(f"demo dualzero: {exc}; give f0 and the kernel with --fn and --kernel") from exc
+    f0 = fn_from_text(args.fn, space, "--fn") if args.fn else halving_f0(phi, space)
     if args.kernel:
         kernel = fn_from_text(args.kernel, space, "--kernel")
+    else:
+        try:
+            kernel = halving_kernel(f0)
+        except DomainError as exc:
+            # the built-in kernel leaves the float range for this generator and space; the flags replace it
+            raise DomainError(f"demo dualzero: {exc}; give f0 and the kernel with --fn and --kernel") from exc
     trace = dual_zero_halving(phi, space, f0, kernel, args.iterations, args.theta)
     bounds = trace.decay_bound()
     results = [

@@ -16,6 +16,12 @@ bounded-kernel integral functional can be continuous: the modular can be
 driven to zero while the functional value never drops. The averaging
 construction shows the unit balls are not convex-generating: the modular
 of averaged disjoint bumps grows without bound.
+
+Every sum over atoms or cells here (a functional value, a modular of the
+halving construction, the scale of its kernel) follows measure's sum rule:
+math.fsum of np.dot partials over pieces of BLOCK = 2^13 cells. It lies
+within gamma_(k+1) * sum |x_i y_i| of the exact sum, k = min(n, BLOCK),
+and does not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -25,8 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import NStarFunction
-from .errors import CapacityError, DomainError, NonconvergenceError
-from .measure import BLOCK, MeasurableFn, MeasureSpace, disjoint_positive_family, prefix_within
+from .errors import DomainError, NonconvergenceError
+from .measure import (
+    BLOCK,
+    MeasurableFn,
+    MeasureSpace,
+    blocked_dot,
+    disjoint_positive_family,
+    fsum_partials,
+    prefix_within,
+)
 from .space import luxemburg_norm
 
 __all__ = [
@@ -39,6 +53,8 @@ __all__ = [
     "operator_norm_bruteforce",
     "single_atom_witness",
     "dual_zero_halving",
+    "halving_f0",
+    "halving_kernel",
     "halving_instance",
     "nonconvexity_demo",
 ]
@@ -78,11 +94,10 @@ def evaluate_functional(U: AtomicFunctional, f: MeasurableFn) -> float:
     """U(f) = sum_i u_i * f_i with absolute convergence verified."""
     if not f.space.same_as(U.space):
         raise DomainError("function does not live on the functional's space")
-    with np.errstate(over="ignore"):
-        total_abs = float(np.dot(np.abs(U.coefficients), np.abs(f.values)))
+    total_abs = blocked_dot(np.abs(U.coefficients), np.abs(f.values))
     if not np.isfinite(total_abs):
         raise NonconvergenceError("functional sum does not converge absolutely")
-    return float(np.dot(U.coefficients, f.values))
+    return blocked_dot(U.coefficients, f.values)
 
 
 def functional_norm_formula(U: AtomicFunctional) -> float:
@@ -194,20 +209,24 @@ def dual_zero_halving(
 
     Every split is a prefix, so the support stays one contiguous range
     [lo, hi) of cells, and phi(0) = 0 gives the cells off it no modular.
-    The split search (prefix_within) reads the support's modular weights
-    only up to the slice of BLOCK cells where the split falls. A round then
-    makes one pass over the kept piece in slices of BLOCK cells: each slice
-    is counted, doubled in place, checked for overflow and passed through
+    Doubling is exact short of overflow, so after n rounds f is f0 * 2^n on
+    the support: each round reads it from the read-only f0, and nothing
+    copies f. A round makes one pass over the kept piece in slices of BLOCK
+    cells counted from its first cell, the pieces of measure's sum rule.
+    Each slice is counted, scaled, checked for overflow and passed through
     phi once. phi(2|g|) divided by phi(|g|), carried from the round before,
-    gives the slice's largest doubling ratio; phi(2|g|) is then written over
-    phi(|g|), and the slice's modular weights and f * u are written with
-    their least and largest weight, which the next round's weight check and
-    contraction bound read. Every temporary of the pass has at most BLOCK
-    elements. The modular, the functional value and the two split values
-    are still sums and dots over the whole space, so every recorded number
-    is the one a plain loop over full arrays gives, bit for bit, under one
-    BLAS thread count: np.dot of the same long vectors can differ in the
-    last bit between thread counts.
+    gives the slice's largest doubling ratio, and phi(2|g|) is then written
+    over phi(|g|). The pass returns each slice's partials of the modular
+    (phi(|f|) . mass) and of the functional value (f u . mass), and the
+    least and largest modular weight phi(|f|) * mass, which the next
+    round's weight check and contraction bound read. The modular and the
+    functional value are the fsum of their partials. The split search runs
+    the sum of the modular partials up to the piece where it passes
+    theta * rho, and continues it cell by cell inside that piece only
+    (prefix_within). The two split values are the functional partials on
+    either side of that piece plus its two parts. No array but phi(|f|)
+    has more than BLOCK cells, and every recorded number follows the sum
+    rule, so none depends on the BLAS thread count.
 
     Argument errors (DomainError): theta outside (0, 1), iterations below
     1, a functional value of f0 that is neither 0 nor finite and at least
@@ -223,90 +242,81 @@ def dual_zero_halving(
     if not f0.space.same_as(space) or not kernel.space.same_as(space):
         raise DomainError("f0 and kernel must live on the given space")
 
-    masses = space.masses
-    u = kernel.values
-    # fu = f * u and nu = phi(|f|) * mass over the whole space, zero off the support
-    with np.errstate(over="ignore", invalid="ignore"):
-        fu = f0.values * u
-        phi0 = float(np.dot(fu, masses))
-    # a vanishing functional is a degenerate but valid input (the trace then
-    # only exhibits modular decay); a nonzero unscaled one is a caller error
-    if not np.isfinite(phi0) or 0.0 < abs(phi0) < 1.0 - 1e-12:
-        raise DomainError("scale f0 or the kernel so the functional value is 0 or finite and at least 1")
+    masses, u, start = space.masses, kernel.values, f0.values
+    # phi(|f|) on the support, carried from round to round
+    phi_f = np.empty(space.size)
+
+    def sweep(n: int, lo: int, hi: int):
+        """The pass of round n over f = f0 * 2^n on [lo, hi); round 0 takes no ratio."""
+        rho_parts, val_parts = [], []
+        nu_min = nu_max = 0.0
+        cells, ratio = 0, -np.inf
+        for a in range(lo, hi, BLOCK):
+            b = min(a + BLOCK, hi)
+            nonzero = start[a:b] != 0.0
+            cells += int(np.count_nonzero(nonzero))
+            with np.errstate(over="ignore"):
+                g = np.ldexp(start[a:b], n)
+                if not np.all(np.isfinite(g)):
+                    raise NonconvergenceError(
+                        f"halving step {n}: doubling the kept piece overflows the float range"
+                    )
+                phi_g = phi(g)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                if n:
+                    # np.maximum, unlike max, keeps a NaN ratio, as one np.max over the piece does
+                    ratio = np.maximum(ratio, np.max(phi_g / phi_f[a:b], where=nonzero, initial=-np.inf))
+                phi_f[a:b] = phi_g
+                weights = phi_g * masses[a:b]
+                rho_parts.append(np.dot(phi_g, masses[a:b]))
+                val_parts.append(np.dot(g * u[a:b], masses[a:b]))
+            nu_min = min(nu_min, float(weights.min()))
+            nu_max = max(nu_max, float(weights.max()))
+        return rho_parts, val_parts, nu_min, nu_max, cells, float(ratio)
 
     lo, hi = 0, space.size
-    # f and phi(|f|) on the support only; f is doubled and phi_f overwritten in place
-    f = f0.values.copy()
-    phi_f = np.empty(space.size)
-    with np.errstate(over="ignore"):
-        for a in range(0, space.size, BLOCK):
-            phi_f[a : a + BLOCK] = phi(f[a : a + BLOCK])
-        nu = phi_f * masses
-        rho = float(nu.sum())
+    rho_parts, val_parts, nu_min, nu_max, cells, _ = sweep(0, lo, hi)
+    val = fsum_partials(val_parts)
+    # a vanishing functional is a degenerate but valid input (the trace then
+    # only exhibits modular decay); a nonzero unscaled one is a caller error
+    if not np.isfinite(val) or 0.0 < abs(val) < 1.0 - 1e-12:
+        raise DomainError("scale f0 or the kernel so the functional value is 0 or finite and at least 1")
+    rho = fsum_partials(rho_parts)
     if rho == 0.0:
         raise DomainError("f0 has modular 0, so nothing decays")
-    # least and largest modular weight on the support, and zero
-    nu_min, nu_max = float(nu.min(initial=0.0)), float(nu.max(initial=0.0))
-    part = np.zeros(space.size)
-    val = phi0
-    steps: list[HalvingStep] = [HalvingStep(0, rho, val, 0, int(np.count_nonzero(f)))]
+    steps: list[HalvingStep] = [HalvingStep(0, rho, val, 0, cells)]
     c_phi = 1.0
     keep_fraction = max(theta, 1.0 - theta)
     for n in range(1, iterations + 1):
         if not (np.isfinite(rho) and nu_min >= 0.0):
             raise NonconvergenceError(f"halving step {n}: modular weights must be non-negative and finite")
-        # the longest prefix of cells whose modular mass stays <= theta * rho;
-        # cells before lo add nothing, and if the whole support fits, so does every cell after it
-        cut = prefix_within(nu[lo:hi], theta * rho)
-        split = lo + cut
-        prefix_cells = split if cut < hi - lo else space.size
-        # part holds the prefix side of fu, fu keeps the rest
-        part[lo:split] = fu[lo:split]
-        fu[lo:split] = 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            v1, v2 = float(np.dot(part, masses)), float(np.dot(fu, masses))
-        part[lo:split] = 0.0
-        if abs(v1) >= abs(v2):
-            new_lo, new_hi, dropped = lo, split, slice(split, hi)
+        # the split falls in piece j, the first whose modular partial takes the
+        # running sum past theta * rho; if none does, the whole support fits
+        target = theta * rho
+        runs = np.cumsum(rho_parts)
+        j = int(np.searchsorted(runs, target, side="right"))
+        if j < len(rho_parts):
+            a = lo + j * BLOCK
+            b = min(a + BLOCK, hi)
+            with np.errstate(over="ignore", invalid="ignore"):
+                split = a + prefix_within(phi_f[a:b] * masses[a:b], target, float(runs[j - 1]) if j else 0.0)
+                piece = np.ldexp(start[a:b], n - 1) * u[a:b]
+                left = np.dot(piece[: split - a], masses[a:split])
+                right = np.dot(piece[split - a :], masses[split:b])
+            v1 = fsum_partials([*val_parts[:j], left])
+            v2 = fsum_partials([right, *val_parts[j + 1 :]])
         else:
-            new_lo, new_hi, dropped = split, hi, slice(lo, split)
-        nu[dropped] = 0.0
-        fu[dropped] = 0.0
-        # one pass over the kept piece in slices of BLOCK cells: double g, take
-        # phi(2g) and its ratio to phi(g), then write phi(2g) over phi(g), nu and fu
-        support_cells = 0
-        ratio = -np.inf
+            split, v1, v2 = hi, val, 0.0
+        prefix_cells = split if split < hi else space.size
+        new_lo, new_hi = (lo, split) if abs(v1) >= abs(v2) else (split, hi)
         support_max = nu_max
-        nu_min = nu_max = 0.0
-        for a in range(new_lo, new_hi, BLOCK):
-            b = min(a + BLOCK, new_hi)
-            g = f[a - lo : b - lo]
-            phi_g = phi_f[a - lo : b - lo]
-            nonzero = g != 0.0
-            support_cells += int(np.count_nonzero(nonzero))
-            with np.errstate(over="ignore"):
-                g *= 2.0
-                if not np.all(np.isfinite(g)):
-                    raise NonconvergenceError(
-                        f"halving step {n}: doubling the kept piece overflows the float range"
-                    )
-                phi_next = phi(g)
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                # np.maximum, unlike max, keeps a NaN ratio, as one np.max over the piece does
-                ratio = np.maximum(ratio, np.max(phi_next / phi_g, where=nonzero, initial=-np.inf))
-                phi_g[...] = phi_next
-                weights = np.multiply(phi_next, masses[a:b], out=nu[a:b])
-                np.multiply(g, u[a:b], out=fu[a:b])
-            nu_min = min(nu_min, float(weights.min()))
-            nu_max = max(nu_max, float(weights.max()))
-        c_step = float(ratio) if support_cells else 1.0
+        rho_parts, val_parts, nu_min, nu_max, cells, ratio = sweep(n, new_lo, new_hi)
+        c_step = ratio if cells else 1.0
         c_phi = max(c_phi, c_step)
         # the kept piece carries at most keep_fraction of the modular plus one cell
         allowance = c_step * support_max
         step_cap = c_step * keep_fraction * rho + allowance + DEMO_TOL * rho
-        with np.errstate(over="ignore", invalid="ignore"):
-            rho_next = float(nu.sum())
-            val_next = float(np.dot(fu, masses))
+        rho_next, val_next = fsum_partials(rho_parts), fsum_partials(val_parts)
         if not (np.isfinite(rho_next) and np.isfinite(val_next)):
             raise NonconvergenceError(f"halving step {n}: the modular or functional value overflows the float range")
         if rho_next > step_cap:
@@ -314,37 +324,58 @@ def dual_zero_halving(
         if abs(val_next) < abs(val) - DEMO_TOL * max(abs(val), 1.0):
             raise NonconvergenceError(f"halving step {n} lost functional mass")
         step_bound = step_cap / rho if rho > 0 else 1.0
-        f, phi_f = f[new_lo - lo : new_hi - lo], phi_f[new_lo - lo : new_hi - lo]
         lo, hi, rho, val = new_lo, new_hi, rho_next, val_next
-        steps.append(HalvingStep(n, rho, val, prefix_cells, support_cells, step_bound))
+        steps.append(HalvingStep(n, rho, val, prefix_cells, cells, step_bound))
     return HalvingTrace(steps=tuple(steps), theta=theta, c_phi=c_phi)
 
 
-def halving_instance(phi: NStarFunction, space: MeasureSpace) -> tuple[MeasurableFn, MeasurableFn]:
-    """A smooth starting function and matched bounded kernel for the halving demo.
+def halving_f0(phi: NStarFunction, space: MeasureSpace) -> MeasurableFn:
+    """The halving demo's smooth starting function, f0 = phi^-1(e^(-HALVING_DECAY_RATE x / L)).
 
-    The modular density of f0, e^(-HALVING_DECAY_RATE x / L), decays
-    exponentially across the interval, so every split point falls in a
-    region of many small cells and the prefix residual stays a tiny fraction
-    of the modular; the kernel weights f0 to a constant, which keeps the
-    functional mass on the surviving piece. CapacityError when that kernel
-    leaves the float range: some f0 lies within about 2/max-float of 0, or
-    every f0 underflows to 0.
+    Its modular density decays exponentially across the interval, so every
+    split point falls in a region of many small cells and the prefix
+    residual stays a tiny fraction of the modular. Built a slice of BLOCK
+    cells at a time; every step is elementwise.
     """
     if space.is_atomic:
         raise DomainError("the halving construction needs the non-atomic model")
-    x = space.midpoints() / space.length
-    f_vals = phi.inverse(np.exp(-HALVING_DECAY_RATE * x))
-    # 1/f0 overflows to inf, and 2/raw to inf when raw is 0; the check below rejects both
+    values = np.empty(space.size)
+    for a in range(0, space.size, BLOCK):
+        x = space.midpoints(a, min(a + BLOCK, space.size)) / space.length
+        values[a : a + BLOCK] = phi.inverse(np.exp(-HALVING_DECAY_RATE * x))
+    return MeasurableFn(values, space)
+
+
+def halving_kernel(f0: MeasurableFn) -> MeasurableFn:
+    """The bounded kernel that weights f0 to a constant: 2/c times 1/f0 where f0 > 0, and 0 elsewhere.
+
+    c is the integral of f0 * (1/f0), taken by the sum rule, so the
+    functional value of f0 is 2, and it stays on the surviving piece.
+    Built a slice of BLOCK cells at a time. DomainError when the kernel
+    leaves the float range: some f0 lies within about 2/max-float of 0, or
+    no f0 is positive.
+    """
+    f, masses = f0.values, f0.space.masses
+    u = np.empty(f.size)
+    parts = []
+    # 1/f0 overflows to inf, and 2/c to inf when c is 0; the check below rejects both
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        u_vals = np.where(f_vals > 0, 1.0 / f_vals, 0.0)
-        raw = float(np.dot(f_vals * u_vals, space.masses))
-        u_vals = u_vals * np.divide(2.0, raw)
-    if not np.all(np.isfinite(u_vals)):
-        tiny = f_vals[f_vals > 0]
+        for a in range(0, f.size, BLOCK):
+            piece = f[a : a + BLOCK]
+            u[a : a + BLOCK] = np.where(piece > 0, 1.0 / piece, 0.0)
+            parts.append(np.dot(piece * u[a : a + BLOCK], masses[a : a + BLOCK]))
+        u *= np.divide(2.0, fsum_partials(parts))
+    if not np.all(np.isfinite(u)):
+        tiny = f[f > 0]
         what = f"the smallest positive f0 is {tiny.min():.6g}" if tiny.size else "every f0 underflows to 0"
-        raise CapacityError(f"the kernel 1/f0 leaves the float range: {what}")
-    return MeasurableFn(f_vals, space), MeasurableFn(u_vals, space)
+        raise DomainError(f"the kernel 1/f0 leaves the float range: {what}")
+    return MeasurableFn(u, f0.space)
+
+
+def halving_instance(phi: NStarFunction, space: MeasureSpace) -> tuple[MeasurableFn, MeasurableFn]:
+    """halving_f0 and its halving_kernel: a smooth f0 and matched bounded kernel for the halving demo."""
+    f0 = halving_f0(phi, space)
+    return f0, halving_kernel(f0)
 
 
 @dataclass(frozen=True)
@@ -374,9 +405,9 @@ def nonconvexity_demo(
     rho(h_m) = sum_{k<=m} phi(beta_k / m) mu(A_k): O(n^2) generator work
     on the n piece masses and heights, with no generator pass over the
     cells. Summing the piece masses still reads each cell's mass once.
-    CapacityError when the space cannot carry n such bumps: it has fewer
-    than n atoms or cells, or a height beta_k overflows or underflows to 0.
-    An epsilon that is not positive and finite raises DomainError.
+    DomainError when epsilon is not positive and finite, or when the space
+    cannot carry n such bumps: it has fewer than n atoms or cells, or a
+    height beta_k overflows or underflows to 0.
     """
     if not 0 < epsilon < np.inf:
         raise DomainError("epsilon must be positive and finite")
@@ -389,12 +420,12 @@ def nonconvexity_demo(
     if not np.all(in_range):
         k = int(np.argmin(in_range))
         what = "underflows to 0" if heights[k] == 0 else "overflows the float range"
-        raise CapacityError(f"bump height phi^-1({levels[k]:.6g}) on piece {k + 1} {what}")
+        raise DomainError(f"bump height phi^-1({levels[k]:.6g}) on piece {k + 1} {what}")
     counts = np.arange(1, n + 1)
     modulars = np.empty(n, dtype=float)
     for m in counts:
         values = phi(heights[:m] / m)
-        modulars[m - 1] = float(np.dot(values, masses[:m]))
+        modulars[m - 1] = blocked_dot(values, masses[:m])
         if modulars[m - 1] < epsilon * (1.0 - DEMO_TOL):
             raise NonconvergenceError(f"averaged modular dropped below epsilon at m={m}")
     return GrowthTrace(counts=counts, modulars=modulars, epsilon=float(epsilon))

@@ -3,15 +3,16 @@
 Public functions raise these instead of bare ValueError/RuntimeError, and
 the class says which of two kinds an error is:
 
-* argument errors, DomainError and its subclass CapacityError: the inputs
-  lie outside what the operation accepts, whether the CLI, a document or
-  a library function found it. The command line exits 2 on them.
+* argument errors, DomainError: the inputs lie outside what the
+  operation accepts, whether the CLI, a document or a library function
+  found it, including a space that cannot carry what was asked of it.
+  The command line exits 2 on them.
 * computation failures, NonconvergenceError: a solver or construction
   that accepted its arguments could not reach or certify its result. The
   command line exits 1 on them, as on a failed asserted check.
 """
 
-__all__ = ["NStarError", "DomainError", "NonconvergenceError", "CapacityError"]
+__all__ = ["NStarError", "DomainError", "NonconvergenceError"]
 
 
 class NStarError(Exception):
@@ -24,7 +25,3 @@ class DomainError(NStarError, ValueError):
 
 class NonconvergenceError(NStarError):
     """A solver or construction that accepted its arguments could not reach or certify its result."""
-
-
-class CapacityError(DomainError):
-    """The space cannot carry what was asked of it: too few pieces, or values past the float range."""

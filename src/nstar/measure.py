@@ -5,21 +5,39 @@ sampled interval [0, L] with N cells standing in for non-atomic Lebesgue
 measure. Functions are piecewise constant (one value per atom or cell),
 which makes every integral an exact finite sum and keeps indicator-based
 oracles exact. All values are immutable; operations are pure.
+
+The sum rule. Every sum over cells of products x_i y_i (an integral, a
+modular, a functional value) is math.fsum of the np.dot partials over
+consecutive pieces of BLOCK = 2^13 cells; a sum over at most BLOCK cells
+is one np.dot. OpenBLAS runs a dot of at most 10,000 elements on one
+thread, and fsum rounds the exact sum of its partials correctly, in any
+order, so the result depends on the values and the pieces only, not on
+the BLAS thread count: a reproducible sum in the sense of Demmel &
+Nguyen, "Fast reproducible floating-point summation", ARITH 21, 2013.
+Error bound: a partial over k cells lies within gamma_k * sum |x_i y_i|
+of its exact sum, gamma_k = k u / (1 - k u) with u = 2^-53 (Higham,
+Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.1), and
+fsum adds one rounding, so the sum lies within gamma_(k+1) *
+sum |x_i y_i| of the exact one, k = min(n, BLOCK): past BLOCK cells the
+bound no longer grows with n.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "MeasureSpace",
     "MeasurableFn",
     "integrate",
     "weighted_sum",
+    "blocked_dot",
+    "fsum_partials",
     "prefix_within",
     "simple_approximation",
     "disjoint_positive_family",
@@ -27,12 +45,12 @@ __all__ = [
 
 ATOMIC = "atomic"
 INTERVAL = "interval"
-# cells per slice of a blocked pass (integrate, weighted_sum, prefix_within
-# and the rounds of dual.dual_zero_halving): each float64 temporary of a slice
-# is 128 KiB and stays in L2. On a 2-vCPU Xeon (2 MiB L2 per core) a
-# 2^20-cell luxemburg_norm took the same time at 2^13-2^16 and 40% longer at
-# 2^12, where per-slice call overhead shows
-BLOCK = 2**14
+# cells per piece of the sum rule and per slice of a blocked pass (weighted_sum
+# and the passes of dual): each float64 temporary of a slice is 64 KiB and
+# stays in L2, and a dot of a slice runs on one BLAS thread. On a 2-vCPU Xeon
+# (2 MiB L2 per core) a 2^20-cell luxemburg_norm took the same time at
+# 2^13-2^16 and 40% longer at 2^12, where per-slice call overhead shows
+BLOCK = 2**13
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,12 +99,12 @@ class MeasureSpace:
     def is_atomic(self) -> bool:
         return self.kind == ATOMIC
 
-    def midpoints(self) -> np.ndarray:
-        """Cell midpoints; the sampling sites for analytic test functions."""
+    def midpoints(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Midpoints of the cells [lo, hi); the sampling sites for analytic test functions."""
         if self.kind != INTERVAL:
             raise DomainError("midpoints are defined for sampled intervals only")
         n = self.size
-        return (np.arange(n) + 0.5) * (self.length / n)
+        return (np.arange(lo, n if hi is None else hi) + 0.5) * (self.length / n)
 
     def same_as(self, other: "MeasureSpace") -> bool:
         return (
@@ -171,64 +189,70 @@ class MeasurableFn:
 
 
 def integrate(space: MeasureSpace, g, f: MeasurableFn) -> float:
-    """Integral of g(f) over the space: sum of mass_i * g(values_i).
+    """Integral of g(f) over the space: sum of mass_i * g(values_i), by the sum rule.
 
     Exact for piecewise-constant integrands. g must be vectorized and act
-    elementwise. A function of at most BLOCK cells takes one call g(values).
-    A longer one is cut into contiguous slices of BLOCK cells (the last one
-    ragged); g's result on each slice is written into one output buffer,
-    and one np.dot of the whole buffer with the masses forms the sum. Every
-    temporary g makes then has BLOCK elements and stays in cache, instead
-    of a fresh full-size array the kernel maps and zero-fills on every
-    pass. Since g acts elementwise, each buffer element is the value the
-    whole-array call gives it, and the final dot is the same whole-array
-    dot, so the sum is bit-identical to np.dot(g(values), masses) under the
-    same BLAS thread count (a long np.dot can differ in the last bit between
-    thread counts).
+    elementwise; see weighted_sum.
     """
     if not f.space.same_as(space):
         raise DomainError("function does not live on the given space")
-    return weighted_sum(g, f.values, space.masses)
+    return weighted_sum(g, space.masses, f.values)
 
 
-def weighted_sum(g, values: np.ndarray, masses: np.ndarray) -> float:
-    """Sum of masses_i * g(values_i), blocked as in integrate, for a caller that checked the space.
+def weighted_sum(g, masses: np.ndarray, *values: np.ndarray) -> float:
+    """Sum of masses_i * g(values_i, ...) by the sum rule, for a caller that checked the space.
 
-    Overflow to inf and invalid operations in g are not flagged.
+    g acts elementwise and takes one slice of each values array. The pass
+    cuts the cells into the rule's pieces of BLOCK cells (the last one
+    ragged), calls g once per piece and takes the np.dot of its result with
+    the piece's masses: those are the rule's partials. Every temporary g
+    makes has at most BLOCK elements and stays in cache, and no full-size
+    array is made. Overflow to inf and invalid operations in g are not
+    flagged.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        if values.size <= BLOCK:
-            return float(np.dot(np.asarray(g(values), dtype=float), masses))
-        out = np.empty(values.size)
-        for lo in range(0, values.size, BLOCK):
-            out[lo : lo + BLOCK] = g(values[lo : lo + BLOCK])
-        return float(np.dot(out, masses))
+        if masses.size <= BLOCK:
+            return float(np.dot(np.asarray(g(*values), dtype=float), masses))
+        return fsum_partials(
+            [
+                np.dot(np.asarray(g(*(v[a : a + BLOCK] for v in values)), dtype=float), masses[a : a + BLOCK])
+                for a in range(0, masses.size, BLOCK)
+            ]
+        )
 
 
-def prefix_within(weights: np.ndarray, target: float) -> int:
-    """Length of the longest prefix of non-negative weights whose running sum stays <= target.
+def blocked_dot(x: np.ndarray, y: np.ndarray) -> float:
+    """Sum of x_i * y_i by the sum rule: the weighted sum of x with weights y and g the identity."""
+    return weighted_sum(np.asarray, y, x)
 
-    The split search of dual_zero_halving; the caller checks the weights.
-    The running sum is taken in slices of BLOCK cells, and the search stops
-    at the first slice whose sum passes the target, so a prefix in the front
-    of the weights reads only its own slices. Each slice is summed behind
-    the running sum of the slices before it (one np.cumsum of [sum, slice]),
-    and np.cumsum adds in order, so every running sum is the one
-    np.cumsum(weights) gives, bit for bit, and the result is
-    np.searchsorted(np.cumsum(weights), target, side="right").
+
+def fsum_partials(partials) -> float:
+    """math.fsum of the sum rule's partials.
+
+    fsum raises where its running sum passes the float range or meets
+    infinities of both signs; the plain sum then gives inf or nan, as one
+    whole-array np.dot does.
     """
-    buf = np.empty(min(weights.size, BLOCK) + 1)
-    total = 0.0
-    for lo in range(0, weights.size, BLOCK):
-        piece = weights[lo : lo + BLOCK]
-        run = buf[: piece.size + 1]
-        run[0] = total
-        run[1:] = piece
-        np.cumsum(run, out=run)
-        total = run[-1]
-        if total > target:
-            return lo + int(np.searchsorted(run[1:], target, side="right"))
-    return weights.size
+    try:
+        return math.fsum(partials)
+    except (OverflowError, ValueError):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.sum(partials))
+
+
+def prefix_within(weights: np.ndarray, target: float, start: float = 0.0) -> int:
+    """Length of the longest prefix of non-negative weights whose running sum, from start, stays <= target.
+
+    The running sums start + w_0, start + w_0 + w_1, ... are those of one
+    np.cumsum, which adds in order, so the result is
+    np.searchsorted(np.cumsum(weights), target, side="right") when start
+    is 0. The caller checks the weights.
+    """
+    run = np.empty(weights.size + 1)
+    run[0] = start
+    run[1:] = weights
+    np.cumsum(run, out=run)
+    return int(np.searchsorted(run[1:], target, side="right"))
 
 
 def simple_approximation(f: MeasurableFn, n: int) -> MeasurableFn:
@@ -253,7 +277,7 @@ def disjoint_positive_family(space: MeasureSpace, count: int) -> list[np.ndarray
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise DomainError("count must be a positive integer")
     if count > space.size:
-        raise CapacityError(f"cannot carve {count} disjoint pieces out of {space.size}")
+        raise DomainError(f"cannot carve {count} disjoint pieces out of {space.size}")
     if space.is_atomic:
         return [np.array([i]) for i in range(count)]
     block = space.size // count

@@ -1,12 +1,24 @@
-"""High-precision mpmath oracles shared by the tests.
+"""Reference computations shared by the tests.
 
-Each evaluates its quantity in mpmath, at 30-40 digits, by a route that
-runs no nstar code. A helper that imports mpmath itself skips the calling
-test when mpmath is missing; mp_bump_modulars takes the module from its
-caller, which skips.
+The mpmath oracles evaluate their quantity at 30-40 digits, by a route
+that runs no nstar code. A helper that imports mpmath itself skips the
+calling test when mpmath is missing; mp_bump_modulars takes the module
+from its caller, which skips. rule_sum is measure's sum rule on whole
+arrays, in plain numpy.
 """
 
+import math
+
+import numpy as np
 import pytest
+
+# cells per piece of the sum rule; nstar.measure.BLOCK holds the same number
+RULE_PIECE = 2**13
+
+
+def rule_sum(x, y):
+    """Sum of x_i * y_i by the sum rule: math.fsum of np.dot over consecutive pieces of RULE_PIECE cells."""
+    return math.fsum(np.dot(x[a : a + RULE_PIECE], y[a : a + RULE_PIECE]) for a in range(0, len(x), RULE_PIECE))
 
 
 def log_sqrt_complement_mp(y, dps=40):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from nstar import (
     AtomicFunctional,
-    CapacityError,
     DomainError,
     MeasurableFn,
     MeasureSpace,
@@ -28,7 +28,7 @@ from nstar import (
     single_atom_witness,
 )
 from nstar.measure import BLOCK
-from oracle import mp_bump_modulars
+from oracle import mp_bump_modulars, rule_sum
 
 HALF = power_family(0.5)
 CLOSED_FAMILIES = [power_family, scaled_power_family, alpha_exp_family, lambda _: log_sqrt_family()]
@@ -46,33 +46,55 @@ def counting(phi: NStarFunction) -> tuple[NStarFunction, list[int]]:
 
 
 def reference_halving(phi, space, f0, kernel, iterations, theta):
-    """The halving construction as a plain loop over full arrays.
+    """The halving construction as a plain loop over full arrays, every sum by the sum rule.
 
-    Returns one (modular, functional value, prefix cells, support cells,
-    step bound) row per step, and c_phi.
+    The modular and the functional value are rule sums over the support
+    [lo, hi), whose pieces start at lo. The split runs the sum of the
+    modular's pieces up to the piece where it passes theta * rho, then
+    cell by cell (np.cumsum) inside that piece; the split values take the
+    functional's pieces on either side of it plus its two parts. Returns
+    one (modular, functional value, prefix cells, support cells, step
+    bound) row per step, and c_phi.
     """
     masses, u = space.masses, kernel.values
     f = f0.values.copy()
-    nu = np.asarray(phi(np.abs(f)), dtype=float) * masses
-    rho, val = float(nu.sum()), float(np.dot(f * u, masses))
+    lo, hi = 0, f.size
+
+    def pieces(x):
+        return [np.dot(x[a : min(a + BLOCK, hi)], masses[a : min(a + BLOCK, hi)]) for a in range(lo, hi, BLOCK)]
+
+    phi_f = np.asarray(phi(np.abs(f)), dtype=float)
+    rho_parts, val_parts = pieces(phi_f), pieces(f * u)
+    rho, val = math.fsum(rho_parts), math.fsum(val_parts)
     rows = [(rho, val, 0, int(np.count_nonzero(f)), 1.0)]
     c_phi = 1.0
     for _ in range(iterations):
-        k = int(np.searchsorted(np.cumsum(nu), theta * rho, side="right"))
-        g1, g2 = f.copy(), f.copy()
-        g1[k:] = 0.0
-        g2[:k] = 0.0
-        v1, v2 = float(np.dot(g1 * u, masses)), float(np.dot(g2 * u, masses))
-        g = g1 if abs(v1) >= abs(v2) else g2
+        nu = phi_f * masses
+        runs = np.cumsum(rho_parts)
+        j = int(np.searchsorted(runs, theta * rho, side="right"))
+        if j == len(rho_parts):
+            k, v1, v2 = hi, val, 0.0
+        else:
+            a, b = lo + j * BLOCK, min(lo + (j + 1) * BLOCK, hi)
+            before = runs[j - 1] if j else 0.0
+            k = a + int(np.searchsorted(np.cumsum([before, *nu[a:b]])[1:], theta * rho, side="right"))
+            fu = f * u
+            v1 = math.fsum([*val_parts[:j], np.dot(fu[a:k], masses[a:k])])
+            v2 = math.fsum([np.dot(fu[k:b], masses[k:b]), *val_parts[j + 1 :]])
+        prefix = k if k < hi else f.size
+        lo, hi = (lo, k) if abs(v1) >= abs(v2) else (k, hi)
+        g = np.zeros_like(f)
+        g[lo:hi] = f[lo:hi]
         pos = np.abs(g[g != 0.0])
         c_step = float(np.max(np.asarray(phi(2.0 * pos)) / np.asarray(phi(pos)))) if pos.size else 1.0
         c_phi = max(c_phi, c_step)
         f = 2.0 * g
         cap = c_step * max(theta, 1.0 - theta) * rho + c_step * float(nu.max()) + 1e-9 * rho
         bound = cap / rho if rho > 0 else 1.0
-        nu = np.asarray(phi(np.abs(f)), dtype=float) * masses
-        rho, val = float(nu.sum()), float(np.dot(f * u, masses))
-        rows.append((rho, val, k, int(np.count_nonzero(f)), bound))
+        phi_f = np.asarray(phi(np.abs(f)), dtype=float)
+        rho_parts, val_parts = pieces(phi_f), pieces(f * u)
+        rho, val = math.fsum(rho_parts), math.fsum(val_parts)
+        rows.append((rho, val, prefix, int(np.count_nonzero(f)), bound))
     return rows, c_phi
 
 
@@ -397,6 +419,22 @@ class TestHalvingAgainstReference:
         assert trace_rows(trace) == rows
         assert trace.c_phi == c_phi
 
+    @pytest.mark.parametrize("cells", [3000, *HALVING_SIZES])
+    @pytest.mark.parametrize(
+        "phi",
+        [power_family(0.25), alpha_exp_family(4.0), log_sqrt_family()],
+        ids=lambda phi: phi.description,
+    )
+    def test_instance_is_the_whole_array_formula(self, phi, cells):
+        # f0 and the kernel are built a slice at a time; every step but the
+        # kernel's scale is elementwise, and the scale follows the sum rule
+        X = MeasureSpace.interval(1.0, cells)
+        f0, u = halving_instance(phi, X)
+        f = phi.inverse(np.exp(-16.0 * X.midpoints() / X.length))
+        inverse = np.where(f > 0, 1.0 / f, 0.0)
+        assert np.array_equal(f0.values, f)
+        assert np.array_equal(u.values, inverse * (2.0 / rule_sum(f * inverse, X.masses)))
+
     @pytest.mark.parametrize("cells", [2000, *HALVING_SIZES])
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("kernel", ["signed", "front"])
@@ -557,7 +595,7 @@ class TestDemoGuards:
         # 1/max-float and 1/f0 overflowed to inf; where every f0 underflows to 0
         # the kernel scale 2/0 raised ZeroDivisionError
         X = MeasureSpace.interval(1.0, cells)
-        with pytest.raises(CapacityError, match="kernel 1/f0 leaves the float range"):
+        with pytest.raises(DomainError, match="kernel 1/f0 leaves the float range"):
             halving_instance(power_family(p), X)
 
     def test_nonconvex_epsilon_not_positive(self):
@@ -588,7 +626,7 @@ class TestDemoGuards:
     )
     def test_nonconvex_height_outside_the_float_range(self, masses, epsilon, message):
         X = MeasureSpace.atomic(masses)
-        with pytest.raises(CapacityError, match=message):
+        with pytest.raises(DomainError, match=message):
             nonconvexity_demo(log_sqrt_family(), X, epsilon, len(masses))
 
 
@@ -639,5 +677,5 @@ class TestNonconvexity:
 
     def test_capacity_error_propagates(self):
         X = MeasureSpace.atomic([1.0, 1.0, 1.0])
-        with pytest.raises(CapacityError):
+        with pytest.raises(DomainError, match="cannot carve 4 disjoint pieces out of 3"):
             nonconvexity_demo(HALF, X, 1.0, 4)

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nstar import (
-    CapacityError,
     DomainError,
     MeasurableFn,
     MeasureSpace,
@@ -12,8 +15,10 @@ from nstar import (
     power_family,
     prefix_within,
     simple_approximation,
+    weighted_sum,
 )
 from nstar.measure import BLOCK
+from oracle import rule_sum
 
 THIRD_ROOT = 3.0 ** (-2.0 / 3.0)  # solves s^(3/2) = 1/3
 
@@ -152,6 +157,41 @@ class TestPrefixWithin:
         assert residuals[1600] < residuals[100]
 
 
+def gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53."""
+    return k * 2.0**-53 / (1.0 - k * 2.0**-53)
+
+
+SUMMANDS = {
+    "power": lambda v: np.abs(v) ** 0.25,
+    "signed": lambda v: v,
+    "cube": lambda v: v**3,
+}
+
+
+@settings(max_examples=60)
+@given(
+    n=st.one_of(st.integers(1, 3 * BLOCK), st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1])),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-6, 1.0, 1e6]),
+    name=st.sampled_from(sorted(SUMMANDS)),
+)
+def test_weighted_sum_follows_the_sum_rule(n, seed, scale, name):
+    # the rule, bit for bit: fsum of np.dot partials over pieces of 2^13 cells on
+    # whole arrays; and its bound against the exact sum of the rounded products
+    g = SUMMANDS[name]
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-3.0, 3.0, n) * scale
+    masses = rng.uniform(0.5, 1.5, n) / n
+    got = weighted_sum(g, masses, values)
+    assert got == rule_sum(g(values), masses)
+    products = g(values) * masses
+    # each partial within gamma_k, k <= 2^13 cells, of its exact sum; fsum adds one
+    # rounding, and rounding the products and their fsum adds three more
+    bound = gamma(min(n, BLOCK) + 4) * math.fsum(np.abs(products))
+    assert abs(got - math.fsum(products)) <= bound
+
+
 def prefix_cases(n):
     """(weights, target) pairs of n cells whose prefix ends in each kind of place."""
     rng = np.random.default_rng(n)
@@ -229,5 +269,5 @@ class TestDisjointPositiveFamily:
 
     def test_capacity_error(self):
         X = MeasureSpace.atomic([1.0, 2.0, 3.0])
-        with pytest.raises(CapacityError):
+        with pytest.raises(DomainError, match="cannot carve 4 disjoint pieces out of 3"):
             disjoint_positive_family(X, 4)
