@@ -62,6 +62,11 @@ class NStarFunction:
     inverse_fn return a float for a 0-d argument and a float64 array of
     its shape otherwise, so __call__ and inverse do, and callers use their
     results as they are; density may return any array-like.
+    degree, when given, claims that eval_fn is homogeneous of that degree,
+    phi(t x) = t^degree phi(x) for all t, x > 0, as the power families
+    are; luxemburg_norm then starts at the quasi-norm's closed-form root.
+    Like eval_fn it is not checked, and it belongs to eval_fn: replace
+    both together. A false claim costs modular passes, not correctness.
     """
 
     density: Callable
@@ -70,6 +75,7 @@ class NStarFunction:
     description: str = ""
     registered_complementary: Callable[[], "NStarFunction"] | None = None
     source_nfunction: "NStarFunction | None" = None
+    degree: float | None = None
 
     def __post_init__(self):
         if self.eval_fn is None:
@@ -244,7 +250,11 @@ def delta2_solve(phi: NStarFunction, k0: float, grid) -> Delta2Certificate:
     spread = (k_max - k_min) / max(abs(k_max), 1e-300)
     if spread < _K_SPREAD_TOL:
         status = "exact_global"
-        k_global = float(np.median(ks))
+        # the middle of the sorted ks, as np.median gives it, without the
+        # numpy.ma import that np.median makes on its first call
+        ordered = np.sort(ks)
+        mid = ordered.size // 2
+        k_global = float(ordered[mid] if ordered.size % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
     else:
         status = "per_x_only"
         k_global = None

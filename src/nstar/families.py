@@ -10,13 +10,15 @@ Four families ship with closed evaluation, inversion and slope density:
 plus "tabulated_density" which interpolates user-supplied (t, p(t)) samples
 log-log linearly; the interpolant is a power law on each piece, so it is
 integrated and inverted in closed form, without quadrature. The three
-power-shaped families carry closed complementary generators; the
-complement of log_sqrt, of a tabulated density or of a generator from
-from_density is computed by calculus.complementary, which inverts Young's
-equality hat(phi(x)/p(x) - x) = 1/p(x) point by point. No family runs a
-quadrature; only from_density, outside every document, integrates one.
-Each constructor checks its parameters' values; the generator documents
-that name these families live in documents.py.
+power-shaped families carry closed complementary generators and declare
+their homogeneity degree (NStarFunction.degree), as their complements
+do; no other generator declares one, not even a table whose pieces share
+one slope. The complement of log_sqrt, of a tabulated density or of a
+generator from from_density is computed by calculus.complementary, which
+inverts Young's equality hat(phi(x)/p(x) - x) = 1/p(x) point by point.
+No family runs a quadrature; only from_density, outside every document,
+integrates one. Each constructor checks its parameters' values; the
+generator documents that name these families live in documents.py.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ __all__ = [
 
 
 def _scaled_power(coeff: float, p: float, label: str) -> NStarFunction:
-    """Concave power phi(x) = coeff * |x|^p for 0 < p < 1, with closed complement."""
+    """Concave power phi(x) = coeff * |x|^p for 0 < p < 1, homogeneous of degree p, with closed complement."""
     c, q = float(coeff), float(p)
 
     def eval_fn(a):
@@ -64,6 +66,7 @@ def _scaled_power(coeff: float, p: float, label: str) -> NStarFunction:
         inverse_fn=inverse_fn,
         description=label,
         registered_complementary=complement,
+        degree=q,
     )
 
 

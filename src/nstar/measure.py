@@ -35,6 +35,7 @@ __all__ = [
     "MeasureSpace",
     "MeasurableFn",
     "integrate",
+    "frozen",
     "weighted_sum",
     "blocked_dot",
     "fsum_partials",
@@ -114,34 +115,54 @@ class MeasureSpace:
         )
 
 
+def frozen(values: np.ndarray) -> np.ndarray:
+    """values made read-only, for a builder that hands MeasurableFn a fresh array it keeps no other reference to."""
+    values.setflags(write=False)
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurableFn:
-    """Piecewise-constant function: one value per atom or cell."""
+    """Piecewise-constant function: one value per atom or cell.
+
+    The values are stored read-only. A float64 1-d array that owns its
+    data and is already read-only is kept as it is, without a copy: the
+    library's builders freeze the fresh array they pass (frozen). Any
+    other input, a writeable array included, is copied.
+    """
 
     values: np.ndarray
     space: MeasureSpace
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        values = self.values
+        if not (
+            isinstance(values, np.ndarray)
+            and values.dtype == np.float64
+            and values.ndim == 1
+            and values.flags.owndata
+            and not values.flags.writeable
+        ):
+            values = frozen(np.array(values, dtype=float))
+            object.__setattr__(self, "values", values)
         if values.shape != (self.space.size,):
             raise DomainError(
                 f"function has {values.size} values for a space of size {self.space.size}"
             )
-        if not np.all(np.isfinite(values)):
+        # min and max are nan where any value is; no full-size mask
+        if not (np.isfinite(values.min()) and np.isfinite(values.max())):
             raise DomainError("function values must be finite")
-        object.__setattr__(self, "values", values)
-        values.setflags(write=False)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def constant(cls, space: MeasureSpace, value: float) -> "MeasurableFn":
-        return cls(np.full(space.size, float(value)), space)
+        return cls(frozen(np.full(space.size, float(value))), space)
 
     @classmethod
     def identity(cls, space: MeasureSpace) -> "MeasurableFn":
         """f(x) = x sampled at cell midpoints (interval spaces only)."""
-        return cls(space.midpoints(), space)
+        return cls(frozen(space.midpoints()), space)
 
     @classmethod
     def indicator(cls, space: MeasureSpace, lo: int = 0, hi: int | None = None) -> "MeasurableFn":
@@ -151,7 +172,7 @@ class MeasurableFn:
             raise DomainError("indicator range out of bounds")
         vals = np.zeros(space.size)
         vals[lo:hi] = 1.0
-        return cls(vals, space)
+        return cls(frozen(vals), space)
 
     @classmethod
     def random(
@@ -161,7 +182,7 @@ class MeasurableFn:
         if not 0 <= high - low < np.inf:
             raise DomainError("random needs low <= high and a finite high - low")
         rng = np.random.default_rng(seed)
-        return cls(rng.uniform(low, high, space.size), space)
+        return cls(frozen(rng.uniform(low, high, space.size)), space)
 
     # -- arithmetic ----------------------------------------------------------
     # a value past the float range overflows to inf, which the constructor
@@ -174,16 +195,16 @@ class MeasurableFn:
     def __add__(self, other: "MeasurableFn") -> "MeasurableFn":
         self._check(other)
         with np.errstate(over="ignore"):
-            return MeasurableFn(self.values + other.values, self.space)
+            return MeasurableFn(frozen(self.values + other.values), self.space)
 
     def __sub__(self, other: "MeasurableFn") -> "MeasurableFn":
         self._check(other)
         with np.errstate(over="ignore"):
-            return MeasurableFn(self.values - other.values, self.space)
+            return MeasurableFn(frozen(self.values - other.values), self.space)
 
     def __mul__(self, scalar) -> "MeasurableFn":
         with np.errstate(over="ignore"):
-            return MeasurableFn(self.values * float(scalar), self.space)
+            return MeasurableFn(frozen(self.values * float(scalar)), self.space)
 
     __rmul__ = __mul__
 
@@ -266,7 +287,7 @@ def simple_approximation(f: MeasurableFn, n: int) -> MeasurableFn:
     scale = 2.0**n
     quant = np.floor(np.abs(f.values) * scale) / scale
     quant = np.minimum(quant, float(n))
-    return MeasurableFn(np.sign(f.values) * quant, f.space)
+    return MeasurableFn(frozen(np.sign(f.values) * quant), f.space)
 
 
 def disjoint_positive_family(space: MeasureSpace, count: int) -> list[np.ndarray]:

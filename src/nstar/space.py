@@ -130,15 +130,25 @@ def luxemburg_norm(
     """Smallest lambda with modular(f / lambda) <= 1.
 
     lambda -> rho(f/lambda) is continuous and strictly decreasing through 1
-    on finite spaces. The bracket grows from max|f|, inside the normal
-    float range, on the side its modular lies on, by steps of 2, 4, 16,
-    ..., 2^32, then 1e12: at most 56 steps. Bisection on a geometric
-    midpoint that cannot overflow or underflow stops when the modular
+    on finite spaces. The solver starts at max|f|, or, for a generator that
+    declares a degree q (phi(t x) = t^q phi(x)), at the closed-form root
+    lambda0 = max|f| * rho(f/max|f|)^(1/q): there rho(f/lambda) =
+    (max|f|/lambda)^q rho(f/max|f|), so lambda0 is exact up to the
+    modular's rounding (the sum rule, see measure) divided by q. The pass
+    that gives rho(f/max|f|) counts as an iteration; a lambda0 outside the
+    positive normal floats falls back to max|f|. It evaluates the modular
+    at its start and stops there when the residual |rho - 1| is inside
+    LUX_RESIDUAL_TOL: two passes for a power generator. Otherwise the
+    bracket grows from the start on the side its modular lies on, by steps
+    of 2, 4, 16, ..., 2^32, then 1e12: at most 56 steps. Bisection on a
+    geometric midpoint that cannot overflow or underflow stops when the
     residual is inside LUX_RESIDUAL_TOL or the bracket collapses to
-    rounding width, within about 61 steps. A bracket that collapses with
-    the residual still above LUX_RESIDUAL_TOL raises NonconvergenceError:
-    there the modular jumps across 1 because f/lambda overflows or
-    underflows. Each step is one blocked pass over f's cells (weighted_sum).
+    rounding width, within about 61 steps. So a start that misses the
+    tolerance (a false degree, or f/lambda0 past the float range) costs
+    passes, not correctness. A bracket that collapses with the residual
+    still above LUX_RESIDUAL_TOL raises NonconvergenceError: there the
+    modular jumps across 1 because f/lambda overflows or underflows. Each
+    evaluation is one blocked pass over f's cells (weighted_sum).
     """
     if not f.space.same_as(space):
         raise DomainError("function does not live on the given space")
@@ -156,9 +166,20 @@ def luxemburg_norm(
         return out if np.isfinite(out) else math.inf
 
     iterations = 0
-    lo = hi = max(top, _TINY)
+    lam = max(top, _TINY)
+    if phi.degree is not None:
+        iterations = 1
+        # numpy scalars give inf or 0 where Python floats raise at the float edges
+        with np.errstate(all="ignore"):
+            root = float(top * np.float64(rho(top)) ** (1.0 / np.float64(phi.degree)))
+        if _TINY <= root <= _MAX:
+            lam = root
+    lo = hi = lam
     # value is the modular at the last point evaluated, rho_lo the one at lo
-    value = rho_lo = rho(lo)
+    value = rho_lo = rho(lam)
+    resid = abs(value - 1.0)
+    if resid <= LUX_RESIDUAL_TOL:
+        return QuasiNormResult(value=lam, lambda_residual=resid, iterations=iterations)
     step = 2.0
     while value > 1.0:
         if hi >= _MAX:

@@ -82,14 +82,16 @@ def mp_table_integral(ts, ps, x):
     return float(ps[0] * ts[0] / b + mp.quad(density, [t for t in ts if t < x] + [x]))
 
 
-def mp_constant_power_norm(masses, c, p, dps=60):
-    """Luxemburg norm of the constant c under phi = |x|^p, in mpmath: c (sum of the masses)^(1/p).
+def mp_power_norm(masses, values, c, q, dps=40):
+    """Luxemburg norm under phi = c |x|^q, in mpmath: (sum of a_i c |f_i|^q)^(1/q).
 
-    The masses are taken as the floats they are stored as, so the oracle
-    is the exact norm of the measure the code holds.
+    The masses, values, c and q are taken as the floats they are stored
+    as, so the oracle is the exact norm of what the code holds. A norm
+    past the float range gives inf or 0.
     """
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp.clone()
     mp.dps = dps
-    total = mp.fsum(mp.mpf(float(a)) for a in masses)
-    return float(mp.mpf(float(c)) * total ** (1 / mp.mpf(float(p))))
+    c, q = mp.mpf(float(c)), mp.mpf(float(q))
+    total = mp.fsum(mp.mpf(float(a)) * c * abs(mp.mpf(float(v))) ** q for a, v in zip(masses, values))
+    return float(total ** (1 / q))

@@ -352,6 +352,13 @@ class TestDelta2:
         assert cert.k_global == pytest.approx(4.0, abs=1e-10)
         assert cert.bound_constant == pytest.approx(4.0, abs=1e-10)
 
+    @pytest.mark.parametrize("points", [24, 25])
+    def test_global_constant_is_the_median(self, points):
+        # even and odd counts: the mean of the two middle ks, or the middle one
+        cert = delta2_solve(scaled_power_family(0.3), 20.0, np.geomspace(1e-3, 1e3, points))
+        assert cert.status == "exact_global"
+        assert cert.k_global == float(np.median(cert.ks))
+
     def test_log_sqrt_per_x_only(self):
         grid = np.geomspace(1e-3, 1.0, 21)
         cert = delta2_solve(log_sqrt_family(), 20.0, grid)
@@ -385,6 +392,52 @@ class TestDelta2:
         cert = delta2_solve(alpha_exp_family(2.0), 20.0, np.geomspace(1e-2, 1e2, 25))
         assert np.all(cert.ks >= 2.0)
         assert np.all(cert.ks <= cert.k0)
+
+
+# the closed families, a tiny exponent among them, and their closed complements
+DEGREE_FAMILIES = [
+    power_family(0.25),
+    power_family(1e-9),
+    scaled_power_family(0.3),
+    alpha_exp_family(1.5),
+    alpha_exp_family(3.0),
+]
+DEGREE_GENERATORS = DEGREE_FAMILIES + [complementary(phi) for phi in DEGREE_FAMILIES]
+
+
+class TestDegree:
+    """A declared degree q claims phi(t x) = t^q phi(x); the power families and their closed complements declare one."""
+
+    @pytest.mark.parametrize("phi", DEGREE_GENERATORS, ids=lambda f: f.description)
+    def test_declared_degree_is_homogeneous(self, phi):
+        xs = np.geomspace(1e-100, 1e100, 41)
+        for t in (1e-100, 0.5, 3.0, 1e100):
+            # phi(t x) rounds t x, the power and the coefficient; t^q phi(x)
+            # rounds t^q, the power, the coefficient and the product: with the
+            # quotient, eleven roundings of at most u = eps / 2 each
+            ratio = phi(t * xs) / (t**phi.degree * phi(xs))
+            assert np.max(np.abs(ratio - 1.0)) <= 8 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("p", [0.25, 1e-9, 0.75])
+    def test_power_and_complement_degrees(self, p):
+        assert power_family(p).degree == p
+        assert complementary(power_family(p)).degree == 1.0 - p
+        assert alpha_exp_family(1.0 / p).degree == 1.0 / (1.0 / p)
+
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            log_sqrt_family(),
+            # every piece has slope -0.5: a power law, but declared by no one
+            tabulated_density_family(_TABLE_T, 0.5 * _TABLE_T**-0.5, "tabulated"),
+            from_density(lambda t: 0.5 * t**-0.5),
+            complementary(power_family(0.5), use_registered=False),
+            complementary(log_sqrt_family()),
+        ],
+        ids=lambda f: f.description,
+    )
+    def test_no_other_generator_declares_a_degree(self, phi):
+        assert phi.degree is None
 
 
 class TestGrowthFactor:

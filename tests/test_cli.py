@@ -417,6 +417,16 @@ class TestThreadCount:
         assert runs[0].stdout == runs[1].stdout
 
 
+def test_readme_check_never_loads_numpy_ma():
+    # np.median imported numpy.ma on its first call: 7.9 ms and about 1 MiB
+    # of RSS in every process that certified a doubling constant
+    script = "import sys; from nstar.cli import main; code = main(sys.argv[1:]); print(code, 'numpy.ma' in sys.modules)"
+    argv = ["check", "--phi", "power:p=0.5", "--space", "interval:L=1,N=1000", "--suite", "all", "--seed", "7"]
+    proc = run_child("-c", script, *argv, "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 class TestCheckGolden:
     """--format json is byte-stable for a fixed seed; the check files hold the earlier if/elif suite's output."""
 
@@ -436,7 +446,7 @@ class TestCheckGolden:
             ),
             # no doubling constant: the k-dependent checks are skip records
             ("check_log_sqrt.json", ["check", "--phi", "log_sqrt", "--space", "interval:L=1,N=1000"]),
-            # the README solver commands: every digit of the quasi-norm's bisection shows
+            # the README solver commands: every digit of the quasi-norm shows
             ("norm_readme.json", ["norm", "--phi", "power:p=0.5", "--space", "interval:L=1,N=100000", "--fn", "identity"]),
             (
                 "metric_readme.json",
@@ -451,7 +461,7 @@ class TestCheckGolden:
                 "nonconvex_readme.json",
                 ["demo", "nonconvex", "--phi", "power:p=0.5", "--epsilon", "1", "--n", "100", "--atoms", "equal:100"],
             ),
-            # the unit-ball pass overshoots S = 4 by the quasi-norm's residual error
+            # the unit-ball pass reaches S = 4 to rounding; the residual stop alone overshot it (4.00000000075)
             (
                 "dual_norm_tiny_atom.json",
                 ["dual-norm", "--phi", "power:p=0.5", "--space", "atoms:1e-200,0.5", "--functional", "0,1"],

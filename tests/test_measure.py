@@ -10,6 +10,7 @@ from nstar import (
     MeasurableFn,
     MeasureSpace,
     disjoint_positive_family,
+    frozen,
     integrate,
     metric,
     power_family,
@@ -53,6 +54,9 @@ FOUR = MeasureSpace.interval(1.0, 4)
         # the cell width L/N underflows to 0
         (lambda: MeasureSpace.interval(5e-324, 2), DomainError, "strictly positive and finite"),
         (lambda: MeasurableFn(np.array([1.0, np.nan, 0.0, 0.0]), FOUR), DomainError, "values must be finite"),
+        # a frozen array is kept without a copy, and still checked
+        (lambda: MeasurableFn(frozen(np.array([1.0, 0.0, -np.inf, 0.0])), FOUR), DomainError, "values must be finite"),
+        (lambda: MeasurableFn(frozen(np.zeros(5)), FOUR), DomainError, "5 values for a space of size 4"),
         (
             lambda: MeasurableFn.constant(FOUR, 1.0) + MeasurableFn.constant(MeasureSpace.interval(2.0, 4), 1.0),
             DomainError,
@@ -72,6 +76,8 @@ FOUR = MeasureSpace.interval(1.0, 4)
         "no-atoms",
         "underflowing-cells",
         "nan-value",
+        "inf-frozen",
+        "size-frozen",
         "other-space",
         "level-0",
         "count-0",
@@ -85,6 +91,37 @@ FOUR = MeasureSpace.interval(1.0, 4)
 def test_argument_checks(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+class TestStoredValues:
+    """MeasurableFn keeps a frozen float64 array that owns its data, and copies anything else."""
+
+    def test_frozen_array_is_kept(self):
+        values = frozen(np.arange(4.0))
+        assert MeasurableFn(values, FOUR).values is values
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: np.arange(4.0),  # writeable: the caller may still write to it
+            lambda: frozen(np.arange(0.0, 4.0, 0.5))[::2],  # a view of another array
+            lambda: frozen(np.arange(4.0, dtype=np.float32)),
+            lambda: [0.0, 1.0, 2.0, 3.0],
+        ],
+        ids=["writeable", "view", "float32", "list"],
+    )
+    def test_anything_else_is_copied(self, make):
+        values = make()
+        f = MeasurableFn(values, FOUR)
+        assert f.values is not values
+        assert f.values.dtype == np.float64 and not f.values.flags.writeable
+        np.testing.assert_array_equal(f.values, np.arange(4.0))
+
+    def test_a_writeable_array_written_later_leaves_the_function_alone(self):
+        values = np.arange(4.0)
+        f = MeasurableFn(values, FOUR)
+        values[0] = 9.0
+        assert f.values[0] == 0.0
 
 
 class TestIntegrate:
