@@ -38,7 +38,6 @@ from .measure import (
     MeasureSpace,
     blocked_dot,
     disjoint_positive_family,
-    frozen,
     fsum_partials,
     prefix_within,
 )
@@ -126,7 +125,7 @@ def single_atom_witness(U: AtomicFunctional, index: int) -> MeasurableFn:
         raise NonconvergenceError(f"the witness phi^-1(1/a) on atom {index} overflows the float range")
     vals = np.zeros(U.space.size)
     vals[index] = value
-    return MeasurableFn(frozen(vals), U.space)
+    return MeasurableFn._adopt(vals, U.space)
 
 
 def operator_norm_bruteforce(U: AtomicFunctional, seed: int = 0) -> float:
@@ -145,7 +144,7 @@ def operator_norm_bruteforce(U: AtomicFunctional, seed: int = 0) -> float:
         best = max(best, abs(evaluate_functional(U, single_atom_witness(U, i))))
     rng = np.random.default_rng(seed)
     for _ in range(UNIT_BALL_POINTS):
-        fn = MeasurableFn(frozen(rng.uniform(-1.0, 1.0, U.space.size)), U.space)
+        fn = MeasurableFn._adopt(rng.uniform(-1.0, 1.0, U.space.size), U.space)
         norm = luxemburg_norm(U.phi, U.space, fn).value
         if norm > 0:
             best = max(best, abs(evaluate_functional(U, fn)) / norm)
@@ -344,7 +343,7 @@ def halving_f0(phi: NStarFunction, space: MeasureSpace) -> MeasurableFn:
     for a in range(0, space.size, BLOCK):
         x = space.midpoints(a, min(a + BLOCK, space.size)) / space.length
         values[a : a + BLOCK] = phi.inverse(np.exp(-HALVING_DECAY_RATE * x))
-    return MeasurableFn(frozen(values), space)
+    return MeasurableFn._adopt(values, space)
 
 
 def halving_kernel(f0: MeasurableFn) -> MeasurableFn:
@@ -370,7 +369,7 @@ def halving_kernel(f0: MeasurableFn) -> MeasurableFn:
         tiny = f[f > 0]
         what = f"the smallest positive f0 is {tiny.min():.6g}" if tiny.size else "every f0 underflows to 0"
         raise DomainError(f"the kernel 1/f0 leaves the float range: {what}")
-    return MeasurableFn(frozen(u), f0.space)
+    return MeasurableFn._adopt(u, f0.space)
 
 
 def halving_instance(phi: NStarFunction, space: MeasureSpace) -> tuple[MeasurableFn, MeasurableFn]:

@@ -35,7 +35,6 @@ __all__ = [
     "MeasureSpace",
     "MeasurableFn",
     "integrate",
-    "frozen",
     "weighted_sum",
     "blocked_dot",
     "fsum_partials",
@@ -115,8 +114,13 @@ class MeasureSpace:
         )
 
 
-def frozen(values: np.ndarray) -> np.ndarray:
-    """values made read-only, for a builder that hands MeasurableFn a fresh array it keeps no other reference to."""
+def _stored(values: np.ndarray, size: int) -> np.ndarray:
+    """values, checked to be size finite floats and made read-only: the array a MeasurableFn keeps."""
+    if values.shape != (size,):
+        raise DomainError(f"function has {values.size} values for a space of size {size}")
+    # min and max are nan where any value is; no full-size mask
+    if not (np.isfinite(values.min()) and np.isfinite(values.max())):
+        raise DomainError("function values must be finite")
     values.setflags(write=False)
     return values
 
@@ -125,44 +129,36 @@ def frozen(values: np.ndarray) -> np.ndarray:
 class MeasurableFn:
     """Piecewise-constant function: one value per atom or cell.
 
-    The values are stored read-only. A float64 1-d array that owns its
-    data and is already read-only is kept as it is, without a copy: the
-    library's builders freeze the fresh array they pass (frozen). Any
-    other input, a writeable array included, is copied.
+    The values are stored read-only. The constructor copies what it is
+    given, so no outside reference aliases them; the library's builders
+    hand over a fresh float64 array they keep no reference to through
+    _adopt, which skips the copy.
     """
 
     values: np.ndarray
     space: MeasureSpace
 
     def __post_init__(self):
-        values = self.values
-        if not (
-            isinstance(values, np.ndarray)
-            and values.dtype == np.float64
-            and values.ndim == 1
-            and values.flags.owndata
-            and not values.flags.writeable
-        ):
-            values = frozen(np.array(values, dtype=float))
-            object.__setattr__(self, "values", values)
-        if values.shape != (self.space.size,):
-            raise DomainError(
-                f"function has {values.size} values for a space of size {self.space.size}"
-            )
-        # min and max are nan where any value is; no full-size mask
-        if not (np.isfinite(values.min()) and np.isfinite(values.max())):
-            raise DomainError("function values must be finite")
+        object.__setattr__(self, "values", _stored(np.array(self.values, dtype=float), self.space.size))
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray, space: MeasureSpace) -> "MeasurableFn":
+        """A function that keeps values, a fresh 1-d float64 array the caller drops, without a copy."""
+        fn = object.__new__(cls)
+        object.__setattr__(fn, "values", _stored(values, space.size))
+        object.__setattr__(fn, "space", space)
+        return fn
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def constant(cls, space: MeasureSpace, value: float) -> "MeasurableFn":
-        return cls(frozen(np.full(space.size, float(value))), space)
+        return cls._adopt(np.full(space.size, float(value)), space)
 
     @classmethod
     def identity(cls, space: MeasureSpace) -> "MeasurableFn":
         """f(x) = x sampled at cell midpoints (interval spaces only)."""
-        return cls(frozen(space.midpoints()), space)
+        return cls._adopt(space.midpoints(), space)
 
     @classmethod
     def indicator(cls, space: MeasureSpace, lo: int = 0, hi: int | None = None) -> "MeasurableFn":
@@ -172,7 +168,7 @@ class MeasurableFn:
             raise DomainError("indicator range out of bounds")
         vals = np.zeros(space.size)
         vals[lo:hi] = 1.0
-        return cls(frozen(vals), space)
+        return cls._adopt(vals, space)
 
     @classmethod
     def random(
@@ -182,7 +178,7 @@ class MeasurableFn:
         if not 0 <= high - low < np.inf:
             raise DomainError("random needs low <= high and a finite high - low")
         rng = np.random.default_rng(seed)
-        return cls(frozen(rng.uniform(low, high, space.size)), space)
+        return cls._adopt(rng.uniform(low, high, space.size), space)
 
     # -- arithmetic ----------------------------------------------------------
     # a value past the float range overflows to inf, which the constructor
@@ -195,16 +191,16 @@ class MeasurableFn:
     def __add__(self, other: "MeasurableFn") -> "MeasurableFn":
         self._check(other)
         with np.errstate(over="ignore"):
-            return MeasurableFn(frozen(self.values + other.values), self.space)
+            return MeasurableFn._adopt(self.values + other.values, self.space)
 
     def __sub__(self, other: "MeasurableFn") -> "MeasurableFn":
         self._check(other)
         with np.errstate(over="ignore"):
-            return MeasurableFn(frozen(self.values - other.values), self.space)
+            return MeasurableFn._adopt(self.values - other.values, self.space)
 
     def __mul__(self, scalar) -> "MeasurableFn":
         with np.errstate(over="ignore"):
-            return MeasurableFn(frozen(self.values * float(scalar)), self.space)
+            return MeasurableFn._adopt(self.values * float(scalar), self.space)
 
     __rmul__ = __mul__
 
@@ -287,7 +283,7 @@ def simple_approximation(f: MeasurableFn, n: int) -> MeasurableFn:
     scale = 2.0**n
     quant = np.floor(np.abs(f.values) * scale) / scale
     quant = np.minimum(quant, float(n))
-    return MeasurableFn(frozen(np.sign(f.values) * quant), f.space)
+    return MeasurableFn._adopt(np.sign(f.values) * quant, f.space)
 
 
 def disjoint_positive_family(space: MeasureSpace, count: int) -> list[np.ndarray]:

@@ -137,9 +137,10 @@ def luxemburg_norm(
     modular's rounding (the sum rule, see measure) divided by q. The pass
     that gives rho(f/max|f|) counts as an iteration; a lambda0 outside the
     positive normal floats falls back to max|f|. It evaluates the modular
-    at its start and stops there when the residual |rho - 1| is inside
-    LUX_RESIDUAL_TOL: two passes for a power generator. Otherwise the
-    bracket grows from the start on the side its modular lies on, by steps
+    at its start; at lambda0 it stops there when the residual |rho - 1|
+    is inside LUX_RESIDUAL_TOL: two passes for a power generator. From
+    max|f| (no degree, or the fallback) or from a lambda0 that misses the
+    tolerance, the bracket grows from the start on the side its modular lies on, by steps
     of 2, 4, 16, ..., 2^32, then 1e12: at most 56 steps. Bisection on a
     geometric midpoint that cannot overflow or underflow stops when the
     residual is inside LUX_RESIDUAL_TOL or the bracket collapses to
@@ -167,18 +168,20 @@ def luxemburg_norm(
 
     iterations = 0
     lam = max(top, _TINY)
+    at_root = False
     if phi.degree is not None:
         iterations = 1
         # numpy scalars give inf or 0 where Python floats raise at the float edges
         with np.errstate(all="ignore"):
             root = float(top * np.float64(rho(top)) ** (1.0 / np.float64(phi.degree)))
-        if _TINY <= root <= _MAX:
+        at_root = _TINY <= root <= _MAX
+        if at_root:
             lam = root
     lo = hi = lam
     # value is the modular at the last point evaluated, rho_lo the one at lo
     value = rho_lo = rho(lam)
     resid = abs(value - 1.0)
-    if resid <= LUX_RESIDUAL_TOL:
+    if at_root and resid <= LUX_RESIDUAL_TOL:
         return QuasiNormResult(value=lam, lambda_residual=resid, iterations=iterations)
     step = 2.0
     while value > 1.0:

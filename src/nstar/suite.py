@@ -20,7 +20,7 @@ import numpy as np
 
 from .calculus import NStarFunction, complementary, delta2_solve
 from .errors import DomainError, NonconvergenceError, NStarError
-from .measure import MeasurableFn, MeasureSpace, frozen, simple_approximation
+from .measure import MeasurableFn, MeasureSpace, simple_approximation
 from .space import (
     SLACK_TOL,
     CheckReport,
@@ -78,7 +78,7 @@ class _Run(NamedTuple):
     tol: float
 
     def fn(self, scale: float = 3.0) -> MeasurableFn:
-        return MeasurableFn(frozen(self.rng.uniform(-scale, scale, self.space.size)), self.space)
+        return MeasurableFn._adopt(self.rng.uniform(-scale, scale, self.space.size), self.space)
 
 
 def _modular_to_norm(r: _Run) -> CheckReport:
@@ -88,7 +88,7 @@ def _modular_to_norm(r: _Run) -> CheckReport:
 
 
 def _convergence(r: _Run) -> CheckReport:
-    target = MeasurableFn(frozen(r.rng.uniform(0.0, 1.0, r.space.size)), r.space)
+    target = MeasurableFn._adopt(r.rng.uniform(0.0, 1.0, r.space.size), r.space)
     seq = [simple_approximation(target, level) for level in range(1, 41)]
     # threshold scales with total mass: the metric is an integral
     threshold = 1e-2 * max(1.0, r.space.total_mass)

@@ -10,7 +10,6 @@ from nstar import (
     MeasurableFn,
     MeasureSpace,
     disjoint_positive_family,
-    frozen,
     integrate,
     metric,
     power_family,
@@ -54,9 +53,9 @@ FOUR = MeasureSpace.interval(1.0, 4)
         # the cell width L/N underflows to 0
         (lambda: MeasureSpace.interval(5e-324, 2), DomainError, "strictly positive and finite"),
         (lambda: MeasurableFn(np.array([1.0, np.nan, 0.0, 0.0]), FOUR), DomainError, "values must be finite"),
-        # a frozen array is kept without a copy, and still checked
-        (lambda: MeasurableFn(frozen(np.array([1.0, 0.0, -np.inf, 0.0])), FOUR), DomainError, "values must be finite"),
-        (lambda: MeasurableFn(frozen(np.zeros(5)), FOUR), DomainError, "5 values for a space of size 4"),
+        # an adopted array is kept without a copy, and still checked
+        (lambda: MeasurableFn._adopt(np.array([1.0, 0.0, -np.inf, 0.0]), FOUR), DomainError, "values must be finite"),
+        (lambda: MeasurableFn._adopt(np.zeros(5), FOUR), DomainError, "5 values for a space of size 4"),
         (
             lambda: MeasurableFn.constant(FOUR, 1.0) + MeasurableFn.constant(MeasureSpace.interval(2.0, 4), 1.0),
             DomainError,
@@ -76,8 +75,8 @@ FOUR = MeasureSpace.interval(1.0, 4)
         "no-atoms",
         "underflowing-cells",
         "nan-value",
-        "inf-frozen",
-        "size-frozen",
+        "inf-adopted",
+        "size-adopted",
         "other-space",
         "level-0",
         "count-0",
@@ -94,34 +93,45 @@ def test_argument_checks(call, error, match):
 
 
 class TestStoredValues:
-    """MeasurableFn keeps a frozen float64 array that owns its data, and copies anything else."""
+    """The constructor copies whatever it is given; only the library's builders hand over an array, by _adopt."""
 
-    def test_frozen_array_is_kept(self):
-        values = frozen(np.arange(4.0))
-        assert MeasurableFn(values, FOUR).values is values
+    def test_an_adopted_array_is_kept_read_only(self):
+        values = np.arange(4.0)
+        f = MeasurableFn._adopt(values, FOUR)
+        assert f.values is values and not values.flags.writeable
 
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: np.arange(4.0),  # writeable: the caller may still write to it
-            lambda: frozen(np.arange(0.0, 4.0, 0.5))[::2],  # a view of another array
-            lambda: frozen(np.arange(4.0, dtype=np.float32)),
+            lambda: np.arange(4.0),
+            lambda: _read_only(np.arange(4.0)),  # owns its data and is read-only: the caller can unfreeze it
+            lambda: _read_only(np.arange(0.0, 4.0, 0.5))[::2],  # a view of another array
+            lambda: np.arange(4.0, dtype=np.float32),
             lambda: [0.0, 1.0, 2.0, 3.0],
         ],
-        ids=["writeable", "view", "float32", "list"],
+        ids=["writeable", "read-only", "view", "float32", "list"],
     )
-    def test_anything_else_is_copied(self, make):
+    def test_the_constructor_copies(self, make):
         values = make()
         f = MeasurableFn(values, FOUR)
         assert f.values is not values
         assert f.values.dtype == np.float64 and not f.values.flags.writeable
         np.testing.assert_array_equal(f.values, np.arange(4.0))
 
-    def test_a_writeable_array_written_later_leaves_the_function_alone(self):
+    @pytest.mark.parametrize("freeze", [False, True], ids=["writeable", "frozen-then-unfrozen"])
+    def test_writing_the_input_later_leaves_the_function_alone(self, freeze):
         values = np.arange(4.0)
+        if freeze:
+            values.setflags(write=False)
         f = MeasurableFn(values, FOUR)
+        values.setflags(write=True)
         values[0] = 9.0
         assert f.values[0] == 0.0
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
 
 
 class TestIntegrate:

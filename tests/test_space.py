@@ -303,6 +303,33 @@ class TestLuxemburgNorm:
         with pytest.raises(NonconvergenceError, match="underflows"):
             luxemburg_norm(HALF, X, MeasurableFn.constant(X, 1e-300))
 
+    def test_a_fallback_start_keeps_the_bracket_search(self):
+        # at p = 1e-20, x^p is 1 on every float, so the modular is the float
+        # total mass 1 - 1.1e-16 at every lambda and the norm, 3 times that
+        # mass to the power 1e20, is past the float range. The closed-form
+        # root underflows and the start falls back to max|f| = 3, inside the
+        # residual stop but no root: the bracket search finds no crossing
+        X = MeasureSpace.interval(1.0, 10)
+        with pytest.raises(NonconvergenceError, match="no lower bracket"):
+            luxemburg_norm(power_family(1e-20), X, MeasurableFn.constant(X, 3.0))
+
+    # the modular at the start max|f| is inside the residual stop: the float
+    # total mass 1 - 1.1e-16, and exactly 1. Without a degree the solver
+    # still brackets and bisects from there, and gives the bits and
+    # iteration counts it gave before it learnt the closed-form start
+    @pytest.mark.parametrize(
+        "space, c, pinned",
+        [
+            (MeasureSpace.interval(1.0, 10), 3.0, ("0x1.7ffffffef5d4dp+1", 33)),
+            (MeasureSpace.atomic([1.0]), 2.0, ("0x1.0000000000000p+1", 1)),
+        ],
+        ids=["total-mass-below-1", "total-mass-1"],
+    )
+    def test_a_start_inside_the_stop_without_a_degree_still_brackets(self, space, c, pinned):
+        phi = dataclasses.replace(HALF, degree=None)
+        result = luxemburg_norm(phi, space, MeasurableFn.constant(space, c))
+        assert (result.value.hex(), result.iterations) == pinned
+
     @given(
         p=st.one_of(st.floats(0.01, 1.0, exclude_max=True), st.floats(-12.0, -2.0).map(lambda e: 10.0**e)),
         log_c=st.floats(-300.0, 300.0),
@@ -465,7 +492,7 @@ def test_halving_allocates_one_full_size_buffer():
     assert traced_peak(lambda: dual_zero_halving(phi, X, f0, u, 12)) / f0.values.nbytes < 1.5
 
 
-# the instance is built a slice at a time and MeasurableFn keeps the frozen
+# the instance is built a slice at a time and MeasurableFn adopts the fresh
 # arrays of f0 and the kernel without a copy: 2.13x at 2^18 cells, the two
 # arrays and slices of BLOCK cells. The bound adds four slices (4/32 of f's
 # bytes). It peaked at 5.13x with full-size temporaries and at 3.13x while
