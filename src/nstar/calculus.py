@@ -64,9 +64,13 @@ class NStarFunction:
     results as they are; density may return any array-like.
     degree, when given, claims that eval_fn is homogeneous of that degree,
     phi(t x) = t^degree phi(x) for all t, x > 0, as the power families
-    are; luxemburg_norm then starts at the quasi-norm's closed-form root.
-    Like eval_fn it is not checked, and it belongs to eval_fn: replace
-    both together. A false claim costs modular passes, not correctness.
+    are. It belongs to eval_fn: replace both together. Two readers trust
+    it. luxemburg_norm starts at the quasi-norm's closed-form root; a
+    false claim there costs modular passes, not correctness.
+    dual_zero_halving reads each round from per-piece records of f0 for a
+    degree in (0, 1]; it checks the claim on the pieces a round evaluates
+    directly, and a claim false by more than DEMO_TOL there raises
+    NonconvergenceError.
     """
 
     density: Callable

@@ -25,6 +25,7 @@ import numpy as np
 from .calculus import VALIDATE_GRID, complementary, delta2_solve, growth_factor, validate_nstar
 from .documents import fn_from_text, format_float, functional_from_text, json_ready, phi_from_text, space_from_text
 from .dual import (
+    DEMO_TOL,
     dual_zero_halving,
     functional_norm_formula,
     halving_f0,
@@ -289,10 +290,15 @@ def _cmd_dualzero(args) -> _Report:
         for i, s in enumerate(trace.steps)
     ]
     ratio = trace.steps[-1].modular / trace.steps[0].modular
-    drop = min(abs(s.functional_value) for s in trace.steps) - abs(trace.steps[0].functional_value)
-    # cumulative product of the per-step bounds the run actually enforced
+    values = [abs(s.functional_value) for s in trace.steps]
+    drop = min(values) - values[0]
+    # the bounds dual_zero_halving enforced on each step, over the run: the
+    # modular stays under the product of the step bounds (DEMO_TOL covers the
+    # roundings of the 2n + 1 quotients and products), and each step may lose
+    # DEMO_TOL * max(|value|, 1) of the functional value it started from
     cumulative_bound = float(np.prod([s.step_bound for s in trace.steps]))
-    ok = bool(ratio <= cumulative_bound * (1 + 1e-9)) and drop >= -1e-6
+    allowed_drop = DEMO_TOL * sum(max(v, 1.0) for v in values[:-1])
+    ok = bool(ratio <= cumulative_bound * (1 + DEMO_TOL)) and drop >= -allowed_drop
     payload = {
         "command": "demo-dualzero",
         "theta": args.theta,

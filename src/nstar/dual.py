@@ -21,11 +21,18 @@ Every sum over atoms or cells here (a functional value, a modular of the
 halving construction, the scale of its kernel) follows measure's sum rule:
 math.fsum of np.dot partials over pieces of BLOCK = 2^13 cells. It lies
 within gamma_(k+1) * sum |x_i y_i| of the exact sum, k = min(n, BLOCK),
-and does not depend on the BLAS thread count.
+and does not depend on the BLAS thread count. The halving rounds take
+their pieces from one grid, BLOCK cells counted from cell 0 and cut at the
+ends of the kept range. For a generator that declares a degree q, the
+modular of f0 * 2^n on a piece is 2^(n q) times that of f0, so round 0's
+numbers on each piece are kept as records and a later round calls phi
+only on the piece where its split falls and on the short pieces at the
+ends of its range.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,22 +218,44 @@ def dual_zero_halving(
     [lo, hi) of cells, and phi(0) = 0 gives the cells off it no modular.
     Doubling is exact short of overflow, so after n rounds f is f0 * 2^n on
     the support: each round reads it from the read-only f0, and nothing
-    copies f. A round makes one pass over the kept piece in slices of BLOCK
-    cells counted from its first cell, the pieces of measure's sum rule.
-    Each slice is counted, scaled, checked for overflow and passed through
-    phi once. phi(2|g|) divided by phi(|g|), carried from the round before,
-    gives the slice's largest doubling ratio, and phi(2|g|) is then written
-    over phi(|g|). The pass returns each slice's partials of the modular
-    (phi(|f|) . mass) and of the functional value (f u . mass), and the
-    least and largest modular weight phi(|f|) * mass, which the next
-    round's weight check and contraction bound read. The modular and the
-    functional value are the fsum of their partials. The split search runs
-    the sum of the modular partials up to the piece where it passes
-    theta * rho, and continues it cell by cell inside that piece only
-    (prefix_within). The two split values are the functional partials on
-    either side of that piece plus its two parts. No array but phi(|f|)
-    has more than BLOCK cells, and every recorded number follows the sum
-    rule, so none depends on the BLAS thread count.
+    copies f. A round's sums run over the pieces of one grid, BLOCK cells
+    counted from cell 0 and cut at lo and hi, so the first and last piece
+    of a range may be short; those are the pieces of measure's sum rule.
+    For each piece a round has the partials of the modular (phi(|f|) .
+    mass) and of the functional value (f u . mass), the least and largest
+    modular weight phi(|f|) * mass, which the next round's weight check and
+    contraction bound read, and its nonzero cells. The modular and the
+    functional value are the fsum of their partials.
+
+    Without a degree a round makes one pass over the kept range, one phi
+    call per piece. Each piece is checked for overflow, and phi(2|g|)
+    divided by phi(|g|), carried from the round before, gives its largest
+    doubling ratio, the round's c_step; phi(2|g|) is then written over
+    phi(|g|). With a degree 0 < q <= 1 (phi(t x) = t^q phi(x); a concave
+    generator can have no other, and any other claim takes the sweep) round
+    0's pass over f0 keeps its numbers for every piece, the records, and no
+    phi array.
+    Round n reads each whole piece of its range from them: the modular
+    partial and the weights times 2^(n q), the functional partial times
+    2^n (exact short of underflow), the overflow check on max|f0| * 2^n,
+    and c_step = 2^q. Only the short edge pieces, at most two, call phi.
+
+    The split search runs the sum of the modular partials up to the piece
+    where it passes theta * rho, and continues it cell by cell inside that
+    piece only (prefix_within), on the weights of the round before: the
+    carried phi(|g|), or with a degree one phi call. Its partial must then
+    match the piece's partial, which the records may have given, and the
+    part of it the round keeps, 2^q times its partial, must match that
+    part's partial after the doubling, each within relative DEMO_TOL. A
+    degree claim false by more than that on the direct pieces so raises
+    NonconvergenceError instead of printing numbers of the claimed law.
+    The two split values are the functional partials on either side of
+    that piece plus its two parts. Besides phi(|f|) without a degree, no
+    array has more than BLOCK cells, and every recorded number follows the
+    sum rule, so none depends on the BLAS thread count. With a degree the
+    prefix and support cells and the functional values are those of the
+    pass without one; a modular differs from it only by the roundings of
+    the two routes (the sum rule's, phi's and the scale's).
 
     Argument errors (DomainError): theta outside (0, 1), iterations below
     1, a functional value of f0 that is neither 0 nor finite and at least
@@ -243,80 +272,125 @@ def dual_zero_halving(
         raise DomainError("f0 and kernel must live on the given space")
 
     masses, u, start = space.masses, kernel.values, f0.values
-    # phi(|f|) on the support, carried from round to round
-    phi_f = np.empty(space.size)
+    size = space.size
+    # the records serve the degrees a concave generator can have; any other claim takes the sweep
+    q = phi.degree if phi.degree is not None and 0.0 < phi.degree <= 1.0 else None
+    # phi(|f|) on the support, carried from round to round when phi declares no degree
+    phi_f = np.empty(size) if q is None else None
+    # round 0's columns, read by the later rounds when phi declares a degree
+    records = None
 
-    def sweep(n: int, lo: int, hi: int):
-        """The pass of round n over f = f0 * 2^n on [lo, hi); round 0 takes no ratio."""
-        rho_parts, val_parts = [], []
-        nu_min = nu_max = 0.0
-        cells, ratio = 0, -np.inf
-        for a in range(lo, hi, BLOCK):
-            b = min(a + BLOCK, hi)
-            nonzero = start[a:b] != 0.0
-            cells += int(np.count_nonzero(nonzero))
-            with np.errstate(over="ignore"):
-                g = np.ldexp(start[a:b], n)
-                if not np.all(np.isfinite(g)):
-                    raise NonconvergenceError(
-                        f"halving step {n}: doubling the kept piece overflows the float range"
-                    )
-                phi_g = phi(g)
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    def piece(n: int, a: int, b: int):
+        """Round n on the cells [a, b) by one phi call: a column of sweep's rows."""
+        nonzero = start[a:b] != 0.0
+        with np.errstate(over="ignore"):
+            g = np.ldexp(start[a:b], n)
+            top = np.abs(g).max()
+            if not np.isfinite(top):
+                raise NonconvergenceError(f"halving step {n}: doubling the kept piece overflows the float range")
+            phi_g = phi(g)
+        ratio = -np.inf
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if phi_f is not None:
                 if n:
-                    # np.maximum, unlike max, keeps a NaN ratio, as one np.max over the piece does
-                    ratio = np.maximum(ratio, np.max(phi_g / phi_f[a:b], where=nonzero, initial=-np.inf))
+                    ratio = np.max(phi_g / phi_f[a:b], where=nonzero, initial=-np.inf)
                 phi_f[a:b] = phi_g
-                weights = phi_g * masses[a:b]
-                rho_parts.append(np.dot(phi_g, masses[a:b]))
-                val_parts.append(np.dot(g * u[a:b], masses[a:b]))
-            nu_min = min(nu_min, float(weights.min()))
-            nu_max = max(nu_max, float(weights.max()))
-        return rho_parts, val_parts, nu_min, nu_max, cells, float(ratio)
+            weights = phi_g * masses[a:b]
+            rho_part, val_part = np.dot(phi_g, masses[a:b]), np.dot(g * u[a:b], masses[a:b])
+        return rho_part, val_part, weights.min(), weights.max(), np.count_nonzero(nonzero), top, ratio
 
-    lo, hi = 0, space.size
-    rho_parts, val_parts, nu_min, nu_max, cells, _ = sweep(0, lo, hi)
-    val = fsum_partials(val_parts)
+    def columns(n: int, bounds) -> np.ndarray:
+        """piece on each nonempty [a, b) of bounds, stacked as columns."""
+        return np.array([piece(n, a, b) for a, b in bounds if a < b], dtype=float).reshape(-1, 7).T
+
+    def sweep(n: int, lo: int, hi: int) -> np.ndarray:
+        """Round n on f = f0 * 2^n over [lo, hi), one column per piece of the grid.
+
+        The rows: modular and functional partials, least and largest
+        weight, nonzero cells, largest |f|, and the largest doubling ratio
+        (-inf with a degree).
+        """
+        # the whole pieces j0..j1-1; the last piece of the space may be short
+        j0, j1 = -(-lo // BLOCK), -(-hi // BLOCK) if hi == size else hi // BLOCK
+        if records is None or j0 >= j1:
+            grid = range(lo // BLOCK, -(-hi // BLOCK))
+            return columns(n, [(max(lo, j * BLOCK), min(hi, j * BLOCK + BLOCK)) for j in grid])
+        whole = records[:, j0:j1].copy()
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(np.ldexp(whole[5], n))):
+                raise NonconvergenceError(f"halving step {n}: doubling the kept piece overflows the float range")
+            # 2^(n q) itself may pass the float range where the scaled numbers do not
+            k = math.floor(n * q)
+            whole[[0, 2, 3]] = np.ldexp(whole[[0, 2, 3]] * 2.0 ** (n * q - k), k)
+            whole[1] = np.ldexp(whole[1], n)
+        return np.hstack([columns(n, [(lo, j0 * BLOCK)]), whole, columns(n, [(j1 * BLOCK, hi)])])
+
+    def claim(n: int, got: float, want: float, a: int, b: int) -> None:
+        """Raise unless a direct modular partial on [a, b) is the one phi's degree gives, within DEMO_TOL."""
+        if not abs(got - want) <= DEMO_TOL * want:
+            raise NonconvergenceError(
+                f"halving step {n}: phi does not scale as its declared degree {q:.6g} on cells {a}..{b - 1}"
+            )
+
+    lo, hi = 0, size
+    parts = sweep(0, lo, hi)
+    val = fsum_partials(parts[1])
     # a vanishing functional is a degenerate but valid input (the trace then
     # only exhibits modular decay); a nonzero unscaled one is a caller error
     if not np.isfinite(val) or 0.0 < abs(val) < 1.0 - 1e-12:
         raise DomainError("scale f0 or the kernel so the functional value is 0 or finite and at least 1")
-    rho = fsum_partials(rho_parts)
+    rho = fsum_partials(parts[0])
     if rho == 0.0:
         raise DomainError("f0 has modular 0, so nothing decays")
-    steps: list[HalvingStep] = [HalvingStep(0, rho, val, 0, cells)]
+    if q is not None:
+        records = parts
+    steps: list[HalvingStep] = [HalvingStep(0, rho, val, 0, int(parts[4].sum()))]
     c_phi = 1.0
     keep_fraction = max(theta, 1.0 - theta)
     for n in range(1, iterations + 1):
-        if not (np.isfinite(rho) and nu_min >= 0.0):
+        if not (np.isfinite(rho) and np.min(parts[2], initial=0.0) >= 0.0):
             raise NonconvergenceError(f"halving step {n}: modular weights must be non-negative and finite")
         # the split falls in piece j, the first whose modular partial takes the
         # running sum past theta * rho; if none does, the whole support fits
         target = theta * rho
-        runs = np.cumsum(rho_parts)
+        runs = np.cumsum(parts[0])
         j = int(np.searchsorted(runs, target, side="right"))
-        if j < len(rho_parts):
-            a = lo + j * BLOCK
-            b = min(a + BLOCK, hi)
+        if j < runs.size:
+            a = max(lo, (lo // BLOCK + j) * BLOCK)
+            b = min(hi, a - a % BLOCK + BLOCK)
             with np.errstate(over="ignore", invalid="ignore"):
-                split = a + prefix_within(phi_f[a:b] * masses[a:b], target, float(runs[j - 1]) if j else 0.0)
-                piece = np.ldexp(start[a:b], n - 1) * u[a:b]
-                left = np.dot(piece[: split - a], masses[a:split])
-                right = np.dot(piece[split - a :], masses[split:b])
-            v1 = fsum_partials([*val_parts[:j], left])
-            v2 = fsum_partials([right, *val_parts[j + 1 :]])
+                if phi_f is None:
+                    phi_g = phi(np.ldexp(start[a:b], n - 1))
+                    claim(n, np.dot(phi_g, masses[a:b]), parts[0, j], a, b)
+                else:
+                    phi_g = phi_f[a:b]
+                split = a + prefix_within(phi_g * masses[a:b], target, float(runs[j - 1]) if j else 0.0)
+                fu = np.ldexp(start[a:b], n - 1) * u[a:b]
+                left = np.dot(fu[: split - a], masses[a:split])
+                right = np.dot(fu[split - a :], masses[split:b])
+            v1 = fsum_partials([*parts[1, :j], left])
+            v2 = fsum_partials([right, *parts[1, j + 1 :]])
         else:
             split, v1, v2 = hi, val, 0.0
-        prefix_cells = split if split < hi else space.size
-        new_lo, new_hi = (lo, split) if abs(v1) >= abs(v2) else (split, hi)
-        support_max = nu_max
-        rho_parts, val_parts, nu_min, nu_max, cells, ratio = sweep(n, new_lo, new_hi)
-        c_step = ratio if cells else 1.0
+        prefix_cells = split if split < hi else size
+        keep_prefix = abs(v1) >= abs(v2)
+        new_lo, new_hi = (lo, split) if keep_prefix else (split, hi)
+        support_max = float(np.max(parts[3], initial=0.0))
+        parts = sweep(n, new_lo, new_hi)
+        if phi_f is None and j < runs.size:
+            # the kept part of the split piece, the new range's last or first piece, doubled
+            ka, kb = (a, split) if keep_prefix else (split, b)
+            if ka < kb:
+                with np.errstate(over="ignore"):
+                    doubled = 2.0**q * np.dot(phi_g[ka - a : kb - a], masses[ka:kb])
+                claim(n, parts[0, -1 if keep_prefix else 0], doubled, ka, kb)
+        cells = int(parts[4].sum())
+        c_step = (float(np.max(parts[6], initial=-np.inf)) if q is None else 2.0**q) if cells else 1.0
         c_phi = max(c_phi, c_step)
         # the kept piece carries at most keep_fraction of the modular plus one cell
         allowance = c_step * support_max
         step_cap = c_step * keep_fraction * rho + allowance + DEMO_TOL * rho
-        rho_next, val_next = fsum_partials(rho_parts), fsum_partials(val_parts)
+        rho_next, val_next = fsum_partials(parts[0]), fsum_partials(parts[1])
         if not (np.isfinite(rho_next) and np.isfinite(val_next)):
             raise NonconvergenceError(f"halving step {n}: the modular or functional value overflows the float range")
         if rho_next > step_cap:

@@ -280,10 +280,17 @@ def simple_approximation(f: MeasurableFn, n: int) -> MeasurableFn:
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError("approximation level must be a positive integer")
+    # one buffer, every step in place; sign(f) a slice at a time, as it keeps
+    # sign(-0.0) * 0 = +0.0 where copysign would give -0.0
     scale = 2.0**n
-    quant = np.floor(np.abs(f.values) * scale) / scale
-    quant = np.minimum(quant, float(n))
-    return MeasurableFn._adopt(np.sign(f.values) * quant, f.space)
+    out = np.abs(f.values)
+    out *= scale
+    np.floor(out, out=out)
+    out /= scale
+    np.minimum(out, float(n), out=out)
+    for a in range(0, out.size, BLOCK):
+        out[a : a + BLOCK] *= np.sign(f.values[a : a + BLOCK])
+    return MeasurableFn._adopt(out, f.space)
 
 
 def disjoint_positive_family(space: MeasureSpace, count: int) -> list[np.ndarray]:

@@ -82,6 +82,24 @@ def mp_table_integral(ts, ps, x):
     return float(ps[0] * ts[0] / b + mp.quad(density, [t for t in ts if t < x] + [x]))
 
 
+def _mp_power_modular(masses, values, c, q, dps):
+    """sum of a_i c |f_i|^q in mpmath at dps digits, over the floats as they are stored, and q as an mpf."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = dps
+    c, q = mp.mpf(float(c)), mp.mpf(float(q))
+    return mp.fsum(mp.mpf(float(a)) * c * abs(mp.mpf(float(v))) ** q for a, v in zip(masses, values)), q
+
+
+def mp_power_modular(masses, values, c, q, dps=40):
+    """Modular under phi = c |x|^q, in mpmath: sum of a_i c |f_i|^q, rounded once to a float.
+
+    The masses, values, c and q are taken as the floats they are stored
+    as, so the oracle is the exact modular of what the code holds.
+    """
+    return float(_mp_power_modular(masses, values, c, q, dps)[0])
+
+
 def mp_power_norm(masses, values, c, q, dps=40):
     """Luxemburg norm under phi = c |x|^q, in mpmath: (sum of a_i c |f_i|^q)^(1/q).
 
@@ -89,9 +107,5 @@ def mp_power_norm(masses, values, c, q, dps=40):
     as, so the oracle is the exact norm of what the code holds. A norm
     past the float range gives inf or 0.
     """
-    mpmath = pytest.importorskip("mpmath")
-    mp = mpmath.mp.clone()
-    mp.dps = dps
-    c, q = mp.mpf(float(c)), mp.mpf(float(q))
-    total = mp.fsum(mp.mpf(float(a)) * c * abs(mp.mpf(float(v))) ** q for a, v in zip(masses, values))
+    total, q = _mp_power_modular(masses, values, c, q, dps)
     return float(total ** (1 / q))

@@ -398,6 +398,11 @@ class TestCheck:
 DATA = Path(__file__).parent / "data"
 
 
+# a generator of no degree on a cell count past a multiple of BLOCK: the
+# suffix a round keeps starts inside a piece of the grid
+DUALZERO_LOG_SQRT = "demo dualzero --phi log_sqrt --space interval:L=1,N=100000 --theta 0.3 --iterations 20".split()
+
+
 class TestThreadCount:
     """Every long sum follows measure's sum rule, so no output depends on the BLAS thread count."""
 
@@ -406,8 +411,9 @@ class TestThreadCount:
         [
             ["norm", "--phi", "power:p=0.5", "--space", "interval:L=1,N=100000", "--fn", "identity"],
             ["demo", "dualzero", "--phi", "power:p=0.5", "--space", "interval:L=1,N=65536", "--iterations", "20"],
+            DUALZERO_LOG_SQRT,
         ],
-        ids=["norm_readme", "dualzero_readme"],
+        ids=["norm_readme", "dualzero_readme", "dualzero_log_sqrt"],
     )
     def test_one_and_two_blas_threads_print_the_same_bytes(self, argv):
         # a whole-array np.dot split across threads printed 4.00455224536e-11 for the
@@ -466,6 +472,12 @@ class TestCheckGolden:
                 "dual_norm_tiny_atom.json",
                 ["dual-norm", "--phi", "power:p=0.5", "--space", "atoms:1e-200,0.5", "--functional", "0,1"],
             ),
+            # the halving demo: records of f0 for a declared degree, a sweep of every kept cell without one
+            (
+                "dualzero_readme.json",
+                ["demo", "dualzero", "--phi", "power:p=0.5", "--space", "interval:L=1,N=65536", "--iterations", "20"],
+            ),
+            ("dualzero_log_sqrt.json", DUALZERO_LOG_SQRT),
         ],
     )
     def test_json_matches_golden(self, capsys, golden, argv):
@@ -946,6 +958,19 @@ class TestDemos:
         assert code == 1
         assert captured.out == ""
         assert "overflows the float range" in captured.err
+
+    def test_dualzero_rounding_in_the_functional_value_passes(self, capsys):
+        # f0 and the kernel are mirror images, so both halves carry the same
+        # functional value, about 8e12, and the kept half doubled comes back
+        # one ulp (2^-10) below the whole. A fixed bound of 1e-6 on the drop
+        # read that as FAIL with exit 1; each step may lose DEMO_TOL of it
+        argv = ["demo", "dualzero", "--phi", "power:p=0.5", "--space", "interval:L=1,N=6", "--iterations", "1"]
+        argv += ["--fn", "values:1,2,1,1,2,1", "--kernel", "values:1e12,5e12,3e12,3e12,5e12,1e12"]
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        payload = json.loads(out)
+        assert payload["functional_drop"] == -(2.0**-10)
+        assert payload["pass"] is True
+        assert code == 0
 
     def test_dualzero_deterministic_bytes(self, capsys):
         args = (

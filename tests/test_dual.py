@@ -28,9 +28,10 @@ from nstar import (
     single_atom_witness,
 )
 from nstar.measure import BLOCK
-from oracle import mp_bump_modulars, rule_sum
+from oracle import mp_bump_modulars, mp_power_modular, rule_sum
 
 HALF = power_family(0.5)
+U = 2.0**-53
 CLOSED_FAMILIES = [power_family, scaled_power_family, alpha_exp_family, lambda _: log_sqrt_family()]
 
 
@@ -49,7 +50,8 @@ def reference_halving(phi, space, f0, kernel, iterations, theta):
     """The halving construction as a plain loop over full arrays, every sum by the sum rule.
 
     The modular and the functional value are rule sums over the support
-    [lo, hi), whose pieces start at lo. The split runs the sum of the
+    [lo, hi), whose pieces are those of BLOCK cells counted from cell 0,
+    cut at lo and hi. The split runs the sum of the
     modular's pieces up to the piece where it passes theta * rho, then
     cell by cell (np.cumsum) inside that piece; the split values take the
     functional's pieces on either side of it plus its two parts. Returns
@@ -60,8 +62,11 @@ def reference_halving(phi, space, f0, kernel, iterations, theta):
     f = f0.values.copy()
     lo, hi = 0, f.size
 
+    def grid():
+        return [(max(lo, a), min(hi, a + BLOCK)) for a in range(lo - lo % BLOCK, hi, BLOCK) if lo < hi]
+
     def pieces(x):
-        return [np.dot(x[a : min(a + BLOCK, hi)], masses[a : min(a + BLOCK, hi)]) for a in range(lo, hi, BLOCK)]
+        return [np.dot(x[a:b], masses[a:b]) for a, b in grid()]
 
     phi_f = np.asarray(phi(np.abs(f)), dtype=float)
     rho_parts, val_parts = pieces(phi_f), pieces(f * u)
@@ -75,7 +80,7 @@ def reference_halving(phi, space, f0, kernel, iterations, theta):
         if j == len(rho_parts):
             k, v1, v2 = hi, val, 0.0
         else:
-            a, b = lo + j * BLOCK, min(lo + (j + 1) * BLOCK, hi)
+            a, b = grid()[j]
             before = runs[j - 1] if j else 0.0
             k = a + int(np.searchsorted(np.cumsum([before, *nu[a:b]])[1:], theta * rho, side="right"))
             fu = f * u
@@ -103,6 +108,65 @@ def trace_rows(trace):
         (s.modular, s.functional_value, s.prefix_cells, s.support_cells, s.step_bound)
         for s in trace.steps
     ]
+
+
+def without_degree(phi: NStarFunction) -> NStarFunction:
+    """phi with no declared degree, so every halving round passes phi over the kept cells."""
+    return dataclasses.replace(phi, degree=None, description=f"{phi.description}, no degree")
+
+
+def gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53."""
+    return k * U / (1 - k * U)
+
+
+def record_error(n: int, q: float) -> float:
+    """Relative distance allowed between a round-n modular read from the records and the direct pass's.
+
+    Both sum the non-negative terms c |f_i|^q mass_i, f = f0 * 2^n, by the
+    sum rule. The direct pass rounds each phi value twice, pow within one
+    ulp (2u) and the product with c (u): 3u; the partial's dot and the
+    fsum add gamma_(k+1), k <= BLOCK. A record is the same partial at level
+    0 (3u + gamma_k); the scale 2^(n q) takes n q rounded (u relative, so
+    ln 2 * n q * u after the power) and pow of its fractional part (2u),
+    its integer part exactly (ldexp); the scaled partial and the fsum
+    round once each (2u). Summed over both routes, to first order in u:
+    2 gamma_(k+1) + (ln 2 * n q + 9) u.
+    """
+    return 2 * gamma(BLOCK + 1) + (math.log(2) * n * q + 9) * U
+
+
+def assert_matches_reference(trace, rows, c_phi, q):
+    """Bit for bit without a degree. With one, the cells and functional values bit for bit, the rest to its rounding.
+
+    c_step is 2^q, within 9u of the reference's phi(2x) / phi(x) (3u per
+    phi value, u for the quotient, 2u for pow). A step bound is
+    c_step * (keep_fraction + weight_max / rho) + DEMO_TOL: c_step's 9u,
+    record_error for each of weight_max and rho, and five roundings on
+    either side (10u).
+    """
+    if q is None:
+        assert trace_rows(trace) == rows
+        assert trace.c_phi == c_phi
+        return
+    got = trace_rows(trace)
+    assert [row[1:4] for row in got] == [row[1:4] for row in rows]
+    for n, (mine, ref) in enumerate(zip(got, rows)):
+        assert abs(mine[0] - ref[0]) <= record_error(n, q) * ref[0]
+        assert abs(mine[4] - ref[4]) <= (2 * record_error(n, q) + 19 * U) * ref[4]
+    assert trace.c_phi == 2.0**q
+    assert abs(c_phi - trace.c_phi) <= 9 * U * c_phi
+
+
+def kept_range(trace, size: int) -> tuple[int, int]:
+    """The last round's range [lo, hi), rebuilt from the prefix and support counts of an f0 without zeros."""
+    lo, hi = 0, size
+    for s in trace.steps[1:]:
+        split = min(s.prefix_cells, hi)
+        assert split - lo != hi - split, "both sides have the same cell count"
+        lo, hi = (lo, split) if split - lo == s.support_cells else (split, hi)
+        assert hi - lo == s.support_cells
+    return lo, hi
 
 
 class TestEvaluateFunctional:
@@ -395,19 +459,19 @@ HALVING_SIZES = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5]
 
 
 class TestHalvingAgainstReference:
-    """dual_zero_halving records exactly what a plain full-array loop computes."""
+    """dual_zero_halving records what a plain full-array loop computes: bit for bit without a degree."""
 
     @pytest.mark.parametrize("cells", [3000, *HALVING_SIZES])
     @pytest.mark.parametrize(
         "phi, theta",
         [
-            (power_family(0.5), 0.5),
-            (power_family(0.25), 0.5),
-            (alpha_exp_family(4.0), 0.5),
+            (without_degree(power_family(0.5)), 0.5),
+            (without_degree(power_family(0.25)), 0.5),
+            (without_degree(alpha_exp_family(4.0)), 0.5),
             (log_sqrt_family(), 0.5),
-            (power_family(0.5), 1.0 / 3.0),
+            (without_degree(power_family(0.5)), 1.0 / 3.0),
             (log_sqrt_family(), 1.0 / 3.0),
-            (alpha_exp_family(4.0), 0.8),
+            (without_degree(alpha_exp_family(4.0)), 0.8),
         ],
         ids=lambda v: v.description if isinstance(v, NStarFunction) else f"theta={v:.3g}",
     )
@@ -418,6 +482,64 @@ class TestHalvingAgainstReference:
         rows, c_phi = reference_halving(phi, X, f0, u, 12, theta)
         assert trace_rows(trace) == rows
         assert trace.c_phi == c_phi
+
+    @pytest.mark.parametrize("cells", [3000, *HALVING_SIZES, 6 * BLOCK + 77])
+    @pytest.mark.parametrize(
+        "phi, theta",
+        [
+            (power_family(0.5), 0.5),
+            (power_family(0.25), 0.5),
+            (alpha_exp_family(4.0), 0.5),
+            (power_family(0.5), 1.0 / 3.0),
+            (alpha_exp_family(4.0), 0.8),
+            (power_family(0.25), 0.1),
+        ],
+        ids=lambda v: v.description if isinstance(v, NStarFunction) else f"theta={v:.3g}",
+    )
+    def test_declared_degree_against_reference(self, phi, theta, cells):
+        X = MeasureSpace.interval(1.0, cells)
+        f0, u = halving_instance(phi, X)
+        trace = dual_zero_halving(phi, X, f0, u, 12, theta)
+        assert_matches_reference(trace, *reference_halving(phi, X, f0, u, 12, theta), phi.degree)
+
+    @pytest.mark.parametrize("q", [0.25, 0.5])
+    def test_round_12_modular_matches_mpmath(self, q):
+        # theta = 0.1 keeps the suffix, so round 12 still holds whole pieces read from the records
+        X = MeasureSpace.interval(1.0, 2 * BLOCK + 5)
+        phi = power_family(q)
+        f0, u = halving_instance(phi, X)
+        trace = dual_zero_halving(phi, X, f0, u, 12, 0.1)
+        lo, hi = kept_range(trace, X.size)
+        assert lo < BLOCK
+        want = mp_power_modular(X.masses[lo:hi], np.ldexp(f0.values[lo:hi], 12), 1.0, q)
+        assert abs(trace.steps[12].modular - want) <= record_error(12, q) * want
+
+    def test_scale_past_the_float_range(self):
+        # f0 = 1e-300 doubles 1200 times without overflow while 2^(n q) passes
+        # 2^1024 from round 1138 on; a zero kernel and theta near 1 keep whole
+        # pieces in the range to the end. The float power 2.0 ** (n * q) raised OverflowError
+        X = MeasureSpace.interval(1.0, 3 * BLOCK)
+        f0, zero = MeasurableFn.constant(X, 1e-300), MeasurableFn.constant(X, 0.0)
+        phi = power_family(0.9)
+        trace = dual_zero_halving(phi, X, f0, zero, 1200, 0.9998)
+        assert trace.steps[-1].support_cells > BLOCK
+        assert_matches_reference(trace, *reference_halving(phi, X, f0, zero, 1200, 0.9998), phi.degree)
+
+    @pytest.mark.parametrize("degree", [0.0, 1.5, np.inf, np.nan])
+    def test_degree_outside_the_concave_range_takes_the_sweep(self, degree):
+        X = MeasureSpace.interval(1.0, 2 * BLOCK + 5)
+        f0, u = halving_instance(HALF, X)
+        trace = dual_zero_halving(dataclasses.replace(HALF, degree=degree), X, f0, u, 12)
+        assert trace_rows(trace) == reference_halving(HALF, X, f0, u, 12, 0.5)[0]
+
+    def test_false_degree_raises(self):
+        # log_sqrt is close to sqrt only near 0; trusting degree 0.5 printed a modular 0.4% off
+        phi = dataclasses.replace(log_sqrt_family(), degree=0.5)
+        X = MeasureSpace.interval(1.0, 65536)
+        f0, u = halving_instance(log_sqrt_family(), X)
+        for iterations in (1, 2, 20):
+            with pytest.raises(NonconvergenceError, match="does not scale as its declared degree 0.5"):
+                dual_zero_halving(phi, X, f0, u, iterations)
 
     @pytest.mark.parametrize("cells", [3000, *HALVING_SIZES])
     @pytest.mark.parametrize(
@@ -438,7 +560,8 @@ class TestHalvingAgainstReference:
     @pytest.mark.parametrize("cells", [2000, *HALVING_SIZES])
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("kernel", ["signed", "front"])
-    def test_zeros_and_other_kernels_bit_for_bit(self, seed, kernel, cells):
+    @pytest.mark.parametrize("phi", [HALF, without_degree(HALF)], ids=lambda phi: phi.description)
+    def test_zeros_and_other_kernels(self, phi, seed, kernel, cells):
         # interior zeros take the masked ratio path; a kernel that changes
         # sign, or one that lives on the first cells only, makes rounds keep
         # the prefix rather than the suffix
@@ -452,10 +575,8 @@ class TestHalvingAgainstReference:
         u *= 4.0 / abs(float(np.dot(f0.values * u, X.masses)))
         u = MeasurableFn(u, X)
         for theta in (0.5, 0.3, 0.8):
-            trace = dual_zero_halving(HALF, X, f0, u, 10, theta)
-            rows, c_phi = reference_halving(HALF, X, f0, u, 10, theta)
-            assert trace_rows(trace) == rows
-            assert trace.c_phi == c_phi
+            trace = dual_zero_halving(phi, X, f0, u, 10, theta)
+            assert_matches_reference(trace, *reference_halving(phi, X, f0, u, 10, theta), phi.degree)
 
     def test_a_support_without_modular_puts_every_cell_in_the_prefix(self):
         # round 1 keeps the all-zero prefix of f0 (a tie at functional value
@@ -471,23 +592,36 @@ class TestHalvingAgainstReference:
 class TestDemoWork:
     """Solver work of the two demos, counted by a wrapper around phi."""
 
-    def test_halving_evaluates_phi_once_on_each_kept_cell(self):
+    def test_halving_without_degree_evaluates_phi_once_on_each_kept_cell(self):
         # f0 of halving_instance has no zeros, so the cells a round keeps are
-        # its support cells; every call but the last of a pass takes BLOCK cells
+        # its support cells; a pass calls phi once per piece of the grid, all
+        # of BLOCK cells but the first and the last
         X = MeasureSpace.interval(1.0, 2 * BLOCK + 5)
-        phi, sizes = counting(HALF)
+        phi, sizes = counting(without_degree(HALF))
         f0, u = halving_instance(HALF, X)
         trace = dual_zero_halving(phi, X, f0, u, 9)
         assert max(sizes) <= BLOCK
         calls = iter(sizes)
         for step in trace.steps:
-            done, last = 0, 0
-            while done < step.support_cells:
-                assert last in (0, BLOCK)
-                last = next(calls)
-                done += last
-            assert done == step.support_cells
+            sizes_of_pass = []
+            while sum(sizes_of_pass) < step.support_cells:
+                sizes_of_pass.append(next(calls))
+            assert sum(sizes_of_pass) == step.support_cells
+            assert all(size == BLOCK for size in sizes_of_pass[1:-1])
         assert next(calls, None) is None
+
+    @pytest.mark.parametrize("theta", [0.1, 0.5, 0.8])
+    def test_halving_with_degree_calls_phi_on_three_slices_a_round(self, theta):
+        # round 0 passes phi once over every cell, a slice at a time; a later
+        # round calls it on the split piece and on the two edges of its range
+        X = MeasureSpace.interval(1.0, 6 * BLOCK + 77)
+        phi, sizes = counting(HALF)
+        f0, u = halving_instance(HALF, X)
+        rounds = 12
+        dual_zero_halving(phi, X, f0, u, rounds, theta)
+        assert sizes[:7] == [BLOCK] * 6 + [77]
+        assert max(sizes) <= BLOCK
+        assert len(sizes) - 7 <= 3 * rounds
 
     @pytest.mark.parametrize("space", [MeasureSpace.interval(1.0, 2**16), MeasureSpace.atomic(np.full(500, 0.5))])
     def test_nonconvex_makes_no_phi_pass_over_the_cells(self, space):
@@ -545,7 +679,8 @@ class TestDemoGuards:
     def test_halving_weights_broken_in_a_later_slice(self, bad, past, match):
         # phi turns bad above 100 on the cells past BLOCK only: at the start
         # (f0 = 200), or in round 1's pass (2 * 60)
-        broken = dataclasses.replace(HALF, eval_fn=lambda a: np.where(a > 100.0, bad, np.sqrt(a)))
+        # a generator of no declared degree: the sweep checks the weights of every piece
+        broken = dataclasses.replace(HALF, eval_fn=lambda a: np.where(a > 100.0, bad, np.sqrt(a)), degree=None)
         X = MeasureSpace.interval(1.0, 2 * BLOCK + 5)
         f0 = MeasurableFn(np.where(np.arange(X.size) < BLOCK, 1.0, past), X)
         zero = MeasurableFn.constant(X, 0.0)
@@ -569,13 +704,15 @@ class TestDemoGuards:
             dual_zero_halving(HALF, X, f, f, 1)
 
     # with a valid generator and DEMO_TOL >= 0 the construction cannot break
-    # either bound; a negative DEMO_TOL tightens a bound past what it guarantees
+    # either bound; a negative DEMO_TOL tightens a bound past what it
+    # guarantees. Both paths share these guards; HALF's degree would first
+    # meet the check of phi against its degree, which reads DEMO_TOL too
     def test_halving_contraction_bound(self, monkeypatch):
         X = MeasureSpace.interval(1.0, 1024)
         f0, u = halving_instance(HALF, X)
         monkeypatch.setattr("nstar.dual.DEMO_TOL", -1.0)
         with pytest.raises(NonconvergenceError, match="violated its modular contraction bound"):
-            dual_zero_halving(HALF, X, f0, u, 3)
+            dual_zero_halving(without_degree(HALF), X, f0, u, 3)
 
     def test_halving_functional_mass(self, monkeypatch):
         X = MeasureSpace.interval(1.0, 1024)
@@ -583,7 +720,7 @@ class TestDemoGuards:
         zero = MeasurableFn.constant(X, 0.0)
         monkeypatch.setattr("nstar.dual.DEMO_TOL", -1e-300)
         with pytest.raises(NonconvergenceError, match="lost functional mass"):
-            dual_zero_halving(HALF, X, f0, zero, 3)
+            dual_zero_halving(without_degree(HALF), X, f0, zero, 3)
 
     @pytest.mark.parametrize(
         "p, cells",

@@ -276,6 +276,14 @@ class TestSimpleApproximation:
         for n in (1, 5, 12):
             assert not simple_approximation(z, n).values.any()
 
+    def test_signs_of_zero(self):
+        # sign(f) * |f|_n: a zero f gives +0.0 whatever its sign, a negative f below 2^-n gives -0.0
+        X = MeasureSpace.atomic([1.0] * 4)
+        f = MeasurableFn(np.array([-0.0, 0.0, -0.3, 0.3]), X)
+        approx = simple_approximation(f, 1).values
+        assert approx.tolist() == [0.0] * 4
+        assert np.signbit(approx).tolist() == [False, False, True, False]
+
     def test_identity_gap_bound(self):
         X = MeasureSpace.interval(1.0, 1024)
         f = MeasurableFn.identity(X)

@@ -482,14 +482,18 @@ def test_pass_allocates_no_full_size_buffer(functional):
     assert traced_peak(lambda: functional(power_family(0.25), X, *args)) / f.values.nbytes < 0.5
 
 
-# the halving construction holds one full-size buffer, phi(|f|), and slices
-# of BLOCK cells; it held five (5.26x) when f, its modular weights, f * u and
-# the prefix side of f * u were full-size too, and its whole-array rounds 7.99x
-def test_halving_allocates_one_full_size_buffer():
+# without a degree the halving construction holds one full-size buffer,
+# phi(|f|), and slices of BLOCK cells (1.17x); it held five (5.26x) when f,
+# its modular weights, f * u and the prefix side of f * u were full-size too,
+# and its whole-array rounds 7.99x. With a degree it keeps per-piece records
+# of f0 instead of phi(|f|), and slices only (0.20x)
+@pytest.mark.parametrize("degree, bound", [(None, 1.5), (0.25, 0.5)], ids=["no-degree", "degree"])
+def test_halving_allocates_at_most_one_full_size_buffer(degree, bound):
     X = MeasureSpace.interval(1.0, 2**18)
     phi = power_family(0.25)
     f0, u = halving_instance(phi, X)
-    assert traced_peak(lambda: dual_zero_halving(phi, X, f0, u, 12)) / f0.values.nbytes < 1.5
+    phi = dataclasses.replace(phi, degree=degree)
+    assert traced_peak(lambda: dual_zero_halving(phi, X, f0, u, 12)) / f0.values.nbytes < bound
 
 
 # the instance is built a slice at a time and MeasurableFn adopts the fresh
@@ -509,6 +513,15 @@ def test_arithmetic_allocates_one_full_size_buffer(op):
     X = MeasureSpace.interval(1.0, 2**18)
     f = MeasurableFn.random(X, 1, -3.0, 3.0)
     assert traced_peak(lambda: op(f)) / f.values.nbytes < 1.25
+
+
+# simple_approximation builds its result in one buffer and takes sign(f) a
+# slice at a time: the result plus one slice (1/32 of f's bytes). It peaked
+# at 2.0x with full-size temporaries for |f|, the floor, the truncation and sign(f)
+def test_simple_approximation_allocates_only_its_result():
+    X = MeasureSpace.interval(1.0, 2**18)
+    f = MeasurableFn.random(X, 1, -3.0, 3.0)
+    assert traced_peak(lambda: simple_approximation(f, 10)) / f.values.nbytes < 1.05
 
 
 class TestQuasiTriangle:
