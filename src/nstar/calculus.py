@@ -64,13 +64,15 @@ class NStarFunction:
     results as they are; density may return any array-like.
     degree, when given, claims that eval_fn is homogeneous of that degree,
     phi(t x) = t^degree phi(x) for all t, x > 0, as the power families
-    are. It belongs to eval_fn: replace both together. Two readers trust
+    are. It belongs to eval_fn: replace both together. Three readers trust
     it. luxemburg_norm starts at the quasi-norm's closed-form root; a
     false claim there costs modular passes, not correctness.
     dual_zero_halving reads each round from per-piece records of f0 for a
     degree in (0, 1]; it checks the claim on the pieces a round evaluates
     directly, and a claim false by more than DEMO_TOL there raises
-    NonconvergenceError.
+    NonconvergenceError. halving_f0 builds f0 from phi^-1(1) and one exp
+    a cell for such a degree, and checks it against phi on two cells in
+    the same way.
     """
 
     density: Callable

@@ -295,8 +295,10 @@ def _cmd_dualzero(args) -> _Report:
     # the bounds dual_zero_halving enforced on each step, over the run: the
     # modular stays under the product of the step bounds (DEMO_TOL covers the
     # roundings of the 2n + 1 quotients and products), and each step may lose
-    # DEMO_TOL * max(|value|, 1) of the functional value it started from
-    cumulative_bound = float(np.prod([s.step_bound for s in trace.steps]))
+    # DEMO_TOL * max(|value|, 1) of the functional value it started from; a
+    # product past the float range is inf
+    with np.errstate(over="ignore"):
+        cumulative_bound = float(np.prod([s.step_bound for s in trace.steps]))
     allowed_drop = DEMO_TOL * sum(max(v, 1.0) for v in values[:-1])
     ok = bool(ratio <= cumulative_bound * (1 + DEMO_TOL)) and drop >= -allowed_drop
     payload = {

@@ -32,6 +32,7 @@ ends of its range.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -73,6 +74,12 @@ HALVING_DECAY_RATE = 16.0
 # relative rounding allowance of the demos' asserted bounds: halving contraction,
 # functional mass, and the averaged modular staying at or above epsilon
 DEMO_TOL = 1e-9
+
+
+def _concave_degree(phi: NStarFunction) -> float | None:
+    """phi's declared degree if it lies in (0, 1], the degrees a concave generator can have; else None."""
+    q = phi.degree
+    return q if q is not None and 0.0 < q <= 1.0 else None
 
 
 @dataclass(frozen=True)
@@ -176,6 +183,7 @@ class HalvingTrace:
     decay_bound[n] is the reference curve (c_phi * max(theta, 1-theta))^n
     scaled by the initial modular; the recorded modulars must stay below it
     up to per-step grid residuals, while the functional values never drop.
+    A bound past the float range is inf.
     """
 
     steps: tuple[HalvingStep, ...]
@@ -193,7 +201,8 @@ class HalvingTrace:
     def decay_bound(self) -> np.ndarray:
         factor = self.c_phi * max(self.theta, 1.0 - self.theta)
         n = np.arange(len(self.steps))
-        return self.steps[0].modular * factor**n
+        with np.errstate(over="ignore"):
+            return self.steps[0].modular * factor**n
 
 
 def dual_zero_halving(
@@ -246,7 +255,8 @@ def dual_zero_halving(
     carried phi(|g|), or with a degree one phi call. Its partial must then
     match the piece's partial, which the records may have given, and the
     part of it the round keeps, 2^q times its partial, must match that
-    part's partial after the doubling, each within relative DEMO_TOL. A
+    part's partial after the doubling, each within relative DEMO_TOL plus
+    one least subnormal a cell, which subnormal weights can lose. A
     degree claim false by more than that on the direct pieces so raises
     NonconvergenceError instead of printing numbers of the claimed law.
     The two split values are the functional partials on either side of
@@ -274,7 +284,7 @@ def dual_zero_halving(
     masses, u, start = space.masses, kernel.values, f0.values
     size = space.size
     # the records serve the degrees a concave generator can have; any other claim takes the sweep
-    q = phi.degree if phi.degree is not None and 0.0 < phi.degree <= 1.0 else None
+    q = _concave_degree(phi)
     # phi(|f|) on the support, carried from round to round when phi declares no degree
     phi_f = np.empty(size) if q is None else None
     # round 0's columns, read by the later rounds when phi declares a degree
@@ -284,7 +294,7 @@ def dual_zero_halving(
         """Round n on the cells [a, b) by one phi call: a column of sweep's rows."""
         nonzero = start[a:b] != 0.0
         with np.errstate(over="ignore"):
-            g = np.ldexp(start[a:b], n)
+            g = np.ldexp(start[a:b], n) if n else start[a:b]
             top = np.abs(g).max()
             if not np.isfinite(top):
                 raise NonconvergenceError(f"halving step {n}: doubling the kept piece overflows the float range")
@@ -326,8 +336,8 @@ def dual_zero_halving(
         return np.hstack([columns(n, [(lo, j0 * BLOCK)]), whole, columns(n, [(j1 * BLOCK, hi)])])
 
     def claim(n: int, got: float, want: float, a: int, b: int) -> None:
-        """Raise unless a direct modular partial on [a, b) is the one phi's degree gives, within DEMO_TOL."""
-        if not abs(got - want) <= DEMO_TOL * want:
+        """Raise unless a direct modular partial on [a, b) is the one phi's degree gives, within the allowance."""
+        if not abs(got - want) <= DEMO_TOL * want + (b - a) * math.ulp(0.0):
             raise NonconvergenceError(
                 f"halving step {n}: phi does not scale as its declared degree {q:.6g} on cells {a}..{b - 1}"
             )
@@ -409,14 +419,46 @@ def halving_f0(phi: NStarFunction, space: MeasureSpace) -> MeasurableFn:
     Its modular density decays exponentially across the interval, so every
     split point falls in a region of many small cells and the prefix
     residual stays a tiny fraction of the modular. Built a slice of BLOCK
-    cells at a time; every step is elementwise.
+    cells at a time; every step is elementwise. Without a degree each cell
+    is phi^-1 of e^(-HALVING_DECAY_RATE x / L) at its midpoint x. For a
+    degree q in (0, 1], phi^-1(y) = phi^-1(1) y^(1/q), so each cell is
+    phi^-1(1) e^(-HALVING_DECAY_RATE x / (L q)), with x rounded as
+    MeasureSpace.midpoints rounds it: one exp per cell, no pow, and one
+    scalar phi^-1. The claim is checked against phi itself on the first
+    cell and on the last cell of normal f0 (a subnormal one has lost its
+    relative precision); a miss by more than relative DEMO_TOL raises
+    NonconvergenceError. Where L q is at most 16 / max-float, the rate
+    16 / (L q) passes the float range, and the cells take phi^-1 as
+    without a degree.
     """
     if space.is_atomic:
         raise DomainError("the halving construction needs the non-atomic model")
-    values = np.empty(space.size)
-    for a in range(0, space.size, BLOCK):
-        x = space.midpoints(a, min(a + BLOCK, space.size)) / space.length
-        values[a : a + BLOCK] = phi.inverse(np.exp(-HALVING_DECAY_RATE * x))
+    n, q = space.size, _concave_degree(phi)
+    values = np.empty(n)
+    # the closed form takes its rate -16 / (L q) as a float, so L q must exceed 16 / max-float
+    if q is None or not space.length * q > HALVING_DECAY_RATE / np.finfo(float).max:
+        for a in range(0, n, BLOCK):
+            x = space.midpoints(a, min(a + BLOCK, n)) / space.length
+            values[a : a + BLOCK] = phi.inverse(np.exp(-HALVING_DECAY_RATE * x))
+        return MeasurableFn._adopt(values, space)
+    scale, width, rate = float(phi.inverse(1.0)), space.length / n, -HALVING_DECAY_RATE / (space.length * q)
+    offsets = np.arange(min(n, BLOCK)) + 0.5
+    with np.errstate(over="ignore"):
+        for a in range(0, n, BLOCK):
+            out = values[a : a + BLOCK]
+            # the midpoints, rounded as MeasureSpace.midpoints rounds them
+            np.add(offsets[: out.size], a, out=out)
+            out *= width
+            out *= rate
+            np.exp(out, out=out)
+            out *= scale
+        # f0 falls from cell to cell: the cells of normal f0 are a prefix
+        tiny = np.finfo(float).tiny
+        normal = bisect.bisect_left(values, True, key=lambda v: not v >= tiny)
+        for i in sorted({0, normal - 1}) if normal else ():
+            want = math.exp(-HALVING_DECAY_RATE * ((i + 0.5) * width / space.length))
+            if not abs(float(phi(values[i : i + 1])[0]) - want) <= DEMO_TOL * want:
+                raise NonconvergenceError(f"halving f0: phi does not scale as its declared degree {q:.6g} on cell {i}")
     return MeasurableFn._adopt(values, space)
 
 
@@ -425,9 +467,12 @@ def halving_kernel(f0: MeasurableFn) -> MeasurableFn:
 
     c is the integral of f0 * (1/f0), taken by the sum rule, so the
     functional value of f0 is 2, and it stays on the surviving piece.
-    Built a slice of BLOCK cells at a time. DomainError when the kernel
-    leaves the float range: some f0 lies within about 2/max-float of 0, or
-    no f0 is positive.
+    Built in one buffer a slice of BLOCK cells at a time: 1/f0 is written
+    in place, and only a slice that holds an f0 <= 0 is masked. Every
+    kernel value is at least 0 or NaN, so one NaN-propagating max tells
+    whether all are finite. DomainError when the kernel leaves the float
+    range: some f0 lies within about 2/max-float of 0, or no f0 is
+    positive.
     """
     f, masses = f0.values, f0.space.masses
     u = np.empty(f.size)
@@ -435,11 +480,13 @@ def halving_kernel(f0: MeasurableFn) -> MeasurableFn:
     # 1/f0 overflows to inf, and 2/c to inf when c is 0; the check below rejects both
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for a in range(0, f.size, BLOCK):
-            piece = f[a : a + BLOCK]
-            u[a : a + BLOCK] = np.where(piece > 0, 1.0 / piece, 0.0)
-            parts.append(np.dot(piece * u[a : a + BLOCK], masses[a : a + BLOCK]))
+            piece, out = f[a : a + BLOCK], u[a : a + BLOCK]
+            np.divide(1.0, piece, out=out)
+            if not piece.min() > 0.0:
+                out[piece <= 0.0] = 0.0
+            parts.append(np.dot(piece * out, masses[a : a + BLOCK]))
         u *= np.divide(2.0, fsum_partials(parts))
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u.max()):
         tiny = f[f > 0]
         what = f"the smallest positive f0 is {tiny.min():.6g}" if tiny.size else "every f0 underflows to 0"
         raise DomainError(f"the kernel 1/f0 leaves the float range: {what}")
@@ -485,8 +532,7 @@ def nonconvexity_demo(
     """
     if not 0 < epsilon < np.inf:
         raise DomainError("epsilon must be positive and finite")
-    pieces = disjoint_positive_family(space, n)
-    masses = np.array([space.masses[piece].sum() for piece in pieces])
+    masses = np.array([space.masses[piece].sum() for piece in disjoint_positive_family(space, n)])
     with np.errstate(over="ignore"):
         levels = epsilon / masses
     heights = phi.inverse(levels)

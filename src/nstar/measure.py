@@ -107,6 +107,9 @@ class MeasureSpace:
         return (np.arange(lo, n if hi is None else hi) + 0.5) * (self.length / n)
 
     def same_as(self, other: "MeasureSpace") -> bool:
+        """Same kind and the same masses; a space is the same as itself without comparing them."""
+        if other is self:
+            return True
         return (
             self.kind == other.kind
             and self.masses.shape == other.masses.shape
@@ -293,16 +296,16 @@ def simple_approximation(f: MeasurableFn, n: int) -> MeasurableFn:
     return MeasurableFn._adopt(out, f.space)
 
 
-def disjoint_positive_family(space: MeasureSpace, count: int) -> list[np.ndarray]:
-    """count pairwise-disjoint index subsets, each of positive measure.
+def disjoint_positive_family(space: MeasureSpace, count: int) -> list[slice]:
+    """count pairwise-disjoint ranges of cells or atoms, each of positive measure, as slices.
 
-    Equal-size contiguous blocks on intervals, singletons on atomic spaces.
+    Equal-length contiguous blocks on intervals, single atoms on atomic
+    spaces. A slice indexes an array as a view, so summing a piece's
+    masses reads them in place.
     """
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise DomainError("count must be a positive integer")
     if count > space.size:
         raise DomainError(f"cannot carve {count} disjoint pieces out of {space.size}")
-    if space.is_atomic:
-        return [np.array([i]) for i in range(count)]
-    block = space.size // count
-    return [np.arange(i * block, (i + 1) * block) for i in range(count)]
+    block = 1 if space.is_atomic else space.size // count
+    return [slice(i * block, (i + 1) * block) for i in range(count)]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .calculus import NStarFunction, complementary
 from .errors import DomainError, NonconvergenceError
-from .measure import MeasurableFn, MeasureSpace, blocked_dot, integrate, weighted_sum
+from .measure import BLOCK, MeasurableFn, MeasureSpace, blocked_dot, integrate, weighted_sum
 
 __all__ = [
     "ModularValue",
@@ -54,9 +54,42 @@ class ModularValue:
 
 @dataclass(frozen=True)
 class QuasiNormResult:
+    """A quasi-norm, its modular's residual |rho(f/value) - 1| and the solver's iterations.
+
+    log_error_bound bounds |log value - log lambda*|, lambda* the exact
+    norm of the stored masses and values, for a norm that stopped at the
+    closed-form root of a declared degree (_closed_start_log_error); it is
+    None on every other path.
+    """
+
     value: float
     lambda_residual: float
     iterations: int
+    log_error_bound: float | None = None
+
+
+def _closed_start_log_error(n: int, q: float, log_ratio: float) -> float:
+    """Bound on |log lambda - log lambda*| for the closed-form start of c |x|^q on n cells or atoms.
+
+    log_ratio is log(lambda / max|f|); u = 2^-53, gamma_m = m u / (1 - m u).
+    Each term a_i c (|f_i| / max|f|)^q of rho(f / max|f|) carries the
+    quotient's rounding, scaled by max(q, 1), pow's one ulp (2u), the
+    product with c (u) and with the mass (u): gamma_5 for q <= 1. The sum
+    rule adds gamma_(k+1), k = min(n, BLOCK), on non-negative terms, so the
+    computed modular is within gamma_(k+6) relative, and the root
+    rho^(1/q) turns that into -log(1 - gamma_(k+6)) / q in log lambda. The
+    root itself rounds 1/q (u, scaled by |log_ratio|), pow (2u) and the
+    product with max|f| (u), and 2u more cover a comparison with a
+    correctly rounded reference: gamma_(|log_ratio| + 6) holds them. A
+    degree q <= 0 bounds nothing: inf.
+    """
+    u = 2.0**-53
+
+    def gamma(m):
+        return m * u / (1 - m * u)
+
+    rounding = -math.log1p(-gamma(min(n, BLOCK) + 5 + max(q, 1.0)))
+    return (rounding / q if q > 0 else math.inf) + gamma(abs(log_ratio) + 6)
 
 
 @dataclass(frozen=True)
@@ -138,7 +171,10 @@ def luxemburg_norm(
     that gives rho(f/max|f|) counts as an iteration; a lambda0 outside the
     positive normal floats falls back to max|f|. It evaluates the modular
     at its start; at lambda0 it stops there when the residual |rho - 1|
-    is inside LUX_RESIDUAL_TOL: two passes for a power generator. From
+    is inside LUX_RESIDUAL_TOL: two passes for a power generator. The
+    result then carries log_error_bound, and a bound of 1 or more in log
+    lambda raises NonconvergenceError: below q ~ 1e-15 the modular's
+    rounding divided by q leaves no digit of the norm. From
     max|f| (no degree, or the fallback) or from a lambda0 that misses the
     tolerance, the bracket grows from the start on the side its modular lies on, by steps
     of 2, 4, 16, ..., 2^32, then 1e12: at most 56 steps. Bisection on a
@@ -182,7 +218,14 @@ def luxemburg_norm(
     value = rho_lo = rho(lam)
     resid = abs(value - 1.0)
     if at_root and resid <= LUX_RESIDUAL_TOL:
-        return QuasiNormResult(value=lam, lambda_residual=resid, iterations=iterations)
+        bound = _closed_start_log_error(space.size, phi.degree, math.log(lam / top))
+        if not bound < 1.0:
+            # a factor e in lambda or more: the printed norm would mean nothing
+            raise NonconvergenceError(
+                f"the closed-form root is uncertain by {bound:.3g} in log lambda: "
+                f"the modular's rounding divided by the degree {phi.degree:.6g} reaches order 1"
+            )
+        return QuasiNormResult(value=lam, lambda_residual=resid, iterations=iterations, log_error_bound=bound)
     step = 2.0
     while value > 1.0:
         if hi >= _MAX:

@@ -109,3 +109,16 @@ def mp_power_norm(masses, values, c, q, dps=40):
     """
     total, q = _mp_power_modular(masses, values, c, q, dps)
     return float(total ** (1 / q))
+
+
+def mp_halving_f0(midpoints, length, c, q, dps=40):
+    """f0 of the halving demo under phi = c |x|^q, in mpmath: phi^-1(exp(-16 x_i / L)) = (exp(-16 x_i / L) / c)^(1/q).
+
+    The midpoints x_i, L, c and q are taken as the floats they are stored
+    as; each value is rounded once to a float.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = dps
+    c, q, length = mp.mpf(float(c)), mp.mpf(float(q)), mp.mpf(float(length))
+    return np.array([float((mp.exp(-16 * mp.mpf(float(x)) / length) / c) ** (1 / q)) for x in midpoints])

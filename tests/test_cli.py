@@ -112,6 +112,24 @@ class TestNorm:
         assert captured.out == ""
         assert "underflows" in captured.err
 
+    @pytest.mark.parametrize("p, printed", [("1e-9", "2.99999966693"), ("1e-12", "2.99966695158")])
+    def test_tiny_exponent_within_its_error_bound_prints_the_norm(self, capsys, p, printed):
+        # the exact norms are 3.00000016653 and 3.00016653808, inside the bound gamma_16 / p in log lambda
+        argv = ["norm", "--phi", f"power:p={p}", "--space", "interval:L=1,N=10", "--fn", "constant:3"]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.split("=")[1].strip() == printed
+
+    @pytest.mark.parametrize("p", ["1e-16", "1e-17"])
+    def test_tiny_exponent_past_its_error_bound_exits_one(self, capsys, p):
+        # these printed 0.988456408521 and 4.52359715181e-05 with exit 0; the exact norms are 5.2 and 772.6
+        argv = ["norm", "--phi", f"power:p={p}", "--space", "interval:L=1,N=10", "--fn", "constant:3"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "reaches order 1" in captured.err
+
 
 class TestMetric:
     def test_indicator_distance(self, capsys):
@@ -854,6 +872,17 @@ class TestDemos:
         err = capsys.readouterr().err
         assert code == 2
         assert "disjoint pieces" in err
+
+    def test_dualzero_bounds_past_the_float_range_print_no_warning(self):
+        # 2^(0.9 n) passes the float range in the decay curve and in the
+        # product of the step bounds; both printed numpy RuntimeWarnings on stderr
+        argv = ["--phi", "power:p=0.9", "--space", "interval:L=1,N=24576", "--fn", "constant:1e-300"]
+        argv += ["--kernel", "constant:0", "--theta", "0.9998", "--iterations", "1200", "--format", "json"]
+        proc = run_child("-m", "nstar.cli", "demo", "dualzero", *argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        doc = json.loads(proc.stdout)
+        assert doc["cumulative_bound"] is None
+        assert doc["results"][0]["bound"] is not None and doc["results"][-1]["bound"] is None
 
     def test_dualzero_trace_csv(self, capsys, tmp_path):
         out_path = tmp_path / "trace.csv"

@@ -18,6 +18,7 @@ from nstar import (
     dual_zero_halving,
     evaluate_functional,
     functional_norm_formula,
+    halving_f0,
     halving_instance,
     log_sqrt_family,
     luxemburg_norm,
@@ -28,7 +29,7 @@ from nstar import (
     single_atom_witness,
 )
 from nstar.measure import BLOCK
-from oracle import mp_bump_modulars, mp_power_modular, rule_sum
+from oracle import mp_bump_modulars, mp_halving_f0, mp_power_modular, rule_sum
 
 HALF = power_family(0.5)
 U = 2.0**-53
@@ -532,6 +533,20 @@ class TestHalvingAgainstReference:
         trace = dual_zero_halving(dataclasses.replace(HALF, degree=degree), X, f0, u, 12)
         assert trace_rows(trace) == reference_halving(HALF, X, f0, u, 12, 0.5)[0]
 
+    def test_subnormal_weights_meet_a_true_degree(self):
+        # the split of round 1 falls in the middle piece, whose weights
+        # phi(1e-110) * 1e-310 are subnormal; the two routes' partials there
+        # differ by far more than relative DEMO_TOL, and the check raised
+        X = MeasureSpace.interval(3 * BLOCK * 1e-310, 3 * BLOCK)
+        cell = np.arange(X.size)
+        f0 = MeasurableFn(np.select([cell < BLOCK, cell < 2 * BLOCK], [0.0, 1e-110], 2e7), X)
+        u = MeasurableFn(np.where(cell >= 2 * BLOCK, 1e300, 0.0), X)
+        phi = power_family(0.1)
+        trace = dual_zero_halving(phi, X, f0, u, 3, 1e-12)
+        sweep = dual_zero_halving(without_degree(phi), X, f0, u, 3, 1e-12)
+        assert trace.steps[1].prefix_cells == 12601
+        assert [row[1:4] for row in trace_rows(trace)] == [row[1:4] for row in trace_rows(sweep)]
+
     def test_false_degree_raises(self):
         # log_sqrt is close to sqrt only near 0; trusting degree 0.5 printed a modular 0.4% off
         phi = dataclasses.replace(log_sqrt_family(), degree=0.5)
@@ -541,6 +556,36 @@ class TestHalvingAgainstReference:
             with pytest.raises(NonconvergenceError, match="does not scale as its declared degree 0.5"):
                 dual_zero_halving(phi, X, f0, u, iterations)
 
+    @pytest.mark.parametrize(
+        "phi, cells, cell",
+        [
+            (dataclasses.replace(log_sqrt_family(), degree=0.5), 1000, 0),
+            (dataclasses.replace(power_family(0.5), degree=0.49), 1000, 0),
+            (dataclasses.replace(alpha_exp_family(4.0), degree=0.015), 1000, 0),
+            # cell 0 sits at level e^-(8 / N), where the two laws agree within DEMO_TOL
+            (dataclasses.replace(power_family(0.5), degree=0.500001), 2**20, 2**20 - 1),
+        ],
+        ids=["log_sqrt-0.5", "power-0.49", "alpha_exp-0.015", "power-0.500001"],
+    )
+    def test_false_degree_raises_in_f0(self, phi, cells, cell):
+        # f0 of the claimed law misses phi^-1(e^(-16 x / L)) on the first cell or the last cell of normal f0
+        X = MeasureSpace.interval(1.0, cells)
+        with pytest.raises(NonconvergenceError, match=f"f0: phi does not scale as its declared degree .* on cell {cell}$"):
+            halving_f0(phi, X)
+
+    def test_a_rate_past_the_float_range_takes_phi_inverse(self):
+        # -16 / (L q) = -3.2e308 passes the float range; the rate made every f0 0
+        X = MeasureSpace.interval(1e-307, 1000)
+        f0 = halving_f0(HALF, X)
+        assert np.array_equal(f0.values, HALF.inverse(np.exp(-16.0 * X.midpoints() / X.length)))
+
+    def test_true_degree_with_a_subnormal_tail(self):
+        # e^(-16 x / 0.0216) is subnormal from cell 956 of 1000 on, and the
+        # last cell's 2.9e-322 holds so few bits that phi of it is 1.7e-4 off
+        # e^(-16 x); the claim is checked on the last normal cell instead
+        f0 = halving_f0(power_family(0.0216), MeasureSpace.interval(1.0, 1000)).values
+        assert 0.0 < f0[-1] < np.finfo(float).tiny
+
     @pytest.mark.parametrize("cells", [3000, *HALVING_SIZES])
     @pytest.mark.parametrize(
         "phi",
@@ -549,13 +594,38 @@ class TestHalvingAgainstReference:
     )
     def test_instance_is_the_whole_array_formula(self, phi, cells):
         # f0 and the kernel are built a slice at a time; every step but the
-        # kernel's scale is elementwise, and the scale follows the sum rule
+        # kernel's scale is elementwise, and the scale follows the sum rule.
+        # f0 of a declared degree takes the closed form, which
+        # test_f0_of_a_degree_matches_mpmath checks
         X = MeasureSpace.interval(1.0, cells)
         f0, u = halving_instance(phi, X)
-        f = phi.inverse(np.exp(-16.0 * X.midpoints() / X.length))
+        f = f0.values
+        if phi.degree is None:
+            assert np.array_equal(f, phi.inverse(np.exp(-16.0 * X.midpoints() / X.length)))
         inverse = np.where(f > 0, 1.0 / f, 0.0)
-        assert np.array_equal(f0.values, f)
         assert np.array_equal(u.values, inverse * (2.0 / rule_sum(f * inverse, X.masses)))
+
+    @pytest.mark.parametrize(
+        "space",
+        [MeasureSpace.interval(1.0, c) for c in (3000, *HALVING_SIZES, 2**20 + 3)] + [MeasureSpace.interval(4.0, 9999)],
+        ids=lambda X: f"L={X.length:g},N={X.size}",
+    )
+    @pytest.mark.parametrize(
+        "phi",
+        [power_family(q) for q in (0.25, 0.05)] + [scaled_power_family(0.3)] + [alpha_exp_family(a) for a in (4.0, 4 / 3)],
+        ids=lambda phi: phi.description,
+    )
+    def test_f0_of_a_degree_matches_mpmath(self, phi, space):
+        # f0 = phi^-1(1) e^(-16 x / (L q)) at the float midpoints x. The exponent,
+        # at most 16/q, rounds twice (the rate 16 / (L q), its product with x;
+        # L q is exact for L a power of two), so it lies within 2u * 16/q = 16/q
+        # eps; exp, phi^-1(1), the product with it and the oracle's rounding
+        # take 4 eps more
+        idx = np.unique(np.linspace(0, space.size - 1, 400).astype(int))
+        q = phi.degree
+        want = mp_halving_f0(space.midpoints()[idx], space.length, phi(1.0), q)
+        got = halving_f0(phi, space).values[idx]
+        assert np.all(np.abs(got - want) <= (16 / q + 4) * 2.0**-52 * want)
 
     @pytest.mark.parametrize("cells", [2000, *HALVING_SIZES])
     @pytest.mark.parametrize("seed", range(3))
@@ -591,6 +661,21 @@ class TestHalvingAgainstReference:
 
 class TestDemoWork:
     """Solver work of the two demos, counted by a wrapper around phi."""
+
+    @pytest.mark.parametrize("phi", [power_family(0.25), alpha_exp_family(4 / 3)], ids=lambda phi: phi.description)
+    def test_f0_of_a_degree_inverts_phi_once_at_one(self, phi):
+        # one scalar phi^-1(1), then an exp per cell; phi checks the claim on two cells
+        X = MeasureSpace.interval(1.0, 2 * BLOCK + 5)
+        inverted: list[object] = []
+
+        def inverse_fn(y):
+            inverted.append(np.asarray(y).copy())
+            return phi.inverse_fn(y)
+
+        counted, sizes = counting(dataclasses.replace(phi, inverse_fn=inverse_fn))
+        halving_f0(counted, X)
+        assert [(y.ndim, float(y)) for y in inverted] == [(0, 1.0)]
+        assert sizes == [1, 1]
 
     def test_halving_without_degree_evaluates_phi_once_on_each_kept_cell(self):
         # f0 of halving_instance has no zeros, so the cells a round keeps are

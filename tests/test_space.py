@@ -47,29 +47,6 @@ UNIT = MeasureSpace.interval(1.0, 1000)
 HALF_K = delta2_solve(HALF, 8.0, np.geomspace(1e-3, 1e3, 25)).bound_constant
 
 
-def closed_start_log_error(n, q, log_ratio):
-    """Bound on |log lambda - log lambda*| for the closed-form start of c |x|^q on n cells.
-
-    lambda* is the exact norm of the stored masses and values, and
-    log_ratio is log(lambda* / max|f|); u = 2^-53, gamma_m = m u / (1 - m u).
-    Each term a_i c (|f_i| / max|f|)^q of rho(f / max|f|) carries the
-    quotient's rounding, scaled by q <= 1 (u), pow's one ulp (2u), the
-    product with c (u) and with the mass (u): five roundings, gamma_5.
-    The sum rule adds gamma_(k+1), k = min(n, BLOCK), on non-negative
-    terms, so the computed modular is within gamma_(k+6) relative, and
-    the root rho^(1/q) turns that into -log(1 - gamma_(k+6)) / q in log
-    lambda. The root itself rounds 1/q (u, scaled by |log_ratio|), pow
-    (2u) and the product with max|f| (u); the test's quotient and the
-    oracle's rounding to float add 2u: gamma_(|log_ratio| + 6) holds them.
-    """
-    u = 2.0**-53
-
-    def gamma(m):
-        return m * u / (1 - m * u)
-
-    return -math.log1p(-gamma(min(n, BLOCK) + 6)) / q + gamma(abs(log_ratio) + 6)
-
-
 def p_norm(f, p, space):
     return float(np.dot(np.abs(f.values) ** p, space.masses)) ** (1.0 / p)
 
@@ -341,7 +318,7 @@ class TestLuxemburgNorm:
         res = luxemburg_norm(power_family(p), X, MeasurableFn.constant(X, c))
         assert res.lambda_residual <= 1e-10
         want = mp_power_norm(X.masses, np.full(n, c), 1.0, p)
-        assert abs(math.log(res.value / want)) <= closed_start_log_error(n, p, math.log(want / c))
+        assert abs(math.log(res.value / want)) <= res.log_error_bound
         if p >= 0.01:
             # the stopping rule puts the modular (c/lambda)^p within 1e-10 of 1,
             # so lambda is within 1e-10/p of c: 1e-9 for p >= 0.11, looser below
@@ -373,9 +350,8 @@ class TestLuxemburgNorm:
         f = MeasurableFn(signs * 10.0**log_norm * ratios, X)
         res = luxemburg_norm(phi, X, f)
         want = mp_power_norm(X.masses, f.values, c, q)
-        top = float(np.max(np.abs(f.values)))
         assert res.iterations == 1
-        assert abs(math.log(res.value / want)) <= closed_start_log_error(n, q, math.log(want / top))
+        assert abs(math.log(res.value / want)) <= res.log_error_bound
 
     @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
     def test_matches_p_norm_on_random_functions(self, p):
@@ -393,6 +369,29 @@ class TestLuxemburgNorm:
         got = luxemburg_norm(power_family(1e-9), X, MeasurableFn.constant(X, 3.0)).value
         want = mp_power_norm(X.masses, np.full(10, 3.0), 1.0, 1e-9)
         assert abs(got - want) <= 1e-6 * want
+
+    @pytest.mark.parametrize("p, bound", [(1e-9, 1.78e-6), (1e-12, 1.78e-3)])
+    def test_the_root_carries_its_error_bound(self, p, bound):
+        # gamma_16 / p in log lambda for 10 cells, and the exact norm lies inside it
+        X = MeasureSpace.interval(1.0, 10)
+        res = luxemburg_norm(power_family(p), X, MeasurableFn.constant(X, 3.0))
+        assert res.log_error_bound == pytest.approx(bound, rel=1e-2)
+        assert abs(math.log(res.value / mp_power_norm(X.masses, np.full(10, 3.0), 1.0, p))) <= res.log_error_bound
+
+    @pytest.mark.parametrize("p", [1e-16, 1e-17])
+    def test_a_root_uncertain_by_order_one_raises(self, p):
+        # the root printed 0.988456408521 (p = 1e-16) and 4.52359715181e-05 (1e-17) with
+        # exit 0, where the exact norms are 5.22640573042 and 772.6
+        X = MeasureSpace.interval(1.0, 10)
+        with pytest.raises(NonconvergenceError, match="reaches order 1"):
+            luxemburg_norm(power_family(p), X, MeasurableFn.constant(X, 3.0))
+
+    def test_no_error_bound_off_the_root(self):
+        # without a degree, and for a false degree, whose root misses the residual stop
+        X = MeasureSpace.interval(1.0, 10)
+        f = MeasurableFn.identity(X)
+        for phi in (log_sqrt_family(), dataclasses.replace(log_sqrt_family(), degree=0.5)):
+            assert luxemburg_norm(phi, X, f).log_error_bound is None
 
 
 _TABLE_T = np.geomspace(1e-3, 1e3, 50)
